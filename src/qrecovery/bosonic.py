@@ -260,6 +260,30 @@ def check_almost_unital(
     )
 
 
+def _sector_matmul(left: np.ndarray, right: np.ndarray, dim: int) -> np.ndarray:
+    """``left @ right`` for d^2 x d^2 transfer matrices that keep the coherence order.
+
+    Loss and amplifier Kraus operators shift n by a fixed k, so their transfer
+    matrices couple flat index a*dim + c only to b*dim + e with a - c = b - e.
+    Each coherence-order sector Delta = a - c in (-dim, dim) is multiplied on
+    its own as a (dim - |Delta|)^2 block.  An operand with a nonzero entry
+    outside these sectors raises ValueError instead of being dropped.
+    """
+    out = np.zeros((dim * dim, dim * dim), dtype=np.result_type(left, right))
+    inside_left = inside_right = 0
+    for delta in range(1 - dim, dim):
+        rows = np.arange(max(delta, 0), dim + min(delta, 0))
+        idx = rows * dim + rows - delta
+        block = np.ix_(idx, idx)
+        l_block, r_block = left[block], right[block]
+        inside_left += np.count_nonzero(l_block)
+        inside_right += np.count_nonzero(r_block)
+        out[block] = l_block @ r_block
+    if inside_left != np.count_nonzero(left) or inside_right != np.count_nonzero(right):
+        raise ValueError("transfer matrix mixes coherence orders; no sector product")
+    return out
+
+
 def _transfer_choi(t: np.ndarray, dim: int) -> np.ndarray:
     """Reshuffle a row-major transfer matrix into the input-first Choi 4-tensor."""
     return t.reshape(dim, dim, dim, dim).transpose(2, 0, 3, 1)
@@ -279,17 +303,21 @@ def check_adjoint_relation(
     Both sides are compared as Choi matrices restricted to the guard-banded
     subspace.  With the Kraus conventions used here the single-channel
     relations hold to machine precision on the whole truncated space.
+
+    Every stage keeps the coherence order Delta = n - m, so the stage chains
+    are multiplied sector by sector (2d - 1 blocks of size at most d) rather
+    than as dense d^2 x d^2 products; a stage that mixed orders would raise.
     """
     d = spec.truncation.dim
     forward, reverse = _spec_channels(spec)
     t_forward = transfer_matrix(forward[0])
     for ch in forward[1:]:
-        t_forward = transfer_matrix(ch) @ t_forward
+        t_forward = _sector_matmul(transfer_matrix(ch), t_forward, d)
     t_adjoint = t_forward.conj().T
     # reversal stages compose in the adjoint order
     t_reverse = transfer_matrix(reverse[0])
     for ch in reverse[1:]:
-        t_reverse = transfer_matrix(ch) @ t_reverse
+        t_reverse = _sector_matmul(transfer_matrix(ch), t_reverse, d)
     scale = 1.0 / spec.almost_unital_constant()
     keep = spec.truncation.n_max - n_guard + 1
     choi_lhs = _transfer_choi(t_adjoint, d)[:keep, :keep, :keep, :keep]
@@ -368,8 +396,14 @@ def check_loss_semigroup(
     seed=None,
 ) -> CheckReport:
     """B_eta1 o B_eta2 = B_(eta1 eta2): exact under truncation since loss only
-    moves photons down the ladder."""
-    t_comp = transfer_matrix(loss_channel(eta1, trunc)) @ transfer_matrix(loss_channel(eta2, trunc))
+    moves photons down the ladder.
+
+    Loss keeps the coherence order Delta = n - m, so the composition is
+    multiplied sector by sector; the direct map is compared on all entries.
+    """
+    t_comp = _sector_matmul(
+        transfer_matrix(loss_channel(eta1, trunc)), transfer_matrix(loss_channel(eta2, trunc)), trunc.dim
+    )
     t_direct = transfer_matrix(loss_channel(eta1 * eta2, trunc))
     deviation = float(np.abs(t_comp - t_direct).max())
     return CheckReport(

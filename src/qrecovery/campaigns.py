@@ -85,6 +85,9 @@ BOSONIC_ETAS = (0.7, 0.8, 0.9, 0.99)
 BOSONIC_GAINS = (1.01, 1.1, 1.25)
 BOSONIC_ADJOINT_COMPOSE_PAIRS = ((0.8, 1.1), (0.9, 1.25), (0.99, 1.01))
 MAX_TOTAL_DIM = 64
+# The bosonic suite checks the single-photon state inside the default guard
+# band, which keeps n_max - DEFAULT_GUARD + 1 levels; Fock level 1 needs two.
+BOSONIC_MIN_N_MAX = bos.DEFAULT_GUARD + 1
 
 
 class ConfigError(ValueError):
@@ -126,8 +129,11 @@ class CampaignConfig:
         if self.tol_override is not None and self.tol_override <= 0:
             raise ConfigError(f"tol must be positive, got {self.tol_override!r}")
         QuadratureSpec(nodes=self.quad_nodes, halfwidth=self.quad_halfwidth)  # validates
-        if self.bosonic_n_max < 2 or self.bosonic_n_max + 1 > MAX_TOTAL_DIM:
-            raise ConfigError("bosonic_n_max out of supported range")
+        if not BOSONIC_MIN_N_MAX <= self.bosonic_n_max < MAX_TOTAL_DIM:
+            raise ConfigError(
+                f"bosonic_n_max must lie in [{BOSONIC_MIN_N_MAX}, {MAX_TOTAL_DIM - 1}], "
+                f"got {self.bosonic_n_max!r}"
+            )
         if self.bosonic_guard is not None and not 0 <= self.bosonic_guard < self.bosonic_n_max:
             raise ConfigError("bosonic_guard out of range")
 

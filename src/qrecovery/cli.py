@@ -123,24 +123,28 @@ def _cmd_sweep(args) -> int:
     if args.target != "bosonic":
         print(f"unknown sweep target {args.target!r}", file=sys.stderr)
         return 2
+    guard = args.guard
     try:
         trunc = bos.FockTruncation(args.n_max)
+        if trunc.n_max < 4:
+            raise ValueError("n_max must be at least 4: the single-photon state needs mean <= n_max/4")
+        if not 0 <= guard < trunc.n_max:
+            raise ValueError(f"guard must satisfy 0 <= guard < n_max = {trunc.n_max}, got {guard}")
         etas = [float(x) for x in args.etas.split(",") if x]
         gains = [float(x) for x in args.gains.split(",") if x]
+        states = (
+            ("vacuum", bos.vacuum_state(trunc)),
+            ("single-photon", bos.fock_state(1, trunc)),
+            ("geometric-mean-1", bos.geometric_state(1.0, trunc, support_max=trunc.n_max - guard)),
+        )
+        specs = [bos.GaussianChannelSpec("loss", trunc, eta=e) for e in etas]
+        specs += [bos.GaussianChannelSpec("amp", trunc, gain=g) for g in gains]
+        specs += [
+            bos.GaussianChannelSpec("compose", trunc, eta=e, gain=g) for e in etas for g in gains
+        ]
     except (ValueError, TypeError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 2
-    guard = args.guard
-    states = (
-        ("vacuum", bos.vacuum_state(trunc)),
-        ("single-photon", bos.fock_state(1, trunc)),
-        ("geometric-mean-1", bos.geometric_state(1.0, trunc, support_max=trunc.n_max - guard)),
-    )
-    specs = [bos.GaussianChannelSpec("loss", trunc, eta=e) for e in etas]
-    specs += [bos.GaussianChannelSpec("amp", trunc, gain=g) for g in gains]
-    specs += [
-        bos.GaussianChannelSpec("compose", trunc, eta=e, gain=g) for e in etas for g in gains
-    ]
     rows = []
     ok = True
     for spec in specs:

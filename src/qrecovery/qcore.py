@@ -409,10 +409,19 @@ def choi(channel: KrausMap) -> np.ndarray:
 
 
 def transfer_matrix(channel: KrausMap) -> np.ndarray:
-    """Row-major superoperator matrix: vec(N(X)) = T vec(X)."""
+    """Row-major superoperator matrix: vec(N(X)) = T vec(X).
+
+    T[a*d_out + c, b*d_in + d] = sum_k K_k[a, b] conj(K_k[c, d]).  Row block a
+    is one GEMM over the stacked Kraus operators, ks[:, a, :].T @ conj(ks)
+    reshaped to (k, d_out*d_in), whose (b, (c, d)) result is permuted to
+    (c, b, d); no second d_out^2 x d_in^2 buffer is held.
+    """
     ks = np.stack(channel.kraus)
-    t = np.einsum("kab,kcd->acbd", ks, ks.conj())
-    d_out, d_in = channel.out_dim, channel.in_dim
+    n_kraus, d_out, d_in = ks.shape
+    rhs = ks.conj().reshape(n_kraus, d_out * d_in)
+    t = np.empty((d_out, d_out, d_in, d_in), dtype=ks.dtype)
+    for a in range(d_out):
+        t[a] = (ks[:, a, :].T @ rhs).reshape(d_in, d_out, d_in).transpose(1, 0, 2)
     return t.reshape(d_out * d_out, d_in * d_in)
 
 

@@ -20,8 +20,9 @@ from qrecovery.bosonic import (
     recommended_guard,
     vacuum_state,
 )
+from qrecovery.bosonic import _sector_matmul, _spec_channels
 from qrecovery.entropy import rel_entropy
-from qrecovery.qcore import is_subunital, is_trace_preserving, is_unital
+from qrecovery.qcore import Channel, is_subunital, is_trace_preserving, is_unital, transfer_matrix
 
 TRUNC = FockTruncation(40)
 SMALL = FockTruncation(20)
@@ -138,6 +139,33 @@ class TestAdjointRelation:
         spec = GaussianChannelSpec("compose", SMALL, eta=eta, gain=gain)
         rep = check_adjoint_relation(spec, n_guard=8)
         assert rep.rhs <= 1e-12
+
+
+class TestSectorProduct:
+    @pytest.mark.parametrize("n_max", [4, 9])
+    @pytest.mark.parametrize(
+        "kind,eta,gain", [("loss", 0.7, None), ("amp", None, 1.25), ("compose", 0.8, 1.1)]
+    )
+    def test_matches_dense_product(self, n_max, kind, eta, gain):
+        trunc = FockTruncation(n_max)
+        forward, reverse = _spec_channels(GaussianChannelSpec(kind, trunc, eta=eta, gain=gain))
+        mats = [transfer_matrix(ch) for ch in forward + reverse]
+        for left in mats:
+            for right in mats:
+                npt.assert_allclose(
+                    _sector_matmul(left, right, trunc.dim), left @ right, rtol=0, atol=1e-15
+                )
+
+    def test_rejects_map_mixing_coherence_orders(self):
+        trunc = FockTruncation(3)
+        hadamard = np.eye(trunc.dim)
+        hadamard[:2, :2] = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
+        mixing = transfer_matrix(Channel((hadamard,)))
+        loss = transfer_matrix(loss_channel(0.8, trunc))
+        with pytest.raises(ValueError, match="coherence"):
+            _sector_matmul(mixing, loss, trunc.dim)
+        with pytest.raises(ValueError, match="coherence"):
+            _sector_matmul(loss, mixing, trunc.dim)
 
 
 class TestEntropyGain:

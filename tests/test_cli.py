@@ -152,3 +152,30 @@ def test_sweep_bosonic_csv(tmp_path):
     # loss, amp, and composition rows for each of the three states
     assert len(lines) == 1 + 3 * 3
     assert "leakage" in lines[1] or "leakage" in out.read_text()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--n-max", "40", "--guard", "45"],
+        ["--n-max", "40", "--guard", "-1"],
+        ["--n-max", "3", "--guard", "0"],
+        ["--etas", "1.5"],
+    ],
+)
+def test_sweep_invalid_config_exits_two(flags, capsys):
+    assert run(["sweep", "bosonic", *flags]) == 2
+    assert "invalid config" in capsys.readouterr().err
+
+
+def test_bosonic_n_max_lower_boundary(tmp_path, capsys):
+    # the smallest accepted n_max runs the suite to a report; one below is invalid
+    from qrecovery.campaigns import BOSONIC_MIN_N_MAX
+
+    cfg, out = tmp_path / "cfg.json", tmp_path / "r.json"
+    cfg.write_text(json.dumps({"bosonic_n_max": BOSONIC_MIN_N_MAX}))
+    assert run(["verify", "bosonic", "--config", str(cfg), "--out", str(out)]) in (0, 1)
+    assert json.loads(out.read_text())["config"]["bosonic_n_max"] == BOSONIC_MIN_N_MAX
+    cfg.write_text(json.dumps({"bosonic_n_max": BOSONIC_MIN_N_MAX - 1}))
+    assert run(["verify", "bosonic", "--config", str(cfg)]) == 2
+    assert "invalid config" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qrecovery.entropy import trace_distance
 from qrecovery.qcore import (
@@ -199,6 +200,32 @@ def test_transfer_matrix_matches_apply():
     t = transfer_matrix(ch)
     x = stream(11, 1).standard_normal((3, 3)) + 1j * stream(11, 2).standard_normal((3, 3))
     npt.assert_allclose((t @ x.reshape(-1)).reshape(2, 2), ch.apply(x), atol=1e-12)
+
+
+def _einsum_transfer_matrix(channel):
+    """Reference: the direct contraction T[(a,c),(b,d)] = sum_k K_k[a,b] conj(K_k[c,d])."""
+    ks = np.stack(channel.kraus)
+    t = np.einsum("kab,kcd->acbd", ks, ks.conj())
+    return t.reshape(channel.out_dim**2, channel.in_dim**2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    in_dim=st.integers(1, 5),
+    out_dim=st.integers(1, 5),
+    n_kraus=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_transfer_matrix_matches_einsum_reference(in_dim, out_dim, n_kraus, seed):
+    rng = np.random.default_rng(seed)
+    ks = rng.standard_normal((n_kraus, out_dim, in_dim)) + 1j * rng.standard_normal(
+        (n_kraus, out_dim, in_dim)
+    )
+    ks /= np.linalg.norm(ks)
+    ch = KrausMap(tuple(ks))
+    t = transfer_matrix(ch)
+    assert t.shape == (out_dim**2, in_dim**2)
+    npt.assert_allclose(t, _einsum_transfer_matrix(ch), rtol=0, atol=1e-14)
 
 
 def test_compose_matches_sequential_application():
