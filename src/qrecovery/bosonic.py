@@ -85,14 +85,6 @@ class GaussianChannelSpec:
             return float(self.gain)
         return float(self.eta * self.gain)
 
-    def almost_unital_constant(self) -> float:
-        """c with N(I) = c^{-1} I in infinite dimension."""
-        if self.kind == "loss":
-            return float(self.eta)
-        if self.kind == "amp":
-            return float(self.gain)
-        return float(self.eta * self.gain)
-
 
 def loss_channel(eta: float, trunc: FockTruncation = FockTruncation()) -> Channel:
     """Beamsplitter with vacuum environment: <n-k|K_k|n> = sqrt(C(n,k) eta^(n-k) (1-eta)^k)."""
@@ -236,7 +228,7 @@ def check_almost_unital(
         raise ValueError("guard band leaves no levels to check")
     forward, _ = _spec_channels(spec)
     out = _apply_stages(forward, np.eye(spec.truncation.dim))
-    target = np.eye(spec.truncation.dim) / spec.almost_unital_constant()
+    target = np.eye(spec.truncation.dim) / spec.parameter()
     deviation = float(np.abs((out - target)[:keep, :keep]).max())
     if spec.kind == "amp":
         tail = 0.0
@@ -318,7 +310,7 @@ def check_adjoint_relation(
     t_reverse = transfer_matrix(reverse[0])
     for ch in reverse[1:]:
         t_reverse = _sector_matmul(transfer_matrix(ch), t_reverse, d)
-    scale = 1.0 / spec.almost_unital_constant()
+    scale = 1.0 / spec.parameter()
     keep = spec.truncation.n_max - n_guard + 1
     choi_lhs = _transfer_choi(t_adjoint, d)[:keep, :keep, :keep, :keep]
     choi_rhs = scale * _transfer_choi(t_reverse, d)[:keep, :keep, :keep, :keep]
@@ -369,7 +361,7 @@ def check_bosonic_entropy_gain(
     reversed_out = _apply_stages(reverse, out)
     lhs = entropy(out) - entropy(rho)
     d = rel_entropy(rho, reversed_out)
-    rhs = d.value + math.log2(spec.almost_unital_constant())
+    rhs = d.value + math.log2(spec.parameter())
     return CheckReport(
         name=f"bosonic-entropy-gain-{spec.kind}",
         lhs=lhs,

@@ -23,6 +23,7 @@ from .cpdp import (
     reduced_dynamics,
 )
 from .entropy import fidelity, rel_entropy, trace_norm
+from .matfun import eig_hermitian
 from .qcore import (
     Channel,
     DensityOperator,
@@ -236,8 +237,8 @@ def _recovery_instance(rng, lo, hi):
         rho = random_density(d, int(rng.integers(1, d + 1)), rng)
     else:
         small = random_density(rank_sigma, int(rng.integers(1, rank_sigma + 1)), rng)
-        lam, vecs = np.linalg.eigh(sigma.matrix)
-        support = vecs[:, lam > 1e-12]
+        spec = eig_hermitian(sigma.matrix)
+        support = spec.eigenvectors[:, spec.eigenvalues > 1e-12]
         rho = DensityOperator((("A", d),), support @ small.matrix @ support.conj().T)
     d_out = int(rng.integers(lo, hi + 1))
     env_min = -(-d // d_out)  # Stinespring needs out * env >= in

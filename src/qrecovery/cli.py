@@ -8,7 +8,7 @@ Subcommands:
 
 Exit codes: 0 every check holds, 1 at least one check failed, 2 invalid
 configuration.  Reports are a pure function of the configuration; wall time
-is printed to the console and deliberately kept out of the report files.
+is shown on the console and deliberately kept out of the report files.
 """
 
 from __future__ import annotations

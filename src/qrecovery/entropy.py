@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matfun import eig_hermitian, rank_cutoff
-from .qcore import DensityOperator, Ensemble, partial_trace
+from .qcore import DensityOperator, Ensemble, as_matrix, partial_trace
 
 __all__ = [
     "NAT_TO_BITS",
@@ -34,12 +34,6 @@ __all__ = [
 
 NAT_TO_BITS = 1.0 / math.log(2.0)
 SUPPORT_TOL = 1e-9
-
-
-def _mat(x) -> np.ndarray:
-    if isinstance(x, DensityOperator):
-        return x.matrix
-    return np.asarray(x, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -64,7 +58,7 @@ class RelEntropyResult:
 
 def entropy(rho) -> float:
     """von Neumann entropy -Tr{rho log2 rho} of a PSD matrix."""
-    lam = np.linalg.eigvalsh(_mat(rho))
+    lam = np.linalg.eigvalsh(as_matrix(rho))
     lam = lam[lam > rank_cutoff(lam)]
     return float(-np.sum(lam * np.log(lam)) * NAT_TO_BITS) if lam.size else 0.0
 
@@ -76,7 +70,7 @@ def rel_entropy(p, q, support_tol: float = SUPPORT_TOL) -> RelEntropyResult:
     mass of P on ker(Q) and is flagged infinite when that mass exceeds
     ``support_tol``.
     """
-    p, q = _mat(p), _mat(q)
+    p, q = as_matrix(p), as_matrix(q)
     if p.shape != q.shape:
         raise ValueError(f"operand shapes differ: {p.shape} vs {q.shape}")
     if float(np.abs(p).max(initial=0.0)) == 0.0:
@@ -161,7 +155,7 @@ def _psd_sqrt(x: np.ndarray) -> np.ndarray:
 
 def root_fidelity(p, q) -> float:
     """sqrt(F)(P, Q) = ||sqrt(P) sqrt(Q)||_1 for PSD operators."""
-    sp, sq = _psd_sqrt(_mat(p)), _psd_sqrt(_mat(q))
+    sp, sq = _psd_sqrt(as_matrix(p)), _psd_sqrt(as_matrix(q))
     return float(np.linalg.svd(sp @ sq, compute_uv=False).sum())
 
 
@@ -171,12 +165,12 @@ def fidelity(p, q) -> float:
 
 
 def trace_norm(x) -> float:
-    return float(np.linalg.svd(_mat(x), compute_uv=False).sum())
+    return float(np.linalg.svd(as_matrix(x), compute_uv=False).sum())
 
 
 def trace_distance(rho, sigma) -> float:
     """||rho - sigma||_1 (no 1/2 factor; callers add it where a formula needs it)."""
-    return trace_norm(_mat(rho) - _mat(sigma))
+    return trace_norm(as_matrix(rho) - as_matrix(sigma))
 
 
 def binary_entropy(x: float) -> float:

@@ -9,6 +9,7 @@ the support.  The cutoff is ``dim * max|eigenvalue| * 1e-12``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -66,7 +67,7 @@ class Spectrum:
     def dim(self) -> int:
         return self.eigenvalues.shape[0]
 
-    @property
+    @cached_property
     def cutoff(self) -> float:
         return rank_cutoff(self.eigenvalues)
 
@@ -77,6 +78,15 @@ class Spectrum:
     def support_mask(self) -> np.ndarray:
         """Boolean mask of eigenvalues counted as nonzero."""
         return np.abs(self.eigenvalues) > self.cutoff
+
+    def power(self, z: complex) -> np.ndarray:
+        """H^z on the support: eigenvalues above the cutoff map to lambda^z,
+        all others (negative ones included) to 0."""
+        mask = self.eigenvalues > self.cutoff
+        values = np.zeros(self.dim, dtype=complex)
+        values[mask] = np.exp(z * np.log(self.eigenvalues[mask]))
+        u = self.eigenvectors
+        return (u * values) @ u.conj().T
 
 
 def hermiticity_defect(matrix: np.ndarray) -> float:
@@ -154,17 +164,12 @@ def complex_power(matrix: np.ndarray, z: complex) -> np.ndarray:
     (unitary when H is full rank).
     """
     spec = eig_hermitian(matrix)
-    mask = spec.support_mask()
-    negative = spec.eigenvalues[mask & (spec.eigenvalues < 0)] if mask.any() else []
-    if len(negative):
+    negative = spec.eigenvalues[spec.eigenvalues < -spec.cutoff]
+    if negative.size:
         raise MatrixDomainError(
             f"complex power requires PSD input; found eigenvalue {negative[0]!r}"
         )
-    values = np.zeros(spec.dim, dtype=complex)
-    if mask.any():
-        values[mask] = np.exp(z * np.log(spec.eigenvalues[mask]))
-    u = spec.eigenvectors
-    return (u * values) @ u.conj().T
+    return spec.power(z)
 
 
 def mat_log2(matrix: np.ndarray) -> np.ndarray:

@@ -34,7 +34,9 @@ __all__ = [
     "ClassicalQuantumState",
     "TransferMap",
     "stream",
+    "as_matrix",
     "tensor",
+    "ptrace",
     "partial_trace",
     "permute",
     "purify",
@@ -206,7 +208,7 @@ class Purification:
     def reduced(self) -> DensityOperator:
         """Partial trace over the reference, i.e. the state this purifies."""
         keep = [l for l in _labels(self.systems) if l != self.reference_label]
-        mat = _ptrace(self.projector(), _dims(self.systems), _keep_indices(self.systems, keep))
+        mat = ptrace(self.projector(), _dims(self.systems), _keep_indices(self.systems, keep))
         return DensityOperator(tuple(s for s in self.systems if s[0] != self.reference_label), mat)
 
     def amplitude_matrix(self) -> np.ndarray:
@@ -222,13 +224,21 @@ class Purification:
         return arr.reshape(dims[ref_pos], -1)
 
 
+def as_matrix(x) -> np.ndarray:
+    """The matrix of a :class:`DensityOperator`, or ``x`` as a complex array."""
+    if isinstance(x, DensityOperator):
+        return x.matrix
+    return np.asarray(x, dtype=complex)
+
+
 def _keep_indices(systems: Systems, keep_labels: Sequence[str]) -> list:
     labels = _labels(systems)
     return [labels.index(l) for l in keep_labels]
 
 
-def _ptrace(matrix: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
-    """Partial trace of a square matrix over the factors not in ``keep``."""
+def ptrace(matrix: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
+    """Partial trace of a square matrix on factors of sizes ``dims`` over the
+    factors whose indices are not in ``keep``; kept factors stay in order."""
     dims = list(dims)
     n = len(dims)
     keep = sorted(keep)
@@ -257,7 +267,7 @@ def partial_trace(rho: DensityOperator, discard) -> DensityOperator:
         if l not in labels:
             raise LabelError(f"unknown system label {l!r}")
     keep = [l for l in labels if l not in discard]
-    mat = _ptrace(rho.matrix, rho.dims, _keep_indices(rho.systems, keep))
+    mat = ptrace(rho.matrix, rho.dims, _keep_indices(rho.systems, keep))
     return DensityOperator(tuple(s for s in rho.systems if s[0] in keep), mat)
 
 

@@ -16,16 +16,19 @@ trace preservation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .matfun import complex_power, eig_hermitian, rank_cutoff
+from .matfun import complex_power, eig_hermitian
 from .qcore import (
     Channel,
     DensityOperator,
     DimensionMismatchError,
     KrausMap,
     Purification,
+    as_matrix,
+    ptrace,
 )
 
 __all__ = [
@@ -55,18 +58,12 @@ class NotCompletelyPositiveError(ValueError):
         self.witness = witness
 
 
-def p_weight(t, printed: bool = False):
-    """The rotation-parameter probability density.
-
-    The default is the normalized density ``(pi/2) / (cosh(pi t) + 1)``, which
-    integrates to one.  ``printed=True`` exposes the unnormalized variant
-    ``(pi/2) / (cosh(t) + 1)`` (integral pi) for inspection; nothing else in
-    the package uses it.
-    """
+def p_weight(t):
+    """The rotation-parameter probability density ``(pi/2) / (cosh(pi t) + 1)``,
+    which integrates to one."""
     t = np.asarray(t, dtype=float)
-    arg = t if printed else np.pi * t
     with np.errstate(over="ignore"):
-        out = (np.pi / 2.0) / (np.cosh(arg) + 1.0)
+        out = (np.pi / 2.0) / (np.cosh(np.pi * t) + 1.0)
     if out.ndim == 0:
         return float(out)
     return out
@@ -85,7 +82,6 @@ class QuadratureSpec:
 
     nodes: int = 101
     halfwidth: float = 10.0
-    scheme: str = "composite-gauss-legendre"
     panels: int = 10
 
     def __post_init__(self):
@@ -93,17 +89,17 @@ class QuadratureSpec:
             raise ValueError(f"nodes must be odd and >= 3, got {self.nodes}")
         if self.halfwidth <= 0:
             raise ValueError("halfwidth must be positive")
-        if self.scheme not in ("composite-gauss-legendre", "midpoint"):
-            raise ValueError(f"unknown quadrature scheme {self.scheme!r}")
         if not 1 <= self.panels <= self.nodes:
             raise ValueError("panels must be between 1 and the node count")
 
 
+@lru_cache(maxsize=32)
 def quadrature(spec: QuadratureSpec = QuadratureSpec(), normalized: bool = True):
     """Nodes and density-weighted weights for the rotation integral.
 
     Returns ``(t, w)`` with ``w_j ~ gl_w_j * p_weight(t_j)``; with
     ``normalized=True`` (the default) the weights are rescaled to sum to one.
+    Rules are cached per ``(spec, normalized)``, so both arrays are read-only.
     """
     edges = np.linspace(-spec.halfwidth, spec.halfwidth, spec.panels + 1)
     per, rem = divmod(spec.nodes, spec.panels)
@@ -112,11 +108,7 @@ def quadrature(spec: QuadratureSpec = QuadratureSpec(), normalized: bool = True)
         k = per + (1 if i < rem else 0)
         if k == 0:
             continue
-        if spec.scheme == "midpoint":
-            x = np.linspace(-1, 1, 2 * k + 1)[1::2]
-            w = np.full(k, 2.0 / k)
-        else:
-            x, w = np.polynomial.legendre.leggauss(k)
+        x, w = np.polynomial.legendre.leggauss(k)
         a, b = edges[i], edges[i + 1]
         ts.append(0.5 * (b - a) * x + 0.5 * (a + b))
         ws.append(0.5 * (b - a) * w)
@@ -126,11 +118,13 @@ def quadrature(spec: QuadratureSpec = QuadratureSpec(), normalized: bool = True)
         raise AssertionError("quadrature produced a negative weight")
     if normalized:
         w = w / w.sum()
+    t.setflags(write=False)
+    w.setflags(write=False)
     return t, w
 
 
 def _sigma_pair(sigma, channel: KrausMap):
-    sig = sigma.matrix if isinstance(sigma, DensityOperator) else np.asarray(sigma, dtype=complex)
+    sig = as_matrix(sigma)
     if sig.shape != (channel.in_dim, channel.in_dim):
         raise DimensionMismatchError(
             f"sigma dimension {sig.shape} does not match channel input {channel.in_dim}"
@@ -174,19 +168,39 @@ def rotated_petz(spec: RotatedPetzSpec) -> Channel:
     return Channel(tuple(left @ k.conj().T @ right for k in spec.channel.kraus))
 
 
-def _completion_kraus(kernel_vectors: np.ndarray, tau: np.ndarray, weight: float = 1.0):
-    """Kraus operators of Q -> weight * Tr{(I - Pi) Q} tau on the given kernel basis."""
-    ks = []
-    if kernel_vectors.size == 0 or weight == 0.0:
-        return ks
+def _completion_state(completion_state, dim: int) -> np.ndarray:
+    """The completion state tau on a dim-dimensional input: I/d by default,
+    otherwise a validated density operator."""
+    if completion_state is None:
+        return np.eye(dim) / dim
+    tau = as_matrix(completion_state)
+    if tau.shape != (dim, dim):
+        raise DimensionMismatchError("completion state must live on the channel input space")
+    if not isinstance(completion_state, DensityOperator):
+        try:
+            DensityOperator((("tau", dim),), tau)
+        except ValueError as exc:
+            raise ValueError(f"completion state is not a density operator: {exc}") from None
+    return tau
+
+
+def _completion_kraus(directions: np.ndarray, weights, tau: np.ndarray) -> list:
+    """Kraus operators sqrt(w_j lam_k) |t_k><d_j| of Q -> sum_j w_j <d_j|Q|d_j> tau.
+
+    ``directions`` holds the orthonormal d_j as columns and ``weights`` their
+    w_j; (lam_k, t_k) runs over the positive eigenpairs of tau.  Operators are
+    ordered by direction, then by eigenvector of tau.
+    """
+    if directions.shape[1] == 0:
+        return []
     spec = eig_hermitian(tau)
     lam = np.clip(spec.eigenvalues, 0.0, None)
-    for j in range(kernel_vectors.shape[1]):
-        bra = kernel_vectors[:, j].conj()
+    ks = []
+    for j in range(directions.shape[1]):
+        bra = directions[:, j].conj()
         for k in range(lam.shape[0]):
-            if lam[k] <= 0.0:
-                continue
-            ks.append(np.sqrt(weight * lam[k]) * np.outer(spec.eigenvectors[:, k], bra))
+            if lam[k] > 0.0:
+                ks.append(np.sqrt(weights[j] * lam[k]) * np.outer(spec.eigenvectors[:, k], bra))
     return ks
 
 
@@ -204,41 +218,20 @@ def integrated_recovery(
     trace-preserving channel that still recovers sigma perfectly.
     """
     sig, n_sig = _sigma_pair(sigma, channel)
-    if completion_state is None:
-        tau = np.eye(channel.in_dim) / channel.in_dim
-    else:
-        tau = (
-            completion_state.matrix
-            if isinstance(completion_state, DensityOperator)
-            else np.asarray(completion_state, dtype=complex)
-        )
-    if tau.shape != (channel.in_dim, channel.in_dim):
-        raise DimensionMismatchError("completion state must live on the channel input space")
-
+    tau = _completion_state(completion_state, channel.in_dim)
     nodes, weights = quadrature(quad)
     spec_sig = eig_hermitian(sig)
     spec_out = eig_hermitian(n_sig)
-    lam_s = np.clip(spec_sig.eigenvalues, 0.0, None)
-    lam_o = np.clip(spec_out.eigenvalues, 0.0, None)
-    mask_s = lam_s > rank_cutoff(spec_sig.eigenvalues)
-    mask_o = lam_o > rank_cutoff(spec_out.eigenvalues)
-    u_s, u_o = spec_sig.eigenvectors, spec_out.eigenvectors
-
-    def _power(u, lam, mask, z):
-        vals = np.zeros(lam.shape[0], dtype=complex)
-        vals[mask] = np.exp(z * np.log(lam[mask]))
-        return (u * vals) @ u.conj().T
-
     ks = []
     adj = [k.conj().T for k in channel.kraus]
     for t, w in zip(nodes, weights):
-        left = _power(u_s, lam_s, mask_s, (1.0 - 1j * t) / 2.0)
-        right = _power(u_o, lam_o, mask_o, (-1.0 + 1j * t) / 2.0)
+        left = spec_sig.power((1.0 - 1j * t) / 2.0)
+        right = spec_out.power((-1.0 + 1j * t) / 2.0)
         root_w = np.sqrt(w)
         for a in adj:
             ks.append(root_w * (left @ a @ right))
-    kernel = u_o[:, ~mask_o]
-    ks.extend(_completion_kraus(kernel, tau))
+    kernel = spec_out.eigenvectors[:, spec_out.eigenvalues <= spec_out.cutoff]
+    ks.extend(_completion_kraus(kernel, np.ones(kernel.shape[1]), tau))
     return Channel(tuple(ks))
 
 
@@ -261,9 +254,7 @@ def cmi_recovery(rho_ac: DensityOperator, t: float, recover_label: str | None = 
     d_a = rho_ac.system_dim(a_label)
     c_label = rho_ac.labels[1]
     d_c = rho_ac.system_dim(c_label)
-    rho_c = np.asarray(
-        _trace_first(rho_ac.matrix, d_a, d_c), dtype=complex
-    )
+    rho_c = ptrace(rho_ac.matrix, (d_a, d_c), (1,))
     left = complex_power(rho_ac.matrix, (1.0 - 1j * t) / 2.0)
     right_c = complex_power(rho_c, (-1.0 + 1j * t) / 2.0)
     ks = []
@@ -274,11 +265,6 @@ def cmi_recovery(rho_ac: DensityOperator, t: float, recover_label: str | None = 
     return Channel(tuple(ks))
 
 
-def _trace_first(matrix: np.ndarray, d_first: int, d_rest: int) -> np.ndarray:
-    t = matrix.reshape(d_first, d_rest, d_first, d_rest)
-    return np.trace(t, axis1=0, axis2=2)
-
-
 def adjoint_recovery(channel: KrausMap, completion_state=None) -> Channel:
     """Recovery channel R(Y) = N^dag(Y) + Tr{(id - N^dag)(Y)} tau.
 
@@ -287,16 +273,7 @@ def adjoint_recovery(channel: KrausMap, completion_state=None) -> Channel:
     on part of the output space, and the constructor rejects it with a witness
     input exhibiting the failure.
     """
-    if completion_state is None:
-        tau = np.eye(channel.in_dim) / channel.in_dim
-    else:
-        tau = (
-            completion_state.matrix
-            if isinstance(completion_state, DensityOperator)
-            else np.asarray(completion_state, dtype=complex)
-        )
-    if tau.shape != (channel.in_dim, channel.in_dim):
-        raise DimensionMismatchError("completion state must live on the channel input space")
+    tau = _completion_state(completion_state, channel.in_dim)
     gap = np.eye(channel.out_dim) - channel.on_identity()
     spec = eig_hermitian(gap)
     if spec.eigenvalues[0] < -1e-10:
@@ -306,20 +283,11 @@ def adjoint_recovery(channel: KrausMap, completion_state=None) -> Channel:
             f"{1.0 - spec.eigenvalues[0]:.12g}); the adjoint-based recovery is not CP",
             witness,
         )
-    lam = np.clip(spec.eigenvalues, 0.0, None)
     ks = [k.conj().T for k in channel.kraus]
-    spec_tau = eig_hermitian(tau)
-    lam_tau = np.clip(spec_tau.eigenvalues, 0.0, None)
-    # Tr{(I - N(I)) Y} tau as Kraus operators sqrt(mu_l lam_k) |k><d_l|;
-    # gap directions below 1e-12 are numerical zeros of N(I) = I.
-    for l in range(lam.shape[0]):
-        if lam[l] <= 1e-12:
-            continue
-        bra = spec.eigenvectors[:, l].conj()
-        for k in range(lam_tau.shape[0]):
-            if lam_tau[k] <= 1e-15:
-                continue
-            ks.append(np.sqrt(lam[l] * lam_tau[k]) * np.outer(spec_tau.eigenvectors[:, k], bra))
+    # Tr{(I - N(I)) Y} tau over the gap eigenpairs (mu_l, d_l); gap
+    # directions below 1e-12 are numerical zeros of N(I) = I.
+    gap_dirs = spec.eigenvalues > 1e-12
+    ks.extend(_completion_kraus(spec.eigenvectors[:, gap_dirs], spec.eigenvalues[gap_dirs], tau))
     return Channel(tuple(ks))
 
 

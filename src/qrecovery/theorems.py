@@ -16,13 +16,14 @@ from scipy import optimize
 
 from .entropy import (
     NAT_TO_BITS,
+    cond_entropy,
     entropy,
     fidelity,
     holevo_chi,
     rel_entropy,
     root_fidelity,
 )
-from .matfun import eig_hermitian, rank_cutoff
+from .matfun import eig_hermitian
 from .qcore import (
     Channel,
     DensityOperator,
@@ -30,10 +31,13 @@ from .qcore import (
     Instrument,
     KrausMap,
     Purification,
+    _rng,
     adjoint,
+    as_matrix,
     instrument_channel,
     is_subunital,
     lift,
+    ptrace,
     purify,
 )
 from .recovery import (
@@ -64,12 +68,6 @@ __all__ = [
 PROB_FLOOR = 1e-12
 
 
-def _as_matrix(rho) -> np.ndarray:
-    if isinstance(rho, DensityOperator):
-        return rho.matrix
-    return np.asarray(rho, dtype=complex)
-
-
 def _require_tp(channel) -> None:
     if isinstance(channel, KrausMap):
         dev = float(np.abs(channel.kraus_gram() - np.eye(channel.in_dim)).max())
@@ -82,9 +80,7 @@ def _require_tp(channel) -> None:
 
 def _adjoint_compose_apply(channel, x: np.ndarray) -> np.ndarray:
     """(N^dag o N)(x) for Kraus or transfer-matrix maps."""
-    if isinstance(channel, KrausMap):
-        return adjoint(channel).apply(channel.apply(x))
-    return channel.adjoint().apply(channel.apply(x))
+    return adjoint(channel).apply(channel.apply(x))
 
 
 def check_entropy_gain(rho, channel, tol: float = 1e-8, seed=None, dims=()) -> CheckReport:
@@ -94,7 +90,7 @@ def check_entropy_gain(rho, channel, tol: float = 1e-8, seed=None, dims=()) -> C
     and an adjoint; complete positivity is not required.
     """
     _require_tp(channel)
-    mat = _as_matrix(rho)
+    mat = as_matrix(rho)
     lhs = entropy(channel.apply(mat)) - entropy(mat)
     d = rel_entropy(mat, _adjoint_compose_apply(channel, mat))
     return CheckReport(
@@ -122,7 +118,7 @@ def check_entropy_gain_recovery(
     if not is_subunital(channel, tol=1e-9):
         top = float(np.linalg.eigvalsh(channel.on_identity())[-1])
         raise ValueError(f"channel is not subunital: max eigenvalue of N(I) is {top!r}")
-    mat = _as_matrix(rho)
+    mat = as_matrix(rho)
     rec = adjoint_recovery(channel, completion_state)
     lhs = entropy(channel.apply(mat)) - entropy(mat)
     rhs = rel_entropy(mat, rec.apply(channel.apply(mat))).value
@@ -170,7 +166,7 @@ def minimal_entropy_gain(
     if channel.in_dim != channel.out_dim:
         raise ValueError("minimal_entropy_gain expects equal input and output dimensions")
     d = channel.in_dim
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = _rng(seed)
 
     def to_rho(x: np.ndarray) -> np.ndarray:
         factor = (x[: d * d] + 1j * x[d * d :]).reshape(d, d)
@@ -232,7 +228,7 @@ def check_cond_entropy_gain(
 
     cond_labels = tuple(label for label in rho_ab.labels if label != on)
     sigma = DensityOperator(out_systems, sigma_mat)
-    lhs = _cond_entropy(sigma, cond_labels) - _cond_entropy(rho_ab, cond_labels)
+    lhs = cond_entropy(sigma, cond_labels) - cond_entropy(rho_ab, cond_labels)
     d = rel_entropy(rho_ab.matrix, nn_mat)
     return CheckReport(
         name="cond-entropy-gain",
@@ -243,17 +239,6 @@ def check_cond_entropy_gain(
         dims=rho_ab.dims,
         aux={"support_violation": d.support_violation},
     )
-
-
-def _reduce(state: DensityOperator, keep_labels) -> np.ndarray:
-    from .qcore import partial_trace
-
-    drop = tuple(l for l in state.labels if l not in keep_labels)
-    return partial_trace(state, drop).matrix
-
-
-def _cond_entropy(state: DensityOperator, cond_labels) -> float:
-    return entropy(state.matrix) - entropy(_reduce(state, cond_labels))
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +262,7 @@ def groenewold_gain(instr: Instrument, rho, prob_floor: float = PROB_FLOOR) -> f
     Negative values occur only for inefficient instruments; outcomes with
     probability below ``prob_floor`` are dropped from the sum.
     """
-    mat = _as_matrix(rho)
+    mat = as_matrix(rho)
     probs, posts = _post_measurement(instr, mat)
     reduction = entropy(mat)
     for p, post in zip(probs, posts):
@@ -292,17 +277,18 @@ def _shannon(probs: np.ndarray) -> float:
 
 
 def _reference_instrument_state(instr: Instrument, rho: DensityOperator):
-    """Purify rho and run the instrument on the purified input.
+    """Purify rho and run the instrument on its first factor A.
 
-    Returns the purification, outcome probabilities, the normalized
-    post-measurement operators on (R, A') (pure for efficient instruments),
-    and their reductions on R.
+    Returns the purification (factors R, A, rest), outcome probabilities, the
+    normalized post-measurement operators on (R, A', rest) (pure for
+    efficient instruments), and their reductions on (R, rest).
     """
     phi = purify(rho, "R")
     a_label = rho.labels[0]
     proj = phi.projector()
-    r_dim = phi.reference_dim
-    probs, posts_ra, posts_r = [], [], []
+    dims = (phi.reference_dim, instr.out_dim) + rho.dims[1:]
+    keep = [i for i in range(len(dims)) if i != 1]
+    probs, posts, reduced = [], [], []
     for i in range(instr.n_outcomes):
         lifted, _ = lift(
             instr.outcome_map(i), phi.systems, a_label, out_systems=((a_label + "'", instr.out_dim),)
@@ -312,22 +298,12 @@ def _reference_instrument_state(instr: Instrument, rho: DensityOperator):
         probs.append(max(p, 0.0))
         if p > PROB_FLOOR:
             norm = out / p
-            posts_ra.append(norm)
-            posts_r.append(_ptrace_second(norm, r_dim, instr.out_dim))
+            posts.append(norm)
+            reduced.append(ptrace(norm, dims, keep))
         else:
-            posts_ra.append(None)
-            posts_r.append(None)
-    return phi, np.array(probs), posts_ra, posts_r
-
-
-def _ptrace_second(matrix: np.ndarray, d_keep: int, d_drop: int) -> np.ndarray:
-    t = matrix.reshape(d_keep, d_drop, d_keep, d_drop)
-    return np.trace(t, axis1=1, axis2=3)
-
-
-def _ptrace_first(matrix: np.ndarray, d_first: int, d_rest: int) -> np.ndarray:
-    t = matrix.reshape(d_first, d_rest, d_first, d_rest)
-    return np.trace(t, axis1=0, axis2=2)
+            posts.append(None)
+            reduced.append(None)
+    return phi, np.array(probs), posts, reduced
 
 
 def _cq_assemble(weights, blocks, block_dim: int) -> np.ndarray:
@@ -357,7 +333,7 @@ def check_info_gain_upper(instr: Instrument, rho, tol: float = 1e-8, seed=None) 
     H(X)_sigma - D(rho || (N^dag o N)(rho)) >= I_G, with N the
     quantum-classical instrument channel.
     """
-    mat = _as_matrix(rho)
+    mat = as_matrix(rho)
     channel = instrument_channel(instr)
     probs = instr.outcome_probabilities(mat)
     d = rel_entropy(mat, _adjoint_compose_apply(channel, mat))
@@ -468,8 +444,8 @@ def check_info_gain_no_qsi(
 
 
 def _pure_vector(density: np.ndarray) -> np.ndarray:
-    lam, vecs = np.linalg.eigh(density)
-    return vecs[:, -1] * math.sqrt(max(float(lam[-1]), 0.0))
+    spec = eig_hermitian(density)
+    return spec.eigenvectors[:, -1] * math.sqrt(max(float(spec.eigenvalues[-1]), 0.0))
 
 
 def check_info_gain_qsi(
@@ -497,34 +473,14 @@ def check_info_gain_qsi(
     a_label, b_label = rho_ab.labels
     d_b = rho_ab.system_dim(b_label)
     out_label = a_label + "'"
-    phi = purify(rho_ab, "R")  # factors ordered (R, A, B)
+    # purification factors (R, A, B); posts on (R, A', B), reductions on (R, B)
+    phi, probs, posts_rab, posts_rb = _reference_instrument_state(instr, rho_ab)
     r_dim = phi.reference_dim
-    proj = phi.projector()
-
-    probs, posts_rab, posts_rb = [], [], []
-    for i in range(instr.n_outcomes):
-        lifted, _ = lift(
-            instr.outcome_map(i), phi.systems, a_label, out_systems=((out_label, instr.out_dim),)
-        )
-        out = lifted.apply(proj)
-        p = float(np.real(np.trace(out)))
-        probs.append(max(p, 0.0))
-        if p > PROB_FLOOR:
-            norm = out / p
-            posts_rab.append(norm)
-            t = norm.reshape(r_dim, instr.out_dim, d_b, r_dim, instr.out_dim, d_b)
-            posts_rb.append(
-                np.trace(t, axis1=1, axis2=4).reshape(r_dim * d_b, r_dim * d_b)
-            )
-        else:
-            posts_rab.append(None)
-            posts_rb.append(None)
-    probs = np.array(probs)
 
     omega_rb = _avg(posts_rb, probs, r_dim * d_b)
-    omega_b = _ptrace_first(omega_rb, r_dim, d_b)
+    omega_b = ptrace(omega_rb, (r_dim, d_b), (1,))
     omega_bx = [
-        _ptrace_first(block, r_dim, d_b) if block is not None else None for block in posts_rb
+        ptrace(block, (r_dim, d_b), (1,)) if block is not None else None for block in posts_rb
     ]
 
     omega_rbx = _cq_assemble(probs, posts_rb, r_dim * d_b)
@@ -537,24 +493,9 @@ def check_info_gain_qsi(
 
     nodes, weights = quadrature(quad)
     spec_b = eig_hermitian(omega_b)
-    lam_b = np.clip(spec_b.eigenvalues, 0.0, None)
-    mask_b = lam_b > rank_cutoff(spec_b.eigenvalues)
-    u_b = spec_b.eigenvectors
-    proj_b = u_b[:, mask_b] @ u_b[:, mask_b].conj().T
-
-    def _power(u, lam, mask, z):
-        vals = np.zeros(lam.shape[0], dtype=complex)
-        vals[mask] = np.exp(z * np.log(lam[mask]))
-        return (u * vals) @ u.conj().T
-
-    spectra_x = []
-    for block in omega_bx:
-        if block is None:
-            spectra_x.append(None)
-            continue
-        spec_x = eig_hermitian(block)
-        lam_x = np.clip(spec_x.eigenvalues, 0.0, None)
-        spectra_x.append((spec_x.eigenvectors, lam_x, lam_x > rank_cutoff(spec_x.eigenvalues)))
+    support_b = spec_b.eigenvectors[:, spec_b.eigenvalues > spec_b.cutoff]
+    proj_b = support_b @ support_b.conj().T
+    spectra_x = [eig_hermitian(block) if block is not None else None for block in omega_bx]
 
     eye_r = np.eye(r_dim)
     integral = 0.0
@@ -563,14 +504,13 @@ def check_info_gain_qsi(
     min_node_sum = math.inf
     uhlmann_dev = 0.0
     for t_node, w in zip(nodes, weights):
-        right = _power(u_b, lam_b, mask_b, (-1.0 + 1j * t_node) / 2.0)
+        right = spec_b.power((-1.0 + 1j * t_node) / 2.0)
         tp_acc = np.zeros((d_b, d_b), dtype=complex)
         node_sum = 0.0
         for x in range(instr.n_outcomes):
             if probs[x] <= PROB_FLOOR or posts_rb[x] is None:
                 continue
-            u_x, lam_x, mask_x = spectra_x[x]
-            left = _power(u_x, lam_x, mask_x, (1.0 - 1j * t_node) / 2.0)
+            left = spectra_x[x].power((1.0 - 1j * t_node) / 2.0)
             g = left @ right
             tp_acc += probs[x] * (g.conj().T @ g)
             g_rb = np.kron(eye_r, g)

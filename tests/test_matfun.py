@@ -1,6 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qrecovery.matfun import (
     MatrixDomainError,
@@ -13,7 +14,7 @@ from qrecovery.matfun import (
     mat_sqrt,
     support_projector,
 )
-from qrecovery.qcore import stream
+from qrecovery.qcore import random_unitary, stream
 
 
 def random_hermitian(dim, rng):
@@ -91,6 +92,46 @@ def test_half_power_diagonal():
 def test_complex_power_rejects_negative_eigenvalues():
     with pytest.raises(MatrixDomainError):
         complex_power(np.diag([1.0, -1.0]), 0.5)
+
+
+_POWERS = st.sampled_from([0.5, -0.5, 2.0, 1j * 0.7, 0.5 - 1j * 1.3, -0.5 + 1j * 2.1])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    dim=st.integers(1, 6),
+    rank=st.integers(1, 6),
+    z=_POWERS,
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_spectrum_power_matches_eigen_formula(dim, rank, z, seed):
+    # reference: U diag(lam^z) U^dag from the known eigenpairs, 0 on the kernel
+    rank = min(rank, dim)
+    rng = np.random.default_rng(seed)
+    lam = np.zeros(dim)
+    lam[:rank] = rng.uniform(0.05, 2.0, rank)
+    u = random_unitary(dim, rng)
+    h = (u * lam) @ u.conj().T
+    values = np.zeros(dim, dtype=complex)
+    values[:rank] = lam[:rank] ** z
+    expected = (u * values) @ u.conj().T
+    npt.assert_allclose(eig_hermitian(h).power(z), expected, atol=1e-10)
+    npt.assert_allclose(complex_power(h, z), expected, atol=1e-10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(2, 5), z=_POWERS, seed=st.integers(0, 2**32 - 1))
+def test_spectrum_power_zeroes_negative_eigenvalues(dim, z, seed):
+    rng = np.random.default_rng(seed)
+    lam = rng.uniform(0.1, 1.0, dim)
+    lam[0] = -lam[0]
+    u = random_unitary(dim, rng)
+    h = (u * lam) @ u.conj().T
+    values = np.zeros(dim, dtype=complex)
+    values[1:] = lam[1:] ** z
+    npt.assert_allclose(eig_hermitian(h).power(z), (u * values) @ u.conj().T, atol=1e-10)
+    with pytest.raises(MatrixDomainError, match="PSD"):
+        complex_power(h, z)
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -25,6 +27,7 @@ from qrecovery.qcore import (
     partial_trace,
     partial_trace_channel,
     permute,
+    ptrace,
     purify,
     random_channel,
     random_density,
@@ -226,6 +229,33 @@ def test_transfer_matrix_matches_einsum_reference(in_dim, out_dim, n_kraus, seed
     t = transfer_matrix(ch)
     assert t.shape == (out_dim**2, in_dim**2)
     npt.assert_allclose(t, _einsum_transfer_matrix(ch), rtol=0, atol=1e-14)
+
+
+def _einsum_ptrace(matrix, dims, keep):
+    """Reference: one einsum contracting the row and column index of each dropped factor."""
+    n = len(dims)
+    rows = [chr(ord("a") + i) for i in range(n)]
+    cols = [rows[i] if i not in keep else chr(ord("n") + i) for i in range(n)]
+    out = "".join(rows[i] for i in keep) + "".join(cols[i] for i in keep)
+    t = np.einsum("".join(rows) + "".join(cols) + "->" + out, matrix.reshape(dims + dims))
+    dk = int(np.prod([dims[i] for i in keep]))
+    return t.reshape(dk, dk)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dims=st.lists(st.integers(1, 4), min_size=2, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ptrace_matches_einsum_reference(dims, seed):
+    rng = np.random.default_rng(seed)
+    d = int(np.prod(dims))
+    m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    for r in range(len(dims) + 1):
+        for keep in itertools.combinations(range(len(dims)), r):
+            npt.assert_allclose(
+                ptrace(m, dims, keep), _einsum_ptrace(m, dims, list(keep)), rtol=0, atol=1e-12
+            )
 
 
 def test_compose_matches_sequential_application():

@@ -11,6 +11,7 @@ from qrecovery.matfun import mat_inv, mat_sqrt
 from qrecovery.qcore import (
     Channel,
     DensityOperator,
+    DimensionMismatchError,
     choi,
     is_cptp,
     lift,
@@ -20,6 +21,7 @@ from qrecovery.qcore import (
     purify,
     random_channel,
     random_density,
+    random_isometry,
     random_unitary,
     stream,
 )
@@ -41,7 +43,6 @@ from qrecovery.recovery import (
 class TestPWeight:
     def test_value_at_zero(self):
         assert p_weight(0.0) == pytest.approx(math.pi / 4, abs=1e-14)
-        assert p_weight(0.0, printed=True) == pytest.approx(math.pi / 4, abs=1e-14)
 
     @given(st.floats(min_value=-50, max_value=50, allow_nan=False))
     def test_even_and_positive(self, t):
@@ -53,11 +54,6 @@ class TestPWeight:
         # numeric integration oracle
         val, _ = integrate.quad(p_weight, -np.inf, np.inf)
         assert val == pytest.approx(1.0, abs=1e-9)
-
-    def test_printed_form_integrates_to_pi(self):
-        # the unnormalized variant kept for inspection
-        val, _ = integrate.quad(lambda t: p_weight(t, printed=True), -40, 40)
-        assert val == pytest.approx(math.pi, abs=1e-9)
 
 
 class TestQuadrature:
@@ -81,8 +77,18 @@ class TestQuadrature:
             QuadratureSpec(nodes=100)
         with pytest.raises(ValueError):
             QuadratureSpec(halfwidth=-1)
-        with pytest.raises(ValueError):
-            QuadratureSpec(scheme="simpson")
+
+    def test_rule_is_cached_and_read_only(self):
+        spec = QuadratureSpec(nodes=51, halfwidth=8.0, panels=5)
+        t1, w1 = quadrature(spec)
+        t2, w2 = quadrature(QuadratureSpec(nodes=51, halfwidth=8.0, panels=5))
+        npt.assert_array_equal(t1, t2)
+        npt.assert_array_equal(w1, w2)
+        for arr in (t1, w1, t2, w2, *quadrature(spec, normalized=False)):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        npt.assert_array_equal(quadrature(spec)[1], w2)
 
     def test_weighted_integral_matches_quad_oracle(self):
         f = lambda t: np.log1p(0.3 * np.exp(-0.2 * t**2))
@@ -195,6 +201,24 @@ class TestIntegratedRecovery:
         rec = integrated_recovery(sigma.matrix, ch)
         assert np.linalg.eigvalsh(choi(rec))[0] >= -1e-9
 
+    @pytest.mark.parametrize(
+        "tau, fault",
+        [
+            (np.diag([0.25, 0.25]), "trace"),
+            (np.diag([1.2, -0.2]), "PSD"),
+            (np.array([[0.5, 0.3], [0.0, 0.5]]), "Hermitian"),
+        ],
+    )
+    @pytest.mark.parametrize("sigma", [np.diag([1.0, 0.0]), np.diag([0.4, 0.6])])
+    def test_invalid_completion_state_rejected(self, sigma, tau, fault):
+        # N(sigma) has a kernel for the first sigma and none for the second
+        with pytest.raises(ValueError, match=f"completion state.*{fault}"):
+            integrated_recovery(sigma, Channel((np.eye(2),)), completion_state=tau)
+
+    def test_completion_state_dimension_checked(self):
+        with pytest.raises(DimensionMismatchError):
+            integrated_recovery(np.diag([1.0, 0.0]), Channel((np.eye(2),)), np.eye(3) / 3)
+
 
 class TestCmiRecovery:
     def test_product_reference(self):
@@ -225,6 +249,27 @@ class TestCmiRecovery:
 
 
 class TestAdjointRecovery:
+    @pytest.mark.parametrize(
+        "tau, fault",
+        [
+            (0.1 * np.eye(3), "trace"),
+            (np.diag([0.6, 0.6, -0.2]), "PSD"),
+            (np.array([[0.5, 0.3, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.0]]), "Hermitian"),
+        ],
+    )
+    @pytest.mark.parametrize("out_dim", [3, 4])
+    def test_invalid_completion_state_rejected(self, out_dim, tau, fault):
+        # out_dim 3: unitary, no gap directions; out_dim 4: strictly subunital
+        ch = Channel((random_isometry(3, out_dim, stream(34, 9)),))
+        with pytest.raises(ValueError, match=f"completion state.*{fault}"):
+            adjoint_recovery(ch, completion_state=tau)
+
+    def test_valid_completion_state_is_trace_preserving(self):
+        ch = Channel((random_isometry(2, 3, stream(34, 10)),))
+        tau = DensityOperator((("A", 2),), np.diag([0.3, 0.7]))
+        rec = adjoint_recovery(ch, completion_state=tau)
+        npt.assert_allclose(rec.kraus_gram(), np.eye(3), atol=1e-12)
+
     def test_unitary_channel_gives_exact_inverse(self):
         u = random_unitary(3, stream(34, 0))
         rec = adjoint_recovery(Channel((u,)))
