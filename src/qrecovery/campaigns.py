@@ -102,7 +102,7 @@ class CampaignConfig:
     trials: dict = field(default_factory=dict)  # per-suite overrides
     dims: tuple = (2, 4)
     tol_override: float | None = None
-    quad_nodes: int = 101
+    quad_nodes: int = 101  # rule of recovery-stronger and info-gain-qsi only
     quad_halfwidth: float = 10.0
     bosonic_n_max: int = 40
     bosonic_guard: int | None = None  # None = recommended guard per parameter
@@ -250,14 +250,13 @@ def _run_recovery(cfg: CampaignConfig):
     suite_idx = SUITES.index("recovery")
     seed = cfg.master_seed
     lo, hi = cfg.dims[0], min(cfg.dims[1], 3)
-    quad = cfg.quad()
     rows = []
     n = cfg.n_trials("recovery")
 
     for trial in range(n):
         rng = stream(seed, suite_idx, 0, trial)
         rho, sigma, channel = _recovery_instance(rng, lo, hi)
-        rec = integrated_recovery(sigma.matrix, channel, quad=quad)
+        rec = integrated_recovery(sigma.matrix, channel)
         lhs = (
             rel_entropy(rho.matrix, sigma.matrix).value
             - rel_entropy(channel.apply(rho.matrix), channel.apply(sigma.matrix)).value
@@ -269,10 +268,10 @@ def _run_recovery(cfg: CampaignConfig):
         )
         rows.append(report_row(_retol(rep, cfg), "recovery", trial))
 
+    nodes, weights = quadrature(cfg.quad())
     for trial in range(min(n, 50)):
         rng = stream(seed, suite_idx, 1, trial)
         rho, sigma, channel = _recovery_instance(rng, lo, hi)
-        nodes, weights = quadrature(quad)
         lhs = (
             rel_entropy(rho.matrix, sigma.matrix).value
             - rel_entropy(channel.apply(rho.matrix), channel.apply(sigma.matrix)).value
@@ -299,22 +298,22 @@ def _run_recovery(cfg: CampaignConfig):
 
     for trial in range(n):
         rng = stream(seed, suite_idx, 3, trial)
-        rep = _cmi_recovery_trial(rng, (2, 2, 2), quad, seed)
+        rep = _cmi_recovery_trial(rng, (2, 2, 2), seed)
         rows.append(report_row(_retol(rep, cfg), "recovery", trial))
 
     for trial in range(min(n, 20)):
         rng = stream(seed, suite_idx, 4, trial)
-        rep = _markov_recovery_trial(rng, quad, seed)
+        rep = _markov_recovery_trial(rng, seed)
         rows.append(report_row(_retol(rep, cfg), "recovery", trial))
     return rows
 
 
-def _recover_abc(rho: DensityOperator, quad: QuadratureSpec) -> float:
+def _recover_abc(rho: DensityOperator) -> float:
     """Fidelity of the A-factor recovery R_{C->AC}(rho_BC) against rho_ABC."""
     rho_ac = partial_trace(rho, "B")
     rho_bc = partial_trace(rho, "A")
     trace_a = partial_trace_channel(rho_ac.systems, "A")
-    rec = integrated_recovery(rho_ac.matrix, trace_a, quad=quad)
+    rec = integrated_recovery(rho_ac.matrix, trace_a)
     d_a = rho.system_dim("A")
     d_c = rho.system_dim("C")
     lifted, out_systems = lift(
@@ -325,19 +324,19 @@ def _recover_abc(rho: DensityOperator, quad: QuadratureSpec) -> float:
     return fidelity(rho.matrix, recovered.matrix)
 
 
-def _cmi_recovery_trial(rng, dims, quad, seed) -> CheckReport:
+def _cmi_recovery_trial(rng, dims, seed) -> CheckReport:
     from .entropy import cmi
 
     d_a, d_b, d_c = dims
     rho = _state((("A", d_a), ("B", d_b), ("C", d_c)), int(rng.integers(2, d_a * d_b * d_c + 1)), rng)
     lhs = cmi(rho, "A", "B", "C")
-    fid = _recover_abc(rho, quad)
+    fid = _recover_abc(rho)
     return CheckReport(
         "cmi-recovery", lhs, -math.log2(max(fid, 1e-300)), tol=1e-6, seed=seed, dims=dims
     )
 
 
-def _markov_recovery_trial(rng, quad, seed) -> CheckReport:
+def _markov_recovery_trial(rng, seed) -> CheckReport:
     """cq Markov chain: a classical channel on C of a B-C correlated cq state
     writes the A factor, so I(A;B|C) = 0 and recovery from C is exact."""
     p = rng.dirichlet(np.ones(2))
@@ -349,7 +348,7 @@ def _markov_recovery_trial(rng, quad, seed) -> CheckReport:
         block[c, c] = 1.0
         mat += p[c] * np.kron(np.kron(rho_a, rho_b), block)
     rho = DensityOperator((("A", 2), ("B", 2), ("C", 2)), mat)
-    fid = _recover_abc(rho, quad)
+    fid = _recover_abc(rho)
     return _deviation_report(
         "cmi-recovery-markov", 1.0 - fid, 1e-6, seed, (2, 2, 2), {"fidelity": fid}
     )
@@ -440,7 +439,6 @@ def _run_disturbance(cfg: CampaignConfig):
     suite_idx = SUITES.index("disturbance")
     seed = cfg.master_seed
     lo, hi = cfg.dims[0], min(cfg.dims[1], 3)
-    quad = cfg.quad()
     rows = []
     n = cfg.n_trials("disturbance")
 
@@ -452,7 +450,7 @@ def _run_disturbance(cfg: CampaignConfig):
         states = tuple(random_density(d, int(rng.integers(1, d + 1)), rng) for _ in range(m))
         ens = Ensemble(probs, states)
         channel = random_channel(d, d, int(rng.integers(1, 5)), rng)
-        rep = check_entropic_disturbance(ens, channel, quad=quad, seed=seed)
+        rep = check_entropic_disturbance(ens, channel, seed=seed)
         rows.append(report_row(_retol(rep, cfg), "disturbance", trial))
 
     for trial in range(min(n, 20)):
@@ -470,7 +468,7 @@ def _run_disturbance(cfg: CampaignConfig):
         ens = Ensemble(probs, states)
         projs = [np.outer(basis[:, i], basis[:, i].conj()) for i in range(d)]
         dephasing = Channel(tuple(projs))
-        rep = check_entropic_disturbance(ens, dephasing, quad=quad, seed=seed)
+        rep = check_entropic_disturbance(ens, dephasing, seed=seed)
         rows.append(
             report_row(_retol(rep, cfg), "disturbance", trial) | {"check": "disturbance-commuting"}
         )
@@ -505,7 +503,6 @@ def _draw_interaction(cfg: CampaignConfig, rng) -> Interaction:
 def _run_cpdp(cfg: CampaignConfig):
     suite_idx = SUITES.index("cpdp")
     seed = cfg.master_seed
-    quad = cfg.quad()
     rows = []
     n = cfg.n_trials("cpdp")
 
@@ -513,9 +510,9 @@ def _run_cpdp(cfg: CampaignConfig):
         rng = stream(seed, suite_idx, 0, trial)
         config = _random_config(rng)
         v = _draw_interaction(cfg, rng)
-        channel, rep = reduced_dynamics(config, v, quad=quad, seed=seed)
+        channel, rep = reduced_dynamics(config, v, seed=seed)
         rows.append(report_row(_retol(rep, cfg), "cpdp", trial))
-        conv = converse_bound(config, v, channel, eps=1.0, quad=quad, seed=seed)
+        conv = converse_bound(config, v, channel, eps=1.0, seed=seed)
         rows.append(report_row(_retol(conv, cfg), "cpdp", trial))
 
     for trial in range(min(n, 10)):
@@ -527,7 +524,7 @@ def _run_cpdp(cfg: CampaignConfig):
             DensityOperator((("R", 2), ("Q", 2), ("E", 2)), mat)
         )
         v = _draw_interaction(cfg, rng)
-        _, rep = reduced_dynamics(config, v, quad=quad, seed=seed)
+        _, rep = reduced_dynamics(config, v, seed=seed)
         fid_rep = _deviation_report(
             "cpdp-forward-product", 1.0 - rep.aux["fidelity"], 1e-6, seed, (2, 2, 2)
         )

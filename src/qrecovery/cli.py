@@ -42,8 +42,14 @@ def _add_verify_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trials", type=int, help="trials per selected suite")
     p.add_argument("--dims", help="dimension range lo,hi for random instances")
     p.add_argument("--tol", type=float, help="override every check tolerance")
-    p.add_argument("--quad-nodes", type=int, help="quadrature node count (odd)")
-    p.add_argument("--quad-halfwidth", type=float, help="quadrature truncation half-width")
+    p.add_argument(
+        "--quad-nodes", type=int,
+        help="quadrature node count (odd) of recovery-stronger and info-gain-qsi",
+    )
+    p.add_argument(
+        "--quad-halfwidth", type=float,
+        help="quadrature truncation half-width of recovery-stronger and info-gain-qsi",
+    )
     p.add_argument("--out", help="report file path")
     p.add_argument("--format", choices=("json", "csv"), default="json")
 

@@ -23,11 +23,12 @@ from .qcore import (
     DensityOperator,
     DimensionMismatchError,
     KrausMap,
+    compose,
     lift,
     partial_trace,
     partial_trace_channel,
 )
-from .recovery import QuadratureSpec, integrated_recovery
+from .recovery import integrated_recovery
 from .reports import CheckReport
 
 __all__ = [
@@ -126,18 +127,17 @@ def cmi_bound(config: TripartiteConfiguration) -> float:
     return cmi(config.state, config.reference, config.environment, config.system)
 
 
-def _recovery_q_to_qe(config: TripartiteConfiguration, quad: QuadratureSpec) -> Channel:
+def _recovery_q_to_qe(config: TripartiteConfiguration) -> Channel:
     """Integrated recovery map Q -> QE built from the (Q, E) marginal."""
     q, e = config.system, config.environment
     rho_qe = config.marginal((q, e))
     trace_e = partial_trace_channel(rho_qe.systems, e)
-    return integrated_recovery(rho_qe.matrix, trace_e, quad=quad)
+    return integrated_recovery(rho_qe.matrix, trace_e)
 
 
 def reduced_dynamics(
     config: TripartiteConfiguration,
     v: Interaction,
-    quad: QuadratureSpec = QuadratureSpec(),
     tol: float = 1e-6,
     seed=None,
 ):
@@ -151,16 +151,10 @@ def reduced_dynamics(
     Returns ``(channel, report)``.
     """
     r, q, e = config.reference, config.system, config.environment
-    d_q, d_e = config.state.system_dim(q), config.state.system_dim(e)
-    rec = _recovery_q_to_qe(config, quad)
-    qe_systems = ((q, d_q), (e, d_e))
+    rec = _recovery_q_to_qe(config)
     v_out_systems = ((q + "'", v.out_dims[0]), (e + "'", v.out_dims[1]))
-    v_ch = Channel((v.matrix,))
-    lifted_v, _ = lift(v_ch, qe_systems, (q, e), out_systems=v_out_systems)
     trace_eprime = partial_trace_channel(v_out_systems, e + "'")
-    from .qcore import compose
-
-    channel = compose(trace_eprime, compose(lifted_v, rec))
+    channel = compose(trace_eprime, compose(Channel((v.matrix,)), rec))
 
     sigma = _evolved(config, v)
     sigma_rqp = partial_trace(sigma, e + "'")
@@ -196,7 +190,6 @@ def converse_bound(
     v: Interaction,
     channel,
     eps: float,
-    quad: QuadratureSpec = QuadratureSpec(),
     tol: float = 1e-8,
     seed=None,
 ) -> CheckReport:
@@ -230,7 +223,7 @@ def converse_bound(
     lhs_dp = i_in + afw_bound(eps_measured, d_r)
 
     # embedding evolution: its recovery candidate controls I(R;E|Q)
-    rec = _recovery_q_to_qe(config, quad)
+    rec = _recovery_q_to_qe(config)
     lifted_rec, _ = lift(
         rec,
         rho_rq.systems,

@@ -7,10 +7,11 @@ Construction notes
 A Petz map for reference ``sigma`` and channel ``N`` with Kraus ``{K_i}`` has
 Kraus operators ``sigma^{1/2} K_i^dag N(sigma)^{-1/2}`` (generalized inverses
 throughout).  Rotating by the modular unitaries ``omega^{it} . omega^{-it}``
-multiplies these by complex matrix powers, and the integrated channel sums
-quadrature-weighted rotated maps plus a completion term
-``Tr{(I - Pi) . } tau`` on the kernel of ``N(sigma)``, which restores exact
-trace preservation.
+multiplies these by complex matrix powers.  The integrated channel averages
+the rotated maps over ``p_weight`` in closed form (the rotation enters
+linearly through phases whose average is ``w / sinh w``) and adds a
+completion term ``Tr{(I - Pi) . } tau`` on the kernel of ``N(sigma)``, which
+restores exact trace preservation.
 """
 
 from __future__ import annotations
@@ -204,13 +205,15 @@ def _completion_kraus(directions: np.ndarray, weights, tau: np.ndarray) -> list:
     return ks
 
 
-def integrated_recovery(
-    sigma,
-    channel: KrausMap,
-    completion_state=None,
-    quad: QuadratureSpec = QuadratureSpec(),
-) -> Channel:
-    """Quadrature average of swiveled Petz maps R^{t/2} plus projector completion.
+def integrated_recovery(sigma, channel: KrausMap, completion_state=None) -> Channel:
+    """Average of swiveled Petz maps R^{t/2} over ``p_weight``, plus projector completion.
+
+    In the eigenbases of sigma (eigenvalues lam) and N(sigma) (eigenvalues
+    mu), restricted to their supports, R^{t/2} is the Petz action times the
+    phase e^{i w t} with w = (ln lam_j - ln lam_i + ln mu_k - ln mu_l) / 2.
+    ``p_weight`` has characteristic function w / sinh w, so the average is
+    exact: the Petz Choi matrix multiplied entrywise by w / sinh w, whose
+    eigenvectors give at most rank(sigma) * rank(N(sigma)) Kraus operators.
 
     The completion term ``Tr{(I - Pi_{N(sigma)}) Q} tau`` routes any input mass
     outside the support of N(sigma) to ``completion_state`` (default maximally
@@ -219,26 +222,37 @@ def integrated_recovery(
     """
     sig, n_sig = _sigma_pair(sigma, channel)
     tau = _completion_state(completion_state, channel.in_dim)
-    nodes, weights = quadrature(quad)
     spec_sig = eig_hermitian(sig)
     spec_out = eig_hermitian(n_sig)
-    ks = []
-    adj = [k.conj().T for k in channel.kraus]
-    for t, w in zip(nodes, weights):
-        left = spec_sig.power((1.0 - 1j * t) / 2.0)
-        right = spec_out.power((-1.0 + 1j * t) / 2.0)
-        root_w = np.sqrt(w)
-        for a in adj:
-            ks.append(root_w * (left @ a @ right))
-    kernel = spec_out.eigenvectors[:, spec_out.eigenvalues <= spec_out.cutoff]
+    in_supp = spec_sig.eigenvalues > spec_sig.cutoff
+    out_supp = spec_out.eigenvalues > spec_out.cutoff
+    u = spec_sig.eigenvectors[:, in_supp]
+    v = spec_out.eigenvectors[:, out_supp]
+    lam = spec_sig.eigenvalues[in_supp]
+    mu = spec_out.eigenvalues[out_supp]
+    # rows: vec of the Petz Kraus operators lam^{1/2} K^dag mu^{-1/2} in the support eigenbases
+    scale = np.sqrt(lam)[:, None] / np.sqrt(mu)[None, :]
+    petz = np.stack([(scale * (u.conj().T @ k.conj().T @ v)).reshape(-1) for k in channel.kraus])
+    half_log = ((np.log(mu)[None, :] - np.log(lam)[:, None]) / 2.0).reshape(-1)
+    w = half_log[:, None] - half_log[None, :]
+    with np.errstate(invalid="ignore"):
+        char = np.where(w == 0.0, 1.0, w / np.sinh(w))
+    spec = eig_hermitian((petz.T @ petz.conj()) * char)
+    ks = [
+        np.sqrt(e) * (u @ vec.reshape(len(lam), len(mu)) @ v.conj().T)
+        for e, vec in zip(spec.eigenvalues, spec.eigenvectors.T)
+        if e > 0.0
+    ]
+    kernel = spec_out.eigenvectors[:, ~out_supp]
     ks.extend(_completion_kraus(kernel, np.ones(kernel.shape[1]), tau))
     return Channel(tuple(ks))
 
 
-def cmi_recovery(rho_ac: DensityOperator, t: float, recover_label: str | None = None) -> Channel:
-    """Explicit recovery map rebuilding factor A of a bipartite reference state.
+def cmi_recovery(rho_ac: DensityOperator, t: float) -> Channel:
+    """Explicit recovery map rebuilding the first factor of a bipartite reference state.
 
-    For a state on factors (A, C) this returns the map
+    The first factor is always the recovered one: for a state on factors
+    (A, C) this returns the map
     ``omega_C -> rho_AC^{(1-it)/2} [I_A (x) rho_C^{-(1-it)/2} omega_C
     rho_C^{-(1+it)/2}] rho_AC^{(1+it)/2}``, whose output carries the (A, C)
     ordering of the reference state.  It coincides with
@@ -246,14 +260,7 @@ def cmi_recovery(rho_ac: DensityOperator, t: float, recover_label: str | None = 
     """
     if len(rho_ac.systems) != 2:
         raise ValueError("cmi_recovery expects a bipartite reference state")
-    a_label = rho_ac.labels[0] if recover_label is None else recover_label
-    if a_label not in rho_ac.labels:
-        raise ValueError(f"unknown label {a_label!r} in {rho_ac.labels!r}")
-    if a_label != rho_ac.labels[0]:
-        raise ValueError("the recovered factor must be the first factor of the reference state")
-    d_a = rho_ac.system_dim(a_label)
-    c_label = rho_ac.labels[1]
-    d_c = rho_ac.system_dim(c_label)
+    d_a, d_c = rho_ac.dims
     rho_c = ptrace(rho_ac.matrix, (d_a, d_c), (1,))
     left = complex_power(rho_ac.matrix, (1.0 - 1j * t) / 2.0)
     right_c = complex_power(rho_c, (-1.0 + 1j * t) / 2.0)

@@ -13,7 +13,6 @@ with 17 significant digits, non-finite floats become the strings "inf",
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -188,15 +187,6 @@ def write_csv(rows, path: str) -> None:
         writer.writerow(CSV_COLUMNS)
         for row in rows:
             writer.writerow([_csv_cell(row[c]) for c in CSV_COLUMNS])
-
-
-def csv_text(rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for row in rows:
-        writer.writerow([_csv_cell(row[c]) for c in CSV_COLUMNS])
-    return buf.getvalue()
 
 
 def summarize(rows) -> dict:

@@ -556,7 +556,6 @@ def check_info_gain_qsi(
 def check_entropic_disturbance(
     ens: Ensemble,
     channel: Channel,
-    quad: QuadratureSpec = QuadratureSpec(),
     completion_state=None,
     tol: float = 1e-6,
     seed=None,
@@ -573,7 +572,7 @@ def check_entropic_disturbance(
     chi_in = holevo_chi(ens)
     chi_out = holevo_chi(ens.through(channel, out_systems))
     lhs = chi_in - chi_out
-    rec = integrated_recovery(avg.matrix, channel, completion_state, quad)
+    rec = integrated_recovery(avg.matrix, channel, completion_state)
     sqrt_fids = [
         root_fidelity(state.matrix, rec.apply(channel.apply(state.matrix)))
         for state in ens.states

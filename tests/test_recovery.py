@@ -3,11 +3,11 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from qrecovery.entropy import fidelity, rel_entropy, trace_distance
-from qrecovery.matfun import mat_inv, mat_sqrt
+from qrecovery.matfun import eig_hermitian, mat_inv, mat_sqrt
 from qrecovery.qcore import (
     Channel,
     DensityOperator,
@@ -24,6 +24,7 @@ from qrecovery.qcore import (
     random_isometry,
     random_unitary,
     stream,
+    transfer_matrix,
 )
 from qrecovery.recovery import (
     NotCompletelyPositiveError,
@@ -173,9 +174,41 @@ class TestIntegratedRecovery:
         rng = stream(32, 0)
         sigma = random_density(3, 3, rng)
         ch = random_channel(3, 3, 2, rng)
-        quad = QuadratureSpec()
-        rec = integrated_recovery(sigma.matrix, ch, quad=quad)
-        assert len(rec.kraus) == quad.nodes * len(ch.kraus)
+        rec = integrated_recovery(sigma.matrix, ch)
+        assert len(rec.kraus) <= ch.in_dim * ch.out_dim
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(2, 3),
+        st.integers(2, 3),
+        st.integers(1, 3),
+        st.integers(0, 2),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_high_node_quadrature(self, d_in, d_out, rank, extra_env, seed):
+        # reference: the rotation integral by a 1601-node rule, plus the
+        # completion term on the kernel of N(sigma); a rank-1 sigma through a
+        # single Kraus operator leaves N(sigma) with a kernel
+        rng = stream(32, 3, seed)
+        sigma = random_density(d_in, min(rank, d_in), rng).matrix
+        ch = random_channel(d_in, d_out, -(-d_in // d_out) + extra_env, rng)
+        rec = integrated_recovery(sigma, ch)
+        exact = transfer_matrix(rec)
+        assert np.isfinite(exact).all()
+        out = eig_hermitian(ch.apply(sigma))
+        kernel = out.eigenvectors[:, out.eigenvalues <= out.cutoff]
+        assert len(rec.kraus) <= d_in * d_out + kernel.shape[1] * d_in
+
+        nodes, weights = quadrature(QuadratureSpec(nodes=1601, halfwidth=20.0, panels=80))
+        ref = sum(
+            w * transfer_matrix(rotated_petz(RotatedPetzSpec(sigma, ch, t / 2)))
+            for t, w in zip(nodes, weights)
+        )
+        tau = np.eye(d_in) / d_in
+        for k in kernel.T:
+            # Q -> <k|Q|k> tau in the row-major convention of transfer_matrix
+            ref = ref + np.outer(tau.reshape(-1), np.outer(k.conj(), k).reshape(-1))
+        assert float(np.abs(exact - ref).max()) <= 1e-12
 
     @pytest.mark.parametrize("seed", range(10))
     def test_trace_preserving_and_recovers_sigma(self, seed):
@@ -186,6 +219,15 @@ class TestIntegratedRecovery:
         rec = integrated_recovery(sigma.matrix, ch)
         npt.assert_allclose(rec.kraus_gram(), np.eye(rec.in_dim), atol=1e-8)
         assert trace_distance(rec.apply(ch.apply(sigma.matrix)), sigma.matrix) <= 1e-8
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_markov_chain_recovered_exactly(self, seed):
+        # the campaign's cq Markov state has I(A;B|C) = 0, so _recover_abc
+        # rebuilds it exactly from its (B, C) marginal
+        from qrecovery.campaigns import _markov_recovery_trial
+
+        rep = _markov_recovery_trial(stream(32, 4, seed), seed)
+        assert abs(1.0 - rep.aux["fidelity"]) <= 1e-12
 
     def test_completion_routes_complement_to_tau(self):
         # N = identity, sigma supported on |0>: input |1><1| must map to tau
