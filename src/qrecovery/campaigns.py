@@ -8,7 +8,7 @@ rerun with the same config reproduces the report byte for byte.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -22,19 +22,20 @@ from .cpdp import (
     identity_embedding,
     reduced_dynamics,
 )
-from .entropy import fidelity, rel_entropy, trace_norm
+from .entropy import cmi, fidelity, rel_entropy, trace_norm
 from .matfun import eig_hermitian
 from .qcore import (
     Channel,
     DensityOperator,
     Ensemble,
-    lift,
+    apply_on,
     partial_trace,
     partial_trace_channel,
     permute,
     random_channel,
     random_density,
     random_instrument,
+    random_isometry,
     random_subunital_channel,
     random_unitary,
     stream,
@@ -109,6 +110,9 @@ class CampaignConfig:
     cpdp_isometric: bool = False  # draw isometric V: QE -> Q'E' with a larger E'
 
     def __post_init__(self):
+        seed = self.master_seed
+        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+            raise ConfigError(f"master_seed must be a non-negative integer, got {seed!r}")
         suites = tuple(self.suites)
         for s in suites:
             if s not in SUITES:
@@ -129,7 +133,7 @@ class CampaignConfig:
         object.__setattr__(self, "dims", (lo, hi))
         if self.tol_override is not None and self.tol_override <= 0:
             raise ConfigError(f"tol must be positive, got {self.tol_override!r}")
-        QuadratureSpec(nodes=self.quad_nodes, halfwidth=self.quad_halfwidth)  # validates
+        self.quad()  # validates
         if not BOSONIC_MIN_N_MAX <= self.bosonic_n_max < MAX_TOTAL_DIM:
             raise ConfigError(
                 f"bosonic_n_max must lie in [{BOSONIC_MIN_N_MAX}, {MAX_TOTAL_DIM - 1}], "
@@ -162,15 +166,7 @@ class CampaignConfig:
 def _retol(report: CheckReport, cfg: CampaignConfig) -> CheckReport:
     if cfg.tol_override is None:
         return report
-    return CheckReport(
-        name=report.name,
-        lhs=report.lhs,
-        rhs=report.rhs,
-        tol=cfg.tol_override,
-        seed=report.seed,
-        dims=report.dims,
-        aux=report.aux,
-    )
+    return replace(report, tol=cfg.tol_override)
 
 
 def _state(systems, rank, rng) -> DensityOperator:
@@ -316,17 +312,15 @@ def _recover_abc(rho: DensityOperator) -> float:
     rec = integrated_recovery(rho_ac.matrix, trace_a)
     d_a = rho.system_dim("A")
     d_c = rho.system_dim("C")
-    lifted, out_systems = lift(
-        rec, rho_bc.systems, "C", out_systems=(("A", d_a), ("C", d_c))
+    mat, out_systems = apply_on(
+        rec, rho_bc.matrix, rho_bc.systems, "C", out_systems=(("A", d_a), ("C", d_c))
     )
-    recovered = DensityOperator(out_systems, lifted.apply(rho_bc.matrix))
+    recovered = DensityOperator(out_systems, mat)
     recovered = permute(recovered, ("A", "B", "C"))
     return fidelity(rho.matrix, recovered.matrix)
 
 
 def _cmi_recovery_trial(rng, dims, seed) -> CheckReport:
-    from .entropy import cmi
-
     d_a, d_b, d_c = dims
     rho = _state((("A", d_a), ("B", d_b), ("C", d_c)), int(rng.integers(2, d_a * d_b * d_c + 1)), rng)
     lhs = cmi(rho, "A", "B", "C")
@@ -494,8 +488,6 @@ def _random_config(rng) -> TripartiteConfiguration:
 
 def _draw_interaction(cfg: CampaignConfig, rng) -> Interaction:
     if cfg.cpdp_isometric:
-        from .qcore import random_isometry
-
         return Interaction(random_isometry(4, 8, rng), (2, 2), (2, 4))
     return Interaction(random_unitary(4, rng), (2, 2), (2, 2))
 

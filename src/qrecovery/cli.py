@@ -20,7 +20,7 @@ import time
 
 from . import bosonic as bos
 from .campaigns import SUITES, CampaignConfig, ConfigError, run_campaign
-from .reports import SCHEMA_VERSION, merge_reports, summarize, write_csv, write_json
+from .reports import SCHEMA_VERSION, merge_reports, report_row, summarize, write_csv, write_json
 
 __all__ = ["main", "build_report"]
 
@@ -158,16 +158,8 @@ def _cmd_sweep(args) -> int:
             rep = bos.check_bosonic_entropy_gain(spec, rho, n_guard=guard, seed=None, state_name=name)
             ok = ok and rep.holds
             rows.append(
-                {
-                    "suite": "bosonic-sweep",
-                    "check": rep.name,
-                    "trial": len(rows),
-                    "seed": None,
-                    "dims": [trunc.dim],
-                    "lhs_bits": rep.lhs,
-                    "rhs_bits": rep.rhs,
-                    "slack_bits": rep.slack,
-                    "holds": rep.holds,
+                report_row(rep, "bosonic-sweep", len(rows))
+                | {
                     "aux": {
                         "kind": spec.kind,
                         "parameter": spec.parameter(),
@@ -175,7 +167,7 @@ def _cmd_sweep(args) -> int:
                         "guard": guard,
                         "leakage": rep.aux["guard_leakage"],
                         "state": name,
-                    },
+                    }
                 }
             )
     if args.out:

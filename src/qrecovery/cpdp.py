@@ -23,8 +23,8 @@ from .qcore import (
     DensityOperator,
     DimensionMismatchError,
     KrausMap,
+    apply_on,
     compose,
-    lift,
     partial_trace,
     partial_trace_channel,
 )
@@ -104,13 +104,14 @@ def _evolved(config: TripartiteConfiguration, v: Interaction) -> DensityOperator
     r, q, e = config.reference, config.system, config.environment
     if v.in_dims != (config.state.system_dim(q), config.state.system_dim(e)):
         raise DimensionMismatchError("interaction input dims do not match the configuration")
-    lifted, out_systems = lift(
-        Channel((v.matrix,)),
+    mat, out_systems = apply_on(
+        KrausMap((v.matrix,)),
+        config.state.matrix,
         config.state.systems,
         (q, e),
         out_systems=((q + "'", v.out_dims[0]), (e + "'", v.out_dims[1])),
     )
-    return DensityOperator(out_systems, lifted.apply(config.state.matrix))
+    return DensityOperator(out_systems, mat)
 
 
 def dp_slack(config: TripartiteConfiguration, v: Interaction) -> float:
@@ -159,10 +160,9 @@ def reduced_dynamics(
     sigma = _evolved(config, v)
     sigma_rqp = partial_trace(sigma, e + "'")
     rho_rq = config.marginal((r, q))
-    lifted_full, _ = lift(
-        channel, rho_rq.systems, q, out_systems=((q + "'", v.out_dims[0]),)
+    candidate, _ = apply_on(
+        channel, rho_rq.matrix, rho_rq.systems, q, out_systems=((q + "'", v.out_dims[0]),)
     )
-    candidate = lifted_full.apply(rho_rq.matrix)
     fid = fidelity(sigma_rqp.matrix, candidate)
     lhs = cmi_bound(config)
     rhs = -math.log2(max(fid, 1e-300))
@@ -211,8 +211,9 @@ def converse_bound(
     sigma_rqp = partial_trace(sigma, config.environment + "'")
     rho_rq = config.marginal((r, q))
     if isinstance(channel, KrausMap):
-        lifted, _ = lift(channel, rho_rq.systems, q, out_systems=((q + "'", channel.out_dim),))
-        candidate = lifted.apply(rho_rq.matrix)
+        candidate, _ = apply_on(
+            channel, rho_rq.matrix, rho_rq.systems, q, out_systems=((q + "'", channel.out_dim),)
+        )
     else:
         raise TypeError("converse_bound requires a Kraus-form channel")
     eps_measured = 0.5 * trace_distance(sigma_rqp.matrix, candidate)
@@ -224,13 +225,14 @@ def converse_bound(
 
     # embedding evolution: its recovery candidate controls I(R;E|Q)
     rec = _recovery_q_to_qe(config)
-    lifted_rec, _ = lift(
+    recovered, _ = apply_on(
         rec,
+        rho_rq.matrix,
         rho_rq.systems,
         q,
         out_systems=((q, config.state.system_dim(q)), (config.environment, config.state.system_dim(config.environment))),
     )
-    eps_embed = 0.5 * trace_distance(config.state.matrix, lifted_rec.apply(rho_rq.matrix))
+    eps_embed = 0.5 * trace_distance(config.state.matrix, recovered)
     cmi_val = cmi_bound(config)
     cmi_budget = afw_bound(eps_embed, d_r)
 

@@ -25,7 +25,6 @@ __all__ = [
     "eig_hermitian",
     "rank_cutoff",
     "support_projector",
-    "numerical_rank",
     "mat_func",
     "complex_power",
     "mat_log2",
@@ -117,10 +116,6 @@ def rank_cutoff(eigenvalues: np.ndarray) -> float:
     eigenvalues = np.asarray(eigenvalues)
     lam_max = float(np.abs(eigenvalues).max(initial=0.0))
     return eigenvalues.shape[0] * lam_max * RANK_CUTOFF_FACTOR
-
-
-def numerical_rank(matrix: np.ndarray) -> int:
-    return int(eig_hermitian(matrix).support_mask().sum())
 
 
 def support_projector(matrix: np.ndarray) -> np.ndarray:

@@ -13,13 +13,15 @@ instances derive per-trial generators via :func:`stream`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from itertools import product
 from typing import Sequence
 
 import numpy as np
 
-from .matfun import assert_hermitian, eig_hermitian, rank_cutoff
+from .matfun import assert_hermitian, complex_power, eig_hermitian, rank_cutoff
 
 __all__ = [
     "Systems",
@@ -46,17 +48,15 @@ __all__ = [
     "choi",
     "transfer_matrix",
     "is_trace_preserving",
-    "is_trace_non_increasing",
     "is_cptp",
     "is_unital",
     "is_subunital",
+    "apply_on",
     "lift",
     "partial_trace_channel",
     "transpose_map",
     "instrument_channel",
-    "identity_channel",
     "random_density",
-    "random_pure",
     "random_unitary",
     "random_isometry",
     "random_channel",
@@ -126,7 +126,7 @@ def _labels(systems: Systems) -> tuple:
 
 
 def _total_dim(systems: Systems) -> int:
-    return int(np.prod(_dims(systems), dtype=np.int64)) if systems else 1
+    return math.prod(_dims(systems))
 
 
 # ---------------------------------------------------------------------------
@@ -440,11 +440,6 @@ def is_trace_preserving(channel: KrausMap, tol: float = 1e-10) -> bool:
     return float(np.abs(gram - np.eye(channel.in_dim)).max()) <= tol
 
 
-def is_trace_non_increasing(channel: KrausMap, tol: float = 1e-10) -> bool:
-    gram = channel.kraus_gram()
-    return float(np.linalg.eigvalsh(gram - np.eye(channel.in_dim))[-1]) <= tol
-
-
 def is_cptp(channel: KrausMap, tol: float = 1e-9) -> bool:
     """Complete positivity (Choi PSD) plus trace preservation within tol."""
     c = choi(channel)
@@ -504,13 +499,12 @@ def transpose_map(dim: int) -> TransferMap:
     return TransferMap(t, dim, dim)
 
 
-def lift(m: KrausMap, systems: Systems, on, out_systems: Systems | None = None):
-    """Embed a map acting on a contiguous block of factors into the full space.
+def _factor_block(m: KrausMap, systems: Systems, on, out_systems: Systems | None):
+    """Check that ``m`` fits the contiguous block ``on`` of ``systems``.
 
-    ``on`` is a label or tuple of adjacent labels whose combined dimension
-    equals ``m.in_dim``.  Returns ``(lifted_map, new_systems)`` where the
-    block is replaced by ``out_systems`` (default: unchanged labels, valid
-    only when the output dimension matches).
+    Returns ``(systems, start, stop, new_systems)``: ``systems`` normalized,
+    ``systems[start:stop]`` the block, and ``new_systems`` with the block
+    replaced by ``out_systems``.
     """
     systems = _norm_systems(systems)
     if isinstance(on, str):
@@ -520,9 +514,10 @@ def lift(m: KrausMap, systems: Systems, on, out_systems: Systems | None = None):
         start = labels.index(on[0])
     except ValueError:
         raise LabelError(f"unknown system label {on[0]!r}") from None
-    if labels[start : start + len(on)] != tuple(on):
+    stop = start + len(on)
+    if labels[start:stop] != tuple(on):
         raise LabelError(f"labels {on!r} are not contiguous in {labels!r}")
-    block = systems[start : start + len(on)]
+    block = systems[start:stop]
     block_dim = _total_dim(block)
     if block_dim != m.in_dim:
         raise DimensionMismatchError(
@@ -535,11 +530,51 @@ def lift(m: KrausMap, systems: Systems, on, out_systems: Systems | None = None):
     out_systems = _norm_systems(out_systems)
     if _total_dim(out_systems) != m.out_dim:
         raise DimensionMismatchError("out_systems dimensions do not match the map output")
+    return systems, start, stop, systems[:start] + out_systems + systems[stop:]
+
+
+def apply_on(m: KrausMap, x: np.ndarray, systems: Systems, on, out_systems: Systems | None = None):
+    """Apply ``m`` to the contiguous block ``on`` of the operator ``x`` on ``systems``.
+
+    ``on`` and ``out_systems`` are as for :func:`lift`, and the result is what
+    the lifted map gives on ``x``; but ``x`` is reshaped to (left, block,
+    right) and multiplied by the stacked Kraus operators, so no full-space
+    operator is built.  Returns ``(matrix, new_systems)``.
+    """
+    systems, start, stop, new_systems = _factor_block(m, systems, on, out_systems)
     d_left = _total_dim(systems[:start])
-    d_right = _total_dim(systems[start + len(on) :])
-    eye_l, eye_r = np.eye(d_left), np.eye(d_right)
+    d_right = _total_dim(systems[stop:])
+    d_in = d_left * m.in_dim * d_right
+    d_out = d_left * m.out_dim * d_right
+    x = np.asarray(x, dtype=complex)
+    if x.shape != (d_in, d_in):
+        raise DimensionMismatchError(
+            f"operator shape {x.shape} does not match dimension {d_in} of {systems}"
+        )
+    n = len(m.kraus)
+    ks = np.stack(m.kraus)[:, None]  # (n, 1, out, in), broadcast over the left factor
+    # With K_k acting on the block, Y_k = K_k X and sum_k K_k Y_k^dag = N(X^dag),
+    # whose adjoint is N(X): a map in Kraus form commutes with the adjoint.
+    y = (ks @ x.reshape(d_left, m.in_dim, d_right * d_in)).reshape(n, d_out, d_in)
+    y = y.conj().swapaxes(1, 2).reshape(n, d_left, m.in_dim, d_right * d_out)
+    out = (ks @ y).sum(axis=0).reshape(d_out, d_out).conj().T
+    return out, new_systems
+
+
+def lift(m: KrausMap, systems: Systems, on, out_systems: Systems | None = None):
+    """Embed a map acting on a contiguous block of factors into the full space.
+
+    ``on`` is a label or tuple of adjacent labels whose combined dimension
+    equals ``m.in_dim``.  Returns ``(lifted_map, new_systems)`` where the
+    block is replaced by ``out_systems`` (default: unchanged labels, valid
+    only when the output dimension matches).  This is the Kraus-form
+    reference for :func:`apply_on`, which acts on a factor without building
+    the lifted operators.
+    """
+    systems, start, stop, new_systems = _factor_block(m, systems, on, out_systems)
+    eye_l = np.eye(_total_dim(systems[:start]))
+    eye_r = np.eye(_total_dim(systems[stop:]))
     ks = tuple(np.kron(np.kron(eye_l, k), eye_r) for k in m.kraus)
-    new_systems = systems[:start] + out_systems + systems[start + len(on) :]
     cls = Channel if isinstance(m, Channel) else KrausMap
     return cls(ks), new_systems
 
@@ -560,23 +595,7 @@ def partial_trace_channel(systems: Systems, discard) -> Channel:
             factor_bases.append([np.eye(dim)[i : i + 1, :] for i in range(dim)])
         else:
             factor_bases.append([np.eye(dim)])
-    ks = []
-    for combo in _product(factor_bases):
-        ks.append(reduce(np.kron, combo))
-    return Channel(tuple(ks))
-
-
-def _product(list_of_lists):
-    if not list_of_lists:
-        yield ()
-        return
-    for head in list_of_lists[0]:
-        for rest in _product(list_of_lists[1:]):
-            yield (head,) + rest
-
-
-def identity_channel(dim: int) -> Channel:
-    return Channel((np.eye(dim),))
+    return Channel(tuple(reduce(np.kron, combo) for combo in product(*factor_bases)))
 
 
 # ---------------------------------------------------------------------------
@@ -744,12 +763,6 @@ def random_density(dim: int, rank: int | None = None, seed=None) -> DensityOpera
     return DensityOperator((("A", dim),), mat)
 
 
-def random_pure(dim: int, seed=None) -> np.ndarray:
-    rng = _rng(seed)
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
-
-
 def random_unitary(dim: int, seed=None) -> np.ndarray:
     """Haar-random unitary via phase-fixed QR of a Ginibre matrix."""
     rng = _rng(seed)
@@ -787,8 +800,6 @@ def random_povm(dim: int, n_outcomes: int, seed=None) -> tuple:
         g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         parts.append(g @ g.conj().T)
     total = sum(parts)
-    from .matfun import complex_power
-
     s = complex_power(total, -0.5)
     return tuple(s @ p @ s for p in parts)
 
@@ -801,8 +812,6 @@ def random_instrument(dim: int, n_outcomes: int, efficient: bool, seed=None) -> 
     two-Kraus CP maps per outcome, jointly normalized to a channel.
     """
     rng = _rng(seed)
-    from .matfun import complex_power
-
     if efficient:
         povm = random_povm(dim, n_outcomes, rng)
         outcomes = []

@@ -33,10 +33,10 @@ from .qcore import (
     Purification,
     _rng,
     adjoint,
+    apply_on,
     as_matrix,
     instrument_channel,
     is_subunital,
-    lift,
     ptrace,
     purify,
 )
@@ -139,6 +139,10 @@ class OptimizerBudget:
     restarts: int = 20
     max_evals: int = 2000
 
+    def __post_init__(self):
+        if self.restarts < 1 or self.max_evals < 1:
+            raise ValueError(f"restarts and max_evals must be at least 1, got {self!r}")
+
 
 @dataclass(frozen=True)
 class MinimalEntropyGainResult:
@@ -219,12 +223,12 @@ def check_cond_entropy_gain(
     _require_tp(channel)
     on = rho_ab.labels[0] if on is None else on
     out_label = on + "'"
-    lifted, out_systems = lift(
-        channel, rho_ab.systems, on, out_systems=((out_label, channel.out_dim),)
+    sigma_mat, out_systems = apply_on(
+        channel, rho_ab.matrix, rho_ab.systems, on, out_systems=((out_label, channel.out_dim),)
     )
-    sigma_mat = lifted.apply(rho_ab.matrix)
-    back, _ = lift(adjoint(channel), out_systems, out_label, out_systems=((on, channel.in_dim),))
-    nn_mat = back.apply(sigma_mat)
+    nn_mat, _ = apply_on(
+        adjoint(channel), sigma_mat, out_systems, out_label, out_systems=((on, channel.in_dim),)
+    )
 
     cond_labels = tuple(label for label in rho_ab.labels if label != on)
     sigma = DensityOperator(out_systems, sigma_mat)
@@ -290,10 +294,9 @@ def _reference_instrument_state(instr: Instrument, rho: DensityOperator):
     keep = [i for i in range(len(dims)) if i != 1]
     probs, posts, reduced = [], [], []
     for i in range(instr.n_outcomes):
-        lifted, _ = lift(
-            instr.outcome_map(i), phi.systems, a_label, out_systems=((a_label + "'", instr.out_dim),)
+        out, _ = apply_on(
+            instr.outcome_map(i), proj, phi.systems, a_label, out_systems=((a_label + "'", instr.out_dim),)
         )
-        out = lifted.apply(proj)
         p = float(np.real(np.trace(out)))
         probs.append(max(p, 0.0))
         if p > PROB_FLOOR:
@@ -497,7 +500,7 @@ def check_info_gain_qsi(
     proj_b = support_b @ support_b.conj().T
     spectra_x = [eig_hermitian(block) if block is not None else None for block in omega_bx]
 
-    eye_r = np.eye(r_dim)
+    rb_systems = (("R", r_dim), (b_label, d_b))
     integral = 0.0
     tp_dev = 0.0
     low_confidence = False
@@ -513,15 +516,14 @@ def check_info_gain_qsi(
             left = spectra_x[x].power((1.0 - 1j * t_node) / 2.0)
             g = left @ right
             tp_acc += probs[x] * (g.conj().T @ g)
-            g_rb = np.kron(eye_r, g)
-            recovered = g_rb @ omega_rb @ g_rb.conj().T
+            recovered, _ = apply_on(KrausMap((g,)), omega_rb, rb_systems, b_label)
             f = fidelity(posts_rb[x], recovered)
             if f < 1e-14:
                 low_confidence = True
             node_sum += probs[x] * math.sqrt(max(f, 0.0))
             if instr.efficient:
-                g_full, _ = lift(KrausMap((g,)), phi.systems, b_label)
-                phi_rec = Purification(a_label, phi.systems, g_full.kraus[0] @ phi.vector)
+                # g on B, the last factor of the purification (R, A, B)
+                phi_rec = Purification(a_label, phi.systems, (phi.vector.reshape(-1, d_b) @ g.T).reshape(-1))
                 phi_post = Purification(
                     out_label,
                     (("R", r_dim), (out_label, instr.out_dim), (b_label, d_b)),

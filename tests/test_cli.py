@@ -64,6 +64,25 @@ def test_unknown_suite_exits_two(capsys):
     assert "invalid config" in capsys.readouterr().err
 
 
+def test_seed_zero_runs(tmp_path):
+    out = tmp_path / "r.json"
+    assert run(["verify", "entropy-gain", "--seed", "0", "--trials", "2", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["config"]["master_seed"] == 0
+
+
+def test_negative_seed_exits_two(capsys):
+    assert run(["verify", "entropy-gain", "--seed", "-1", "--trials", "2"]) == 2
+    assert "master_seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", ['"x"', "1.5", "true", "-3"])
+def test_config_seed_not_a_non_negative_int_exits_two(tmp_path, capsys, seed):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(f'{{"master_seed": {seed}, "trials": {{"entropy-gain": 2}}}}')
+    assert run(["verify", "entropy-gain", "--config", str(cfg)]) == 2
+    assert "master_seed" in capsys.readouterr().err
+
+
 def test_unknown_config_key_exits_two(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"wrong_key": 1}')

@@ -10,12 +10,14 @@ from qrecovery.qcore import (
     Channel,
     ClassicalQuantumState,
     DensityOperator,
+    DimensionMismatchError,
     Ensemble,
     Instrument,
     KrausMap,
     LabelError,
     adjoint,
     apply,
+    apply_on,
     choi,
     compose,
     instrument_channel,
@@ -281,6 +283,66 @@ def test_lift_requires_contiguous_block():
     ch = random_channel(4, 4, 1, stream(12, 1))
     with pytest.raises(LabelError):
         lift(ch, (("A", 2), ("B", 2), ("C", 2)), ("A", "C"))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    dims=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+    out_dims=st.none() | st.lists(st.integers(1, 3), min_size=1, max_size=2),
+    n_kraus=st.integers(1, 3),
+    use_adjoint=st.booleans(),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_apply_on_matches_lift(dims, out_dims, n_kraus, use_adjoint, data, seed):
+    """apply_on equals applying the Kraus-form lift on any contiguous block,
+    with or without a change of output dimension, for maps that need not be TP."""
+    n = len(dims)
+    start = data.draw(st.integers(0, n - 1))
+    stop = data.draw(st.integers(start + 1, n))
+    systems = tuple((f"S{i}", d) for i, d in enumerate(dims))
+    on = tuple(f"S{i}" for i in range(start, stop))
+    d_in = int(np.prod(dims[start:stop]))
+    out_systems = None if out_dims is None else tuple((f"T{i}", d) for i, d in enumerate(out_dims))
+    d_out = d_in if out_dims is None else int(np.prod(out_dims))
+    rng = np.random.default_rng(seed)
+    shape = (n_kraus, d_in, d_out) if use_adjoint else (n_kraus, d_out, d_in)
+    ks = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    m = KrausMap(tuple(ks / np.linalg.norm(ks)))
+    if use_adjoint:
+        m = adjoint(m)
+    d = int(np.prod(dims))
+    x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    x /= np.linalg.norm(x)
+    got, got_systems = apply_on(m, x, systems, on, out_systems)
+    lifted, want_systems = lift(m, systems, on, out_systems)
+    assert got_systems == want_systems
+    npt.assert_allclose(got, lifted.apply(x), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "on, out_systems, error",
+    [
+        ("D", None, LabelError),  # unknown label
+        (("A", "C"), None, LabelError),  # not contiguous
+        (("A", "B"), None, DimensionMismatchError),  # block dimension 6 != map input 3
+        ("B", None, DimensionMismatchError),  # map changes dimension, out_systems missing
+        ("B", (("B'", 3),), DimensionMismatchError),  # out_systems do not match the output
+    ],
+)
+def test_apply_on_and_lift_reject_bad_blocks_alike(on, out_systems, error):
+    ch = random_channel(3, 2, 2, stream(12, 3))
+    systems = (("A", 2), ("B", 3), ("C", 2))
+    with pytest.raises(error):
+        apply_on(ch, np.eye(12), systems, on, out_systems)
+    with pytest.raises(error):
+        lift(ch, systems, on, out_systems)
+
+
+def test_apply_on_rejects_operator_of_wrong_size():
+    ch = random_channel(2, 2, 2, stream(12, 4))
+    with pytest.raises(DimensionMismatchError):
+        apply_on(ch, np.eye(3), (("A", 2), ("B", 2)), "A")
 
 
 def test_partial_trace_channel_agrees_with_partial_trace():

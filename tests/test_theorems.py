@@ -154,6 +154,16 @@ class TestMinimalEntropyGain:
         with pytest.raises(ValueError):
             minimal_entropy_gain(random_channel(2, 3, 2, stream(42, 2)))
 
+    @pytest.mark.parametrize("restarts, max_evals", [(0, 100), (1, 0), (-1, 100)])
+    def test_empty_budget_rejected(self, restarts, max_evals):
+        with pytest.raises(ValueError, match="at least 1"):
+            OptimizerBudget(restarts, max_evals)
+
+    def test_smallest_budget_runs(self):
+        u = random_unitary(2, stream(42, 3))
+        res = minimal_entropy_gain(Channel((u,)), OptimizerBudget(1, 1), seed=1)
+        assert res.evals >= 1
+
 
 class TestCondEntropyGain:
     def test_unitary_on_a_equality(self):
