@@ -12,13 +12,14 @@ attributed to truncation rather than to a construction error.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .entropy import entropy, rel_entropy
-from .qcore import Channel, transfer_matrix
+from .qcore import Channel
 from .reports import CheckReport
 
 __all__ = [
@@ -86,6 +87,7 @@ class GaussianChannelSpec:
         return float(self.eta * self.gain)
 
 
+@functools.lru_cache(maxsize=32)
 def loss_channel(eta: float, trunc: FockTruncation = FockTruncation()) -> Channel:
     """Beamsplitter with vacuum environment: <n-k|K_k|n> = sqrt(C(n,k) eta^(n-k) (1-eta)^k)."""
     if not 0.0 <= eta <= 1.0:
@@ -101,6 +103,7 @@ def loss_channel(eta: float, trunc: FockTruncation = FockTruncation()) -> Channe
     return Channel(tuple(ks))
 
 
+@functools.lru_cache(maxsize=32)
 def amp_channel(gain: float, trunc: FockTruncation = FockTruncation()) -> Channel:
     """Two-mode squeezer with vacuum environment, truncated at n_max:
 
@@ -136,6 +139,37 @@ def _apply_stages(stages, mat: np.ndarray) -> np.ndarray:
     for ch in stages:
         mat = ch.apply(mat)
     return mat
+
+
+def _sectors(stages, dim: int) -> dict:
+    """Coherence-order blocks of the transfer matrix of a stage chain (applied left to right).
+
+    Loss and amplifier Kraus operators each shift n by a fixed k, so the
+    row-major transfer matrix couples output (a, a - Delta) only to input
+    (b, b - Delta).  Block Delta in (-dim, dim) holds
+    sum_k K_k[a, b] conj(K_k[a - Delta, b - Delta]) over levels
+    a, b in [max(Delta, 0), dim + min(Delta, 0)); the stage blocks of one
+    sector are multiplied on their own.  A Kraus operator with entries on
+    more than one diagonal raises ValueError instead of being dropped.
+    """
+    blocks = {}
+    for ch in stages:
+        if any(np.unique(np.subtract(*np.nonzero(k))).size > 1 for k in ch.kraus):
+            raise ValueError("Kraus operator mixes coherence orders; no sector form")
+        ks = np.stack(ch.kraus)
+        for delta in range(1 - dim, dim):
+            lo, hi = max(delta, 0), dim + min(delta, 0)
+            top, low = ks[:, lo:hi, lo:hi], ks[:, lo - delta : hi - delta, lo - delta : hi - delta]
+            block = (top * low.conj()).sum(axis=0)
+            blocks[delta] = block @ blocks[delta] if delta in blocks else block
+    return blocks
+
+
+def _keep_levels(n_max: int, n_guard: int) -> int:
+    """Number of Fock levels below the guard band; requires 0 <= n_guard <= n_max."""
+    if not 0 <= n_guard <= n_max:
+        raise ValueError(f"guard band must satisfy 0 <= n_guard <= n_max = {n_max}, got {n_guard!r}")
+    return n_max - n_guard + 1
 
 
 def vacuum_state(trunc: FockTruncation = FockTruncation()) -> np.ndarray:
@@ -223,9 +257,7 @@ def check_almost_unital(
     if n_guard is None:
         n_guard = recommended_guard(spec, trunc_tol)
     n_max = spec.truncation.n_max
-    keep = n_max - n_guard + 1
-    if keep < 1:
-        raise ValueError("guard band leaves no levels to check")
+    keep = _keep_levels(n_max, n_guard)
     forward, _ = _spec_channels(spec)
     out = _apply_stages(forward, np.eye(spec.truncation.dim))
     target = np.eye(spec.truncation.dim) / spec.parameter()
@@ -252,35 +284,6 @@ def check_almost_unital(
     )
 
 
-def _sector_matmul(left: np.ndarray, right: np.ndarray, dim: int) -> np.ndarray:
-    """``left @ right`` for d^2 x d^2 transfer matrices that keep the coherence order.
-
-    Loss and amplifier Kraus operators shift n by a fixed k, so their transfer
-    matrices couple flat index a*dim + c only to b*dim + e with a - c = b - e.
-    Each coherence-order sector Delta = a - c in (-dim, dim) is multiplied on
-    its own as a (dim - |Delta|)^2 block.  An operand with a nonzero entry
-    outside these sectors raises ValueError instead of being dropped.
-    """
-    out = np.zeros((dim * dim, dim * dim), dtype=np.result_type(left, right))
-    inside_left = inside_right = 0
-    for delta in range(1 - dim, dim):
-        rows = np.arange(max(delta, 0), dim + min(delta, 0))
-        idx = rows * dim + rows - delta
-        block = np.ix_(idx, idx)
-        l_block, r_block = left[block], right[block]
-        inside_left += np.count_nonzero(l_block)
-        inside_right += np.count_nonzero(r_block)
-        out[block] = l_block @ r_block
-    if inside_left != np.count_nonzero(left) or inside_right != np.count_nonzero(right):
-        raise ValueError("transfer matrix mixes coherence orders; no sector product")
-    return out
-
-
-def _transfer_choi(t: np.ndarray, dim: int) -> np.ndarray:
-    """Reshuffle a row-major transfer matrix into the input-first Choi 4-tensor."""
-    return t.reshape(dim, dim, dim, dim).transpose(2, 0, 3, 1)
-
-
 def check_adjoint_relation(
     spec: GaussianChannelSpec,
     n_guard: int = DEFAULT_GUARD,
@@ -296,25 +299,21 @@ def check_adjoint_relation(
     subspace.  With the Kraus conventions used here the single-channel
     relations hold to machine precision on the whole truncated space.
 
-    Every stage keeps the coherence order Delta = n - m, so the stage chains
-    are multiplied sector by sector (2d - 1 blocks of size at most d) rather
-    than as dense d^2 x d^2 products; a stage that mixed orders would raise.
+    Both chains are held as coherence-order blocks (see ``_sectors``).  The
+    adjoint of block Delta is its conjugate transpose, and the guard band keeps
+    the leading (keep - |Delta|)^2 window of each block.
     """
     d = spec.truncation.dim
+    keep = _keep_levels(spec.truncation.n_max, n_guard)
     forward, reverse = _spec_channels(spec)
-    t_forward = transfer_matrix(forward[0])
-    for ch in forward[1:]:
-        t_forward = _sector_matmul(transfer_matrix(ch), t_forward, d)
-    t_adjoint = t_forward.conj().T
     # reversal stages compose in the adjoint order
-    t_reverse = transfer_matrix(reverse[0])
-    for ch in reverse[1:]:
-        t_reverse = _sector_matmul(transfer_matrix(ch), t_reverse, d)
+    t_forward, t_reverse = _sectors(forward, d), _sectors(reverse, d)
     scale = 1.0 / spec.parameter()
-    keep = spec.truncation.n_max - n_guard + 1
-    choi_lhs = _transfer_choi(t_adjoint, d)[:keep, :keep, :keep, :keep]
-    choi_rhs = scale * _transfer_choi(t_reverse, d)[:keep, :keep, :keep, :keep]
-    deviation = float(np.abs(choi_lhs - choi_rhs).max())
+    deviation = 0.0
+    for delta in range(1 - keep, keep):
+        w = keep - abs(delta)
+        diff = t_forward[delta].conj().T[:w, :w] - scale * t_reverse[delta][:w, :w]
+        deviation = max(deviation, float(np.abs(diff).max()))
     return CheckReport(
         name=f"bosonic-adjoint-{spec.kind}",
         lhs=0.0,
@@ -344,7 +343,7 @@ def check_bosonic_entropy_gain(
     number at most n_max / 4.
     """
     n_max = spec.truncation.n_max
-    keep = n_max - n_guard + 1
+    keep = _keep_levels(n_max, n_guard)
     rho = np.asarray(rho, dtype=complex)
     leakage = float(np.real(np.trace(rho[keep:, keep:])))
     if leakage > 1e-12:
@@ -390,14 +389,12 @@ def check_loss_semigroup(
     """B_eta1 o B_eta2 = B_(eta1 eta2): exact under truncation since loss only
     moves photons down the ladder.
 
-    Loss keeps the coherence order Delta = n - m, so the composition is
-    multiplied sector by sector; the direct map is compared on all entries.
+    Loss keeps the coherence order Delta = n - m, so both maps are held as
+    sector blocks (see ``_sectors``) and compared on every block entry.
     """
-    t_comp = _sector_matmul(
-        transfer_matrix(loss_channel(eta1, trunc)), transfer_matrix(loss_channel(eta2, trunc)), trunc.dim
-    )
-    t_direct = transfer_matrix(loss_channel(eta1 * eta2, trunc))
-    deviation = float(np.abs(t_comp - t_direct).max())
+    t_comp = _sectors([loss_channel(eta2, trunc), loss_channel(eta1, trunc)], trunc.dim)
+    t_direct = _sectors([loss_channel(eta1 * eta2, trunc)], trunc.dim)
+    deviation = max(float(np.abs(t_comp[delta] - t_direct[delta]).max()) for delta in t_comp)
     return CheckReport(
         name="bosonic-loss-semigroup",
         lhs=0.0,

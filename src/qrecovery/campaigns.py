@@ -96,6 +96,18 @@ class ConfigError(ValueError):
     pass
 
 
+# Accepted types of the scalar config fields; a bool is not a number here.
+_FIELD_TYPES = {
+    "master_seed": ((int,), "an integer"),
+    "tol_override": ((int, float, type(None)), "a number or null"),
+    "quad_nodes": ((int,), "an integer"),
+    "quad_halfwidth": ((int, float), "a number"),
+    "bosonic_n_max": ((int,), "an integer"),
+    "bosonic_guard": ((int, type(None)), "an integer or null"),
+    "cpdp_isometric": ((bool,), "a boolean"),
+}
+
+
 @dataclass(frozen=True)
 class CampaignConfig:
     suites: tuple = SUITES
@@ -110,9 +122,12 @@ class CampaignConfig:
     cpdp_isometric: bool = False  # draw isometric V: QE -> Q'E' with a larger E'
 
     def __post_init__(self):
-        seed = self.master_seed
-        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-            raise ConfigError(f"master_seed must be a non-negative integer, got {seed!r}")
+        for name, (types, expected) in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+                raise ConfigError(f"{name} must be {expected}, got {value!r}")
+        if self.master_seed < 0:
+            raise ConfigError(f"master_seed must be a non-negative integer, got {self.master_seed!r}")
         suites = tuple(self.suites)
         for s in suites:
             if s not in SUITES:
@@ -537,53 +552,42 @@ def _run_bosonic(cfg: CampaignConfig):
     trunc = bos.FockTruncation(cfg.bosonic_n_max)
     guard = cfg.bosonic_guard
     rows = []
-    trial = 0
 
     def emit(rep):
-        nonlocal trial
-        rows.append(report_row(_retol(rep, cfg), "bosonic", trial))
-        trial += 1
+        rows.append(report_row(_retol(rep, cfg), "bosonic", len(rows)))
 
-    for eta in BOSONIC_ETAS:
-        spec = bos.GaussianChannelSpec("loss", trunc, eta=eta)
-        emit(bos.check_almost_unital(spec, n_guard=guard, seed=seed))
-        emit(bos.check_adjoint_relation(spec, seed=seed))
-    for gain in BOSONIC_GAINS:
-        spec = bos.GaussianChannelSpec("amp", trunc, gain=gain)
-        emit(bos.check_almost_unital(spec, n_guard=guard, seed=seed))
-        emit(bos.check_adjoint_relation(spec, seed=seed))
-    for eta, gain in BOSONIC_ADJOINT_COMPOSE_PAIRS:
-        spec = bos.GaussianChannelSpec("compose", trunc, eta=eta, gain=gain)
+    for spec in bosonic_specs(trunc, BOSONIC_ETAS, BOSONIC_GAINS, BOSONIC_ADJOINT_COMPOSE_PAIRS):
         emit(bos.check_almost_unital(spec, n_guard=guard, seed=seed))
         emit(bos.check_adjoint_relation(spec, seed=seed))
 
-    states = _bosonic_states(trunc)
-    for eta in BOSONIC_ETAS:
-        spec = bos.GaussianChannelSpec("loss", trunc, eta=eta)
+    states = bosonic_states(trunc, bos.DEFAULT_GUARD)
+    for spec in bosonic_specs(trunc, BOSONIC_ETAS, BOSONIC_GAINS):
         for name, rho in states:
             emit(bos.check_bosonic_entropy_gain(spec, rho, seed=seed, state_name=name))
-    for gain in BOSONIC_GAINS:
-        spec = bos.GaussianChannelSpec("amp", trunc, gain=gain)
-        for name, rho in states:
-            emit(bos.check_bosonic_entropy_gain(spec, rho, seed=seed, state_name=name))
-    for eta in BOSONIC_ETAS:
-        for gain in BOSONIC_GAINS:
-            spec = bos.GaussianChannelSpec("compose", trunc, eta=eta, gain=gain)
-            for name, rho in states:
-                emit(bos.check_bosonic_entropy_gain(spec, rho, seed=seed, state_name=name))
 
     emit(bos.check_loss_semigroup(0.9, 0.8, trunc, seed=seed))
     emit(bos.check_loss_semigroup(0.7, 0.99, trunc, seed=seed))
     return rows
 
 
-def _bosonic_states(trunc: bos.FockTruncation):
-    guard_top = trunc.n_max - bos.DEFAULT_GUARD
+def bosonic_states(trunc: bos.FockTruncation, guard: int):
+    """Named entropy-gain inputs of the bosonic suite and sweep, all inside the guard band."""
     return (
         ("vacuum", bos.vacuum_state(trunc)),
         ("single-photon", bos.fock_state(1, trunc)),
-        ("geometric-mean-1", bos.geometric_state(1.0, trunc, support_max=guard_top)),
+        ("geometric-mean-1", bos.geometric_state(1.0, trunc, support_max=trunc.n_max - guard)),
     )
+
+
+def bosonic_specs(trunc: bos.FockTruncation, etas, gains, pairs=None):
+    """Loss specs per eta, amplifier specs per gain, then compositions per (eta, gain) pair.
+
+    ``pairs=None`` composes every eta with every gain.
+    """
+    pairs = [(e, g) for e in etas for g in gains] if pairs is None else pairs
+    specs = [bos.GaussianChannelSpec("loss", trunc, eta=e) for e in etas]
+    specs += [bos.GaussianChannelSpec("amp", trunc, gain=g) for g in gains]
+    return specs + [bos.GaussianChannelSpec("compose", trunc, eta=e, gain=g) for e, g in pairs]
 
 
 _RUNNERS = {

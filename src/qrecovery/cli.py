@@ -19,7 +19,7 @@ import sys
 import time
 
 from . import bosonic as bos
-from .campaigns import SUITES, CampaignConfig, ConfigError, run_campaign
+from .campaigns import SUITES, CampaignConfig, ConfigError, bosonic_specs, bosonic_states, run_campaign
 from .reports import SCHEMA_VERSION, merge_reports, report_row, summarize, write_csv, write_json
 
 __all__ = ["main", "build_report"]
@@ -138,19 +138,16 @@ def _cmd_sweep(args) -> int:
             raise ValueError(f"guard must satisfy 0 <= guard < n_max = {trunc.n_max}, got {guard}")
         etas = [float(x) for x in args.etas.split(",") if x]
         gains = [float(x) for x in args.gains.split(",") if x]
-        states = (
-            ("vacuum", bos.vacuum_state(trunc)),
-            ("single-photon", bos.fock_state(1, trunc)),
-            ("geometric-mean-1", bos.geometric_state(1.0, trunc, support_max=trunc.n_max - guard)),
-        )
-        specs = [bos.GaussianChannelSpec("loss", trunc, eta=e) for e in etas]
-        specs += [bos.GaussianChannelSpec("amp", trunc, gain=g) for g in gains]
-        specs += [
-            bos.GaussianChannelSpec("compose", trunc, eta=e, gain=g) for e in etas for g in gains
-        ]
+        states = bosonic_states(trunc, guard)
+        specs = bosonic_specs(trunc, etas, gains)
     except (ValueError, TypeError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 2
+    print(f"almost-unital guard-band feasibility (n_max={trunc.n_max}, tol={bos.DEFAULT_TRUNC_TOL:g})")
+    print(f"eta    tail@edge(guard={guard})  recommended guard")
+    for spec in (s for s in specs if s.kind == "loss"):
+        tail = bos.loss_identity_tail(spec.eta, trunc.n_max - guard, trunc.n_max)
+        print(f"{spec.eta:<6} {tail:<20.3e} {bos.recommended_guard(spec)}")
     rows = []
     ok = True
     for spec in specs:

@@ -20,9 +20,17 @@ from qrecovery.bosonic import (
     recommended_guard,
     vacuum_state,
 )
-from qrecovery.bosonic import _sector_matmul, _spec_channels
+from qrecovery import bosonic
+from qrecovery.bosonic import _sectors, _spec_channels
 from qrecovery.entropy import rel_entropy
-from qrecovery.qcore import Channel, is_subunital, is_trace_preserving, is_unital, transfer_matrix
+from qrecovery.qcore import (
+    Channel,
+    compose,
+    is_subunital,
+    is_trace_preserving,
+    is_unital,
+    transfer_matrix,
+)
 
 TRUNC = FockTruncation(40)
 SMALL = FockTruncation(20)
@@ -55,6 +63,14 @@ class TestChannelConstruction:
     def test_amplifier_trace_non_increasing_only(self):
         ch = amp_channel(1.25, SMALL)
         assert not is_trace_preserving(ch, tol=1e-6)
+
+    def test_ladders_cached_and_read_only(self):
+        for build, param in ((loss_channel, 0.73), (amp_channel, 1.2)):
+            ch = build(param, SMALL)
+            assert build(param, SMALL) is ch
+            assert build(param, FockTruncation(10)) is not ch
+            with pytest.raises(ValueError, match="read-only"):
+                ch.kraus[0][0, 0] = 1.0
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -141,31 +157,103 @@ class TestAdjointRelation:
         assert rep.rhs <= 1e-12
 
 
-class TestSectorProduct:
+def _chain_transfer(stages):
+    """Dense transfer matrix of a stage chain (applied left to right) via Kraus composition."""
+    channel = stages[0]
+    for ch in stages[1:]:
+        channel = compose(ch, channel)
+    return transfer_matrix(channel)
+
+
+def _dense_adjoint_deviation(forward, reverse, scale, dim, keep):
+    """Guard-banded Choi-window deviation of the adjoint relation from dense transfer matrices."""
+
+    def window(t):
+        return t.reshape(dim, dim, dim, dim).transpose(2, 0, 3, 1)[:keep, :keep, :keep, :keep]
+
+    lhs = window(_chain_transfer(forward).conj().T)
+    rhs = scale * window(_chain_transfer(reverse))
+    return float(np.abs(lhs - rhs).max())
+
+
+class TestSectors:
     @pytest.mark.parametrize("n_max", [4, 9])
     @pytest.mark.parametrize(
         "kind,eta,gain", [("loss", 0.7, None), ("amp", None, 1.25), ("compose", 0.8, 1.1)]
     )
-    def test_matches_dense_product(self, n_max, kind, eta, gain):
+    def test_blocks_scatter_to_transfer_matrix(self, n_max, kind, eta, gain):
         trunc = FockTruncation(n_max)
+        d = trunc.dim
         forward, reverse = _spec_channels(GaussianChannelSpec(kind, trunc, eta=eta, gain=gain))
-        mats = [transfer_matrix(ch) for ch in forward + reverse]
-        for left in mats:
-            for right in mats:
-                npt.assert_allclose(
-                    _sector_matmul(left, right, trunc.dim), left @ right, rtol=0, atol=1e-15
-                )
+        for stages in (forward, reverse):
+            blocks = _sectors(stages, d)
+            assert sorted(blocks) == list(range(1 - d, d))
+            dense = np.zeros((d * d, d * d), dtype=complex)
+            for delta, block in blocks.items():
+                levels = np.arange(max(delta, 0), d + min(delta, 0))
+                idx = levels * d + levels - delta
+                dense[np.ix_(idx, idx)] = block
+            npt.assert_allclose(dense, _chain_transfer(stages), rtol=0, atol=1e-14)
 
     def test_rejects_map_mixing_coherence_orders(self):
         trunc = FockTruncation(3)
         hadamard = np.eye(trunc.dim)
         hadamard[:2, :2] = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
-        mixing = transfer_matrix(Channel((hadamard,)))
-        loss = transfer_matrix(loss_channel(0.8, trunc))
+        mixing = Channel((hadamard,))
+        loss = loss_channel(0.8, trunc)
         with pytest.raises(ValueError, match="coherence"):
-            _sector_matmul(mixing, loss, trunc.dim)
+            _sectors([mixing, loss], trunc.dim)
         with pytest.raises(ValueError, match="coherence"):
-            _sector_matmul(loss, mixing, trunc.dim)
+            _sectors([loss, mixing], trunc.dim)
+
+
+class TestAdjointDenseReference:
+    @pytest.mark.parametrize("guard", [0, 8, SMALL.n_max])
+    @pytest.mark.parametrize(
+        "kind,eta,gain", [("loss", 0.7, None), ("amp", None, 1.25), ("compose", 0.8, 1.1)]
+    )
+    def test_matches_dense_choi_window(self, monkeypatch, guard, kind, eta, gain):
+        spec = GaussianChannelSpec(kind, SMALL, eta=eta, gain=gain)
+        forward, reverse = _spec_channels(spec)
+        keep = SMALL.n_max - guard + 1
+        scale = 1.0 / spec.parameter()
+        rep = check_adjoint_relation(spec, n_guard=guard)
+        ref = _dense_adjoint_deviation(forward, reverse, scale, SMALL.dim, keep)
+        assert rep.rhs == pytest.approx(ref, rel=1e-12, abs=1e-15)
+        # damping one level after the reversal breaks the relation on that
+        # level only: the deviation is large when it is the band edge and
+        # round-off when it is the first level above the band
+        for level in (keep - 1, keep):
+            if level == SMALL.dim:
+                continue
+            damp = np.eye(SMALL.dim)
+            damp[level, level] = 0.5
+            skewed = reverse + [Channel((damp,))]
+            monkeypatch.setattr(bosonic, "_spec_channels", lambda _: (forward, skewed))
+            rep = check_adjoint_relation(spec, n_guard=guard)
+            ref = _dense_adjoint_deviation(forward, skewed, scale, SMALL.dim, keep)
+            assert (ref > 1e-3) == (level < keep)
+            assert rep.rhs == pytest.approx(ref, rel=1e-12, abs=1e-15)
+
+
+class TestGuardValidation:
+    @staticmethod
+    def _checks(n_guard):
+        loss = GaussianChannelSpec("loss", SMALL, eta=0.9)
+        yield lambda: check_almost_unital(loss, n_guard=n_guard)
+        yield lambda: check_adjoint_relation(loss, n_guard=n_guard)
+        yield lambda: check_bosonic_entropy_gain(loss, vacuum_state(SMALL), n_guard=n_guard)
+
+    @pytest.mark.parametrize("n_guard", [-1, SMALL.n_max + 1, SMALL.n_max + 5])
+    def test_out_of_range_guard_rejected(self, n_guard):
+        for check in self._checks(n_guard):
+            with pytest.raises(ValueError, match="guard band"):
+                check()
+
+    def test_full_guard_band_runs(self):
+        # n_guard = n_max keeps only the vacuum level
+        for check in self._checks(SMALL.n_max):
+            assert check().aux["parameter"] == 0.9
 
 
 class TestEntropyGain:

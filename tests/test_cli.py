@@ -75,12 +75,44 @@ def test_negative_seed_exits_two(capsys):
     assert "master_seed" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("seed", ['"x"', "1.5", "true", "-3"])
-def test_config_seed_not_a_non_negative_int_exits_two(tmp_path, capsys, seed):
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("master_seed", '"x"'),
+        ("master_seed", "1.5"),
+        ("master_seed", "true"),
+        ("master_seed", "-3"),
+        ("tol_override", '"x"'),
+        ("tol_override", "true"),
+        ("quad_nodes", '"x"'),
+        ("quad_nodes", "51.0"),
+        ("quad_nodes", "true"),
+        ("quad_halfwidth", '"x"'),
+        ("quad_halfwidth", "false"),
+        ("bosonic_n_max", '"x"'),
+        ("bosonic_n_max", "20.0"),
+        ("bosonic_n_max", "true"),
+        ("bosonic_guard", '"x"'),
+        ("bosonic_guard", "true"),
+        ("cpdp_isometric", '"no"'),
+        ("cpdp_isometric", "1"),
+    ],
+)
+def test_config_field_of_wrong_type_exits_two(tmp_path, capsys, key, value):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(f'{{"master_seed": {seed}, "trials": {{"entropy-gain": 2}}}}')
+    cfg.write_text(f'{{"{key}": {value}, "trials": {{"entropy-gain": 2}}}}')
     assert run(["verify", "entropy-gain", "--config", str(cfg)]) == 2
-    assert "master_seed" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "invalid config" in err and key in err
+
+
+def test_config_numeric_fields_accept_ints_and_floats(tmp_path):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "r.json"
+    cfg.write_text('{"tol_override": 1, "quad_halfwidth": 8, "bosonic_guard": null, '
+                   '"cpdp_isometric": false, "trials": {"entropy-gain": 2}}')
+    assert run(["verify", "entropy-gain", "--config", str(cfg), "--out", str(out)]) in (0, 1)
+    config = json.loads(out.read_text())["config"]
+    assert config["tol_override"] == 1 and config["quad_halfwidth"] == 8
 
 
 def test_unknown_config_key_exits_two(tmp_path, capsys):
@@ -171,6 +203,22 @@ def test_sweep_bosonic_csv(tmp_path):
     # loss, amp, and composition rows for each of the three states
     assert len(lines) == 1 + 3 * 3
     assert "leakage" in lines[1] or "leakage" in out.read_text()
+
+
+def test_sweep_prints_guard_feasibility_table(tmp_path, capsys):
+    from qrecovery import bosonic as bos
+
+    argv = ["sweep", "bosonic", "--n-max", "24", "--guard", "9", "--etas", "0.8,0.99",
+            "--gains", "1.1", "--out", str(tmp_path / "sweep.csv")]
+    assert run(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "almost-unital guard-band feasibility (n_max=24, tol=1e-06)"
+    trunc = bos.FockTruncation(24)
+    for line, eta in zip(lines[2:4], (0.8, 0.99)):
+        shown_eta, tail, guard = line.split()
+        assert float(shown_eta) == eta
+        assert float(tail) == pytest.approx(bos.loss_identity_tail(eta, 24 - 9, 24), rel=1e-3)
+        assert int(guard) == bos.recommended_guard(bos.GaussianChannelSpec("loss", trunc, eta=eta))
 
 
 @pytest.mark.parametrize(
