@@ -229,11 +229,12 @@ def loss_identity_tail(eta: float, level: int, n_max: int) -> float:
 def recommended_guard(spec: GaussianChannelSpec, trunc_tol: float = DEFAULT_TRUNC_TOL) -> int:
     """Smallest guard band making the almost-unital identity testable at trunc_tol.
 
-    The amplifier identity is exact under truncation, so only the loss part
-    contributes; for pure amplifiers the default guard is returned.
+    Only the loss part contributes: amplifier output level m receives only
+    from levels n <= m, so A_G(I) = I/G holds on every truncated level and
+    a pure amplifier needs no guard band.
     """
     if spec.kind == "amp":
-        return DEFAULT_GUARD
+        return 0
     n_max = spec.truncation.n_max
     for guard in range(0, n_max):
         if loss_identity_tail(spec.eta, n_max - guard, n_max) <= trunc_tol:
@@ -245,7 +246,6 @@ def check_almost_unital(
     spec: GaussianChannelSpec,
     n_guard: int | None = DEFAULT_GUARD,
     trunc_tol: float = DEFAULT_TRUNC_TOL,
-    seed=None,
 ) -> CheckReport:
     """Deviation of N(I) from c^{-1} I on the guard-banded subspace.
 
@@ -273,7 +273,6 @@ def check_almost_unital(
         lhs=0.0,
         rhs=deviation,
         tol=trunc_tol,
-        seed=seed,
         dims=(spec.truncation.dim,),
         aux={
             "parameter": spec.parameter(),
@@ -288,7 +287,6 @@ def check_adjoint_relation(
     spec: GaussianChannelSpec,
     n_guard: int = DEFAULT_GUARD,
     trunc_tol: float = DEFAULT_TRUNC_TOL,
-    seed=None,
 ) -> CheckReport:
     """Adjoint duality between loss and amplification:
 
@@ -319,7 +317,6 @@ def check_adjoint_relation(
         lhs=0.0,
         rhs=deviation,
         tol=trunc_tol,
-        seed=seed,
         dims=(d,),
         aux={"parameter": spec.parameter(), "guard": n_guard, "scale": scale},
     )
@@ -331,7 +328,6 @@ def check_bosonic_entropy_gain(
     n_guard: int = DEFAULT_GUARD,
     trunc_tol: float = DEFAULT_TRUNC_TOL,
     tol: float | None = None,
-    seed=None,
     state_name: str = "state",
 ) -> CheckReport:
     """Entropy-gain inequality with the log-parameter shift, e.g. for loss:
@@ -366,7 +362,6 @@ def check_bosonic_entropy_gain(
         lhs=lhs,
         rhs=rhs,
         tol=tol,
-        seed=seed,
         dims=(spec.truncation.dim,),
         aux={
             "parameter": spec.parameter(),
@@ -384,7 +379,6 @@ def check_loss_semigroup(
     eta2: float,
     trunc: FockTruncation = FockTruncation(),
     trunc_tol: float = DEFAULT_TRUNC_TOL,
-    seed=None,
 ) -> CheckReport:
     """B_eta1 o B_eta2 = B_(eta1 eta2): exact under truncation since loss only
     moves photons down the ladder.
@@ -400,7 +394,6 @@ def check_loss_semigroup(
         lhs=0.0,
         rhs=deviation,
         tol=trunc_tol,
-        seed=seed,
         dims=(trunc.dim,),
         aux={"eta1": eta1, "eta2": eta2},
     )

@@ -2,7 +2,10 @@
 
 Every row is a pure function of the campaign config: trial instances are
 drawn from ``stream(master_seed, suite_index, check_index, trial)``, so a
-rerun with the same config reproduces the report byte for byte.
+rerun with the same config reproduces the report byte for byte.  Suite
+runners yield ``(trial, CheckReport)`` pairs and set none of this
+themselves: ``_trials`` is the one place the stream path is set, and
+``run_suite`` the one place each row gets its seed and tolerance.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ from .qcore import (
 )
 from .recovery import (
     QuadratureSpec,
-    RotatedPetzSpec,
     integrated_recovery,
     petz_map,
     quadrature,
@@ -96,7 +98,12 @@ class ConfigError(ValueError):
     pass
 
 
-# Accepted types of the scalar config fields; a bool is not a number here.
+def _has_type(value, types) -> bool:
+    """isinstance, except that a bool is not a number."""
+    return isinstance(value, types) and (bool in types or not isinstance(value, bool))
+
+
+# Accepted types of the scalar config fields.
 _FIELD_TYPES = {
     "master_seed": ((int,), "an integer"),
     "tol_override": ((int, float, type(None)), "a number or null"),
@@ -124,23 +131,31 @@ class CampaignConfig:
     def __post_init__(self):
         for name, (types, expected) in _FIELD_TYPES.items():
             value = getattr(self, name)
-            if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+            if not _has_type(value, types):
                 raise ConfigError(f"{name} must be {expected}, got {value!r}")
         if self.master_seed < 0:
             raise ConfigError(f"master_seed must be a non-negative integer, got {self.master_seed!r}")
-        suites = tuple(self.suites)
-        for s in suites:
+        if not isinstance(self.suites, (list, tuple)):
+            raise ConfigError(f"suites must be a list of suite names, got {self.suites!r}")
+        for s in self.suites:
             if s not in SUITES:
                 raise ConfigError(f"unknown suite {s!r}; valid: {', '.join(SUITES)}")
-        object.__setattr__(self, "suites", suites)
-        trials = dict(self.trials)
-        for k, v in trials.items():
+        object.__setattr__(self, "suites", tuple(self.suites))
+        if not isinstance(self.trials, dict):
+            raise ConfigError(f"trials must map suite names to integers, got {self.trials!r}")
+        for k, v in self.trials.items():
             if k not in SUITES:
                 raise ConfigError(f"trials given for unknown suite {k!r}")
-            if int(v) < 1:
+            if not _has_type(v, (int,)):
+                raise ConfigError(f"trials for {k!r} must be an integer, got {v!r}")
+            if v < 1:
                 raise ConfigError("trials must be at least 1")
-        object.__setattr__(self, "trials", trials)
-        lo, hi = (int(d) for d in self.dims)
+        object.__setattr__(self, "trials", dict(self.trials))
+        if not isinstance(self.dims, (list, tuple)) or len(self.dims) != 2 or not all(
+            _has_type(d, (int,)) for d in self.dims
+        ):
+            raise ConfigError(f"dims must be two integers lo, hi, got {self.dims!r}")
+        lo, hi = self.dims
         if not (2 <= lo <= hi):
             raise ConfigError(f"dims range must satisfy 2 <= lo <= hi, got {self.dims!r}")
         if hi > MAX_TOTAL_DIM:
@@ -158,7 +173,7 @@ class CampaignConfig:
             raise ConfigError("bosonic_guard out of range")
 
     def n_trials(self, suite: str) -> int:
-        return int(self.trials.get(suite, DEFAULT_TRIALS[suite]))
+        return self.trials.get(suite, DEFAULT_TRIALS[suite])
 
     def quad(self) -> QuadratureSpec:
         return QuadratureSpec(nodes=self.quad_nodes, halfwidth=self.quad_halfwidth)
@@ -178,65 +193,56 @@ class CampaignConfig:
         }
 
 
-def _retol(report: CheckReport, cfg: CampaignConfig) -> CheckReport:
-    if cfg.tol_override is None:
-        return report
-    return replace(report, tol=cfg.tol_override)
+def _trials(cfg: CampaignConfig, suite: str, family: int, n: int):
+    """(trial, rng) for trials 0..n-1 of one check family of a suite.
+
+    The only place a stream path is set: trial instances come from
+    ``stream(master_seed, suite_index, family, trial)``.
+    """
+    suite_idx = SUITES.index(suite)
+    for trial in range(n):
+        yield trial, stream(cfg.master_seed, suite_idx, family, trial)
 
 
 def _state(systems, rank, rng) -> DensityOperator:
-    dim = 1
-    for _, d in systems:
-        dim *= d
-    raw = random_density(dim, rank, rng)
+    raw = random_density(math.prod(d for _, d in systems), rank, rng)
     return DensityOperator(tuple(systems), raw.matrix)
 
 
-def _deviation_report(name, deviation, tol, seed, dims, aux=None) -> CheckReport:
-    return CheckReport(
-        name=name, lhs=0.0, rhs=float(deviation), tol=tol, seed=seed, dims=dims, aux=aux or {}
-    )
+def _deviation_report(name, deviation, tol, dims, aux=None) -> CheckReport:
+    return CheckReport(name=name, lhs=0.0, rhs=float(deviation), tol=tol, dims=dims, aux=aux or {})
 
 
 # ---------------------------------------------------------------------------
-# suite runners
+# suite runners: each yields (trial, CheckReport) pairs in row order
 
 
 def _run_entropy_gain(cfg: CampaignConfig):
-    suite_idx = SUITES.index("entropy-gain")
-    seed = cfg.master_seed
     lo, hi = cfg.dims[0], min(cfg.dims[1], 4)
-    rows = []
-    for trial in range(cfg.n_trials("entropy-gain")):
-        rng = stream(seed, suite_idx, 0, trial)
+    n = cfg.n_trials("entropy-gain")
+    for trial, rng in _trials(cfg, "entropy-gain", 0, n):
         d = int(rng.integers(lo, hi + 1))
         rho = random_density(d, int(rng.integers(1, d + 1)), rng)
         channel = random_channel(d, d, int(rng.integers(1, 5)), rng)
-        rep = check_entropy_gain(rho, channel, seed=seed, dims=(d,))
-        rows.append(report_row(_retol(rep, cfg), "entropy-gain", trial))
+        yield trial, check_entropy_gain(rho, channel, dims=(d,))
 
     # dephasing equality witness: N self-adjoint idempotent, rho = |+><+|
     plus = np.full((2, 2), 0.5, dtype=complex)
     z = np.diag([1.0, -1.0])
     dephasing = Channel((np.eye(2) / math.sqrt(2), z / math.sqrt(2)))
-    rep = check_entropy_gain(plus, dephasing, seed=seed, dims=(2,))
-    rows.append(report_row(_retol(rep, cfg), "entropy-gain", 0) | {"check": "entropy-gain-equality"})
+    rep = check_entropy_gain(plus, dephasing, dims=(2,))
+    yield 0, replace(rep, name="entropy-gain-equality")
 
-    for trial in range(min(cfg.n_trials("entropy-gain"), 50)):
-        rng = stream(seed, suite_idx, 2, trial)
+    for trial, rng in _trials(cfg, "entropy-gain", 2, min(n, 50)):
         d = int(rng.integers(lo, min(hi, 3) + 1))
         rho = random_density(d, int(rng.integers(1, d + 1)), rng)
         channel = random_subunital_channel(d, d + 1, 3, rng)
-        rep = check_entropy_gain_recovery(rho, channel, seed=seed, dims=(d, d + 1))
-        rows.append(report_row(_retol(rep, cfg), "entropy-gain", trial))
+        yield trial, check_entropy_gain_recovery(rho, channel, dims=(d, d + 1))
 
-    for trial in range(min(cfg.n_trials("entropy-gain"), 50)):
-        rng = stream(seed, suite_idx, 3, trial)
+    for trial, rng in _trials(cfg, "entropy-gain", 3, min(n, 50)):
         rho_ab = _state((("A", 2), ("B", 2)), int(rng.integers(1, 5)), rng)
         channel = random_channel(2, 2, int(rng.integers(1, 5)), rng)
-        rep = check_cond_entropy_gain(rho_ab, channel, seed=seed)
-        rows.append(report_row(_retol(rep, cfg), "entropy-gain", trial))
-    return rows
+        yield trial, check_cond_entropy_gain(rho_ab, channel)
 
 
 def _recovery_instance(rng, lo, hi):
@@ -258,14 +264,10 @@ def _recovery_instance(rng, lo, hi):
 
 
 def _run_recovery(cfg: CampaignConfig):
-    suite_idx = SUITES.index("recovery")
-    seed = cfg.master_seed
     lo, hi = cfg.dims[0], min(cfg.dims[1], 3)
-    rows = []
     n = cfg.n_trials("recovery")
 
-    for trial in range(n):
-        rng = stream(seed, suite_idx, 0, trial)
+    for trial, rng in _trials(cfg, "recovery", 0, n):
         rho, sigma, channel = _recovery_instance(rng, lo, hi)
         rec = integrated_recovery(sigma.matrix, channel)
         lhs = (
@@ -274,14 +276,10 @@ def _run_recovery(cfg: CampaignConfig):
         )
         recovered = rec.apply(channel.apply(rho.matrix))
         rhs = -math.log2(max(fidelity(rho.matrix, recovered), 1e-300))
-        rep = CheckReport(
-            "recovery-fid", lhs, rhs, tol=1e-6, seed=seed, dims=(rho.dim, channel.out_dim)
-        )
-        rows.append(report_row(_retol(rep, cfg), "recovery", trial))
+        yield trial, CheckReport("recovery-fid", lhs, rhs, tol=1e-6, dims=(rho.dim, channel.out_dim))
 
     nodes, weights = quadrature(cfg.quad())
-    for trial in range(min(n, 50)):
-        rng = stream(seed, suite_idx, 1, trial)
+    for trial, rng in _trials(cfg, "recovery", 1, min(n, 50)):
         rho, sigma, channel = _recovery_instance(rng, lo, hi)
         lhs = (
             rel_entropy(rho.matrix, sigma.matrix).value
@@ -290,33 +288,23 @@ def _run_recovery(cfg: CampaignConfig):
         out = channel.apply(rho.matrix)
         acc = 0.0
         for t, w in zip(nodes, weights):
-            rot = rotated_petz(RotatedPetzSpec(sigma.matrix, channel, t / 2.0))
+            rot = rotated_petz(sigma.matrix, channel, t / 2.0)
             acc += w * math.log2(max(fidelity(rho.matrix, rot.apply(out)), 1e-300))
-        rep = CheckReport(
-            "recovery-stronger", lhs, -acc, tol=1e-5, seed=seed, dims=(rho.dim, channel.out_dim)
+        yield trial, CheckReport(
+            "recovery-stronger", lhs, -acc, tol=1e-5, dims=(rho.dim, channel.out_dim)
         )
-        rows.append(report_row(_retol(rep, cfg), "recovery", trial))
 
-    for trial in range(n):
-        rng = stream(seed, suite_idx, 2, trial)
+    for trial, rng in _trials(cfg, "recovery", 2, n):
         rho, sigma, channel = _recovery_instance(rng, lo, hi)
         pm = petz_map(sigma.matrix, channel)
         dev = trace_norm(pm.apply(channel.apply(sigma.matrix)) - sigma.matrix)
-        rep = _deviation_report(
-            "petz-fixed-point", dev, 1e-9, seed, (sigma.dim, channel.out_dim)
-        )
-        rows.append(report_row(_retol(rep, cfg), "recovery", trial))
+        yield trial, _deviation_report("petz-fixed-point", dev, 1e-9, (sigma.dim, channel.out_dim))
 
-    for trial in range(n):
-        rng = stream(seed, suite_idx, 3, trial)
-        rep = _cmi_recovery_trial(rng, (2, 2, 2), seed)
-        rows.append(report_row(_retol(rep, cfg), "recovery", trial))
+    for trial, rng in _trials(cfg, "recovery", 3, n):
+        yield trial, _cmi_recovery_trial(rng, (2, 2, 2))
 
-    for trial in range(min(n, 20)):
-        rng = stream(seed, suite_idx, 4, trial)
-        rep = _markov_recovery_trial(rng, seed)
-        rows.append(report_row(_retol(rep, cfg), "recovery", trial))
-    return rows
+    for trial, rng in _trials(cfg, "recovery", 4, min(n, 20)):
+        yield trial, _markov_recovery_trial(rng)
 
 
 def _recover_abc(rho: DensityOperator) -> float:
@@ -335,17 +323,15 @@ def _recover_abc(rho: DensityOperator) -> float:
     return fidelity(rho.matrix, recovered.matrix)
 
 
-def _cmi_recovery_trial(rng, dims, seed) -> CheckReport:
+def _cmi_recovery_trial(rng, dims) -> CheckReport:
     d_a, d_b, d_c = dims
     rho = _state((("A", d_a), ("B", d_b), ("C", d_c)), int(rng.integers(2, d_a * d_b * d_c + 1)), rng)
     lhs = cmi(rho, "A", "B", "C")
     fid = _recover_abc(rho)
-    return CheckReport(
-        "cmi-recovery", lhs, -math.log2(max(fid, 1e-300)), tol=1e-6, seed=seed, dims=dims
-    )
+    return CheckReport("cmi-recovery", lhs, -math.log2(max(fid, 1e-300)), tol=1e-6, dims=dims)
 
 
-def _markov_recovery_trial(rng, seed) -> CheckReport:
+def _markov_recovery_trial(rng) -> CheckReport:
     """cq Markov chain: a classical channel on C of a B-C correlated cq state
     writes the A factor, so I(A;B|C) = 0 and recovery from C is exact."""
     p = rng.dirichlet(np.ones(2))
@@ -358,112 +344,77 @@ def _markov_recovery_trial(rng, seed) -> CheckReport:
         mat += p[c] * np.kron(np.kron(rho_a, rho_b), block)
     rho = DensityOperator((("A", 2), ("B", 2), ("C", 2)), mat)
     fid = _recover_abc(rho)
-    return _deviation_report(
-        "cmi-recovery-markov", 1.0 - fid, 1e-6, seed, (2, 2, 2), {"fidelity": fid}
-    )
+    return _deviation_report("cmi-recovery-markov", 1.0 - fid, 1e-6, (2, 2, 2), {"fidelity": fid})
 
 
 def _run_info_gain(cfg: CampaignConfig):
-    suite_idx = SUITES.index("info-gain")
-    seed = cfg.master_seed
     lo, hi = cfg.dims[0], min(cfg.dims[1], 3)
-    rows = []
     n = cfg.n_trials("info-gain")
 
-    for trial in range(n):
-        rng = stream(seed, suite_idx, 0, trial)
+    for trial, rng in _trials(cfg, "info-gain", 0, n):
         d = int(rng.integers(lo, hi + 1))
         instr = random_instrument(d, int(rng.integers(2, 5)), True, rng)
         rho = random_density(d, int(rng.integers(1, d + 1)), rng)
-        rep = check_info_gain_no_qsi(instr, rho, seed=seed)
-        rows.append(report_row(_retol(rep, cfg), "info-gain", trial))
+        rep = check_info_gain_no_qsi(instr, rho)
+        yield trial, rep
         gain = groenewold_gain(instr, rho)
-        dev = abs(gain - rep.lhs)
-        dev_rep = _deviation_report(
-            "groenewold-vs-mutual-info", dev, 1e-8, seed, (d,), {"groenewold_gain": gain}
+        yield trial, _deviation_report(
+            "groenewold-vs-mutual-info", abs(gain - rep.lhs), 1e-8, (d,), {"groenewold_gain": gain}
         )
-        rows.append(report_row(_retol(dev_rep, cfg), "info-gain", trial))
 
-    for trial in range(n):
-        rng = stream(seed, suite_idx, 1, trial)
+    for trial, rng in _trials(cfg, "info-gain", 1, n):
         d = int(rng.integers(lo, hi + 1))
         efficient = bool(rng.integers(2))
         instr = random_instrument(d, int(rng.integers(2, 5)), efficient, rng)
         rho = random_density(d, int(rng.integers(1, d + 1)), rng)
-        rep = check_info_gain_upper(instr, rho, seed=seed)
-        rows.append(report_row(_retol(rep, cfg), "info-gain", trial))
+        yield trial, check_info_gain_upper(instr, rho)
 
     # a pure input through a two-Kraus instrument yields mixed post states,
     # so the entropy reduction is strictly negative while the bound still holds
-    rng = stream(seed, suite_idx, 4, 0)
+    _, rng = next(_trials(cfg, "info-gain", 4, 1))
     instr = random_instrument(2, 2, False, rng)
     rho = random_density(2, 1, rng)
-    rep = check_info_gain_upper(instr, rho, seed=seed)
-    rows.append(report_row(_retol(rep, cfg), "info-gain", n))
+    rep = check_info_gain_upper(instr, rho)
+    yield n, rep
     gain = rep.aux["groenewold_gain"]
-    witness = CheckReport(
-        "negative-groenewold-witness",
-        lhs=-gain,
-        rhs=0.0,
-        tol=0.0,
-        seed=seed,
-        dims=(2,),
+    yield 0, CheckReport(
+        "negative-groenewold-witness", lhs=-gain, rhs=0.0, tol=0.0, dims=(2,),
         aux={"groenewold_gain": gain},
     )
-    rows.append(report_row(_retol(witness, cfg), "info-gain", 0))
 
-    for trial in range(n):
-        rng = stream(seed, suite_idx, 2, trial)
+    for trial, rng in _trials(cfg, "info-gain", 2, n):
         d = int(rng.integers(lo, hi + 1))
         instr = random_instrument(d, int(rng.integers(2, 5)), True, rng)
         rho = random_density(d, int(rng.integers(1, d + 1)), rng)
-        rep = check_efficient_second_law(instr, rho, seed=seed)
-        rows.append(report_row(_retol(rep, cfg), "info-gain", trial))
-    return rows
+        yield trial, check_efficient_second_law(instr, rho)
 
 
 def _run_info_gain_qsi(cfg: CampaignConfig):
-    suite_idx = SUITES.index("info-gain-qsi")
-    seed = cfg.master_seed
     quad = cfg.quad()
-    rows = []
-    for trial in range(cfg.n_trials("info-gain-qsi")):
-        rng = stream(seed, suite_idx, 0, trial)
+    for trial, rng in _trials(cfg, "info-gain-qsi", 0, cfg.n_trials("info-gain-qsi")):
         rho_ab = _state((("A", 2), ("B", 2)), int(rng.integers(2, 5)), rng)
         instr = random_instrument(2, int(rng.integers(2, 4)), True, rng)
-        rep = check_info_gain_qsi(instr, rho_ab, quad=quad, seed=seed)
-        rows.append(report_row(_retol(rep, cfg), "info-gain-qsi", trial))
-        tp_rep = _deviation_report(
-            "qsi-recovery-instrument-tp",
-            rep.aux["recovery_instrument_tp_dev"],
-            1e-8,
-            seed,
-            (2, 2),
+        rep = check_info_gain_qsi(instr, rho_ab, quad=quad)
+        yield trial, rep
+        yield trial, _deviation_report(
+            "qsi-recovery-instrument-tp", rep.aux["recovery_instrument_tp_dev"], 1e-8, (2, 2)
         )
-        rows.append(report_row(_retol(tp_rep, cfg), "info-gain-qsi", trial))
-    return rows
 
 
 def _run_disturbance(cfg: CampaignConfig):
-    suite_idx = SUITES.index("disturbance")
-    seed = cfg.master_seed
     lo, hi = cfg.dims[0], min(cfg.dims[1], 3)
-    rows = []
     n = cfg.n_trials("disturbance")
 
-    for trial in range(n):
-        rng = stream(seed, suite_idx, 0, trial)
+    for trial, rng in _trials(cfg, "disturbance", 0, n):
         d = int(rng.integers(lo, hi + 1))
         m = int(rng.integers(2, 5))
         probs = rng.dirichlet(np.ones(m))
         states = tuple(random_density(d, int(rng.integers(1, d + 1)), rng) for _ in range(m))
         ens = Ensemble(probs, states)
         channel = random_channel(d, d, int(rng.integers(1, 5)), rng)
-        rep = check_entropic_disturbance(ens, channel, seed=seed)
-        rows.append(report_row(_retol(rep, cfg), "disturbance", trial))
+        yield trial, check_entropic_disturbance(ens, channel)
 
-    for trial in range(min(n, 20)):
-        rng = stream(seed, suite_idx, 1, trial)
+    for trial, rng in _trials(cfg, "disturbance", 1, min(n, 20)):
         d = int(rng.integers(lo, hi + 1))
         basis = random_unitary(d, rng)
         m = int(rng.integers(2, 5))
@@ -476,24 +427,12 @@ def _run_disturbance(cfg: CampaignConfig):
         )
         ens = Ensemble(probs, states)
         projs = [np.outer(basis[:, i], basis[:, i].conj()) for i in range(d)]
-        dephasing = Channel(tuple(projs))
-        rep = check_entropic_disturbance(ens, dephasing, seed=seed)
-        rows.append(
-            report_row(_retol(rep, cfg), "disturbance", trial) | {"check": "disturbance-commuting"}
+        rep = check_entropic_disturbance(ens, Channel(tuple(projs)))
+        yield trial, replace(rep, name="disturbance-commuting")
+        yield trial, _deviation_report("disturbance-commuting-chi", abs(rep.lhs), 1e-9, (d,))
+        yield trial, _deviation_report(
+            "disturbance-commuting-fidelity", 1.0 - rep.aux["avg_sqrt_fid"], 1e-8, (d,)
         )
-        chi_rep = _deviation_report(
-            "disturbance-commuting-chi", abs(rep.lhs), 1e-9, seed, (d,)
-        )
-        rows.append(report_row(_retol(chi_rep, cfg), "disturbance", trial))
-        fid_rep = _deviation_report(
-            "disturbance-commuting-fidelity",
-            1.0 - rep.aux["avg_sqrt_fid"],
-            1e-8,
-            seed,
-            (d,),
-        )
-        rows.append(report_row(_retol(fid_rep, cfg), "disturbance", trial))
-    return rows
 
 
 def _random_config(rng) -> TripartiteConfiguration:
@@ -508,22 +447,16 @@ def _draw_interaction(cfg: CampaignConfig, rng) -> Interaction:
 
 
 def _run_cpdp(cfg: CampaignConfig):
-    suite_idx = SUITES.index("cpdp")
-    seed = cfg.master_seed
-    rows = []
     n = cfg.n_trials("cpdp")
 
-    for trial in range(n):
-        rng = stream(seed, suite_idx, 0, trial)
+    for trial, rng in _trials(cfg, "cpdp", 0, n):
         config = _random_config(rng)
         v = _draw_interaction(cfg, rng)
-        channel, rep = reduced_dynamics(config, v, seed=seed)
-        rows.append(report_row(_retol(rep, cfg), "cpdp", trial))
-        conv = converse_bound(config, v, channel, eps=1.0, seed=seed)
-        rows.append(report_row(_retol(conv, cfg), "cpdp", trial))
+        channel, rep = reduced_dynamics(config, v)
+        yield trial, rep
+        yield trial, converse_bound(config, v, channel, eps=1.0)
 
-    for trial in range(min(n, 10)):
-        rng = stream(seed, suite_idx, 1, trial)
+    for trial, rng in _trials(cfg, "cpdp", 1, min(n, 10)):
         rho_rq = _state((("R", 2), ("Q", 2)), int(rng.integers(2, 5)), rng)
         rho_e = random_density(2, int(rng.integers(1, 3)), rng)
         mat = np.kron(rho_rq.matrix, rho_e.matrix)
@@ -531,43 +464,35 @@ def _run_cpdp(cfg: CampaignConfig):
             DensityOperator((("R", 2), ("Q", 2), ("E", 2)), mat)
         )
         v = _draw_interaction(cfg, rng)
-        _, rep = reduced_dynamics(config, v, seed=seed)
-        fid_rep = _deviation_report(
-            "cpdp-forward-product", 1.0 - rep.aux["fidelity"], 1e-6, seed, (2, 2, 2)
+        _, rep = reduced_dynamics(config, v)
+        yield trial, _deviation_report(
+            "cpdp-forward-product", 1.0 - rep.aux["fidelity"], 1e-6, (2, 2, 2)
         )
-        rows.append(report_row(_retol(fid_rep, cfg), "cpdp", trial))
 
-    for trial in range(min(n, 20)):
-        rng = stream(seed, suite_idx, 2, trial)
+    for trial, rng in _trials(cfg, "cpdp", 2, min(n, 20)):
         config = _random_config(rng)
-        embed = identity_embedding(2, 2)
-        dev = abs(dp_slack(config, embed) - cmi_bound(config))
-        rep = _deviation_report("cpdp-embedding-consistency", dev, 1e-9, seed, (2, 2, 2))
-        rows.append(report_row(_retol(rep, cfg), "cpdp", trial))
-    return rows
+        dev = abs(dp_slack(config, identity_embedding(2, 2)) - cmi_bound(config))
+        yield trial, _deviation_report("cpdp-embedding-consistency", dev, 1e-9, (2, 2, 2))
 
 
-def _run_bosonic(cfg: CampaignConfig):
-    seed = cfg.master_seed
+def _bosonic_reports(cfg: CampaignConfig):
     trunc = bos.FockTruncation(cfg.bosonic_n_max)
-    guard = cfg.bosonic_guard
-    rows = []
-
-    def emit(rep):
-        rows.append(report_row(_retol(rep, cfg), "bosonic", len(rows)))
-
     for spec in bosonic_specs(trunc, BOSONIC_ETAS, BOSONIC_GAINS, BOSONIC_ADJOINT_COMPOSE_PAIRS):
-        emit(bos.check_almost_unital(spec, n_guard=guard, seed=seed))
-        emit(bos.check_adjoint_relation(spec, seed=seed))
+        yield bos.check_almost_unital(spec, n_guard=cfg.bosonic_guard)
+        yield bos.check_adjoint_relation(spec)
 
     states = bosonic_states(trunc, bos.DEFAULT_GUARD)
     for spec in bosonic_specs(trunc, BOSONIC_ETAS, BOSONIC_GAINS):
         for name, rho in states:
-            emit(bos.check_bosonic_entropy_gain(spec, rho, seed=seed, state_name=name))
+            yield bos.check_bosonic_entropy_gain(spec, rho, state_name=name)
 
-    emit(bos.check_loss_semigroup(0.9, 0.8, trunc, seed=seed))
-    emit(bos.check_loss_semigroup(0.7, 0.99, trunc, seed=seed))
-    return rows
+    yield bos.check_loss_semigroup(0.9, 0.8, trunc)
+    yield bos.check_loss_semigroup(0.7, 0.99, trunc)
+
+
+def _run_bosonic(cfg: CampaignConfig):
+    """No randomness: the rows are numbered in order."""
+    return enumerate(_bosonic_reports(cfg))
 
 
 def bosonic_states(trunc: bos.FockTruncation, guard: int):
@@ -602,9 +527,18 @@ _RUNNERS = {
 
 
 def run_suite(cfg: CampaignConfig, suite: str):
+    """Report rows of one suite.
+
+    The only place a row gets its seed, its tolerance and its trial number:
+    every report a runner yields is stamped with ``cfg.master_seed`` and, when
+    set, ``cfg.tol_override``.
+    """
     if suite not in SUITES:
         raise ConfigError(f"unknown suite {suite!r}")
-    return _RUNNERS[suite](cfg)
+    stamp = {"seed": cfg.master_seed}
+    if cfg.tol_override is not None:
+        stamp["tol"] = cfg.tol_override
+    return [report_row(replace(rep, **stamp), suite, trial) for trial, rep in _RUNNERS[suite](cfg)]
 
 
 def run_campaign(cfg: CampaignConfig):

@@ -58,7 +58,9 @@ def _config_from_args(args) -> CampaignConfig:
     fields: dict = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            fields.update(json.load(fh))
+            fields = json.load(fh)
+        if not isinstance(fields, dict):
+            raise ConfigError(f"config file must hold a JSON object, got {type(fields).__name__}")
     if args.suite != "all":
         fields["suites"] = [args.suite]
     elif "suites" not in fields:
@@ -66,12 +68,12 @@ def _config_from_args(args) -> CampaignConfig:
     if args.seed is not None:
         fields["master_seed"] = args.seed
     if args.trials is not None:
-        fields["trials"] = {s: args.trials for s in fields["suites"]}
+        fields["trials"] = dict.fromkeys(SUITES, args.trials)
     if args.dims is not None:
         parts = [int(x) for x in args.dims.split(",")]
         if len(parts) == 1:
             parts = [parts[0], parts[0]]
-        fields["dims"] = tuple(parts)
+        fields["dims"] = parts
     if args.tol is not None:
         fields["tol_override"] = args.tol
     if args.quad_nodes is not None:
@@ -82,10 +84,6 @@ def _config_from_args(args) -> CampaignConfig:
     unknown = set(fields) - allowed
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    if "suites" in fields:
-        fields["suites"] = tuple(fields["suites"])
-    if "dims" in fields:
-        fields["dims"] = tuple(fields["dims"])
     return CampaignConfig(**fields)
 
 
@@ -152,7 +150,7 @@ def _cmd_sweep(args) -> int:
     ok = True
     for spec in specs:
         for name, rho in states:
-            rep = bos.check_bosonic_entropy_gain(spec, rho, n_guard=guard, seed=None, state_name=name)
+            rep = bos.check_bosonic_entropy_gain(spec, rho, n_guard=guard, state_name=name)
             ok = ok and rep.holds
             rows.append(
                 report_row(rep, "bosonic-sweep", len(rows))

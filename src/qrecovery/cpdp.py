@@ -140,7 +140,6 @@ def reduced_dynamics(
     config: TripartiteConfiguration,
     v: Interaction,
     tol: float = 1e-6,
-    seed=None,
 ):
     """CPTP candidate for the reduced dynamics plus its fidelity certificate.
 
@@ -171,7 +170,6 @@ def reduced_dynamics(
         lhs=lhs,
         rhs=rhs,
         tol=tol,
-        seed=seed,
         dims=config.dims,
         aux={"fidelity": fid, "channel_kraus": len(channel.kraus)},
     )
@@ -191,7 +189,6 @@ def converse_bound(
     channel,
     eps: float,
     tol: float = 1e-8,
-    seed=None,
 ) -> CheckReport:
     """Approximate data processing from approximately CPTP reduced dynamics.
 
@@ -241,7 +238,6 @@ def converse_bound(
         lhs=min(lhs_dp - i_out, cmi_budget - cmi_val),
         rhs=0.0,
         tol=tol,
-        seed=seed,
         dims=config.dims,
         aux={
             "eps_given": eps,

@@ -34,7 +34,6 @@ from .qcore import (
 
 __all__ = [
     "NotCompletelyPositiveError",
-    "RotatedPetzSpec",
     "QuadratureSpec",
     "UhlmannResult",
     "p_weight",
@@ -144,29 +143,17 @@ def petz_map(sigma, channel: KrausMap) -> Channel:
     return Channel(tuple(left @ k.conj().T @ right for k in channel.kraus))
 
 
-@dataclass(frozen=True)
-class RotatedPetzSpec:
-    """Reference operator, channel, and rotation parameter for a swiveled Petz map."""
-
-    sigma: object
-    channel: KrausMap
-    t: float
-
-    def __post_init__(self):
-        _sigma_pair(self.sigma, self.channel)  # dimension check
-
-
-def rotated_petz(spec: RotatedPetzSpec) -> Channel:
+def rotated_petz(sigma, channel: KrausMap, t: float) -> Channel:
     """Swiveled Petz map: modular rotation by t on both ends of the Petz map.
 
     At ``t=0`` this is exactly :func:`petz_map`; for every t it still recovers
     sigma perfectly.
     """
-    sig, n_sig = _sigma_pair(spec.sigma, spec.channel)
-    t = float(spec.t)
+    sig, n_sig = _sigma_pair(sigma, channel)
+    t = float(t)
     left = complex_power(sig, 0.5 - 1j * t)
     right = complex_power(n_sig, -0.5 + 1j * t)
-    return Channel(tuple(left @ k.conj().T @ right for k in spec.channel.kraus))
+    return Channel(tuple(left @ k.conj().T @ right for k in channel.kraus))
 
 
 def _completion_state(completion_state, dim: int) -> np.ndarray:

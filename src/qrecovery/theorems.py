@@ -69,11 +69,9 @@ PROB_FLOOR = 1e-12
 
 
 def _require_tp(channel) -> None:
-    if isinstance(channel, KrausMap):
-        dev = float(np.abs(channel.kraus_gram() - np.eye(channel.in_dim)).max())
-    else:  # transfer-matrix map: trace-preserving iff the adjoint fixes I
-        eye = np.eye(channel.in_dim)
-        dev = float(np.abs(channel.adjoint().apply(eye) - eye).max())
+    """A Kraus or transfer-matrix map is trace-preserving iff its adjoint takes I to I."""
+    gram = adjoint(channel).apply(np.eye(channel.out_dim))
+    dev = float(np.abs(gram - np.eye(channel.in_dim)).max())
     if dev > 1e-9:
         raise ValueError(f"map is not trace-preserving: max deviation {dev:.3e}")
 
@@ -83,7 +81,7 @@ def _adjoint_compose_apply(channel, x: np.ndarray) -> np.ndarray:
     return adjoint(channel).apply(channel.apply(x))
 
 
-def check_entropy_gain(rho, channel, tol: float = 1e-8, seed=None, dims=()) -> CheckReport:
+def check_entropy_gain(rho, channel, tol: float = 1e-8, dims=()) -> CheckReport:
     """Entropy gain bound H(N(rho)) - H(rho) >= D(rho || (N^dag o N)(rho)).
 
     ``channel`` may be any positive trace-preserving map exposing ``apply``
@@ -98,14 +96,13 @@ def check_entropy_gain(rho, channel, tol: float = 1e-8, seed=None, dims=()) -> C
         lhs=lhs,
         rhs=d.value,
         tol=tol,
-        seed=seed,
         dims=dims or (mat.shape[0],),
         aux={"support_violation": d.support_violation},
     )
 
 
 def check_entropy_gain_recovery(
-    rho, channel: Channel, completion_state=None, tol: float = 1e-8, seed=None, dims=()
+    rho, channel: Channel, completion_state=None, tol: float = 1e-8, dims=()
 ) -> CheckReport:
     """Entropy gain bound with the adjoint-based recovery channel.
 
@@ -128,7 +125,6 @@ def check_entropy_gain_recovery(
         lhs=lhs,
         rhs=rhs,
         tol=tol,
-        seed=seed,
         dims=dims or (mat.shape[0],),
         aux={"rhs_adjoint_only": rhs_adjoint, "dominance_slack": rhs_adjoint - rhs},
     )
@@ -214,7 +210,7 @@ def minimal_entropy_gain(
 
 
 def check_cond_entropy_gain(
-    rho_ab: DensityOperator, channel: Channel, on: str | None = None, tol: float = 1e-8, seed=None
+    rho_ab: DensityOperator, channel: Channel, on: str | None = None, tol: float = 1e-8
 ) -> CheckReport:
     """Conditional-entropy gain under a local map on one factor:
 
@@ -239,7 +235,6 @@ def check_cond_entropy_gain(
         lhs=lhs,
         rhs=d.value,
         tol=tol,
-        seed=seed,
         dims=rho_ab.dims,
         aux={"support_violation": d.support_violation},
     )
@@ -330,7 +325,7 @@ def _avg(blocks, weights, dim: int) -> np.ndarray:
     return out
 
 
-def check_info_gain_upper(instr: Instrument, rho, tol: float = 1e-8, seed=None) -> CheckReport:
+def check_info_gain_upper(instr: Instrument, rho, tol: float = 1e-8) -> CheckReport:
     """General information-gain bound, valid for any quantum instrument:
 
     H(X)_sigma - D(rho || (N^dag o N)(rho)) >= I_G, with N the
@@ -347,14 +342,13 @@ def check_info_gain_upper(instr: Instrument, rho, tol: float = 1e-8, seed=None) 
         lhs=h_x - d.value,
         rhs=gain,
         tol=tol,
-        seed=seed,
         dims=(instr.in_dim,),
         aux={"h_x": h_x, "d_term": d.value, "groenewold_gain": gain, "efficient": instr.efficient},
     )
 
 
 def check_efficient_second_law(
-    instr: Instrument, rho: DensityOperator, completion_state=None, tol: float = 1e-8, seed=None
+    instr: Instrument, rho: DensityOperator, completion_state=None, tol: float = 1e-8
 ) -> CheckReport:
     """Second-law strengthening for efficient instruments:
 
@@ -377,15 +371,12 @@ def check_efficient_second_law(
         lhs=lhs,
         rhs=rhs,
         tol=tol,
-        seed=seed,
         dims=(instr.in_dim,),
         aux={"outcome_probs_min": float(probs.min()), "n_outcomes": instr.n_outcomes},
     )
 
 
-def check_info_gain_no_qsi(
-    instr: Instrument, rho: DensityOperator, tol: float = 1e-8, seed=None
-) -> CheckReport:
+def check_info_gain_no_qsi(instr: Instrument, rho: DensityOperator, tol: float = 1e-8) -> CheckReport:
     """Information gain of a measurement versus recoverability (no side info).
 
     Always checks I(R;X) >= -log F(sigma_RX, sigma_R (x) sigma_X); for
@@ -440,7 +431,6 @@ def check_info_gain_no_qsi(
         lhs=lhs,
         rhs=rhs,
         tol=tol,
-        seed=seed,
         dims=(instr.in_dim,),
         aux=aux,
     )
@@ -456,7 +446,6 @@ def check_info_gain_qsi(
     rho_ab: DensityOperator,
     quad: QuadratureSpec = QuadratureSpec(),
     tol: float = 1e-5,
-    seed=None,
 ) -> CheckReport:
     """Information gain with quantum side information versus B-side recovery.
 
@@ -549,7 +538,6 @@ def check_info_gain_qsi(
         lhs=lhs,
         rhs=rhs,
         tol=tol,
-        seed=seed,
         dims=rho_ab.dims,
         aux=aux,
     )
@@ -560,7 +548,6 @@ def check_entropic_disturbance(
     channel: Channel,
     completion_state=None,
     tol: float = 1e-6,
-    seed=None,
 ) -> CheckReport:
     """Holevo-information loss versus average recoverability:
 
@@ -586,7 +573,6 @@ def check_entropic_disturbance(
         lhs=lhs,
         rhs=rhs,
         tol=tol,
-        seed=seed,
         dims=(ens.states[0].dim, channel.out_dim),
         aux={
             "chi_in": chi_in,

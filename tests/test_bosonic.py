@@ -130,6 +130,16 @@ class TestAlmostUnital:
         assert recommended_guard(GaussianChannelSpec("loss", TRUNC, eta=0.9)) <= 15
         assert recommended_guard(GaussianChannelSpec("loss", TRUNC, eta=0.8)) > 15
 
+    @pytest.mark.parametrize("n_max", [10, 40])
+    def test_amplifier_needs_no_guard(self, n_max):
+        # output level m receives only from levels <= m, so A_G(I) = I/G on every level
+        for gain in (1.01, 1.1, 1.25):
+            spec = GaussianChannelSpec("amp", FockTruncation(n_max), gain=gain)
+            assert recommended_guard(spec) == 0
+            rep = check_almost_unital(spec, n_guard=None)
+            assert rep.aux["guard"] == 0
+            assert rep.holds and rep.rhs <= 1e-12
+
     def test_composition_constant(self):
         spec = GaussianChannelSpec("compose", TRUNC, eta=0.99, gain=1.1)
         rep = check_almost_unital(spec)

@@ -96,14 +96,43 @@ def test_negative_seed_exits_two(capsys):
         ("bosonic_guard", "true"),
         ("cpdp_isometric", '"no"'),
         ("cpdp_isometric", "1"),
+        ("trials", "[1]"),
+        ("trials", '{"entropy-gain": 1.7}'),
+        ("trials", '{"entropy-gain": true}'),
+        ("trials", '{"entropy-gain": "2"}'),
+        ("dims", "3"),
+        ("dims", "[2.9, 3.5]"),
+        ("dims", "[2, true]"),
+        ("dims", "[2, 3, 4]"),
+        ("dims", '"2,3"'),
     ],
 )
 def test_config_field_of_wrong_type_exits_two(tmp_path, capsys, key, value):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(f'{{"{key}": {value}, "trials": {{"entropy-gain": 2}}}}')
+    fields = {"trials": {"entropy-gain": 2}, key: json.loads(value)}
+    cfg.write_text(json.dumps(fields))
     assert run(["verify", "entropy-gain", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert "invalid config" in err and key in err
+
+
+@pytest.mark.parametrize(
+    "text,needle",
+    [
+        ("[1, 2]", "JSON object"),
+        ('[["master_seed", 3]]', "JSON object"),
+        ('"verify"', "JSON object"),
+        ('{"suites": 3}', "suites"),
+        ('{"suites": "cpdp"}', "suites"),
+    ],
+)
+@pytest.mark.parametrize("flags", [[], ["--trials", "2"]])
+def test_config_document_of_wrong_shape_exits_two(tmp_path, capsys, text, needle, flags):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert run(["verify", "all", "--config", str(cfg)] + flags) == 2
+    err = capsys.readouterr().err
+    assert "invalid config" in err and needle in err
 
 
 def test_config_numeric_fields_accept_ints_and_floats(tmp_path):

@@ -29,7 +29,6 @@ from qrecovery.qcore import (
 from qrecovery.recovery import (
     NotCompletelyPositiveError,
     QuadratureSpec,
-    RotatedPetzSpec,
     adjoint_recovery,
     cmi_recovery,
     integrated_recovery,
@@ -144,7 +143,7 @@ class TestRotatedPetz:
         rng = stream(31, 0)
         sigma = random_density(3, 3, rng)
         ch = random_channel(3, 3, 2, rng)
-        rot = rotated_petz(RotatedPetzSpec(sigma.matrix, ch, 0.0))
+        rot = rotated_petz(sigma.matrix, ch, 0.0)
         npt.assert_allclose(choi(rot), choi(petz_map(sigma.matrix, ch)), atol=1e-10)
 
     def test_maximally_mixed_reference_with_unital_channel(self):
@@ -154,19 +153,22 @@ class TestRotatedPetz:
 
         ch = random_mixed_unitary_channel(3, 3, rng)
         sigma = np.eye(3) / 3
-        base = choi(rotated_petz(RotatedPetzSpec(sigma, ch, 0.0)))
+        base = choi(rotated_petz(sigma, ch, 0.0))
         for t in (-2.0, -0.5, 0.7, 3.1):
-            npt.assert_allclose(
-                choi(rotated_petz(RotatedPetzSpec(sigma, ch, t))), base, atol=1e-10
-            )
+            npt.assert_allclose(choi(rotated_petz(sigma, ch, t)), base, atol=1e-10)
 
     @pytest.mark.parametrize("t", [-1.5, 0.0, 0.4, 2.0])
     def test_sigma_recovered_for_every_rotation(self, t):
         rng = stream(31, 2)
         sigma = random_density(3, 2, rng)
         ch = random_channel(3, 3, 2, rng)
-        rot = rotated_petz(RotatedPetzSpec(sigma.matrix, ch, t))
+        rot = rotated_petz(sigma.matrix, ch, t)
         assert trace_distance(rot.apply(ch.apply(sigma.matrix)), sigma.matrix) <= 1e-9
+
+    def test_sigma_dimension_checked(self):
+        ch = random_channel(3, 3, 2, stream(31, 3))
+        with pytest.raises(DimensionMismatchError):
+            rotated_petz(np.eye(2) / 2, ch, 0.3)
 
 
 class TestIntegratedRecovery:
@@ -201,7 +203,7 @@ class TestIntegratedRecovery:
 
         nodes, weights = quadrature(QuadratureSpec(nodes=1601, halfwidth=20.0, panels=80))
         ref = sum(
-            w * transfer_matrix(rotated_petz(RotatedPetzSpec(sigma, ch, t / 2)))
+            w * transfer_matrix(rotated_petz(sigma, ch, t / 2))
             for t, w in zip(nodes, weights)
         )
         tau = np.eye(d_in) / d_in
@@ -226,7 +228,7 @@ class TestIntegratedRecovery:
         # rebuilds it exactly from its (B, C) marginal
         from qrecovery.campaigns import _markov_recovery_trial
 
-        rep = _markov_recovery_trial(stream(32, 4, seed), seed)
+        rep = _markov_recovery_trial(stream(32, 4, seed))
         assert abs(1.0 - rep.aux["fidelity"]) <= 1e-12
 
     def test_completion_routes_complement_to_tau(self):
@@ -286,7 +288,7 @@ class TestCmiRecovery:
         rho_ac = DensityOperator((("A", 2), ("C", 2)), random_density(4, 4, rng).matrix)
         trace_a = partial_trace_channel(rho_ac.systems, "A")
         rec = cmi_recovery(rho_ac, 0.7)
-        generic = rotated_petz(RotatedPetzSpec(rho_ac.matrix, trace_a, 0.35))
+        generic = rotated_petz(rho_ac.matrix, trace_a, 0.35)
         npt.assert_allclose(choi(rec), choi(generic), atol=1e-10)
 
 
@@ -437,7 +439,7 @@ class TestRecoverabilityInequality:
             * math.log2(
                 fidelity(
                     rho.matrix,
-                    rotated_petz(RotatedPetzSpec(sigma.matrix, ch, t / 2)).apply(out),
+                    rotated_petz(sigma.matrix, ch, t / 2).apply(out),
                 )
             )
             for t, w in zip(nodes, weights)

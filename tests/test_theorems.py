@@ -92,6 +92,21 @@ class TestEntropyGain:
         with pytest.raises(ValueError, match="trace-preserving"):
             check_entropy_gain(PLUS, half)
 
+    def test_non_trace_preserving_deviation_same_in_both_forms(self):
+        # the deviation is max |sum K^dag K - I| in Kraus and transfer form
+        half = Channel((np.eye(2) / 2,))
+        for channel in (half, TransferMap.from_kraus(half)):
+            with pytest.raises(ValueError, match="trace-preserving: max deviation 7.500e-01"):
+                check_entropy_gain(PLUS, channel)
+
+    def test_rectangular_transfer_map_accepted(self):
+        rng = stream(40, 4)
+        ch = random_channel(2, 3, 2, rng)
+        rho = random_density(2, 2, rng)
+        rep = check_entropy_gain(rho, TransferMap.from_kraus(ch))
+        assert rep.lhs == pytest.approx(check_entropy_gain(rho, ch).lhs, abs=1e-12)
+        assert rep.holds
+
 
 class TestEntropyGainRecovery:
     def test_unitary_all_zero(self):
