@@ -150,6 +150,8 @@ class CampaignConfig:
                 raise ConfigError(f"trials for {k!r} must be an integer, got {v!r}")
             if v < 1:
                 raise ConfigError("trials must be at least 1")
+        if self.trials.get("bosonic", 1) != 1:
+            raise ConfigError("trials for 'bosonic' must be 1: the suite is one deterministic round")
         object.__setattr__(self, "trials", dict(self.trials))
         if not isinstance(self.dims, (list, tuple)) or len(self.dims) != 2 or not all(
             _has_type(d, (int,)) for d in self.dims

@@ -39,7 +39,7 @@ def _add_verify_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("suite", help="suite name or 'all'")
     p.add_argument("--config", help="JSON config file; explicit flags win")
     p.add_argument("--seed", type=int, help="master seed")
-    p.add_argument("--trials", type=int, help="trials per selected suite")
+    p.add_argument("--trials", type=int, help="trials per selected suite (bosonic always makes one)")
     p.add_argument("--dims", help="dimension range lo,hi for random instances")
     p.add_argument("--tol", type=float, help="override every check tolerance")
     p.add_argument(
@@ -68,7 +68,8 @@ def _config_from_args(args) -> CampaignConfig:
     if args.seed is not None:
         fields["master_seed"] = args.seed
     if args.trials is not None:
-        fields["trials"] = dict.fromkeys(SUITES, args.trials)
+        # the bosonic suite is one deterministic round whatever the count
+        fields["trials"] = dict.fromkeys((s for s in SUITES if s != "bosonic"), args.trials)
     if args.dims is not None:
         parts = [int(x) for x in args.dims.split(",")]
         if len(parts) == 1:

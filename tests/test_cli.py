@@ -100,6 +100,7 @@ def test_negative_seed_exits_two(capsys):
         ("trials", '{"entropy-gain": 1.7}'),
         ("trials", '{"entropy-gain": true}'),
         ("trials", '{"entropy-gain": "2"}'),
+        ("trials", '{"bosonic": 3}'),
         ("dims", "3"),
         ("dims", "[2.9, 3.5]"),
         ("dims", "[2, true]"),
@@ -114,6 +115,14 @@ def test_config_field_of_wrong_type_exits_two(tmp_path, capsys, key, value):
     assert run(["verify", "entropy-gain", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert "invalid config" in err and key in err
+
+
+def test_trials_flag_leaves_bosonic_at_one(tmp_path):
+    # the bosonic suite is one deterministic round, so the report must not echo 3
+    out = tmp_path / "r.json"
+    assert run(["verify", "bosonic", "--seed", "7", "--trials", "3", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["config"]["trials"] == {"bosonic": 1}
 
 
 @pytest.mark.parametrize(

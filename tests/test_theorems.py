@@ -3,14 +3,18 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy import optimize
 
-from qrecovery.entropy import entropy, fidelity
+from qrecovery import theorems
+from qrecovery.entropy import binary_entropy, entropy, fidelity
 from qrecovery.qcore import (
     Channel,
     DensityOperator,
     Ensemble,
     Instrument,
+    KrausMap,
     TransferMap,
+    adjoint,
     random_channel,
     random_density,
     random_instrument,
@@ -21,6 +25,7 @@ from qrecovery.qcore import (
 )
 from qrecovery.recovery import QuadratureSpec
 from qrecovery.theorems import (
+    STATIONARITY_TOL,
     OptimizerBudget,
     check_cond_entropy_gain,
     check_efficient_second_law,
@@ -178,6 +183,121 @@ class TestMinimalEntropyGain:
         u = random_unitary(2, stream(42, 3))
         res = minimal_entropy_gain(Channel((u,)), OptimizerBudget(1, 1), seed=1)
         assert res.evals >= 1
+
+    def test_non_trace_preserving_map_rejected(self):
+        # unchecked, 2I gave value -8 and lower_bound -4, outside [-log2 d, 0]
+        with pytest.raises(ValueError, match="trace-preserving"):
+            minimal_entropy_gain(KrausMap((2 * np.eye(2),)), OptimizerBudget(1, 10), seed=1)
+
+    @pytest.mark.parametrize("trial", range(20))
+    def test_certificate_on_criterion_9_channels(self, trial):
+        ch, rng = _criterion_9_instance(trial)
+        res = minimal_entropy_gain(ch, OptimizerBudget(), seed=rng)
+        assert res.converged
+        assert 0.0 <= res.stationarity <= STATIONARITY_TOL
+        assert res.value == entropy(ch.apply(res.argmin)) - entropy(res.argmin)
+
+    def test_not_converged_at_smallest_budget(self):
+        # a non-unital channel moves I/d, so one evaluation leaves a gradient
+        ch = random_channel(3, 3, 2, stream(42, 4))
+        res = minimal_entropy_gain(ch, OptimizerBudget(1, 1), seed=1)
+        assert not res.converged
+        assert res.stationarity > STATIONARITY_TOL
+
+    def test_stationarity_reads_the_support_only(self):
+        # the kernel entry 5 of the gradient is not part of the certificate
+        rho = np.diag([0.5, 0.5, 0.0])
+        assert theorems._stationarity(rho, np.diag([1.0, 1.0, 5.0])) == 0.0
+        spread = theorems._stationarity(rho, np.diag([1.0, 1.5, 5.0]))
+        assert spread == pytest.approx(0.5 / math.log(2.0), abs=1e-14)
+
+    @pytest.mark.parametrize("kind", ["rank-one", "zero"])
+    def test_objective_finite_at_degenerate_factor(self, kind):
+        d = 3
+        rng = stream(42, 5)
+        ch = random_channel(d, d, 2, rng)
+        objective = theorems._gain_objective(ch, adjoint(ch))
+        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        factor = np.outer(v, rng.standard_normal(d)) if kind == "rank-one" else np.zeros((d, d))
+        value, grad = objective(np.concatenate([factor.real.ravel(), factor.imag.ravel()]))
+        assert np.isfinite(value) and np.all(np.isfinite(grad))
+        if kind == "rank-one":
+            psi = np.outer(v, v.conj()) / np.vdot(v, v).real
+            assert value == pytest.approx(entropy(ch.apply(psi)), abs=1e-10)
+        else:
+            # the I/d fallback, where the gradient in L vanishes with L
+            assert value == pytest.approx(entropy(ch.apply(np.eye(d) / d)) - math.log2(d), abs=1e-12)
+            assert not grad.any()
+
+
+def _criterion_9_instance(trial):
+    """Channel and optimizer rng of acceptance criterion 9's trial."""
+    rng = stream(1234, 90, trial)
+    d = int(rng.integers(2, 4))
+    return random_channel(d, d, int(rng.integers(1, 5)), rng), rng
+
+
+def _nelder_mead_gain(channel, restarts, max_evals, seed):
+    """Derivative-free reference: Nelder-Mead over rho = L L^dag / Tr(L L^dag)
+    from the maximally mixed state plus random starts."""
+    d = channel.in_dim
+    rng = np.random.default_rng(seed)
+
+    def to_rho(x):
+        factor = (x[: d * d] + 1j * x[d * d :]).reshape(d, d)
+        mat = factor @ factor.conj().T
+        return mat / np.real(np.trace(mat))
+
+    def objective(x):
+        rho = to_rho(x)
+        return entropy(channel.apply(rho)) - entropy(rho)
+
+    starts = [np.concatenate([np.eye(d).ravel(), np.zeros(d * d)])]
+    starts += [rng.standard_normal(2 * d * d) for _ in range(restarts - 1)]
+    return min(
+        optimize.minimize(
+            objective, x0, method="Nelder-Mead",
+            options={"maxfev": max_evals, "xatol": 1e-9, "fatol": 1e-12},
+        ).fun
+        for x0 in starts
+    )
+
+
+class TestMinimalEntropyGainOracle:
+    """The gradient search is no worse than the Nelder-Mead reference."""
+
+    @pytest.mark.parametrize("trial", [1, 3, 4, 12])
+    def test_criterion_9_channels(self, trial):
+        ch, rng = _criterion_9_instance(trial)
+        res = minimal_entropy_gain(ch, OptimizerBudget(), seed=rng)
+        assert res.value <= _nelder_mead_gain(ch, 2, 1500, seed=trial) + 1e-9
+
+    def test_unitary_and_replacer(self):
+        rng = stream(42, 6)
+        u = random_unitary(2, rng)
+        psi = random_unitary(2, rng)[:, 0]
+        replacer = Channel((np.outer(psi, [1.0, 0.0]), np.outer(psi, [0.0, 1.0])))
+        for ch, closed_form in ((Channel((u,)), 0.0), (replacer, -1.0)):
+            res = minimal_entropy_gain(ch, OptimizerBudget(), seed=rng)
+            assert res.value <= _nelder_mead_gain(ch, 2, 1500, seed=0) + 1e-9
+            assert res.value == pytest.approx(closed_form, abs=1e-8)
+
+    def test_decay_matches_scalar_minimum(self):
+        # the output depends on diag(rho) only, so diagonal inputs attain the minimum
+        p = 0.6
+        ch = Channel((
+            np.array([[1.0, 0.0], [0.0, 0.0]]),
+            np.array([[0.0, math.sqrt(p)], [0.0, 0.0]]),
+            np.array([[0.0, 0.0], [0.0, math.sqrt(1.0 - p)]]),
+        ))
+        scalar = optimize.minimize_scalar(
+            lambda q: binary_entropy((1.0 - p) * q) - binary_entropy(q),
+            bounds=(0.0, 1.0), method="bounded",
+            options={"xatol": 1e-12},
+        )
+        res = minimal_entropy_gain(ch, OptimizerBudget(), seed=6)
+        assert res.value == pytest.approx(scalar.fun, abs=1e-8)
+        assert res.value <= _nelder_mead_gain(ch, 2, 1500, seed=6) + 1e-9
 
 
 class TestCondEntropyGain:
