@@ -48,7 +48,7 @@ from .recovery import (
     integrated_recovery,
     petz_map,
     quadrature,
-    rotated_petz,
+    swiveled_root_fidelities,
 )
 from .reports import CheckReport, report_row
 from .theorems import (
@@ -287,11 +287,8 @@ def _run_recovery(cfg: CampaignConfig):
             rel_entropy(rho.matrix, sigma.matrix).value
             - rel_entropy(channel.apply(rho.matrix), channel.apply(sigma.matrix)).value
         )
-        out = channel.apply(rho.matrix)
-        acc = 0.0
-        for t, w in zip(nodes, weights):
-            rot = rotated_petz(sigma.matrix, channel, t / 2.0)
-            acc += w * math.log2(max(fidelity(rho.matrix, rot.apply(out)), 1e-300))
+        sqrt_fids = swiveled_root_fidelities(rho.matrix, sigma.matrix, channel, nodes)
+        acc = float(weights @ np.log2(np.maximum(sqrt_fids**2, 1e-300)))
         yield trial, CheckReport(
             "recovery-stronger", lhs, -acc, tol=1e-5, dims=(rho.dim, channel.out_dim)
         )

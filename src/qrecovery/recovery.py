@@ -12,6 +12,12 @@ the rotated maps over ``p_weight`` in closed form (the rotation enters
 linearly through phases whose average is ``w / sinh w``) and adds a
 completion term ``Tr{(I - Pi) . } tau`` on the kernel of ``N(sigma)``, which
 restores exact trace preservation.
+
+Integrands that are nonlinear in the rotation, such as ``log F(rho,
+R^{t/2}(N(rho)))``, are evaluated at every quadrature node at once: the
+swiveled Kraus operators differ between nodes only by diagonal phases in the
+support eigenbases (:func:`swiveled_kraus`), and the root fidelity of every
+node comes from one stacked SVD (:func:`stacked_root_fidelity`).
 """
 
 from __future__ import annotations
@@ -21,7 +27,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .matfun import complex_power, eig_hermitian
+from .entropy import _psd_sqrt
+from .matfun import Spectrum, complex_power, eig_hermitian
 from .qcore import (
     Channel,
     DensityOperator,
@@ -40,6 +47,9 @@ __all__ = [
     "quadrature",
     "petz_map",
     "rotated_petz",
+    "swiveled_kraus",
+    "stacked_root_fidelity",
+    "swiveled_root_fidelities",
     "integrated_recovery",
     "cmi_recovery",
     "adjoint_recovery",
@@ -156,6 +166,62 @@ def rotated_petz(sigma, channel: KrausMap, t: float) -> Channel:
     return Channel(tuple(left @ k.conj().T @ right for k in channel.kraus))
 
 
+def _petz_core(spec_sig: Spectrum, spec_out: Spectrum, kraus):
+    """Support eigenbases u, v, their eigenvalues lam, mu, and the Petz Kraus
+    operators lam^{1/2} u^dag K_k^dag v mu^{-1/2} in those bases, stacked (K, r_in, r_out)."""
+    in_supp = spec_sig.eigenvalues > spec_sig.cutoff
+    out_supp = spec_out.eigenvalues > spec_out.cutoff
+    u = spec_sig.eigenvectors[:, in_supp]
+    v = spec_out.eigenvectors[:, out_supp]
+    lam = spec_sig.eigenvalues[in_supp]
+    mu = spec_out.eigenvalues[out_supp]
+    scale = np.sqrt(lam)[:, None] / np.sqrt(mu)[None, :]
+    core = np.stack([scale * (u.conj().T @ k.conj().T @ v) for k in kraus])
+    return u, lam, v, mu, core
+
+
+def swiveled_kraus(spec_sig: Spectrum, spec_out: Spectrum, kraus, t) -> np.ndarray:
+    """Kraus operators sigma^{(1-it)/2} K_k^dag N(sigma)^{(-1+it)/2} of the
+    swiveled Petz map R^{t/2} for every node of ``t``, stacked (T, K, d_in, d_out).
+
+    ``spec_sig`` and ``spec_out`` are the spectra of sigma and of the output
+    reference N(sigma) (any PSD operator on the output space will do); powers
+    act on their supports as in :func:`rotated_petz`.  Between nodes only the
+    phases lam^{-it/2} and mu^{it/2} change, so the Petz core is built once.
+    """
+    u, lam, v, mu, core = _petz_core(spec_sig, spec_out, kraus)
+    half = np.asarray(t, dtype=float)[:, None] / 2.0
+    left = u * np.exp(-1j * half * np.log(lam))[:, None, :]
+    right = np.exp(1j * half * np.log(mu))[:, :, None] * v.conj().T
+    return left[:, None] @ core @ right[:, None]
+
+
+def stacked_root_fidelity(sqrt_rho: np.ndarray, kraus: np.ndarray, sqrt_x: np.ndarray,
+                          lead: int = 1) -> np.ndarray:
+    """sqrt F(rho, sum_k A_k X A_k^dag) for every node of a Kraus stack, by one stacked SVD.
+
+    ``kraus`` is (T, K, d_out, d_in); each A_k = I_lead (x) kraus[j, k] acts
+    on the last factor of X.  With W = sqrt(X) the root fidelity is the trace
+    norm ||sqrt(rho) [A_1 W ... A_K W]||_1, so no recovered state and no
+    square root of it is formed.
+    """
+    n_nodes, n_kraus, d_out, d_in = kraus.shape
+    w = np.asarray(sqrt_x).reshape(lead, d_in, -1)
+    cols = (kraus[:, :, None] @ w).reshape(n_nodes, n_kraus, lead * d_out, -1)
+    m = (sqrt_rho @ cols).transpose(0, 2, 1, 3)
+    stack = m.reshape(n_nodes, m.shape[1], -1)
+    return np.linalg.svd(stack, compute_uv=False).sum(axis=-1)
+
+
+def swiveled_root_fidelities(rho, sigma, channel: KrausMap, t) -> np.ndarray:
+    """sqrt F(rho, R^{t/2}(N(rho))) at every node of ``t``, with R^{t/2} the
+    swiveled Petz map of :func:`rotated_petz` for (sigma, N)."""
+    sig, n_sig = _sigma_pair(sigma, channel)
+    mat = as_matrix(rho)
+    ks = swiveled_kraus(eig_hermitian(sig), eig_hermitian(n_sig), channel.kraus, t)
+    return stacked_root_fidelity(_psd_sqrt(mat), ks, _psd_sqrt(channel.apply(mat)))
+
+
 def _completion_state(completion_state, dim: int) -> np.ndarray:
     """The completion state tau on a dim-dimensional input: I/d by default,
     otherwise a validated density operator."""
@@ -209,17 +275,10 @@ def integrated_recovery(sigma, channel: KrausMap, completion_state=None) -> Chan
     """
     sig, n_sig = _sigma_pair(sigma, channel)
     tau = _completion_state(completion_state, channel.in_dim)
-    spec_sig = eig_hermitian(sig)
     spec_out = eig_hermitian(n_sig)
-    in_supp = spec_sig.eigenvalues > spec_sig.cutoff
-    out_supp = spec_out.eigenvalues > spec_out.cutoff
-    u = spec_sig.eigenvectors[:, in_supp]
-    v = spec_out.eigenvectors[:, out_supp]
-    lam = spec_sig.eigenvalues[in_supp]
-    mu = spec_out.eigenvalues[out_supp]
-    # rows: vec of the Petz Kraus operators lam^{1/2} K^dag mu^{-1/2} in the support eigenbases
-    scale = np.sqrt(lam)[:, None] / np.sqrt(mu)[None, :]
-    petz = np.stack([(scale * (u.conj().T @ k.conj().T @ v)).reshape(-1) for k in channel.kraus])
+    u, lam, v, mu, core = _petz_core(eig_hermitian(sig), spec_out, channel.kraus)
+    # rows: vec of the Petz Kraus operators in the support eigenbases
+    petz = core.reshape(len(channel.kraus), -1)
     half_log = ((np.log(mu)[None, :] - np.log(lam)[:, None]) / 2.0).reshape(-1)
     w = half_log[:, None] - half_log[None, :]
     with np.errstate(invalid="ignore"):
@@ -230,7 +289,7 @@ def integrated_recovery(sigma, channel: KrausMap, completion_state=None) -> Chan
         for e, vec in zip(spec.eigenvalues, spec.eigenvectors.T)
         if e > 0.0
     ]
-    kernel = spec_out.eigenvectors[:, ~out_supp]
+    kernel = spec_out.eigenvectors[:, spec_out.eigenvalues <= spec_out.cutoff]
     ks.extend(_completion_kraus(kernel, np.ones(kernel.shape[1]), tau))
     return Channel(tuple(ks))
 

@@ -16,6 +16,7 @@ from scipy import optimize
 
 from .entropy import (
     NAT_TO_BITS,
+    _psd_sqrt,
     cond_entropy,
     entropy,
     fidelity,
@@ -29,7 +30,6 @@ from .qcore import (
     DensityOperator,
     Ensemble,
     Instrument,
-    KrausMap,
     Purification,
     _rng,
     adjoint,
@@ -45,6 +45,8 @@ from .recovery import (
     adjoint_recovery,
     integrated_recovery,
     quadrature,
+    stacked_root_fidelity,
+    swiveled_kraus,
     uhlmann_isometry,
 )
 from .reports import CheckReport
@@ -493,7 +495,7 @@ def check_info_gain_no_qsi(instr: Instrument, rho: DensityOperator, tol: float =
         phi_sigma = Purification(a_label, phi.systems, phi.vector)
         uhlmann_sqrt = []
         max_dev = 0.0
-        for p, post, block_r in zip(probs, posts_ra, posts_r):
+        for p, post, sqrt_fid in zip(probs, posts_ra, sqrt_fids):
             if p <= PROB_FLOOR or post is None:
                 uhlmann_sqrt.append(0.0)
                 continue
@@ -501,7 +503,7 @@ def check_info_gain_no_qsi(instr: Instrument, rho: DensityOperator, tol: float =
             phi_rho = Purification(out_label, (("R", r_dim), (out_label, instr.out_dim)), vec)
             res = uhlmann_isometry(phi_rho, phi_sigma)
             uhlmann_sqrt.append(math.sqrt(max(res.achieved, 0.0)))
-            max_dev = max(max_dev, abs(res.achieved - fidelity(block_r, sigma_r)))
+            max_dev = max(max_dev, abs(res.achieved - sqrt_fid**2))
         avg_u = float(np.sum(probs * np.array(uhlmann_sqrt)))
         rhs = -2.0 * math.log2(max(avg_u, 1e-300))
         aux["per_outcome_sqrt_fid_uhlmann"] = [float(s) for s in uhlmann_sqrt]
@@ -521,6 +523,21 @@ def _pure_vector(density: np.ndarray) -> np.ndarray:
     return spec.eigenvectors[:, -1] * math.sqrt(max(float(spec.eigenvalues[-1]), 0.0))
 
 
+def _b_rotated_overlaps(phi: Purification, a_label: str, g: np.ndarray, phi_post: Purification):
+    """Uhlmann overlaps of (I_RA (x) g_t)|phi> with ``phi_post`` for every g_t
+    of a (T, d_B, d_B) stack, B the last factor of ``phi``.
+
+    With A as the reference, the amplitude matrix of the rotated purification
+    is M (I_R (x) g_t)^T, M that of ``phi``; one batched SVD of the overlap
+    matrices then gives every ``uhlmann_isometry(...).achieved``.
+    """
+    m_in = Purification(a_label, phi.systems, phi.vector).amplitude_matrix()
+    d_a, d_b = m_in.shape[0], g.shape[-1]
+    m_rec = (m_in.reshape(d_a, -1, d_b) @ g.swapaxes(1, 2)[:, None]).reshape(len(g), d_a, -1)
+    overlap = m_rec @ phi_post.amplitude_matrix().conj().T
+    return np.linalg.svd(overlap, compute_uv=False).sum(axis=-1) ** 2
+
+
 def check_info_gain_qsi(
     instr: Instrument,
     rho_ab: DensityOperator,
@@ -536,9 +553,22 @@ def check_info_gain_qsi(
                                         R_B^{x,t/2}(omega_RB)) ],
 
     where {p(x) R_B^{x,t/2}} is the B-side recovery instrument built from
-    modular powers of omega_B^x and omega_B.  The report records how far that
-    family is from summing to a trace-preserving map, and for efficient
-    instruments the per-node Uhlmann-achieved fidelities are cross-checked.
+    modular powers of omega_B^x and omega_B: R_B^{x,t/2} acts as I_R (x) g_t
+    with g_t = (omega_B^x)^{(1-it)/2} omega_B^{(-1+it)/2}.
+
+    Evaluation: for each outcome, :func:`swiveled_kraus` stacks g_t over all
+    quadrature nodes (only diagonal phases change between nodes), and
+    :func:`stacked_root_fidelity` gets every node's root fidelity as
+    ||sqrt(omega^x_RB) (I_R (x) g_t) sqrt(omega_RB)||_1 from one stacked SVD.
+    The same g_t stack gives the trace-preservation sums
+    sum_x p(x) g_t^dag g_t, whose largest deviation from the support
+    projector of omega_B is ``recovery_instrument_tp_dev``.  For efficient
+    instruments every (node, outcome) fidelity is cross-checked against the
+    Uhlmann overlap of the rotated input purification with the
+    post-measurement purification, computed apart from the fidelity SVD from
+    the purifications' amplitude matrices; the largest gap is
+    ``uhlmann_vs_fidelity_max_dev``.  ``low_confidence`` flags a node
+    fidelity below 1e-14.
     """
     if len(rho_ab.systems) != 2:
         raise ValueError("check_info_gain_qsi expects a bipartite input state")
@@ -567,42 +597,33 @@ def check_info_gain_qsi(
     spec_b = eig_hermitian(omega_b)
     support_b = spec_b.eigenvectors[:, spec_b.eigenvalues > spec_b.cutoff]
     proj_b = support_b @ support_b.conj().T
-    spectra_x = [eig_hermitian(block) if block is not None else None for block in omega_bx]
+    sqrt_rb = _psd_sqrt(omega_rb)
 
-    rb_systems = (("R", r_dim), (b_label, d_b))
-    integral = 0.0
-    tp_dev = 0.0
+    node_sum = np.zeros(len(nodes))
+    tp_acc = np.zeros((len(nodes), d_b, d_b), dtype=complex)
     low_confidence = False
-    min_node_sum = math.inf
     uhlmann_dev = 0.0
-    for t_node, w in zip(nodes, weights):
-        right = spec_b.power((-1.0 + 1j * t_node) / 2.0)
-        tp_acc = np.zeros((d_b, d_b), dtype=complex)
-        node_sum = 0.0
-        for x in range(instr.n_outcomes):
-            if probs[x] <= PROB_FLOOR or posts_rb[x] is None:
-                continue
-            left = spectra_x[x].power((1.0 - 1j * t_node) / 2.0)
-            g = left @ right
-            tp_acc += probs[x] * (g.conj().T @ g)
-            recovered, _ = apply_on(KrausMap((g,)), omega_rb, rb_systems, b_label)
-            f = fidelity(posts_rb[x], recovered)
-            if f < 1e-14:
-                low_confidence = True
-            node_sum += probs[x] * math.sqrt(max(f, 0.0))
-            if instr.efficient:
-                # g on B, the last factor of the purification (R, A, B)
-                phi_rec = Purification(a_label, phi.systems, (phi.vector.reshape(-1, d_b) @ g.T).reshape(-1))
-                phi_post = Purification(
-                    out_label,
-                    (("R", r_dim), (out_label, instr.out_dim), (b_label, d_b)),
-                    _pure_vector(posts_rab[x]),
-                )
-                res = uhlmann_isometry(phi_rec, phi_post)
-                uhlmann_dev = max(uhlmann_dev, abs(res.achieved - f))
-        min_node_sum = min(min_node_sum, node_sum)
-        tp_dev = max(tp_dev, float(np.abs(tp_acc - proj_b).max()))
-        integral += w * math.log2(max(node_sum, 1e-300))
+    for x in range(instr.n_outcomes):
+        if probs[x] <= PROB_FLOOR or posts_rb[x] is None:
+            continue
+        # g_t = (omega_B^x)^{(1-it)/2} omega_B^{(-1+it)/2} at every node, (T, d_B, d_B)
+        g = swiveled_kraus(eig_hermitian(omega_bx[x]), spec_b, (np.eye(d_b),), nodes)
+        tp_acc += probs[x] * (g[:, 0].conj().swapaxes(1, 2) @ g[:, 0])
+        sqrt_f = stacked_root_fidelity(_psd_sqrt(posts_rb[x]), g, sqrt_rb, lead=r_dim)
+        f = sqrt_f**2
+        low_confidence = low_confidence or bool((f < 1e-14).any())
+        node_sum += probs[x] * sqrt_f
+        if instr.efficient:
+            phi_post = Purification(
+                out_label,
+                (("R", r_dim), (out_label, instr.out_dim), (b_label, d_b)),
+                _pure_vector(posts_rab[x]),
+            )
+            achieved = _b_rotated_overlaps(phi, a_label, g[:, 0], phi_post)
+            uhlmann_dev = max(uhlmann_dev, float(np.abs(achieved - f).max()))
+    min_node_sum = float(node_sum.min())
+    tp_dev = float(np.abs(tp_acc - proj_b).max())
+    integral = float(weights @ np.log2(np.maximum(node_sum, 1e-300)))
     rhs = -2.0 * integral
     aux = {
         "recovery_instrument_tp_dev": tp_dev,

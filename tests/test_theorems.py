@@ -3,18 +3,23 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import optimize
 
 from qrecovery import theorems
 from qrecovery.entropy import binary_entropy, entropy, fidelity
+from qrecovery.matfun import eig_hermitian
 from qrecovery.qcore import (
     Channel,
     DensityOperator,
     Ensemble,
     Instrument,
     KrausMap,
+    Purification,
     TransferMap,
     adjoint,
+    apply_on,
+    ptrace,
     random_channel,
     random_density,
     random_instrument,
@@ -23,7 +28,7 @@ from qrecovery.qcore import (
     stream,
     transpose_map,
 )
-from qrecovery.recovery import QuadratureSpec
+from qrecovery.recovery import QuadratureSpec, quadrature, swiveled_kraus, uhlmann_isometry
 from qrecovery.theorems import (
     STATIONARITY_TOL,
     OptimizerBudget,
@@ -455,6 +460,127 @@ class TestInfoGainNoQsi:
         rep = check_info_gain_no_qsi(instr, rho)
         assert rep.slack >= -1e-8
         assert "per_outcome_sqrt_fid_uhlmann" not in rep.aux
+
+
+def qsi_node_loop(instr, rho_ab, quad=QuadratureSpec()):
+    """Per-node oracle of check_info_gain_qsi's rhs and aux values.
+
+    For each (node, outcome) pair it builds g_t from two complex powers,
+    applies I_R (x) g_t to omega_RB, takes one fidelity and, for efficient
+    instruments, one ``uhlmann_isometry``.  Returns the rhs, the TP
+    deviation, the smallest node sum, the Uhlmann deviation and the
+    low-confidence flag.
+    """
+    a_label, b_label = rho_ab.labels
+    d_b = rho_ab.system_dim(b_label)
+    out_label = a_label + "'"
+    phi, probs, posts_rab, posts_rb = theorems._reference_instrument_state(instr, rho_ab)
+    r_dim = phi.reference_dim
+    omega_rb = theorems._avg(posts_rb, probs, r_dim * d_b)
+    spec_b = eig_hermitian(ptrace(omega_rb, (r_dim, d_b), (1,)))
+    support_b = spec_b.eigenvectors[:, spec_b.eigenvalues > spec_b.cutoff]
+    proj_b = support_b @ support_b.conj().T
+    spectra_x = [
+        eig_hermitian(ptrace(block, (r_dim, d_b), (1,))) if block is not None else None
+        for block in posts_rb
+    ]
+    rb_systems = (("R", r_dim), (b_label, d_b))
+    integral, tp_dev, min_node, uhlmann_dev, low = 0.0, 0.0, math.inf, 0.0, False
+    for t, w in zip(*quadrature(quad)):
+        right = spec_b.power((-1.0 + 1j * t) / 2.0)
+        tp_acc = np.zeros((d_b, d_b), dtype=complex)
+        node_sum = 0.0
+        for x in range(instr.n_outcomes):
+            if probs[x] <= theorems.PROB_FLOOR or posts_rb[x] is None:
+                continue
+            g = spectra_x[x].power((1.0 - 1j * t) / 2.0) @ right
+            tp_acc += probs[x] * (g.conj().T @ g)
+            recovered, _ = apply_on(KrausMap((g,)), omega_rb, rb_systems, b_label)
+            f = fidelity(posts_rb[x], recovered)
+            low = low or f < 1e-14
+            node_sum += probs[x] * math.sqrt(max(f, 0.0))
+            if instr.efficient:
+                phi_rec = Purification(
+                    a_label, phi.systems, (phi.vector.reshape(-1, d_b) @ g.T).reshape(-1)
+                )
+                phi_post = Purification(
+                    out_label,
+                    (("R", r_dim), (out_label, instr.out_dim), (b_label, d_b)),
+                    theorems._pure_vector(posts_rab[x]),
+                )
+                achieved = uhlmann_isometry(phi_rec, phi_post).achieved
+                uhlmann_dev = max(uhlmann_dev, abs(achieved - f))
+        min_node = min(min_node, node_sum)
+        tp_dev = max(tp_dev, float(np.abs(tp_acc - proj_b).max()))
+        integral += w * math.log2(max(node_sum, 1e-300))
+    return -2.0 * integral, tp_dev, min_node, uhlmann_dev, low
+
+
+def qsi_instance(kind: str, seed: int):
+    """(instrument, rho_AB) for the batched-versus-loop QSI comparisons.
+
+    ``full``: a random state of rank 2 to 4, so omega_B is full rank.
+    ``bx_kernel``: rho_AB = sum_x q_x |a_x><a_x| (x) |psi_x><psi_x| measured
+    in the basis {a_x}, so every omega_B^x is pure.  ``b_kernel``:
+    rho_A (x) |psi><psi|, so omega_B itself is pure.
+    """
+    rng = stream(48, 2, ("full", "bx_kernel", "b_kernel").index(kind), seed)
+    if kind == "full":
+        mat = random_density(4, int(rng.integers(2, 5)), rng).matrix
+        instr = random_instrument(2, int(rng.integers(2, 4)), bool(rng.integers(2)), rng)
+    elif kind == "bx_kernel":
+        basis = random_unitary(2, rng)
+        projs = [np.outer(basis[:, x], basis[:, x].conj()) for x in range(2)]
+        q = rng.dirichlet(np.ones(2))
+        mat = sum(q[x] * np.kron(projs[x], random_density(2, 1, rng).matrix) for x in range(2))
+        instr = Instrument(tuple((str(x), (random_unitary(2, rng) @ projs[x],)) for x in range(2)))
+    else:
+        rho_a = random_density(2, int(rng.integers(1, 3)), rng).matrix
+        mat = np.kron(rho_a, random_density(2, 1, rng).matrix)
+        instr = random_instrument(2, int(rng.integers(2, 4)), True, rng)
+    return instr, DensityOperator((("A", 2), ("B", 2)), mat)
+
+
+class TestInfoGainQsiBatched:
+    """check_info_gain_qsi's stacked evaluation against the per-node loop."""
+
+    @pytest.mark.parametrize("kind", ["full", "bx_kernel", "b_kernel"])
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_matches_node_loop(self, kind, seed):
+        # measured: rhs, TP deviation and smallest node sum within 4.2e-15 of
+        # the loop over 15 instances of each kind
+        instr, rho_ab = qsi_instance(kind, seed)
+        rep = check_info_gain_qsi(instr, rho_ab)
+        rhs, tp_dev, min_node, uhlmann_dev, low = qsi_node_loop(instr, rho_ab)
+        values = [rep.rhs, rep.aux["recovery_instrument_tp_dev"], rep.aux["min_node_avg_sqrt_fid"]]
+        assert np.isfinite(values).all()
+        assert abs(rep.rhs - rhs) <= 1e-12
+        assert abs(rep.aux["recovery_instrument_tp_dev"] - tp_dev) <= 1e-12
+        assert abs(rep.aux["min_node_avg_sqrt_fid"] - min_node) <= 1e-12
+        assert rep.aux["low_confidence"] == low
+        if instr.efficient:
+            assert abs(rep.aux["uhlmann_vs_fidelity_max_dev"] - uhlmann_dev) <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_batched_uhlmann_overlaps_equal_isometry_achieved(self, seed):
+        _, rho_ab = qsi_instance("full", seed)
+        instr = random_instrument(2, 3, True, stream(48, 3, seed))
+        phi, probs, posts_rab, posts_rb = theorems._reference_instrument_state(instr, rho_ab)
+        r_dim = phi.reference_dim
+        omega_rb = theorems._avg(posts_rb, probs, r_dim * 2)
+        spec_b = eig_hermitian(ptrace(omega_rb, (r_dim, 2), (1,)))
+        nodes = quadrature(QuadratureSpec())[0][::10]
+        for x in range(instr.n_outcomes):
+            omega_bx = ptrace(posts_rb[x], (r_dim, 2), (1,))
+            g = swiveled_kraus(eig_hermitian(omega_bx), spec_b, (np.eye(2),), nodes)[:, 0]
+            phi_post = Purification(
+                "A'", (("R", r_dim), ("A'", 2), ("B", 2)), theorems._pure_vector(posts_rab[x])
+            )
+            batched = theorems._b_rotated_overlaps(phi, "A", g, phi_post)
+            for g_t, value in zip(g, batched):
+                phi_rec = Purification("A", phi.systems, (phi.vector.reshape(-1, 2) @ g_t.T))
+                assert abs(value - uhlmann_isometry(phi_rec, phi_post).achieved) <= 1e-12
 
 
 class TestInfoGainQsi:
