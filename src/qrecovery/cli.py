@@ -143,10 +143,11 @@ def _cmd_sweep(args) -> int:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 2
     print(f"almost-unital guard-band feasibility (n_max={trunc.n_max}, tol={bos.DEFAULT_TRUNC_TOL:g})")
-    print(f"eta    tail@edge(guard={guard})  recommended guard")
+    print(f"eta    tail@edge(guard={guard})  measured B(I) dev  recommended guard")
     for spec in (s for s in specs if s.kind == "loss"):
-        tail = bos.loss_identity_tail(spec.eta, trunc.n_max - guard, trunc.n_max)
-        print(f"{spec.eta:<6} {tail:<20.3e} {bos.recommended_guard(spec)}")
+        unital = bos.check_almost_unital(spec, n_guard=guard)
+        print(f"{spec.eta:<6} {unital.aux['analytic_tail']:<20.3e} {unital.rhs:<17.3e} "
+              f"{bos.recommended_guard(spec)}")
     rows = []
     ok = True
     for spec in specs:

@@ -146,16 +146,10 @@ def holevo_chi(ens: Ensemble) -> float:
     return avg - members
 
 
-def _psd_sqrt(x: np.ndarray) -> np.ndarray:
-    spec = eig_hermitian(x)
-    lam = np.clip(spec.eigenvalues, 0.0, None)
-    u = spec.eigenvectors
-    return (u * np.sqrt(lam)) @ u.conj().T
-
-
 def root_fidelity(p, q) -> float:
-    """sqrt(F)(P, Q) = ||sqrt(P) sqrt(Q)||_1 for PSD operators."""
-    sp, sq = _psd_sqrt(as_matrix(p)), _psd_sqrt(as_matrix(q))
+    """sqrt(F)(P, Q) = ||sqrt(P) sqrt(Q)||_1 for PSD operators, both square
+    roots taken on the support (eigenvalues at or below the rank cutoff map to 0)."""
+    sp, sq = eig_hermitian(as_matrix(p)).power(0.5), eig_hermitian(as_matrix(q)).power(0.5)
     return float(np.linalg.svd(sp @ sq, compute_uv=False).sum())
 
 

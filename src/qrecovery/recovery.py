@@ -27,7 +27,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .entropy import _psd_sqrt
 from .matfun import Spectrum, complex_power, eig_hermitian
 from .qcore import (
     Channel,
@@ -219,7 +218,8 @@ def swiveled_root_fidelities(rho, sigma, channel: KrausMap, t) -> np.ndarray:
     sig, n_sig = _sigma_pair(sigma, channel)
     mat = as_matrix(rho)
     ks = swiveled_kraus(eig_hermitian(sig), eig_hermitian(n_sig), channel.kraus, t)
-    return stacked_root_fidelity(_psd_sqrt(mat), ks, _psd_sqrt(channel.apply(mat)))
+    sqrt_rho, sqrt_out = (eig_hermitian(x).power(0.5) for x in (mat, channel.apply(mat)))
+    return stacked_root_fidelity(sqrt_rho, ks, sqrt_out)
 
 
 def _completion_state(completion_state, dim: int) -> np.ndarray:

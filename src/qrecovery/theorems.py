@@ -16,7 +16,6 @@ from scipy import optimize
 
 from .entropy import (
     NAT_TO_BITS,
-    _psd_sqrt,
     cond_entropy,
     entropy,
     fidelity,
@@ -597,7 +596,7 @@ def check_info_gain_qsi(
     spec_b = eig_hermitian(omega_b)
     support_b = spec_b.eigenvectors[:, spec_b.eigenvalues > spec_b.cutoff]
     proj_b = support_b @ support_b.conj().T
-    sqrt_rb = _psd_sqrt(omega_rb)
+    sqrt_rb = eig_hermitian(omega_rb).power(0.5)
 
     node_sum = np.zeros(len(nodes))
     tp_acc = np.zeros((len(nodes), d_b, d_b), dtype=complex)
@@ -609,7 +608,7 @@ def check_info_gain_qsi(
         # g_t = (omega_B^x)^{(1-it)/2} omega_B^{(-1+it)/2} at every node, (T, d_B, d_B)
         g = swiveled_kraus(eig_hermitian(omega_bx[x]), spec_b, (np.eye(d_b),), nodes)
         tp_acc += probs[x] * (g[:, 0].conj().swapaxes(1, 2) @ g[:, 0])
-        sqrt_f = stacked_root_fidelity(_psd_sqrt(posts_rb[x]), g, sqrt_rb, lead=r_dim)
+        sqrt_f = stacked_root_fidelity(eig_hermitian(posts_rb[x]).power(0.5), g, sqrt_rb, lead=r_dim)
         f = sqrt_f**2
         low_confidence = low_confidence or bool((f < 1e-14).any())
         node_sum += probs[x] * sqrt_f

@@ -3,11 +3,14 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qrecovery.bosonic import (
     FockTruncation,
     GaussianChannelSpec,
+    Ladder,
     amp_channel,
+    amp_ladder,
     check_adjoint_relation,
     check_almost_unital,
     check_bosonic_entropy_gain,
@@ -16,15 +19,17 @@ from qrecovery.bosonic import (
     geometric_state,
     loss_channel,
     loss_identity_tail,
+    loss_ladder,
     mean_photon,
     recommended_guard,
     vacuum_state,
 )
 from qrecovery import bosonic
-from qrecovery.bosonic import _sectors, _spec_channels
+from qrecovery.bosonic import _sectors, _spec_ladders
 from qrecovery.entropy import rel_entropy
 from qrecovery.qcore import (
     Channel,
+    KrausMap,
     compose,
     is_subunital,
     is_trace_preserving,
@@ -71,12 +76,22 @@ class TestChannelConstruction:
             assert build(param, FockTruncation(10)) is not ch
             with pytest.raises(ValueError, match="read-only"):
                 ch.kraus[0][0, 0] = 1.0
+        for build, param in ((loss_ladder, 0.73), (amp_ladder, 1.2)):
+            ladder = build(param, SMALL)
+            assert build(param, SMALL) is ladder
+            assert build(param, FockTruncation(10)) is not ladder
+            with pytest.raises(ValueError, match="read-only"):
+                ladder.diags[0, 0] = 1.0
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             loss_channel(1.2, SMALL)
         with pytest.raises(ValueError):
             amp_channel(0.9, SMALL)
+        with pytest.raises(ValueError):
+            loss_ladder(-0.1, SMALL)
+        with pytest.raises(ValueError):
+            amp_ladder(0.9, SMALL)
         with pytest.raises(ValueError):
             GaussianChannelSpec("loss", SMALL, eta=None)
 
@@ -118,6 +133,12 @@ class TestAlmostUnital:
             spec = GaussianChannelSpec("loss", TRUNC, eta=eta)
             rep = check_almost_unital(spec, n_guard=15)
             assert rep.rhs == pytest.approx(rep.aux["analytic_tail"], rel=1e-9)
+
+    @pytest.mark.parametrize("eta", [0.7, 0.8, 0.9, 0.99])
+    def test_sweep_deviation_column_is_the_analytic_tail(self, eta):
+        # the sweep's default etas at n_max 40 and guard 10
+        rep = check_almost_unital(GaussianChannelSpec("loss", TRUNC, eta=eta), n_guard=10)
+        assert abs(rep.rhs - rep.aux["analytic_tail"]) <= 1e-12
 
     def test_recommended_guard_restores_testability(self):
         for eta in (0.7, 0.8, 0.9, 0.99):
@@ -168,10 +189,10 @@ class TestAdjointRelation:
 
 
 def _chain_transfer(stages):
-    """Dense transfer matrix of a stage chain (applied left to right) via Kraus composition."""
-    channel = stages[0]
-    for ch in stages[1:]:
-        channel = compose(ch, channel)
+    """Dense transfer matrix of a ladder chain (applied left to right) via Kraus composition."""
+    channel = KrausMap(stages[0].kraus())
+    for ladder in stages[1:]:
+        channel = compose(KrausMap(ladder.kraus()), channel)
     return transfer_matrix(channel)
 
 
@@ -194,9 +215,9 @@ class TestSectors:
     def test_blocks_scatter_to_transfer_matrix(self, n_max, kind, eta, gain):
         trunc = FockTruncation(n_max)
         d = trunc.dim
-        forward, reverse = _spec_channels(GaussianChannelSpec(kind, trunc, eta=eta, gain=gain))
+        forward, reverse = _spec_ladders(GaussianChannelSpec(kind, trunc, eta=eta, gain=gain))
         for stages in (forward, reverse):
-            blocks = _sectors(stages, d)
+            blocks = _sectors(stages)
             assert sorted(blocks) == list(range(1 - d, d))
             dense = np.zeros((d * d, d * d), dtype=complex)
             for delta, block in blocks.items():
@@ -209,12 +230,103 @@ class TestSectors:
         trunc = FockTruncation(3)
         hadamard = np.eye(trunc.dim)
         hadamard[:2, :2] = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
-        mixing = Channel((hadamard,))
         loss = loss_channel(0.8, trunc)
         with pytest.raises(ValueError, match="coherence"):
-            _sectors([mixing, loss], trunc.dim)
+            Ladder.from_kraus((hadamard,))
         with pytest.raises(ValueError, match="coherence"):
-            _sectors([loss, mixing], trunc.dim)
+            Ladder.from_kraus(loss.kraus + (hadamard,))
+
+
+def _comb_loss(eta, n, k):
+    return math.sqrt(math.comb(n, k) * eta ** (n - k) * (1.0 - eta) ** k)
+
+
+def _comb_amp(gain, n, k):
+    inv = 1.0 / gain
+    return math.sqrt(math.comb(n + k, k) * (1.0 - inv) ** k * inv ** (n + 1))
+
+
+class TestLadder:
+    """The (shift, diagonal) kernel against the dense Kraus path it replaced."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(4, 12),
+        st.floats(0.0, 1.0, exclude_min=True),
+        st.floats(1.0, 3.0),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_dense_channel(self, n_max, eta, gain, seed):
+        trunc = FockTruncation(n_max)
+        d = trunc.dim
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        loss, amp = loss_ladder(eta, trunc), amp_ladder(gain, trunc)
+        for ladder in (loss, amp):
+            dense = Channel(ladder.kraus())
+            npt.assert_allclose(ladder.apply(x), dense.apply(x), rtol=0, atol=1e-14)
+        for stages in ([loss], [amp], [loss, amp]):
+            blocks = _sectors(stages)
+            ref = _chain_transfer(stages)
+            for delta, block in blocks.items():
+                levels = np.arange(max(delta, 0), d + min(delta, 0))
+                idx = levels * d + levels - delta
+                npt.assert_allclose(block, ref[np.ix_(idx, idx)], rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("n_max", [5, 40, 60])
+    def test_diagonals_match_comb_formula(self, n_max):
+        trunc = FockTruncation(n_max)
+        for eta in (0.05, 0.5, 0.7, 0.99):
+            ladder = loss_ladder(eta, trunc)
+            assert ladder.shifts == tuple(-k for k in range(trunc.dim))
+            for k, diag in enumerate(ladder.diags):
+                ref = np.array([_comb_loss(eta, n, k) if n >= k else 0.0 for n in range(trunc.dim)])
+                npt.assert_allclose(diag, ref, rtol=1e-13, atol=0)
+        for gain in (1.01, 1.25, 3.0):
+            ladder = amp_ladder(gain, trunc)
+            assert ladder.shifts == tuple(range(trunc.dim))
+            for k, diag in enumerate(ladder.diags):
+                ref = np.array([_comb_amp(gain, n, k) if n + k <= n_max else 0.0 for n in range(trunc.dim)])
+                npt.assert_allclose(diag, ref, rtol=1e-13, atol=0)
+
+    def test_edge_parameters_drop_zero_operators(self):
+        # eta = 1 and G = 1 are the identity; eta = 0 sends every level to vacuum
+        assert loss_ladder(1.0, SMALL).shifts == (0,)
+        assert amp_ladder(1.0, SMALL).shifts == (0,)
+        npt.assert_array_equal(loss_ladder(1.0, SMALL).diags, np.ones((1, SMALL.dim)))
+        npt.assert_array_equal(loss_ladder(0.0, SMALL).diags, np.eye(SMALL.dim))
+
+    def test_from_kraus_round_trip(self):
+        ladder = amp_ladder(1.25, FockTruncation(6))
+        again = Ladder.from_kraus(ladder.kraus())
+        assert again.shifts == ladder.shifts
+        npt.assert_array_equal(again.diags, ladder.diags)
+        # zero operators carry no diagonal and are dropped
+        assert Ladder.from_kraus(ladder.kraus() + (np.zeros((7, 7)),)).shifts == ladder.shifts
+
+    def test_rejects_trace_increasing_and_mismatched_input(self):
+        with pytest.raises(ValueError, match="trace-increasing"):
+            Ladder((0, 1), np.ones((2, 4)))
+        with pytest.raises(ValueError, match="does not match"):
+            loss_ladder(0.5, FockTruncation(4)).apply(np.eye(4))
+
+    def test_no_overflow_at_large_n_max(self):
+        # math.comb(n, k) * eta**... raises OverflowError near n = 1030; the
+        # dense Channel at this size would need ~10.7 GB, so only ladders are built
+        trunc = FockTruncation(1100)
+        try:
+            for eta in (0.3, 0.9):
+                sums = (loss_ladder(eta, trunc).diags ** 2).sum(axis=0)
+                assert np.abs(sums - 1.0).max() <= 1e-12
+            for gain in (1.01, 1.5):
+                sums = (amp_ladder(gain, trunc).diags ** 2).sum(axis=0)
+                assert sums.max() <= 1.0 + 1e-12
+                # the vacuum column loses only (1 - 1/G)^(n_max + 1) to the cutoff
+                assert sums[0] == pytest.approx(1.0, abs=1e-12)
+            assert 0.0 < loss_identity_tail(0.7, 550, trunc.n_max) < 1e-30
+        finally:
+            loss_ladder.cache_clear()
+            amp_ladder.cache_clear()
 
 
 class TestAdjointDenseReference:
@@ -224,7 +336,7 @@ class TestAdjointDenseReference:
     )
     def test_matches_dense_choi_window(self, monkeypatch, guard, kind, eta, gain):
         spec = GaussianChannelSpec(kind, SMALL, eta=eta, gain=gain)
-        forward, reverse = _spec_channels(spec)
+        forward, reverse = _spec_ladders(spec)
         keep = SMALL.n_max - guard + 1
         scale = 1.0 / spec.parameter()
         rep = check_adjoint_relation(spec, n_guard=guard)
@@ -238,8 +350,8 @@ class TestAdjointDenseReference:
                 continue
             damp = np.eye(SMALL.dim)
             damp[level, level] = 0.5
-            skewed = reverse + [Channel((damp,))]
-            monkeypatch.setattr(bosonic, "_spec_channels", lambda _: (forward, skewed))
+            skewed = reverse + [Ladder.from_kraus((damp,))]
+            monkeypatch.setattr(bosonic, "_spec_ladders", lambda _: (forward, skewed))
             rep = check_adjoint_relation(spec, n_guard=guard)
             ref = _dense_adjoint_deviation(forward, skewed, scale, SMALL.dim, keep)
             assert (ref > 1e-3) == (level < keep)

@@ -253,9 +253,11 @@ def test_sweep_prints_guard_feasibility_table(tmp_path, capsys):
     assert lines[0] == "almost-unital guard-band feasibility (n_max=24, tol=1e-06)"
     trunc = bos.FockTruncation(24)
     for line, eta in zip(lines[2:4], (0.8, 0.99)):
-        shown_eta, tail, guard = line.split()
+        shown_eta, tail, measured, guard = line.split()
         assert float(shown_eta) == eta
         assert float(tail) == pytest.approx(bos.loss_identity_tail(eta, 24 - 9, 24), rel=1e-3)
+        # the band-edge deviation of B_eta(I) is the analytic tail
+        assert float(measured) == pytest.approx(float(tail), rel=1e-3)
         assert int(guard) == bos.recommended_guard(bos.GaussianChannelSpec("loss", trunc, eta=eta))
 
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qrecovery.entropy import (
     binary_entropy,
@@ -178,6 +178,24 @@ class TestFidelity:
         p = random_density(3, 3, stream(24, 1))
         q = random_density(3, 3, stream(24, 2))
         assert root_fidelity(p, q) == pytest.approx(math.sqrt(fidelity(p, q)), abs=1e-12)
+
+    @pytest.mark.parametrize("dim,rank", [(d, r) for d in (2, 3, 5) for r in range(1, d + 1)])
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_pure_state_closed_form_at_every_rank(self, dim, rank, seed):
+        # sqrtF(|psi><psi|, sigma) = <psi|sigma|psi>^(1/2); both square roots are
+        # taken on the support, so the kernel noise of the pure state (and of a
+        # rank-deficient sigma) adds nothing
+        rng = np.random.default_rng(seed)
+        vecs, _ = np.linalg.qr(rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank)))
+        lam = rng.uniform(0.05, 1.0, rank)
+        sigma = (vecs * (lam / lam.sum())) @ vecs.conj().T
+        psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        psi /= np.linalg.norm(psi)
+        pure = np.outer(psi, psi.conj())
+        closed = math.sqrt(float(np.real(psi.conj() @ sigma @ psi)))
+        assert abs(root_fidelity(pure, sigma) - closed) <= 1e-14
+        assert abs(root_fidelity(sigma, pure) - closed) <= 1e-14
 
     def test_direct_sum_property(self):
         # sqrtF of two cq states = sum_x sqrt(p q) sqrtF of blocks

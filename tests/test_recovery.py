@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
-from qrecovery.entropy import _psd_sqrt, fidelity, rel_entropy, root_fidelity, trace_distance
+from qrecovery.entropy import fidelity, rel_entropy, root_fidelity, trace_distance
 from qrecovery.matfun import eig_hermitian, mat_inv, mat_sqrt
 from qrecovery.qcore import (
     Channel,
@@ -44,22 +44,11 @@ from qrecovery.recovery import (
 NODES, WEIGHTS = quadrature(QuadratureSpec())
 
 
-def stronger_node_loop(rho, sigma, ch, cut_recovered=False):
+def stronger_node_loop(rho, sigma, ch):
     """Per-node oracle of the recovery-stronger integrand: sqrt F(rho,
-    R^{t/2}(N(rho))) from one rotated Petz map and one fidelity per node.
-
-    With ``cut_recovered`` the recovered state's square root is taken on its
-    support (``mat_sqrt``) instead of ``root_fidelity``'s clipped one."""
+    R^{t/2}(N(rho))) from one rotated Petz map and one fidelity per node."""
     out = ch.apply(rho)
-    values = []
-    for t in NODES:
-        recovered = rotated_petz(sigma, ch, t / 2).apply(out)
-        if cut_recovered:
-            m = _psd_sqrt(rho) @ mat_sqrt(recovered)
-            values.append(np.linalg.svd(m, compute_uv=False).sum())
-        else:
-            values.append(root_fidelity(rho, recovered))
-    return np.array(values)
+    return np.array([root_fidelity(rho, rotated_petz(sigma, ch, t / 2).apply(out)) for t in NODES])
 
 
 class TestPWeight:
@@ -250,17 +239,14 @@ class TestSwiveledStack:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_gap_off_support_is_the_loops_square_root(self, seed):
-        # rho outside supp(sigma): the recovered state has a kernel, and the
-        # loop's clipped square root turns its ~1e-16 eigenvalues into ~1e-8
-        # (gaps of 1.7e-9 to 1.0e-8 at these seeds). With that root taken on
-        # the support the loop agrees with the batched form to 1e-12.
+        # rho outside supp(sigma): the recovered state has a kernel.  A square
+        # root that clipped only negative eigenvalues turned its ~1e-16 noise
+        # eigenvalues into ~1e-8 (gaps of 1.7e-9 to 1.0e-8 at these seeds);
+        # with every root taken on the support the loop agrees to 1e-12.
         rho, sigma, ch = _stronger_instance("rho_off_support", seed)
         batched = swiveled_root_fidelities(rho, sigma, ch, NODES)
         assert np.isfinite(batched).all()
-        gap = float(np.abs(batched - stronger_node_loop(rho, sigma, ch)).max())
-        assert 1e-10 < gap <= 1e-7
-        cut = stronger_node_loop(rho, sigma, ch, cut_recovered=True)
-        assert float(np.abs(batched - cut).max()) <= 1e-12
+        assert float(np.abs(batched - stronger_node_loop(rho, sigma, ch)).max()) <= 1e-12
 
 
 class TestIntegratedRecovery:
