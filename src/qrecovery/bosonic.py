@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
 from .entropy import entropy, rel_entropy
 from .qcore import TRACE_TOL, Channel, DimensionMismatchError
@@ -80,8 +79,9 @@ class GaussianChannelSpec:
         if self.kind not in ("loss", "amp", "compose"):
             raise ValueError(f"unknown channel kind {self.kind!r}")
         if self.kind in ("loss", "compose"):
-            if self.eta is None or not 0.0 <= self.eta <= 1.0:
-                raise ValueError(f"loss transmissivity must lie in [0, 1], got {self.eta!r}")
+            # every check reverses the loss by the amplifier of gain 1/eta
+            if self.eta is None or not 0.0 < self.eta <= 1.0:
+                raise ValueError(f"loss transmissivity must lie in (0, 1], got {self.eta!r}")
         if self.kind in ("amp", "compose"):
             if self.gain is None or self.gain < 1.0:
                 raise ValueError(f"amplifier gain must be >= 1, got {self.gain!r}")
@@ -94,17 +94,38 @@ class GaussianChannelSpec:
         return float(self.eta * self.gain)
 
 
-_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+# log n! - [(n + 1/2) log n - n + log sqrt(2 pi)] for n = 0..15, as
+# gammaln(n + 1) - (n + 0.5) log n + n - log sqrt(2 pi) evaluates it in
+# double precision.  The remainder diverges at n = 0, which the saddle-point
+# terms never reach; its entry is a placeholder.
+_STIRLERR_SMALL = np.array([
+    0.0,
+    0.08106146679532733,
+    0.041340695955409235,
+    0.02767792568499816,
+    0.020790672103765395,
+    0.016644691189821703,
+    0.013876128823070655,
+    0.011896709945891981,
+    0.010411265261975,
+    0.009255462182710783,
+    0.008330563433360805,
+    0.00757367548795207,
+    0.006942840107208692,
+    0.00640899418800478,
+    0.005951370112766252,
+    0.005554733551965452,
+])
 
 
 def _stirlerr(n: np.ndarray) -> np.ndarray:
-    """log n! - [(n + 1/2) log n - n + log sqrt(2 pi)] for n >= 1: the Stirling
-    remainder, by gammaln below 16 and by its asymptotic series above."""
+    """log n! - [(n + 1/2) log n - n + log sqrt(2 pi)] for integer n >= 1: the
+    Stirling remainder, from a table below 16 and by its asymptotic series above."""
+    small = _STIRLERR_SMALL[np.minimum(n, 15).astype(np.intp)]
     with np.errstate(all="ignore"):
-        direct = gammaln(n + 1.0) - (n + 0.5) * np.log(n) + n - _LOG_SQRT_2PI
         nn = n * n
         series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / (1188 * nn)) / nn) / nn) / nn) / n
-    return np.where(n < 16, direct, series)
+    return np.where(n < 16, small, series)
 
 
 def _bd0(x: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -137,7 +158,13 @@ def _log_binom_pmf(k: np.ndarray, n: np.ndarray, p: float, q: float) -> np.ndarr
         - _bd0(ki, ni * p) - _bd0(ni - ki, ni * q)
         + 0.5 * np.log(ni / (2.0 * np.pi * ki * (ni - ki)))
     )
-    return np.where(inner, saddle, np.where(k == 0, xlogy(n, q), xlogy(n, p)))
+    # k = 0 or k = n: n log q or n log p, with 0 log 0 = 0.  math.log is the C
+    # library's log; numpy's vectorised log differs from it in the last bit
+    # for a few inputs in a thousand.
+    log_p, log_q = (math.log(v) if v > 0 else -math.inf for v in (p, q))
+    with np.errstate(invalid="ignore"):
+        edge = np.where(n == 0, 0.0, n * np.where(k == 0, log_q, log_p))
+    return np.where(inner, saddle, edge)
 
 
 @dataclass(frozen=True, eq=False)

@@ -20,6 +20,7 @@ from itertools import product
 from typing import Sequence
 
 import numpy as np
+import numpy.random  # loaded lazily by numpy; every suite draws from it, so load it at import
 
 from .matfun import assert_hermitian, complex_power, eig_hermitian, rank_cutoff
 

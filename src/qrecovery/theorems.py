@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .entropy import (
     NAT_TO_BITS,
@@ -249,6 +248,10 @@ def minimal_entropy_gain(
     ``converged`` means ``stationarity <= STATIONARITY_TOL``; otherwise the
     best value found is returned anyway.  ``channel`` must be trace-preserving.
     """
+    # imported here, not at module level: this is the package's one SciPy
+    # call, and loading SciPy is most of the cost of `import qrecovery`
+    from scipy import optimize
+
     _require_tp(channel)
     if channel.in_dim != channel.out_dim:
         raise ValueError("minimal_entropy_gain expects equal input and output dimensions")

@@ -95,6 +95,12 @@ class TestChannelConstruction:
         with pytest.raises(ValueError):
             GaussianChannelSpec("loss", SMALL, eta=None)
 
+    @pytest.mark.parametrize("kind, gain", [("loss", None), ("compose", 1.1)])
+    def test_zero_transmissivity_rejected(self, kind, gain):
+        # the reversal amplifier of gain 1/eta does not exist at eta = 0
+        with pytest.raises(ValueError, match=r"\(0, 1\]"):
+            GaussianChannelSpec(kind, SMALL, eta=0.0, gain=gain)
+
 
 class TestAlmostUnital:
     def test_lossless_exact(self):
@@ -309,6 +315,25 @@ class TestLadder:
             Ladder((0, 1), np.ones((2, 4)))
         with pytest.raises(ValueError, match="does not match"):
             loss_ladder(0.5, FockTruncation(4)).apply(np.eye(4))
+
+    def test_stirling_table_matches_gammaln(self):
+        # the tabulated remainders are the gammaln expression they replaced, bit for bit
+        from scipy.special import gammaln
+
+        n = np.arange(1.0, 16.0)
+        direct = gammaln(n + 1.0) - (n + 0.5) * np.log(n) + n - 0.5 * math.log(2.0 * math.pi)
+        npt.assert_array_equal(bosonic._STIRLERR_SMALL[1:], direct)
+        npt.assert_array_equal(bosonic._stirlerr(n), direct)
+
+    @pytest.mark.parametrize("p", [0.0, 0.05, 0.3, 1.0 / 3.0, 0.7, 0.99, 1.0])
+    def test_edge_terms_match_xlogy(self, p):
+        # k = 0 and k = n are n log q and n log p, with 0 log 0 = 0
+        from scipy.special import xlogy
+
+        q = 1.0 - p
+        n = np.arange(0.0, 50.0)
+        npt.assert_array_equal(bosonic._log_binom_pmf(np.zeros_like(n), n, p, q), xlogy(n, q))
+        npt.assert_array_equal(bosonic._log_binom_pmf(n, n, p, q), xlogy(n, p))
 
     def test_no_overflow_at_large_n_max(self):
         # math.comb(n, k) * eta**... raises OverflowError near n = 1030; the

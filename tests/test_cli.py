@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qrecovery
 from qrecovery.cli import main
 from qrecovery.reports import CSV_COLUMNS
 
@@ -268,6 +273,8 @@ def test_sweep_prints_guard_feasibility_table(tmp_path, capsys):
         ["--n-max", "40", "--guard", "-1"],
         ["--n-max", "3", "--guard", "0"],
         ["--etas", "1.5"],
+        ["--etas", "0", "--n-max", "20", "--guard", "5"],
+        ["--etas", "0.9,0", "--gains", "1.1"],
     ],
 )
 def test_sweep_invalid_config_exits_two(flags, capsys):
@@ -286,3 +293,12 @@ def test_bosonic_n_max_lower_boundary(tmp_path, capsys):
     cfg.write_text(json.dumps({"bosonic_n_max": BOSONIC_MIN_N_MAX - 1}))
     assert run(["verify", "bosonic", "--config", str(cfg)]) == 2
     assert "invalid config" in capsys.readouterr().err
+
+
+def test_import_loads_no_scipy():
+    # only minimal_entropy_gain imports SciPy, at its call; a cold start of the CLI must not pay for it
+    code = "import sys, qrecovery, qrecovery.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    src = str(Path(qrecovery.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
