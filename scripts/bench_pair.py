@@ -6,14 +6,16 @@ Run from the repository root.  The base revision is extracted with
 ``git archive`` into a temporary directory; the working tree is the change.
 For every workload in BENCHMARK.json, ``bench/run.py --trace 0`` runs
 ``--pairs`` times in each tree for BENCHMARK.json's ``run_seconds``,
-alternating which tree goes first, and then once with ``--trace 1`` in each
-tree for the per-layer deltas.  Each tree runs its own ``bench/``; this
-script writes only the ``--out`` file and the trees' ``.bench_out/``.
+alternating which tree goes first, and then ``TRACED_RUNS`` times with
+``--trace 1`` in each tree, again alternating, for the per-layer values.
+Each tree runs its own ``bench/``; this script writes only the ``--out``
+file and the trees' ``.bench_out/``.
 
 The file holds the machine, each side's median and quartiles of every
 end-to-end metric over the pairs, the share of pairs the change won (lower
-is better for every metric) and the traced per-layer values with their
-change - base deltas.
+is better for every metric) and each per-layer value as the median over a
+side's traced runs, with its change - base delta.  One traced run per side
+cannot tell a 20% move of a layer's time from run-to-run noise.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 END_TO_END = ("setup_s", "wall_s", "peak_rss_mb")
+TRACED_RUNS = 3
 
 
 def machine() -> dict:
@@ -94,7 +97,8 @@ def spread(values) -> dict:
 
 
 def summarize(base_runs, change_runs, base_traced, change_traced) -> dict:
-    """One workload's entry of the BENCH file from its paired and traced runs."""
+    """One workload's entry of the BENCH file from its paired runs and each
+    side's list of traced runs."""
     end_to_end = {}
     for name in END_TO_END:
         b = [r["metrics"][name]["value"] for r in base_runs]
@@ -106,8 +110,10 @@ def summarize(base_runs, change_runs, base_traced, change_traced) -> dict:
             "change_won": sum(y < x for x, y in zip(b, c)) / len(b),
         }
     per_layer = {}
-    for name, entry in base_traced["metrics"].items():
-        b, c = entry["value"], change_traced["metrics"].get(name, {}).get("value")
+    for name, entry in base_traced[0]["metrics"].items():
+        b = statistics.median(r["metrics"][name]["value"] for r in base_traced)
+        c = [r["metrics"][name]["value"] for r in change_traced if name in r["metrics"]]
+        c = statistics.median(c) if c else None
         per_layer[name] = {
             "unit": entry["unit"], "base": b, "change": c,
             "delta": None if c is None else c - b,
@@ -115,8 +121,8 @@ def summarize(base_runs, change_runs, base_traced, change_traced) -> dict:
     return {
         "pairs": len(base_runs),
         "correct": {
-            "base": all(r["correct"] for r in base_runs + [base_traced]),
-            "change": all(r["correct"] for r in change_runs + [change_traced]),
+            "base": all(r["correct"] for r in base_runs + base_traced),
+            "change": all(r["correct"] for r in change_runs + change_traced),
         },
         "failed": {
             "base": sum(r["failed"] for r in base_runs),
@@ -157,7 +163,10 @@ def main() -> int:
                 walls = {s: runs[s][-1]["metrics"]["wall_s"]["value"] for s in order}
                 print(f"{workload} pair {i + 1}/{args.pairs}: wall_s base {walls['base']:.3f}, "
                       f"change {walls['change']:.3f}", file=sys.stderr)
-            traced = {s: bench_run(trees[s], workload, args.seed, seconds, 1) for s in trees}
+            traced = {"base": [], "change": []}
+            for i in range(TRACED_RUNS):
+                for side in ("base", "change") if i % 2 == 0 else ("change", "base"):
+                    traced[side].append(bench_run(trees[side], workload, args.seed, seconds, 1))
             out["workloads"][workload] = summarize(
                 runs["base"], runs["change"], traced["base"], traced["change"]
             )

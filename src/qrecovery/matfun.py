@@ -112,10 +112,14 @@ def eig_hermitian(matrix: np.ndarray, tol: float = DEFAULT_HERM_TOL) -> Spectrum
 
 
 def rank_cutoff(eigenvalues: np.ndarray) -> float:
-    """Threshold below which an eigenvalue counts as zero: dim * |lambda|_max * 1e-12."""
+    """Threshold below which an eigenvalue counts as zero: dim * |lambda|_max * 1e-12.
+
+    A stack of spectra, shape (..., dim), gets one threshold per spectrum,
+    shape (..., 1), so that it broadcasts against the stack.
+    """
     eigenvalues = np.asarray(eigenvalues)
-    lam_max = float(np.abs(eigenvalues).max(initial=0.0))
-    return eigenvalues.shape[0] * lam_max * RANK_CUTOFF_FACTOR
+    lam_max = np.abs(eigenvalues).max(axis=-1, initial=0.0, keepdims=eigenvalues.ndim > 1)
+    return eigenvalues.shape[-1] * lam_max * RANK_CUTOFF_FACTOR
 
 
 def support_projector(matrix: np.ndarray) -> np.ndarray:

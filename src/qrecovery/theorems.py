@@ -22,6 +22,7 @@ from .entropy import (
     rel_entropy,
     root_fidelity,
 )
+from .lbfgs import minimize_stack
 from .matfun import eig_hermitian, rank_cutoff
 from .qcore import (
     Channel,
@@ -136,9 +137,9 @@ class OptimizerBudget:
     """Search budget of :func:`minimal_entropy_gain`.
 
     ``restarts`` counts the starts (the maximally mixed state plus random
-    ones); ``max_evals`` is L-BFGS-B's ``maxfun``, the objective-and-gradient
-    evaluations of one start.  L-BFGS-B checks that cap between iterations,
-    so a line search may finish a few evaluations past it.
+    ones); ``max_evals`` caps the objective-and-gradient evaluations of one
+    start exactly: a start stops, mid line search if need be, when it has
+    used them.
     """
 
     restarts: int = 20
@@ -164,57 +165,61 @@ class MinimalEntropyGainResult:
 STATIONARITY_TOL = 1e-6
 
 
-def _entropy_and_log(mat: np.ndarray):
-    """von Neumann entropy in nats and the natural log on the support, from
-    one eigendecomposition (the rank cutoff of :func:`entropy`)."""
-    lam, u = np.linalg.eigh(mat)
-    keep = lam > rank_cutoff(lam)
-    lam, u = lam[keep], u[:, keep]
-    log_lam = np.log(lam)
-    return -float(lam @ log_lam), (u * log_lam) @ u.conj().T
+def _entropy_and_log(mats: np.ndarray):
+    """von Neumann entropies in nats and natural logs on the supports of a
+    (S, d, d) stack, from one batched eigendecomposition; each row keeps the
+    eigenvalues above its own :func:`rank_cutoff`."""
+    lam, u = np.linalg.eigh(mats)
+    log_lam = np.log(np.where(lam > rank_cutoff(lam), lam, 1.0))
+    return -(lam * log_lam).sum(-1), (u * log_lam[:, None, :]) @ u.conj().swapaxes(1, 2)
 
 
-def _gain_gradient(rho: np.ndarray, channel, dual):
-    """H(N(rho)) - H(rho) in nats and its gradient log rho - N^dag(log N(rho)).
+def _gain_gradient(rho: np.ndarray, kraus: np.ndarray):
+    """H(N(rho)) - H(rho) in nats and the gradient log rho - N^dag(log N(rho))
+    for a (S, d, d) stack of states, N given by its (k, d, d) Kraus stack.
 
     Both logs are taken on the support, so the gradient is finite at every
     state; it is the derivative along traceless directions because N is
     trace-preserving.
     """
+    dual = kraus.conj().swapaxes(1, 2)
     h_in, log_in = _entropy_and_log(rho)
-    h_out, log_out = _entropy_and_log(channel.apply(rho))
-    return h_out - h_in, log_in - dual.apply(log_out)
+    h_out, log_out = _entropy_and_log((kraus @ rho[:, None] @ dual).sum(1))
+    return h_out - h_in, log_in - (dual @ log_out[:, None] @ kraus).sum(1)
 
 
-def _factor_state(x: np.ndarray, d: int):
-    """L from its 2d^2 real coordinates, rho = L L^dag / Tr(L L^dag) and the
-    trace; a zero or non-finite trace gives I/d and trace 0."""
-    factor = (x[: d * d] + 1j * x[d * d :]).reshape(d, d)
-    mat = factor @ factor.conj().T
-    tr = float(np.real(np.trace(mat)))
-    if tr <= 0 or not np.isfinite(tr):
-        return factor, np.eye(d) / d, 0.0
-    return factor, mat / tr, tr
+def _factor_states(x: np.ndarray, d: int):
+    """Factors L from rows of 2d^2 real coordinates (S, 2d^2), the states
+    rho = L L^dag / Tr(L L^dag) and the traces; a row whose trace is zero or
+    not finite gets I/d and trace 0."""
+    factor = (x[:, : d * d] + 1j * x[:, d * d :]).reshape(-1, d, d)
+    mat = factor @ factor.conj().swapaxes(1, 2)
+    tr = np.trace(mat, axis1=1, axis2=2).real
+    bad = (tr <= 0) | ~np.isfinite(tr)
+    tr = np.where(bad, 0.0, tr)
+    rho = np.where(bad[:, None, None], np.eye(d) / d, mat / np.where(bad, 1.0, tr)[:, None, None])
+    return factor, rho, tr
 
 
-def _gain_objective(channel, dual):
-    """x -> (gain in bits, gradient in x) over rho = L L^dag / Tr(L L^dag).
+def _gain_objective(kraus: np.ndarray):
+    """x (S, 2d^2) -> (gains in bits (S,), gradients in x (S, 2d^2)) over
+    rho = L L^dag / Tr(L L^dag), N given by its (k, d, d) Kraus stack.
 
     With G the state gradient and t = Tr(L L^dag), the gradient in L is
     M = 2 (G - Tr(rho G) I) L / t; its real and imaginary parts are the
     gradients in Re L and Im L.  The factor L keeps M finite as rho loses
     rank, and M = 0 at the I/d fallback.
     """
-
-    d = channel.in_dim
+    d = kraus.shape[-1]
 
     def objective(x: np.ndarray):
-        factor, rho, tr = _factor_state(x, d)
-        gain, grad = _gain_gradient(rho, channel, dual)
-        shift = float(np.real(np.vdot(rho, grad)))
-        scale = 2.0 * NAT_TO_BITS / tr if tr > 0 else 0.0
-        m = scale * ((grad - shift * np.eye(d)) @ factor)
-        return gain * NAT_TO_BITS, np.concatenate([m.real.reshape(-1), m.imag.reshape(-1)])
+        factor, rho, tr = _factor_states(x, d)
+        gain, grad = _gain_gradient(rho, kraus)
+        shift = (rho.conj() * grad).sum((1, 2)).real
+        scale = 2.0 * NAT_TO_BITS / np.where(tr > 0, tr, 1.0)
+        m = scale[:, None, None] * ((grad - shift[:, None, None] * np.eye(d)) @ factor)
+        m = np.where(tr[:, None, None] > 0, m, 0.0).reshape(len(x), -1)
+        return gain * NAT_TO_BITS, np.concatenate([m.real, m.imag], axis=1)
 
     return objective
 
@@ -234,9 +239,12 @@ def minimal_entropy_gain(
     """Gradient search for inf_rho [H(N(rho)) - H(rho)] over a channel N.
 
     States are parameterized as rho = L L^dag / Tr{L L^dag} with L a free
-    complex matrix.  L-BFGS-B runs on the analytic gradient from the
-    maximally mixed state plus ``budget.restarts - 1`` random starts, each
-    capped at ``budget.max_evals`` evaluations; ``evals`` is their sum.
+    complex matrix.  L-BFGS runs on the analytic gradient from the maximally
+    mixed state plus ``budget.restarts - 1`` random starts, all advanced in
+    lock-step by :func:`~qrecovery.lbfgs.minimize_stack` so that each step
+    evaluates one stack of states; a start's path does not depend on the
+    others.  Each start is capped at ``budget.max_evals`` evaluations, and
+    ``evals`` is their sum.
     Starting at the maximally mixed state guarantees the returned value is
     <= 0 for equal input/output dimensions.  ``value`` is the gain of the
     returned ``argmin``, and ``lower_bound`` the smallest
@@ -248,47 +256,27 @@ def minimal_entropy_gain(
     ``converged`` means ``stationarity <= STATIONARITY_TOL``; otherwise the
     best value found is returned anyway.  ``channel`` must be trace-preserving.
     """
-    # imported here, not at module level: this is the package's one SciPy
-    # call, and loading SciPy is most of the cost of `import qrecovery`
-    from scipy import optimize
-
     _require_tp(channel)
     if channel.in_dim != channel.out_dim:
         raise ValueError("minimal_entropy_gain expects equal input and output dimensions")
     d = channel.in_dim
     rng = _rng(seed)
-    dual = adjoint(channel)
-    objective = _gain_objective(channel, dual)
+    kraus = np.stack(channel.kraus)
 
-    evals = 0
-    results = []
     starts = [np.concatenate([np.eye(d).reshape(-1), np.zeros(d * d)])]
     for _ in range(budget.restarts - 1):
         starts.append(rng.standard_normal(2 * d * d))
-    for x0 in starts:
-        # with SciPy's default ftol and gtol the stationarity of some random
-        # channels at d <= 3 stays near 1e-5, above STATIONARITY_TOL
-        res = optimize.minimize(
-            objective,
-            x0,
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxfun": budget.max_evals, "ftol": 1e-15, "gtol": 1e-10},
-        )
-        evals += int(res.nfev)
-        results.append((float(res.fun), np.asarray(res.x)))
-    lower = math.inf
-    for _, x in results:
-        _, mat, _ = _factor_state(x, d)
-        lower = min(lower, rel_entropy(mat, _adjoint_compose_apply(channel, mat)).value)
-    _, best, _ = _factor_state(min(results, key=lambda r: r[0])[1], d)
-    stationarity = _stationarity(best, _gain_gradient(best, channel, dual)[1])
+    values, points, evals = minimize_stack(_gain_objective(kraus), np.stack(starts), budget.max_evals)
+    _, states, _ = _factor_states(points, d)
+    lower = min(rel_entropy(mat, _adjoint_compose_apply(channel, mat)).value for mat in states)
+    best = states[int(np.argmin(values))]
+    stationarity = _stationarity(best, _gain_gradient(best[None], kraus)[1][0])
     return MinimalEntropyGainResult(
         value=entropy(channel.apply(best)) - entropy(best),
         argmin=best,
         lower_bound=lower,
         converged=stationarity <= STATIONARITY_TOL,
-        evals=evals,
+        evals=int(evals.sum()),
         stationarity=stationarity,
     )
 

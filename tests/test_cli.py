@@ -296,8 +296,13 @@ def test_bosonic_n_max_lower_boundary(tmp_path, capsys):
 
 
 def test_import_loads_no_scipy():
-    # only minimal_entropy_gain imports SciPy, at its call; a cold start of the CLI must not pay for it
-    code = "import sys, qrecovery, qrecovery.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    # SciPy is a test dependency only: neither a cold start of the CLI nor a search loads it
+    code = (
+        "import sys, numpy as np, qrecovery, qrecovery.cli\n"
+        "from qrecovery import Channel, OptimizerBudget, minimal_entropy_gain\n"
+        "minimal_entropy_gain(Channel((np.array([[0, 1], [1, 0]]),)), OptimizerBudget(2, 50), seed=1)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
     src = str(Path(qrecovery.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
