@@ -5,8 +5,11 @@ Truncation policy: channels act on the span of Fock levels 0..n_max.  The
 loss channel is exactly trace-preserving there (it only moves photons down);
 the amplifier leaks probability above the cutoff and is trace-non-increasing.
 Every Kraus operator of either channel has one nonzero diagonal, so both are
-held as a :class:`Ladder` of (shift, diagonal) pairs and applied in O(d^3);
-the dense :class:`~qrecovery.qcore.Channel` forms are kept as the reference.
+held as a :class:`Ladder` of (shift, diagonal) pairs.  A ladder keeps the
+coherence order Delta = n - m, so it acts on the Delta-diagonal of a matrix by
+one block (``_block``), which serves both to apply a ladder and to compose a
+chain of them (``_sectors``); the dense :class:`~qrecovery.qcore.Channel`
+forms are kept as the reference.
 Identity claims inherited from the infinite-dimensional channels are asserted
 only on a guard-banded subspace ``n <= n_max - n_guard``, and each report
 carries an analytic estimate of the truncation tail so a failure can be
@@ -173,10 +176,12 @@ class Ladder:
     diagonal: K_j = sum_b diags[j, b] |b + shifts[j]><b|.
 
     ``diags[j, b]`` is zero wherever b + shifts[j] falls outside the levels.
-    K X K^dag is an elementwise product on shifted slices, O(dim^2) per
-    operator, and the gram sum_j K_j^dag K_j is diagonal with entries
-    sum_j |diags[j, b]|^2; a column sum above 1 + TRACE_TOL raises as
-    :class:`~qrecovery.qcore.Channel` does.
+    Every operator keeps the coherence order Delta = n - m, so the map takes
+    the Delta-diagonal of X to the Delta-diagonal of sum_j K_j X K_j^dag by
+    one block (``_block``): :meth:`apply` makes one matrix-vector product per
+    order present in X, so a diagonal X costs one dim x dim block.  The gram
+    sum_j K_j^dag K_j is diagonal with entries sum_j |diags[j, b]|^2; a column
+    sum above 1 + TRACE_TOL raises as :class:`~qrecovery.qcore.Channel` does.
     """
 
     shifts: tuple
@@ -214,31 +219,54 @@ class Ladder:
                 diags.append(diag)
         return cls(tuple(shifts), np.array(diags))
 
-    def _slices(self):
-        """(input slice, output slice) of every operator's diagonal."""
-        d = self.dim
-        for s in self.shifts:
-            lo, hi = max(0, -s), min(d, d - s)
-            yield slice(lo, hi), slice(lo + s, hi + s)
-
     def kraus(self) -> tuple:
-        """The dense Kraus operators."""
-        ops = []
-        for (src, dst), diag in zip(self._slices(), self.diags):
-            k = np.zeros((self.dim, self.dim), dtype=self.diags.dtype)
-            k[dst, src] = np.diag(diag[src])
-            ops.append(k)
-        return tuple(ops)
+        """The dense Kraus operators: diags[j] on the diagonal -shifts[j]."""
+        d = self.dim
+        return tuple(np.diag(diag[max(0, -s) : d - max(0, s)], -s) for s, diag in zip(self.shifts, self.diags))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=complex)
-        if x.shape != (self.dim, self.dim):
-            raise DimensionMismatchError(f"input shape {x.shape} does not match ladder dimension {self.dim}")
-        out = np.zeros_like(x)
-        for (src, dst), diag in zip(self._slices(), self.diags):
-            w = diag[src]
-            out[dst, dst] += (w[:, None] * x[src, src]) * w.conj()
+        d = self.dim
+        if x.shape != (d, d):
+            raise DimensionMismatchError(f"input shape {x.shape} does not match ladder dimension {d}")
+        out = np.zeros((d, d), dtype=complex)
+        flat_x, flat_out = x.reshape(-1), out.reshape(-1)
+        rows, cols = np.nonzero(x)
+        for delta in set((rows - cols).tolist()):
+            # entries (a, a - Delta), a ascending from max(Delta, 0) as in _block
+            start, size = max(delta, 0) * (d + 1) - delta, d - abs(delta)
+            diagonal = slice(start, start + size * (d + 1), d + 1)
+            block, x_delta = _block(self, delta, size), flat_x[diagonal]
+            if np.iscomplexobj(block):
+                flat_out[diagonal] = block @ x_delta
+            else:
+                flat_out.real[diagonal] = block @ x_delta.real
+                flat_out.imag[diagonal] = block @ x_delta.imag
         return out
+
+
+def _block(ladder: Ladder, delta: int, size: int) -> np.ndarray:
+    """Leading ``size`` x ``size`` window of a ladder's coherence-order block Delta.
+
+    The block maps the Delta-diagonal of X to that of sum_k K_k X K_k^dag: its
+    entry (a, b), with levels counted from max(Delta, 0), is
+    sum_k K_k[a, b] conj(K_k[a - Delta, b - Delta]).  Operator k puts
+    diags[k, b] conj(diags[k, b - Delta]) at (b + shifts[k], b); one bincount
+    sums the operators that share an entry, in operator order, on rows padded
+    by dim on both sides so that entries outside the window need no mask.
+    """
+    lo, d = max(delta, 0), ladder.dim
+    values = ladder.diags[:, lo : lo + size] * ladder.diags[:, lo - delta : lo - delta + size].conj()
+    cols = np.arange(size)
+    flat = ((np.array(ladder.shifts)[:, None] + d + cols) * size + cols).reshape(-1)
+    n, window = (size + 2 * d) * size, slice(d * size, (d + size) * size)
+    if np.iscomplexobj(values):
+        re, im = (np.bincount(flat, part.reshape(-1), n)[window] for part in (values.real, values.imag))
+        block = re + 1j * im
+    else:
+        # copied, so that a block kept by the caller does not hold the padding
+        block = np.bincount(flat, values.reshape(-1), n)[window].copy()
+    return block.reshape(size, size)
 
 
 @functools.lru_cache(maxsize=32)
@@ -300,29 +328,34 @@ def _apply_stages(stages, mat: np.ndarray) -> np.ndarray:
     return mat
 
 
-def _sectors(stages) -> dict:
+def _sectors(stages, keep: int | None = None) -> dict:
     """Coherence-order blocks of the transfer matrix of a ladder chain (applied left to right).
 
     Ladder operators each shift n by a fixed s, so the row-major transfer
     matrix couples output (a, a - Delta) only to input (b, b - Delta).  Block
-    Delta in (-dim, dim) holds sum_k K_k[a, b] conj(K_k[a - Delta, b - Delta])
-    over levels a, b in [max(Delta, 0), dim + min(Delta, 0)): the entry
-    (b + s, b) of operator k is diags[k, b] conj(diags[k, b - Delta]), read
-    straight from the diagonals.  The stage blocks of one sector are
-    multiplied on their own.
+    Delta holds sum_k K_k[a, b] conj(K_k[a - Delta, b - Delta]) over levels
+    a, b in [max(Delta, 0), dim + min(Delta, 0)) (see ``_block``), and the
+    stage blocks of one order are multiplied on their own.
+
+    ``keep`` (default dim) keeps the orders |Delta| < keep, each cut to its
+    leading keep - |Delta| levels, the guard-banded window.  Every block is
+    built and multiplied at full size and then cut.  For loss stages
+    (shifts <= 0, upper-triangular blocks) followed by amplifier stages
+    (shifts >= 0, lower-triangular blocks) the product of the stage windows is
+    the same window in exact arithmetic, as (L U)[:w, :w] = L[:w, :w] U[:w, :w];
+    but OpenBLAS rounds the smaller product differently, by one ulp at
+    n_max = 40.
     """
-    blocks, dim = {}, stages[0].dim
-    for ladder in stages:
-        shifts = np.array(ladder.shifts)[:, None]
-        for delta in range(1 - dim, dim):
-            lo, hi = max(delta, 0), dim + min(delta, 0)
-            values = ladder.diags[:, lo:hi] * ladder.diags[:, lo - delta : hi - delta].conj()
-            cols = np.arange(hi - lo)
-            rows = cols + shifts
-            inside = (rows >= 0) & (rows < hi - lo)
-            block = np.zeros((hi - lo, hi - lo), dtype=values.dtype)
-            np.add.at(block, (rows[inside], np.broadcast_to(cols, rows.shape)[inside]), values[inside])
-            blocks[delta] = block @ blocks[delta] if delta in blocks else block
+    dim = stages[0].dim
+    keep = dim if keep is None else keep
+    blocks = {}
+    for delta in range(1 - keep, keep):
+        n = dim - abs(delta)
+        block = _block(stages[0], delta, n)
+        for ladder in stages[1:]:
+            block = _block(ladder, delta, n) @ block
+        w = keep - abs(delta)
+        blocks[delta] = block[:w, :w]
     return blocks
 
 
@@ -461,18 +494,18 @@ def check_adjoint_relation(
 
     Both chains are held as coherence-order blocks (see ``_sectors``).  The
     adjoint of block Delta is its conjugate transpose, and the guard band keeps
-    the leading (keep - |Delta|)^2 window of each block.
+    the orders |Delta| < keep and the leading (keep - |Delta|)^2 window of each
+    block, the only part ``_sectors`` returns.
     """
     d = spec.truncation.dim
     keep = _keep_levels(spec.truncation.n_max, n_guard)
     forward, reverse = _spec_ladders(spec)
     # reversal stages compose in the adjoint order
-    t_forward, t_reverse = _sectors(forward), _sectors(reverse)
+    t_forward, t_reverse = _sectors(forward, keep), _sectors(reverse, keep)
     scale = 1.0 / spec.parameter()
     deviation = 0.0
-    for delta in range(1 - keep, keep):
-        w = keep - abs(delta)
-        diff = t_forward[delta].conj().T[:w, :w] - scale * t_reverse[delta][:w, :w]
+    for delta, block in t_forward.items():
+        diff = block.conj().T - scale * t_reverse[delta]
         deviation = max(deviation, float(np.abs(diff).max()))
     return CheckReport(
         name=f"bosonic-adjoint-{spec.kind}",

@@ -268,7 +268,8 @@ def minimal_entropy_gain(
         starts.append(rng.standard_normal(2 * d * d))
     values, points, evals = minimize_stack(_gain_objective(kraus), np.stack(starts), budget.max_evals)
     _, states, _ = _factor_states(points, d)
-    lower = min(rel_entropy(mat, _adjoint_compose_apply(channel, mat)).value for mat in states)
+    dual = adjoint(channel)
+    lower = min(rel_entropy(mat, dual.apply(channel.apply(mat))).value for mat in states)
     best = states[int(np.argmin(values))]
     stationarity = _stationarity(best, _gain_gradient(best[None], kraus)[1][0])
     return MinimalEntropyGainResult(

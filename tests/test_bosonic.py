@@ -30,6 +30,7 @@ from qrecovery.entropy import rel_entropy
 from qrecovery.qcore import (
     Channel,
     KrausMap,
+    DimensionMismatchError,
     compose,
     is_subunital,
     is_trace_preserving,
@@ -241,6 +242,92 @@ class TestSectors:
             Ladder.from_kraus((hadamard,))
         with pytest.raises(ValueError, match="coherence"):
             Ladder.from_kraus(loss.kraus + (hadamard,))
+
+
+def _apply_by_slices(ladder, x):
+    """sum_k K_k X K_k^dag, one elementwise product on shifted slices per operator."""
+    d = ladder.dim
+    out = np.zeros((d, d), dtype=complex)
+    for s, diag in zip(ladder.shifts, ladder.diags):
+        lo, hi = max(0, -s), min(d, d - s)
+        src, dst = slice(lo, hi), slice(lo + s, hi + s)
+        w = diag[src]
+        out[dst, dst] += (w[:, None] * x[src, src]) * w.conj()
+    return out
+
+
+def _oracle_input(kind, d, rng):
+    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    if kind == "dense":
+        return z
+    if kind == "diagonal":
+        return np.diag(rng.random(d))
+    if kind == "one-order":
+        delta = int(rng.integers(1 - d, d))
+        return np.diag(np.diagonal(z, -delta), -delta)
+    # Hermitian, band |n - m| <= 2
+    band = np.triu(np.tril(z, 2), -2)
+    return band + band.conj().T
+
+
+class TestApplyOracle:
+    """``Ladder.apply`` by coherence-order blocks against the per-operator slice loop."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(4, 12),
+        st.floats(0.0, 1.0, exclude_min=True),
+        st.floats(1.0, 3.0),
+        st.sampled_from(["dense", "diagonal", "one-order", "banded"]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_slice_loop(self, n_max, eta, gain, kind, seed):
+        trunc = FockTruncation(n_max)
+        d = trunc.dim
+        rng = np.random.default_rng(seed)
+        loss, amp = loss_ladder(eta, trunc), amp_ladder(gain, trunc)
+        # complex diagonals, and operators that share a shift (the loss map again)
+        phased = Ladder(amp.shifts, amp.diags * np.exp(1j * rng.uniform(0, 2 * np.pi, amp.diags.shape)))
+        split = Ladder(loss.shifts * 2, np.vstack([loss.diags, loss.diags]) / math.sqrt(2))
+        x = _oracle_input(kind, d, rng)
+        # the same input in column-major memory, as x.T or rho.conj().T are
+        for x in (x, np.asfortranarray(x)):
+            for ladder in (loss, amp, phased, split):
+                npt.assert_allclose(ladder.apply(x), _apply_by_slices(ladder, x), rtol=0, atol=1e-14)
+            npt.assert_allclose(split.apply(x), loss.apply(x), rtol=0, atol=1e-14)
+
+    def test_zero_input_and_wrong_shape(self):
+        ladder = amp_ladder(1.25, FockTruncation(6))
+        npt.assert_array_equal(ladder.apply(np.zeros((7, 7))), np.zeros((7, 7)))
+        for shape in ((6, 6), (7, 8), (49,)):
+            with pytest.raises(DimensionMismatchError, match="does not match"):
+                ladder.apply(np.ones(shape))
+
+
+class TestSectorWindow:
+    """``_sectors(stages, keep)`` builds only the guard-band windows, and they
+    are exactly the leading windows of the full blocks."""
+
+    @staticmethod
+    def _assert_windows(stages, keep):
+        full, window = _sectors(stages), _sectors(stages, keep)
+        assert sorted(window) == list(range(1 - keep, keep))
+        for delta, block in window.items():
+            w = keep - abs(delta)
+            assert block.shape == (w, w)
+            assert np.array_equal(block, full[delta][:w, :w]), delta
+
+    @pytest.mark.parametrize("n_max,keep", [(9, 1), (9, None), (40, 1), (40, 26), (40, None)])
+    @pytest.mark.parametrize(
+        "kind,eta,gain", [("loss", 0.7, None), ("amp", None, 1.25), ("compose", 0.8, 1.1)]
+    )
+    def test_windows_are_exact(self, n_max, keep, kind, eta, gain):
+        trunc = FockTruncation(n_max)
+        keep = trunc.dim if keep is None else keep
+        forward, reverse = _spec_ladders(GaussianChannelSpec(kind, trunc, eta=eta, gain=gain))
+        # an amplifier before a loss: the product of the stage windows is not the window
+        for stages in (forward, reverse, forward[::-1]):
+            self._assert_windows(stages, keep)
 
 
 def _comb_loss(eta, n, k):
