@@ -3,13 +3,15 @@
     python3 scripts/bench_pair.py --base HEAD --seed 11 --pairs 10 --out BENCH_9.json
 
 Run from the repository root.  The base revision is extracted with
-``git archive`` into a temporary directory; the working tree is the change.
+``git archive`` into a temporary directory, and the working tree (the
+change: tracked and untracked files that git does not ignore) is copied
+into a sibling one, so both sides run from the same kind of location.
 For every workload in BENCHMARK.json, ``bench/run.py --trace 0`` runs
 ``--pairs`` times in each tree for BENCHMARK.json's ``run_seconds``,
 alternating which tree goes first, and then ``TRACED_RUNS`` times with
 ``--trace 1`` in each tree, again alternating, for the per-layer values.
 Each tree runs its own ``bench/``; this script writes only the ``--out``
-file and the trees' ``.bench_out/``.
+file.
 
 The file holds the machine, each side's median and quartiles of every
 end-to-end metric over the pairs, the share of pairs the change won (lower
@@ -24,6 +26,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -70,6 +73,16 @@ def extract(rev: str, tree: Path) -> str:
         tar.extractall(tree, filter="data")
     archive.unlink()
     return commit
+
+
+def copy_working_tree(tree: Path) -> None:
+    """Copy the working tree's files, minus those git ignores, into the new directory ``tree``."""
+    for name in git("ls-files", "--cached", "--others", "--exclude-standard", "-z").split("\0"):
+        src = ROOT / name
+        if name and src.is_file():  # a tracked file deleted in the working tree is skipped
+            dst = tree / name
+            dst.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(src, dst)
 
 
 def bench_run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -149,10 +162,10 @@ def main() -> int:
     seconds = declared["run_seconds"]
     out = {"machine": machine(), "seed": args.seed, "seconds": seconds}
     with tempfile.TemporaryDirectory(prefix="bench_pair_") as tmp:
-        base_tree = Path(tmp) / "base"
-        out["base"] = extract(args.base, base_tree)
+        trees = {"base": Path(tmp) / "base", "change": Path(tmp) / "change"}
+        out["base"] = extract(args.base, trees["base"])
+        copy_working_tree(trees["change"])
         out["change"] = f"working tree at {git('rev-parse', 'HEAD')}"
-        trees = {"base": base_tree, "change": ROOT}
         out["workloads"] = {}
         for workload in workloads:
             runs = {"base": [], "change": []}

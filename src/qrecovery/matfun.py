@@ -2,8 +2,8 @@
 
 Every matrix function here follows the support convention: eigenvalues at or
 below the numerical rank cutoff count as exact zeros and are mapped to zero,
-so ``mat_inv`` is a generalized inverse and ``mat_log2`` is the logarithm on
-the support.  The cutoff is ``dim * max|eigenvalue| * 1e-12``.
+so ``mat_inv`` is a generalized inverse.  The cutoff is
+``dim * max|eigenvalue| * 1e-12``.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ __all__ = [
     "support_projector",
     "mat_func",
     "complex_power",
-    "mat_log2",
     "mat_sqrt",
     "mat_inv",
 ]
@@ -169,15 +168,6 @@ def complex_power(matrix: np.ndarray, z: complex) -> np.ndarray:
             f"complex power requires PSD input; found eigenvalue {negative[0]!r}"
         )
     return spec.power(z)
-
-
-def mat_log2(matrix: np.ndarray) -> np.ndarray:
-    """Binary logarithm on the support; errors on negative support eigenvalues."""
-
-    def _log2(x):
-        return np.where(x > 0, np.log2(np.where(x > 0, x, 1.0)), np.nan)
-
-    return mat_func(matrix, _log2, name="log2")
 
 
 def mat_sqrt(matrix: np.ndarray) -> np.ndarray:

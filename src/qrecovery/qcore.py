@@ -34,7 +34,6 @@ __all__ = [
     "Channel",
     "Instrument",
     "Ensemble",
-    "ClassicalQuantumState",
     "TransferMap",
     "stream",
     "as_matrix",
@@ -48,6 +47,7 @@ __all__ = [
     "compose",
     "choi",
     "transfer_matrix",
+    "tp_deviation",
     "is_trace_preserving",
     "is_cptp",
     "is_unital",
@@ -71,6 +71,7 @@ Systems = tuple  # tuple[tuple[str, int], ...]
 
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
+PROB_FLOOR = 1e-12  # outcomes this unlikely get no post-measurement state
 
 
 class DimensionMismatchError(ValueError):
@@ -436,9 +437,15 @@ def transfer_matrix(channel: KrausMap) -> np.ndarray:
     return t.reshape(d_out * d_out, d_in * d_in)
 
 
-def is_trace_preserving(channel: KrausMap, tol: float = 1e-10) -> bool:
-    gram = channel.kraus_gram()
-    return float(np.abs(gram - np.eye(channel.in_dim)).max()) <= tol
+def tp_deviation(channel) -> float:
+    """Largest entry of |N^dag(I) - I| for a Kraus or transfer-matrix map;
+    0 exactly when the map is trace-preserving."""
+    gram = adjoint(channel).apply(np.eye(channel.out_dim))
+    return float(np.abs(gram - np.eye(channel.in_dim)).max())
+
+
+def is_trace_preserving(channel, tol: float = 1e-10) -> bool:
+    return tp_deviation(channel) <= tol
 
 
 def is_cptp(channel: KrausMap, tol: float = 1e-9) -> bool:
@@ -650,14 +657,23 @@ class Instrument:
     def outcome_map(self, index: int) -> KrausMap:
         return KrausMap(self.outcomes[index][1])
 
-    def sum_channel(self) -> Channel:
-        return Channel(tuple(k for _, ks in self.outcomes for k in ks))
+    def measure(self, x: np.ndarray, systems: Systems | None = None, on=None,
+                out_systems: Systems | None = None):
+        """Outcome probabilities and normalized post-measurement operators.
 
-    def outcome_probabilities(self, rho: np.ndarray) -> np.ndarray:
-        rho = np.asarray(rho, dtype=complex)
-        return np.array(
-            [float(np.real(np.trace(self.outcome_map(i).apply(rho)))) for i in range(self.n_outcomes)]
-        )
+        Without ``systems`` the outcome maps act on ``x`` itself; with them,
+        on the block ``on`` of ``x`` as in :func:`apply_on`.  Probabilities
+        are clipped at 0, and an outcome of probability at most
+        ``PROB_FLOOR`` gets ``None`` in place of its operator.
+        """
+        probs, posts = [], []
+        for i in range(self.n_outcomes):
+            m = self.outcome_map(i)
+            out = m.apply(x) if systems is None else apply_on(m, x, systems, on, out_systems)[0]
+            p = float(np.real(np.trace(out)))
+            probs.append(max(p, 0.0))
+            posts.append(out / p if p > PROB_FLOOR else None)
+        return np.array(probs), posts
 
 
 def instrument_channel(instr: Instrument) -> Channel:
@@ -713,39 +729,6 @@ class Ensemble:
             out_systems = self.states[0].systems
         outs = tuple(DensityOperator(out_systems, channel.apply(s.matrix)) for s in self.states)
         return Ensemble(self.probs, outs)
-
-
-@dataclass(frozen=True)
-class ClassicalQuantumState:
-    """Block-diagonal state sum_x w_x |x><x| (x) rho_x over a classical label."""
-
-    classical_label: str
-    blocks: tuple  # tuple[tuple[float, DensityOperator], ...]
-
-    def __post_init__(self):
-        blocks = tuple((float(w), s) for w, s in self.blocks)
-        object.__setattr__(self, "blocks", blocks)
-        if not blocks:
-            raise ValueError("at least one block is required")
-        weights = np.array([w for w, _ in blocks])
-        if weights.min() < -1e-12:
-            raise ValueError("block weights must be nonnegative")
-        if abs(weights.sum() - 1.0) > 1e-10:
-            raise ValueError("block weights must sum to 1")
-        first = blocks[0][1].systems
-        if any(s.systems != first for _, s in blocks):
-            raise DimensionMismatchError("blocks live on different systems")
-
-    def to_density(self, classical_first: bool = True) -> DensityOperator:
-        n = len(self.blocks)
-        qsys = self.blocks[0][1].systems
-        mats = []
-        for x, (w, s) in enumerate(self.blocks):
-            e = np.zeros((n, n))
-            e[x, x] = 1.0
-            mats.append(w * (np.kron(e, s.matrix) if classical_first else np.kron(s.matrix, e)))
-        systems = ((self.classical_label, n),) + qsys if classical_first else qsys + ((self.classical_label, n),)
-        return DensityOperator(systems, sum(mats))
 
 
 # ---------------------------------------------------------------------------

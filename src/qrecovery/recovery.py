@@ -1,6 +1,7 @@
 """Recovery maps: Petz, rotated Petz, the integrated recovery channel with
-projector completion, the explicit conditional-mutual-information recovery
-map, the adjoint-based recovery channel, and the Uhlmann isometry maximizer.
+projector completion, the adjoint-based recovery channel, and the Uhlmann
+isometry maximizer.  The conditional-mutual-information recovery map of a
+state rho_AC is ``rotated_petz(rho_AC, partial_trace_channel(..., "A"), t/2)``.
 
 Construction notes
 ------------------
@@ -35,7 +36,6 @@ from .qcore import (
     KrausMap,
     Purification,
     as_matrix,
-    ptrace,
 )
 
 __all__ = [
@@ -50,7 +50,6 @@ __all__ = [
     "stacked_root_fidelity",
     "swiveled_root_fidelities",
     "integrated_recovery",
-    "cmi_recovery",
     "adjoint_recovery",
     "uhlmann_isometry",
 ]
@@ -291,30 +290,6 @@ def integrated_recovery(sigma, channel: KrausMap, completion_state=None) -> Chan
     ]
     kernel = spec_out.eigenvectors[:, spec_out.eigenvalues <= spec_out.cutoff]
     ks.extend(_completion_kraus(kernel, np.ones(kernel.shape[1]), tau))
-    return Channel(tuple(ks))
-
-
-def cmi_recovery(rho_ac: DensityOperator, t: float) -> Channel:
-    """Explicit recovery map rebuilding the first factor of a bipartite reference state.
-
-    The first factor is always the recovered one: for a state on factors
-    (A, C) this returns the map
-    ``omega_C -> rho_AC^{(1-it)/2} [I_A (x) rho_C^{-(1-it)/2} omega_C
-    rho_C^{-(1+it)/2}] rho_AC^{(1+it)/2}``, whose output carries the (A, C)
-    ordering of the reference state.  It coincides with
-    ``rotated_petz(sigma=rho_AC, N=Tr_A, t/2)``.
-    """
-    if len(rho_ac.systems) != 2:
-        raise ValueError("cmi_recovery expects a bipartite reference state")
-    d_a, d_c = rho_ac.dims
-    rho_c = ptrace(rho_ac.matrix, (d_a, d_c), (1,))
-    left = complex_power(rho_ac.matrix, (1.0 - 1j * t) / 2.0)
-    right_c = complex_power(rho_c, (-1.0 + 1j * t) / 2.0)
-    ks = []
-    eye_a = np.eye(d_a)
-    for i in range(d_a):
-        ket = eye_a[:, i : i + 1]
-        ks.append(left @ np.kron(ket, right_c))
     return Channel(tuple(ks))
 
 

@@ -71,13 +71,6 @@ class CheckReport:
     def holds(self) -> bool:
         return self.slack >= -self.tol
 
-    def describe(self) -> str:
-        status = "PASS" if self.holds else "FAIL"
-        return (
-            f"[{status}] {self.name}: lhs={self.lhs:.6g} rhs={self.rhs:.6g} "
-            f"slack={self.slack:.3g} (tol={self.tol:g})"
-        )
-
 
 def report_row(report: CheckReport, suite: str, trial: int) -> dict:
     """Flatten a report into the fixed-order row used by both file formats."""
@@ -199,9 +192,6 @@ def summarize(rows) -> dict:
         s["trials"] += 1
         s["passes"] += 1 if row["holds"] else 0
         s["worst_slack_bits"] = min(s["worst_slack_bits"], row["slack_bits"])
-    for s in suites.values():
-        if math.isinf(s["worst_slack_bits"]):
-            s["worst_slack_bits"] = 0.0
     total = len(rows)
     passes = sum(1 for r in rows if r["holds"])
     return {

@@ -25,6 +25,7 @@ from .entropy import (
 from .lbfgs import minimize_stack
 from .matfun import eig_hermitian, rank_cutoff
 from .qcore import (
+    PROB_FLOOR,
     Channel,
     DensityOperator,
     Ensemble,
@@ -38,6 +39,7 @@ from .qcore import (
     is_subunital,
     ptrace,
     purify,
+    tp_deviation,
 )
 from .recovery import (
     QuadratureSpec,
@@ -67,13 +69,10 @@ __all__ = [
     "check_entropic_disturbance",
 ]
 
-PROB_FLOOR = 1e-12
-
 
 def _require_tp(channel) -> None:
     """A Kraus or transfer-matrix map is trace-preserving iff its adjoint takes I to I."""
-    gram = adjoint(channel).apply(np.eye(channel.out_dim))
-    dev = float(np.abs(gram - np.eye(channel.in_dim)).max())
+    dev = tp_deviation(channel)
     if dev > 1e-9:
         raise ValueError(f"map is not trace-preserving: max deviation {dev:.3e}")
 
@@ -317,28 +316,22 @@ def check_cond_entropy_gain(
 # information gain
 
 
-def _post_measurement(instr: Instrument, rho_mat: np.ndarray):
-    """Outcome probabilities and normalized post-measurement matrices."""
-    probs, posts = [], []
-    for i in range(instr.n_outcomes):
-        out = instr.outcome_map(i).apply(rho_mat)
-        p = float(np.real(np.trace(out)))
-        probs.append(max(p, 0.0))
-        posts.append(out / p if p > PROB_FLOOR else None)
-    return np.array(probs), posts
-
-
-def groenewold_gain(instr: Instrument, rho, prob_floor: float = PROB_FLOOR) -> float:
+def groenewold_gain(instr: Instrument, rho) -> float:
     """Entropy reduction H(rho) - sum_x p(x) H(rho^x).
 
     Negative values occur only for inefficient instruments; outcomes with
-    probability below ``prob_floor`` are dropped from the sum.
+    probability at or below ``PROB_FLOOR`` are dropped from the sum.
     """
     mat = as_matrix(rho)
-    probs, posts = _post_measurement(instr, mat)
+    return _entropy_reduction(mat, *instr.measure(mat))
+
+
+def _entropy_reduction(mat: np.ndarray, probs, posts) -> float:
+    """H(rho) - sum_x p(x) H(rho^x) from :meth:`Instrument.measure`'s outcomes,
+    whose post is ``None`` at or below ``PROB_FLOOR``."""
     reduction = entropy(mat)
     for p, post in zip(probs, posts):
-        if p > prob_floor and post is not None:
+        if post is not None:
             reduction -= p * entropy(post)
     return reduction
 
@@ -357,24 +350,13 @@ def _reference_instrument_state(instr: Instrument, rho: DensityOperator):
     """
     phi = purify(rho, "R")
     a_label = rho.labels[0]
-    proj = phi.projector()
+    probs, posts = instr.measure(
+        phi.projector(), phi.systems, a_label, out_systems=((a_label + "'", instr.out_dim),)
+    )
     dims = (phi.reference_dim, instr.out_dim) + rho.dims[1:]
     keep = [i for i in range(len(dims)) if i != 1]
-    probs, posts, reduced = [], [], []
-    for i in range(instr.n_outcomes):
-        out, _ = apply_on(
-            instr.outcome_map(i), proj, phi.systems, a_label, out_systems=((a_label + "'", instr.out_dim),)
-        )
-        p = float(np.real(np.trace(out)))
-        probs.append(max(p, 0.0))
-        if p > PROB_FLOOR:
-            norm = out / p
-            posts.append(norm)
-            reduced.append(ptrace(norm, dims, keep))
-        else:
-            posts.append(None)
-            reduced.append(None)
-    return phi, np.array(probs), posts, reduced
+    reduced = [None if post is None else ptrace(post, dims, keep) for post in posts]
+    return phi, probs, posts, reduced
 
 
 def _cq_assemble(weights, blocks, block_dim: int) -> np.ndarray:
@@ -406,10 +388,10 @@ def check_info_gain_upper(instr: Instrument, rho, tol: float = 1e-8) -> CheckRep
     """
     mat = as_matrix(rho)
     channel = instrument_channel(instr)
-    probs = instr.outcome_probabilities(mat)
+    probs, posts = instr.measure(mat)
     d = rel_entropy(mat, _adjoint_compose_apply(channel, mat))
     h_x = _shannon(probs)
-    gain = groenewold_gain(instr, mat)
+    gain = _entropy_reduction(mat, probs, posts)
     return CheckReport(
         name="info-gain-upper",
         lhs=h_x - d.value,

@@ -8,13 +8,13 @@ from hypothesis import given, settings, strategies as st
 from qrecovery.entropy import trace_distance
 from qrecovery.qcore import (
     Channel,
-    ClassicalQuantumState,
     DensityOperator,
     DimensionMismatchError,
     Ensemble,
     Instrument,
     KrausMap,
     LabelError,
+    TransferMap,
     adjoint,
     apply,
     apply_on,
@@ -37,6 +37,7 @@ from qrecovery.qcore import (
     random_unitary,
     stream,
     tensor,
+    tp_deviation,
     transfer_matrix,
 )
 from qrecovery import serialize
@@ -193,6 +194,8 @@ def test_flags_scaled_isometry():
     assert not half.trace_preserving
     assert is_subunital(half)
     assert not is_trace_preserving(half)
+    # N^dag(I) = I/4 in Kraus and in transfer-matrix form
+    assert tp_deviation(half) == tp_deviation(TransferMap.from_kraus(half)) == 0.75
 
 
 def test_trace_increasing_kraus_rejected():
@@ -364,12 +367,12 @@ class TestRandomInstances:
         instr = random_instrument(3, 2, True, stream(13, 2))
         assert instr.efficient
         assert all(len(ks) == 1 for _, ks in instr.outcomes)
-        assert is_trace_preserving(instr.sum_channel(), tol=1e-10)
+        assert is_trace_preserving(instrument_channel(instr), tol=1e-10)
 
     def test_random_instrument_inefficient(self):
         instr = random_instrument(3, 2, False, stream(13, 3))
         assert not instr.efficient
-        assert is_trace_preserving(instr.sum_channel(), tol=1e-10)
+        assert is_trace_preserving(instrument_channel(instr), tol=1e-10)
 
     @pytest.mark.parametrize("seed", range(100))
     def test_generated_channels_cptp_and_efficient_instruments_subunital(self, seed):
@@ -401,10 +404,33 @@ class TestInstrumentChannel:
         instr = random_instrument(3, 3, False, stream(16, 2))
         rho = random_density(3, 2, stream(16, 3))
         out = instrument_channel(instr).apply(rho.matrix)
-        probs = instr.outcome_probabilities(rho.matrix)
+        probs, posts = instr.measure(rho.matrix)
         blocks = out.reshape(3, 3, 3, 3)
         for x in range(3):
             assert abs(np.trace(blocks[:, x, :, x]).real - probs[x]) < 1e-10
+            npt.assert_allclose(probs[x] * posts[x], blocks[:, x, :, x], atol=1e-12)
+
+
+class TestMeasure:
+    def test_on_a_factor_matches_the_lifted_instrument(self):
+        instr = random_instrument(2, 3, False, stream(16, 4))
+        rho = DensityOperator((("R", 3), ("A", 2)), random_density(6, 4, stream(16, 5)).matrix)
+        probs, posts = instr.measure(rho.matrix, rho.systems, "A")
+        lifted = Instrument(
+            tuple((label, lift(KrausMap(ks), rho.systems, "A")[0].kraus) for label, ks in instr.outcomes)
+        )
+        ref_probs, ref_posts = lifted.measure(rho.matrix)
+        npt.assert_allclose(probs, ref_probs, atol=1e-12)
+        for post, ref in zip(posts, ref_posts):
+            npt.assert_allclose(post, ref, atol=1e-12)
+
+    def test_improbable_outcome_has_no_post_state(self):
+        probs, posts = Instrument(
+            (("0", (np.diag([1.0, 0.0]),)), ("1", (np.diag([0.0, 1.0]),)))
+        ).measure(np.diag([1.0, 0.0]))
+        npt.assert_array_equal(probs, [1.0, 0.0])
+        npt.assert_allclose(posts[0], np.diag([1.0, 0.0]), atol=0)
+        assert posts[1] is None
 
 
 def test_ensemble_validation_and_average():
@@ -415,14 +441,6 @@ def test_ensemble_validation_and_average():
     )
     with pytest.raises(ValueError):
         Ensemble(np.array([0.5, 0.6]), states)
-
-
-def test_cq_state_assembly():
-    blocks = ((0.3, qubit()), (0.7, DensityOperator((("A", 2),), np.diag([1.0, 0.0]))))
-    cq = ClassicalQuantumState("X", blocks)
-    rho = cq.to_density(classical_first=True)
-    assert rho.systems == (("X", 2), ("A", 2))
-    npt.assert_allclose(partial_trace(rho, "A").matrix, np.diag([0.3, 0.7]), atol=1e-12)
 
 
 def test_stream_is_deterministic_and_path_dependent():

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from qrecovery.entropy import fidelity, rel_entropy, root_fidelity, trace_distance
-from qrecovery.matfun import eig_hermitian, mat_inv, mat_sqrt
+from qrecovery.matfun import complex_power, eig_hermitian, mat_inv, mat_sqrt
 from qrecovery.qcore import (
     Channel,
     DensityOperator,
@@ -18,6 +18,7 @@ from qrecovery.qcore import (
     partial_trace,
     partial_trace_channel,
     permute,
+    ptrace,
     purify,
     random_channel,
     random_density,
@@ -30,12 +31,12 @@ from qrecovery.recovery import (
     NotCompletelyPositiveError,
     QuadratureSpec,
     adjoint_recovery,
-    cmi_recovery,
     integrated_recovery,
     p_weight,
     petz_map,
     quadrature,
     rotated_petz,
+    stacked_root_fidelity,
     swiveled_kraus,
     swiveled_root_fidelities,
     uhlmann_isometry,
@@ -224,6 +225,17 @@ class TestSwiveledStack:
         for stack, t in zip(ks, nodes):
             npt.assert_allclose(stack, np.stack(rotated_petz(sigma, ch, t / 2).kraus), atol=1e-12)
 
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_one_node_identity_stack_is_root_fidelity(self, d):
+        # root_fidelity is the kernel's trivial case: one node, A = I
+        rng = stream(39, 10, d)
+        p = random_density(d, d, rng).matrix
+        q = random_density(d, max(1, d - 1), rng).matrix
+        sp, sq = eig_hermitian(p).power(0.5), eig_hermitian(q).power(0.5)
+        stacked = stacked_root_fidelity(sp, np.eye(d)[None, None], sq)
+        assert stacked.shape == (1,)
+        assert abs(stacked[0] - root_fidelity(p, q)) <= 1e-14
+
     @pytest.mark.parametrize("kind", ["full", "sigma_rank_deficient", "n_sigma_kernel"])
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -343,13 +355,32 @@ class TestIntegratedRecovery:
 
 
 class TestCmiRecovery:
+    """The CMI recovery map omega_C -> rho_AC^{(1-it)/2} [I_A (x) rho_C^{-(1-it)/2}
+    omega_C rho_C^{-(1+it)/2}] rho_AC^{(1+it)/2}, which rebuilds A: the
+    rotated Petz map R^{t/2} of (rho_AC, Tr_A)."""
+
+    @staticmethod
+    def cmi_recovery(rho_ac, t):
+        return rotated_petz(rho_ac.matrix, partial_trace_channel(rho_ac.systems, "A"), t / 2)
+
+    @staticmethod
+    def explicit_cmi_recovery(rho_ac, t):
+        # the formula above, written out: Kraus operators
+        # rho_AC^{(1-it)/2} (|i>_A (x) rho_C^{-(1-it)/2})
+        d_a, d_c = rho_ac.dims
+        rho_c = ptrace(rho_ac.matrix, (d_a, d_c), (1,))
+        left = complex_power(rho_ac.matrix, (1.0 - 1j * t) / 2.0)
+        right_c = complex_power(rho_c, (-1.0 + 1j * t) / 2.0)
+        eye_a = np.eye(d_a)
+        return Channel(tuple(left @ np.kron(eye_a[:, i : i + 1], right_c) for i in range(d_a)))
+
     def test_product_reference(self):
         rng = stream(33, 0)
         rho_a = random_density(2, 2, rng).matrix
         rho_c = random_density(2, 2, rng).matrix
         rho_ac = DensityOperator((("A", 2), ("C", 2)), np.kron(rho_a, rho_c))
         omega = random_density(2, 2, rng).matrix
-        rec = cmi_recovery(rho_ac, 0.9)
+        rec = self.cmi_recovery(rho_ac, 0.9)
         npt.assert_allclose(rec.apply(omega), np.kron(rho_a, omega), atol=1e-10)
 
     def test_marginal_is_fixed_point(self):
@@ -357,17 +388,16 @@ class TestCmiRecovery:
         rho_ac = DensityOperator((("A", 2), ("C", 2)), random_density(4, 4, rng).matrix)
         rho_c = partial_trace(rho_ac, "A").matrix
         for t in (0.0, 0.7):
-            rec = cmi_recovery(rho_ac, t)
+            rec = self.cmi_recovery(rho_ac, t)
             npt.assert_allclose(rec.apply(rho_c), rho_ac.matrix, atol=1e-10)
 
     def test_matches_generic_rotated_petz(self):
         # cross-implementation oracle at t = 0.7: R^{t/2} with N = Tr_A
         rng = stream(33, 2)
         rho_ac = DensityOperator((("A", 2), ("C", 2)), random_density(4, 4, rng).matrix)
-        trace_a = partial_trace_channel(rho_ac.systems, "A")
-        rec = cmi_recovery(rho_ac, 0.7)
-        generic = rotated_petz(rho_ac.matrix, trace_a, 0.35)
-        npt.assert_allclose(choi(rec), choi(generic), atol=1e-10)
+        npt.assert_allclose(
+            choi(self.explicit_cmi_recovery(rho_ac, 0.7)), choi(self.cmi_recovery(rho_ac, 0.7)), atol=1e-10
+        )
 
 
 class TestAdjointRecovery:

@@ -1,0 +1,14 @@
+import math
+
+from qrecovery.reports import CheckReport, dumps_json, report_row, summarize
+
+
+def test_summarize_keeps_infinite_worst_slack():
+    # rhs = inf (a support violation in rel_entropy) gives slack -inf
+    violated = report_row(CheckReport("entropy-gain", lhs=0.3, rhs=math.inf, tol=1e-8), "a", 0)
+    unbounded = report_row(CheckReport("entropy-gain", lhs=math.inf, rhs=0.3, tol=1e-8), "b", 0)
+    summary = summarize([violated, unbounded])
+    assert summary["suites"]["a"]["worst_slack_bits"] == -math.inf
+    assert summary["suites"]["b"]["worst_slack_bits"] == math.inf
+    assert summary["total_passes"] == 1 and not summary["all_hold"]
+    assert '"worst_slack_bits":"-inf"' in dumps_json(summary)

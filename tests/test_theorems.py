@@ -560,6 +560,14 @@ class TestInfoGainNoQsi:
         assert "per_outcome_sqrt_fid_uhlmann" not in rep.aux
 
 
+def test_cq_state_assembly():
+    # classical factor last: sum_x w_x block_x (x) |x><x|
+    blocks = (random_density(2, 2, stream(49, 0)).matrix, np.diag([1.0, 0.0]))
+    rho = theorems._cq_assemble((0.3, 0.7), blocks, 2)
+    npt.assert_allclose(ptrace(rho, (2, 2), (1,)), np.diag([0.3, 0.7]), atol=1e-12)
+    npt.assert_allclose(ptrace(rho, (2, 2), (0,)), 0.3 * blocks[0] + 0.7 * blocks[1], atol=1e-12)
+
+
 def qsi_node_loop(instr, rho_ab, quad=QuadratureSpec()):
     """Per-node oracle of check_info_gain_qsi's rhs and aux values.
 
@@ -659,6 +667,15 @@ class TestInfoGainQsiBatched:
         assert rep.aux["low_confidence"] == low
         if instr.efficient:
             assert abs(rep.aux["uhlmann_vs_fidelity_max_dev"] - uhlmann_dev) <= 1e-12
+
+    def test_pure_bx_uhlmann_deviation_at_rounding_scale(self):
+        # every omega_B^x pure: the support roots keep the Uhlmann overlaps
+        # and the fidelities equal to rounding (largest measured: 3.3e-15)
+        devs = [
+            check_info_gain_qsi(*qsi_instance("bx_kernel", seed)).aux["uhlmann_vs_fidelity_max_dev"]
+            for seed in range(15)
+        ]
+        assert max(devs) <= 1e-13, f"largest Uhlmann deviation {max(devs):.3e}"
 
     @pytest.mark.parametrize("seed", range(3))
     def test_batched_uhlmann_overlaps_equal_isometry_achieved(self, seed):
