@@ -57,8 +57,12 @@ class RelEntropyResult:
 
 
 def entropy(rho) -> float:
-    """von Neumann entropy -Tr{rho log2 rho} of a PSD matrix."""
-    lam = np.linalg.eigvalsh(as_matrix(rho))
+    """von Neumann entropy -Tr{rho log2 rho} of a PSD matrix; a
+    :class:`DensityOperator` lends its cached eigenvalues."""
+    if isinstance(rho, DensityOperator):
+        lam = rho.eigenvalues
+    else:
+        lam = np.linalg.eigvalsh(as_matrix(rho))
     lam = lam[lam > rank_cutoff(lam)]
     return float(-np.sum(lam * np.log(lam)) * NAT_TO_BITS) if lam.size else 0.0
 
@@ -75,20 +79,19 @@ def rel_entropy(p, q, support_tol: float = SUPPORT_TOL) -> RelEntropyResult:
         raise ValueError(f"operand shapes differ: {p.shape} vs {q.shape}")
     if float(np.abs(p).max(initial=0.0)) == 0.0:
         raise ValueError("rel_entropy requires P != 0")
-    spec_q = eig_hermitian(q)
-    mask_q = spec_q.eigenvalues > rank_cutoff(spec_q.eigenvalues)
+    spec = eig_hermitian(np.stack([p, q]))
+    lam_p, lam_q = spec.eigenvalues
+    mask_q = lam_q > rank_cutoff(lam_q)
     # <v|P|v> on every eigenvector v of Q; on ker(Q) they sum to the mass of P there
-    vecs = spec_q.eigenvectors
+    vecs = spec[1].eigenvectors
     weights = np.real(np.sum(vecs.conj() * (p @ vecs), axis=0))
     violation = max(float(np.sum(weights[~mask_q])), 0.0)
     if violation > support_tol:
         return RelEntropyResult(math.inf, violation, support_tol)
 
-    spec_p = eig_hermitian(p)
-    lam_p = spec_p.eigenvalues
     mask_p = lam_p > rank_cutoff(lam_p)
     term_p = float(np.sum(lam_p[mask_p] * np.log(lam_p[mask_p]))) if mask_p.any() else 0.0
-    term_q = float(np.sum(weights[mask_q] * np.log(spec_q.eigenvalues[mask_q])))
+    term_q = float(np.sum(weights[mask_q] * np.log(lam_q[mask_q])))
     return RelEntropyResult((term_p - term_q) * NAT_TO_BITS, violation, support_tol)
 
 
@@ -143,11 +146,15 @@ def holevo_chi(ens: Ensemble) -> float:
     return avg - members
 
 
-def root_fidelity(p, q) -> float:
+def root_fidelity(p, q):
     """sqrt(F)(P, Q) = ||sqrt(P) sqrt(Q)||_1 for PSD operators, both square
-    roots taken on the support (eigenvalues at or below the rank cutoff map to 0)."""
-    sp, sq = eig_hermitian(as_matrix(p)).power(0.5), eig_hermitian(as_matrix(q)).power(0.5)
-    return float(np.linalg.svd(sp @ sq, compute_uv=False).sum())
+    roots taken on the support (eigenvalues at or below the rank cutoff map to 0).
+
+    For two (n, d, d) stacks, the array of the n pairs' root fidelities.
+    """
+    sp, sq = eig_hermitian(np.stack([as_matrix(p), as_matrix(q)])).power(0.5)
+    fid = np.linalg.svd(sp @ sq, compute_uv=False).sum(axis=-1)
+    return float(fid) if fid.ndim == 0 else fid
 
 
 def fidelity(p, q) -> float:

@@ -52,10 +52,12 @@ class MatrixDomainError(ValueError):
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, or of each matrix of a stack.
 
     ``eigenvalues`` is real and ascending; ``eigenvectors`` holds the
-    corresponding orthonormal eigenvectors as columns.
+    corresponding orthonormal eigenvectors as columns.  For a (..., d, d)
+    stack they are (..., d) and (..., d, d), every method acts per matrix, and
+    ``spec[i]`` is the spectrum of matrix i.
     """
 
     eigenvalues: np.ndarray
@@ -63,7 +65,7 @@ class Spectrum:
 
     @property
     def dim(self) -> int:
-        return self.eigenvalues.shape[0]
+        return self.eigenvalues.shape[-1]
 
     @cached_property
     def cutoff(self) -> float:
@@ -71,7 +73,11 @@ class Spectrum:
 
     def reconstruct(self) -> np.ndarray:
         u = self.eigenvectors
-        return (u * self.eigenvalues) @ u.conj().T
+        return (u * self.eigenvalues[..., None, :]) @ u.conj().swapaxes(-1, -2)
+
+    def __getitem__(self, index) -> "Spectrum":
+        """The spectrum of one matrix (or of a sub-stack) of a stack."""
+        return Spectrum(self.eigenvalues[index], self.eigenvectors[index])
 
     def support_mask(self) -> np.ndarray:
         """Boolean mask of eigenvalues counted as nonzero."""
@@ -81,17 +87,23 @@ class Spectrum:
         """H^z on the support: eigenvalues above the cutoff map to lambda^z,
         all others (negative ones included) to 0."""
         mask = self.eigenvalues > self.cutoff
-        values = np.zeros(self.dim, dtype=complex)
+        values = np.zeros(self.eigenvalues.shape, dtype=complex)
         values[mask] = np.exp(z * np.log(self.eigenvalues[mask]))
         u = self.eigenvectors
-        return (u * values) @ u.conj().T
+        return (u * values[..., None, :]) @ u.conj().swapaxes(-1, -2)
 
 
 def hermiticity_defect(matrix: np.ndarray) -> float:
-    """Max |H - H^dag| entry relative to the largest magnitude entry of H."""
+    """Max |H - H^dag| entry relative to the largest magnitude entry of H (at
+    least 1); for a (..., d, d) stack, the largest such defect of its matrices."""
     matrix = np.asarray(matrix)
-    scale = max(float(np.abs(matrix).max(initial=0.0)), 1.0)
-    return float(np.abs(matrix - matrix.conj().T).max(initial=0.0)) / scale
+    if matrix.ndim == 2:  # the common case, at half the cost of the stacked form
+        scale = max(float(np.abs(matrix).max(initial=0.0)), 1.0)
+        return float(np.abs(matrix - matrix.conj().T).max(initial=0.0)) / scale
+    axes = (-2, -1)
+    scale = np.maximum(np.abs(matrix).max(axis=axes, initial=0.0), 1.0)
+    asym = np.abs(matrix - matrix.conj().swapaxes(-1, -2)).max(axis=axes, initial=0.0)
+    return float((asym / scale).max(initial=0.0))
 
 
 def assert_hermitian(matrix: np.ndarray, tol: float = DEFAULT_HERM_TOL) -> None:
@@ -101,10 +113,12 @@ def assert_hermitian(matrix: np.ndarray, tol: float = DEFAULT_HERM_TOL) -> None:
 
 
 def eig_hermitian(matrix: np.ndarray, tol: float = DEFAULT_HERM_TOL) -> Spectrum:
-    """Eigendecomposition of a Hermitian matrix, rejecting non-Hermitian input."""
+    """Eigendecomposition of a Hermitian matrix or of a (..., d, d) stack of
+    them, rejecting non-Hermitian input; one check covers the whole stack, and
+    each matrix gets the same decomposition as on its own."""
     matrix = np.asarray(matrix, dtype=complex)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
+    if matrix.ndim < 2 or matrix.shape[-2] != matrix.shape[-1]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {matrix.shape}")
     assert_hermitian(matrix, tol)
     eigenvalues, eigenvectors = np.linalg.eigh(matrix)
     return Spectrum(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
@@ -156,7 +170,7 @@ def mat_func(
 
 
 def complex_power(matrix: np.ndarray, z: complex) -> np.ndarray:
-    """H^z for positive semi-definite H, with 0^z = 0 on the kernel.
+    """H^z for positive semi-definite H (or each matrix of a stack), with 0^z = 0 on the kernel.
 
     For purely imaginary z the result is a partial isometry on the support
     (unitary when H is full rank).

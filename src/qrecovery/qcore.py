@@ -6,8 +6,12 @@ the factors in declaration order.  Partial traces and channel applications
 never reorder the remaining factors; any reordering is an explicit
 :func:`permute`.
 
-All types are immutable after construction (backing arrays are marked
-read-only), so everything here is safe to share across threads; randomized
+Validation happens once, at the boundary: every public constructor runs its
+class's ``_validate``, and :func:`_derived` skips it only where validity
+follows from inputs that were already checked (partial traces, permutations,
+tensor products and averages of states, compositions and liftings of
+channels, and the random constructions).  Backing arrays are read-only, so
+every object is immutable and safe to share across threads; randomized
 instances derive per-trial generators via :func:`stream`.
 """
 
@@ -98,10 +102,46 @@ def _rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _freeze(array: np.ndarray) -> np.ndarray:
-    out = np.array(array, dtype=complex)
+def _freeze(array: np.ndarray, order: str = "K") -> np.ndarray:
+    out = np.array(array, dtype=complex, order=order)
     out.setflags(write=False)
     return out
+
+
+def _derived(cls, *fields):
+    """An instance of ``cls`` held from ``fields`` exactly as its public
+    constructor holds them, without ``_validate``.
+
+    Only for objects whose validity follows by construction from inputs that
+    were already checked; everything else goes through the constructor.
+    """
+    obj = object.__new__(cls)
+    obj._hold(*fields)
+    return obj
+
+
+def _ordered_sum(terms: np.ndarray) -> np.ndarray:
+    """terms[0] + terms[1] + ... over the leading axis, in that order.
+
+    ``sum(axis=0)`` adds a stack of matrices slice by slice, but pairs the
+    terms up when each has a single entry; ``cumsum`` never does.  The final
+    ``+= 0.0`` turns a -0 entry into 0, as a loop that starts from zeros does.
+    """
+    total = np.cumsum(terms, axis=0)[-1] if terms[0].size == 1 else terms.sum(axis=0)
+    total += 0.0
+    return total
+
+
+def _kraus_stack(kraus) -> np.ndarray:
+    """Kraus operators as one (K, out, in) complex array, once they are
+    checked to be at least one and to share one shape."""
+    ks = tuple(kraus)
+    if not ks:
+        raise ValueError("at least one Kraus operator is required")
+    shape = np.shape(ks[0])
+    if len(shape) != 2 or any(np.shape(k) != shape for k in ks):
+        raise DimensionMismatchError("all Kraus operators must share one (out, in) shape")
+    return np.array(ks, dtype=complex)
 
 
 def _norm_systems(systems) -> Systems:
@@ -143,22 +183,35 @@ class DensityOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        systems = _norm_systems(self.systems)
-        matrix = _freeze(self.matrix)
+        self._hold(_norm_systems(self.systems), self.matrix)
+        self._validate()
+
+    def _hold(self, systems: Systems, matrix: np.ndarray) -> None:
         object.__setattr__(self, "systems", systems)
-        object.__setattr__(self, "matrix", matrix)
-        d = _total_dim(systems)
-        if matrix.shape != (d, d):
+        object.__setattr__(self, "matrix", _freeze(matrix))
+
+    def _validate(self) -> None:
+        d = _total_dim(self.systems)
+        if self.matrix.shape != (d, d):
             raise DimensionMismatchError(
-                f"matrix shape {matrix.shape} does not match total dimension {d} of {systems}"
+                f"matrix shape {self.matrix.shape} does not match total dimension {d} "
+                f"of {self.systems}"
             )
-        assert_hermitian(matrix)
-        tr = float(np.real(np.trace(matrix)))
+        assert_hermitian(self.matrix)
+        tr = float(np.real(np.trace(self.matrix)))
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"trace {tr!r} deviates from 1 beyond {TRACE_TOL}")
-        min_eig = float(np.linalg.eigvalsh(matrix)[0])
+        min_eig = float(self.eigenvalues[0])
         if min_eig < -PSD_TOL:
             raise ValueError(f"matrix is not PSD: minimum eigenvalue {min_eig!r}")
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """Ascending eigenvalues (read-only), from the one ``eigvalsh`` that
+        the PSD check and :func:`~qrecovery.entropy.entropy` share."""
+        lam = np.linalg.eigvalsh(self.matrix)
+        lam.setflags(write=False)
+        return lam
 
     @property
     def dim(self) -> int:
@@ -211,7 +264,8 @@ class Purification:
         """Partial trace over the reference, i.e. the state this purifies."""
         keep = [l for l in _labels(self.systems) if l != self.reference_label]
         mat = ptrace(self.projector(), _dims(self.systems), _keep_indices(self.systems, keep))
-        return DensityOperator(tuple(s for s in self.systems if s[0] != self.reference_label), mat)
+        systems = tuple(s for s in self.systems if s[0] != self.reference_label)
+        return _derived(DensityOperator, systems, mat)
 
     def amplitude_matrix(self) -> np.ndarray:
         """Reshape into a (reference_dim x rest_dim) matrix, reference first.
@@ -255,7 +309,7 @@ def tensor(a, b):
     """Kronecker product; concatenates system lists for labeled operands."""
     if isinstance(a, DensityOperator) and isinstance(b, DensityOperator):
         systems = _norm_systems(a.systems + b.systems)  # rejects duplicate labels
-        return DensityOperator(systems, np.kron(a.matrix, b.matrix))
+        return _derived(DensityOperator, systems, np.kron(a.matrix, b.matrix))
     return np.kron(np.asarray(a), np.asarray(b))
 
 
@@ -270,7 +324,7 @@ def partial_trace(rho: DensityOperator, discard) -> DensityOperator:
             raise LabelError(f"unknown system label {l!r}")
     keep = [l for l in labels if l not in discard]
     mat = ptrace(rho.matrix, rho.dims, _keep_indices(rho.systems, keep))
-    return DensityOperator(tuple(s for s in rho.systems if s[0] in keep), mat)
+    return _derived(DensityOperator, tuple(s for s in rho.systems if s[0] in keep), mat)
 
 
 def permute(rho: DensityOperator, order: Sequence[str]) -> DensityOperator:
@@ -284,7 +338,7 @@ def permute(rho: DensityOperator, order: Sequence[str]) -> DensityOperator:
     t = rho.matrix.reshape(dims + dims)
     t = t.transpose(perm + [p + n for p in perm])
     systems = tuple(rho.systems[p] for p in perm)
-    return DensityOperator(systems, t.reshape(rho.dim, rho.dim))
+    return _derived(DensityOperator, systems, t.reshape(rho.dim, rho.dim))
 
 
 def purify(rho: DensityOperator, reference_label: str = "R", reference_dim: int | None = None) -> Purification:
@@ -318,44 +372,49 @@ def purify(rho: DensityOperator, reference_label: str = "R", reference_dim: int 
 
 @dataclass(frozen=True)
 class KrausMap:
-    """Completely positive map in Kraus form, with no trace constraint."""
+    """Completely positive map in Kraus form, with no trace constraint.
+
+    The operators are held once, as the read-only (K, out, in) array
+    ``stack``; ``kraus`` is the tuple of its slices.
+    """
 
     kraus: tuple
 
     def __post_init__(self):
-        ks = tuple(_freeze(k) for k in self.kraus)
-        if not ks:
-            raise ValueError("at least one Kraus operator is required")
-        shape = ks[0].shape
-        if len(shape) != 2 or any(k.shape != shape for k in ks):
-            raise DimensionMismatchError("all Kraus operators must share one (out, in) shape")
-        object.__setattr__(self, "kraus", ks)
+        self._hold(_kraus_stack(self.kraus))
+        self._validate()
+
+    def _hold(self, stack: np.ndarray) -> None:
+        stack = _freeze(stack, order="C")
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "kraus", tuple(stack))
+
+    def _validate(self) -> None:
+        """Every Kraus form is completely positive (its shapes are checked as
+        it is stacked); :class:`Channel` bounds the trace."""
 
     @property
     def in_dim(self) -> int:
-        return self.kraus[0].shape[1]
+        return self.stack.shape[2]
 
     @property
     def out_dim(self) -> int:
-        return self.kraus[0].shape[0]
+        return self.stack.shape[1]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
+        """sum_k K_k x K_k^dag, as one batched product summed in Kraus order."""
         x = np.asarray(x, dtype=complex)
         if x.shape != (self.in_dim, self.in_dim):
             raise DimensionMismatchError(
                 f"input shape {x.shape} does not match channel input dimension {self.in_dim}"
             )
-        out = np.zeros((self.out_dim, self.out_dim), dtype=complex)
-        for k in self.kraus:
-            out += k @ x @ k.conj().T
-        return out
+        ks = self.stack
+        return _ordered_sum(ks @ x @ ks.conj().swapaxes(1, 2))
 
     def kraus_gram(self) -> np.ndarray:
         """sum_i K_i^dag K_i (the adjoint's action on the identity)."""
-        out = np.zeros((self.in_dim, self.in_dim), dtype=complex)
-        for k in self.kraus:
-            out += k.conj().T @ k
-        return out
+        ks = self.stack
+        return _ordered_sum(ks.conj().swapaxes(1, 2) @ ks)
 
     def on_identity(self) -> np.ndarray:
         return self.apply(np.eye(self.in_dim))
@@ -365,10 +424,8 @@ class KrausMap:
 class Channel(KrausMap):
     """CP trace-non-increasing map; flags are computed lazily and cached."""
 
-    def __post_init__(self):
-        super().__post_init__()
-        gram = self.kraus_gram()
-        excess = float(np.linalg.eigvalsh(gram - np.eye(self.in_dim))[-1])
+    def _validate(self) -> None:
+        excess = _trace_excess(self)
         if excess > TRACE_TOL:
             raise ValueError(
                 f"Kraus operators are trace-increasing: max eig of sum K^dag K - I is {excess!r}"
@@ -387,6 +444,11 @@ class Channel(KrausMap):
         return is_subunital(self)
 
 
+def _trace_excess(m: KrausMap) -> float:
+    """Largest eigenvalue of sum K^dag K - I: positive iff some input gains trace."""
+    return float(np.linalg.eigvalsh(m.kraus_gram() - np.eye(m.in_dim))[-1])
+
+
 def apply(channel, x: np.ndarray) -> np.ndarray:
     """Apply a channel (or any map with ``.apply``) to a matrix."""
     return channel.apply(np.asarray(x))
@@ -400,7 +462,7 @@ def adjoint(channel: KrausMap) -> KrausMap:
     """
     if isinstance(channel, TransferMap):
         return channel.adjoint()
-    return KrausMap(tuple(k.conj().T for k in channel.kraus))
+    return _derived(KrausMap, channel.stack.conj().swapaxes(1, 2))
 
 
 def compose(after: KrausMap, before: KrausMap):
@@ -409,14 +471,14 @@ def compose(after: KrausMap, before: KrausMap):
         raise DimensionMismatchError(
             f"cannot compose: inner output dim {before.out_dim} != outer input dim {after.in_dim}"
         )
-    ks = tuple(a @ b for a in after.kraus for b in before.kraus)
+    ks = (after.stack[:, None] @ before.stack).reshape(-1, after.out_dim, before.in_dim)
     cls = Channel if isinstance(after, Channel) and isinstance(before, Channel) else KrausMap
-    return cls(ks)
+    return _derived(cls, ks)
 
 
 def choi(channel: KrausMap) -> np.ndarray:
     """Choi matrix with input factor first: C = sum_ij |i><j| (x) N(|i><j|)."""
-    vecs = np.stack([k.T.reshape(-1) for k in channel.kraus])
+    vecs = channel.stack.swapaxes(1, 2).reshape(len(channel.kraus), -1)
     return vecs.T @ vecs.conj()
 
 
@@ -428,7 +490,7 @@ def transfer_matrix(channel: KrausMap) -> np.ndarray:
     reshaped to (k, d_out*d_in), whose (b, (c, d)) result is permuted to
     (c, b, d); no second d_out^2 x d_in^2 buffer is held.
     """
-    ks = np.stack(channel.kraus)
+    ks = channel.stack
     n_kraus, d_out, d_in = ks.shape
     rhs = ks.conj().reshape(n_kraus, d_out * d_in)
     t = np.empty((d_out, d_out, d_in, d_in), dtype=ks.dtype)
@@ -560,7 +622,7 @@ def apply_on(m: KrausMap, x: np.ndarray, systems: Systems, on, out_systems: Syst
             f"operator shape {x.shape} does not match dimension {d_in} of {systems}"
         )
     n = len(m.kraus)
-    ks = np.stack(m.kraus)[:, None]  # (n, 1, out, in), broadcast over the left factor
+    ks = m.stack[:, None]  # (n, 1, out, in), broadcast over the left factor
     # With K_k acting on the block, Y_k = K_k X and sum_k K_k Y_k^dag = N(X^dag),
     # whose adjoint is N(X): a map in Kraus form commutes with the adjoint.
     y = (ks @ x.reshape(d_left, m.in_dim, d_right * d_in)).reshape(n, d_out, d_in)
@@ -582,9 +644,9 @@ def lift(m: KrausMap, systems: Systems, on, out_systems: Systems | None = None):
     systems, start, stop, new_systems = _factor_block(m, systems, on, out_systems)
     eye_l = np.eye(_total_dim(systems[:start]))
     eye_r = np.eye(_total_dim(systems[stop:]))
-    ks = tuple(np.kron(np.kron(eye_l, k), eye_r) for k in m.kraus)
+    ks = [np.kron(np.kron(eye_l, k), eye_r) for k in m.kraus]
     cls = Channel if isinstance(m, Channel) else KrausMap
-    return cls(ks), new_systems
+    return _derived(cls, ks), new_systems
 
 
 def partial_trace_channel(systems: Systems, discard) -> Channel:
@@ -603,7 +665,7 @@ def partial_trace_channel(systems: Systems, discard) -> Channel:
             factor_bases.append([np.eye(dim)[i : i + 1, :] for i in range(dim)])
         else:
             factor_bases.append([np.eye(dim)])
-    return Channel(tuple(reduce(np.kron, combo) for combo in product(*factor_bases)))
+    return _derived(Channel, [reduce(np.kron, combo) for combo in product(*factor_bases)])
 
 
 # ---------------------------------------------------------------------------
@@ -612,39 +674,50 @@ def partial_trace_channel(systems: Systems, discard) -> Channel:
 
 @dataclass(frozen=True)
 class Instrument:
-    """Finite family of CP trace-non-increasing maps summing to a channel."""
+    """Finite family of CP trace-non-increasing maps summing to a channel.
+
+    Each outcome's Kraus operators are held once, as one :class:`KrausMap`
+    (:meth:`outcome_map`); ``outcomes`` pairs each label with its slices.
+    """
 
     outcomes: tuple  # tuple[tuple[str, tuple[np.ndarray, ...]], ...]
 
     def __post_init__(self):
-        cleaned = []
-        seen = set()
-        for label, ks in self.outcomes:
-            label = str(label)
-            if label in seen:
-                raise LabelError(f"duplicate outcome label {label!r}")
-            seen.add(label)
-            cleaned.append((label, tuple(_freeze(k) for k in ks)))
-        if not cleaned:
+        self._hold([(label, _kraus_stack(ks)) for label, ks in self.outcomes])
+        self._validate()
+
+    def _hold(self, outcomes) -> None:
+        """``outcomes``: (label, Kraus operators) pairs."""
+        maps = tuple(_derived(KrausMap, ks) for _, ks in outcomes)
+        labels = (str(label) for label, _ in outcomes)
+        object.__setattr__(self, "_maps", maps)
+        object.__setattr__(self, "outcomes", tuple(zip(labels, (m.kraus for m in maps))))
+
+    def _validate(self) -> None:
+        if not self.outcomes:
             raise ValueError("an instrument needs at least one outcome")
-        object.__setattr__(self, "outcomes", tuple(cleaned))
-        d_in, d_out = self.in_dim, self.out_dim
-        total = np.zeros((d_in, d_in), dtype=complex)
-        for label, ks in self.outcomes:
-            gram = sum(k.conj().T @ k for k in ks)
-            if float(np.linalg.eigvalsh(gram - np.eye(d_in))[-1]) > TRACE_TOL:
+        labels = [label for label, _ in self.outcomes]
+        for i, label in enumerate(labels):
+            if label in labels[:i]:
+                raise LabelError(f"duplicate outcome label {label!r}")
+        shape = self._maps[0].stack.shape[1:]
+        if any(m.stack.shape[1:] != shape for m in self._maps):
+            raise DimensionMismatchError("all outcomes must share one (out, in) shape")
+        total = np.zeros((self.in_dim, self.in_dim), dtype=complex)
+        for label, m in zip(labels, self._maps):
+            if _trace_excess(m) > TRACE_TOL:
                 raise ValueError(f"outcome {label!r} is trace-increasing")
-            total += gram
-        if float(np.abs(total - np.eye(d_in)).max()) > TRACE_TOL:
+            total += m.kraus_gram()
+        if float(np.abs(total - np.eye(self.in_dim)).max()) > TRACE_TOL:
             raise ValueError("outcome maps do not sum to a trace-preserving channel")
 
     @property
     def in_dim(self) -> int:
-        return self.outcomes[0][1][0].shape[1]
+        return self._maps[0].in_dim
 
     @property
     def out_dim(self) -> int:
-        return self.outcomes[0][1][0].shape[0]
+        return self._maps[0].out_dim
 
     @property
     def n_outcomes(self) -> int:
@@ -655,7 +728,7 @@ class Instrument:
         return all(len(ks) == 1 for _, ks in self.outcomes)
 
     def outcome_map(self, index: int) -> KrausMap:
-        return KrausMap(self.outcomes[index][1])
+        return self._maps[index]
 
     def measure(self, x: np.ndarray, systems: Systems | None = None, on=None,
                 out_systems: Systems | None = None):
@@ -667,8 +740,7 @@ class Instrument:
         ``PROB_FLOOR`` gets ``None`` in place of its operator.
         """
         probs, posts = [], []
-        for i in range(self.n_outcomes):
-            m = self.outcome_map(i)
+        for m in self._maps:
             out = m.apply(x) if systems is None else apply_on(m, x, systems, on, out_systems)[0]
             p = float(np.real(np.trace(out)))
             probs.append(max(p, 0.0))
@@ -690,7 +762,7 @@ def instrument_channel(instr: Instrument) -> Channel:
         e[x, 0] = 1.0
         for k in kraus:
             ks.append(np.kron(k, e))
-    return Channel(tuple(ks))
+    return _derived(Channel, ks)
 
 
 @dataclass(frozen=True)
@@ -721,7 +793,7 @@ class Ensemble:
 
     def average(self) -> DensityOperator:
         mat = sum(p * s.matrix for p, s in zip(self.probs, self.states))
-        return DensityOperator(self.states[0].systems, mat)
+        return _derived(DensityOperator, self.states[0].systems, mat)
 
     def through(self, channel: Channel, out_systems: Systems | None = None) -> "Ensemble":
         """The output ensemble {p_x; N(rho^x)}."""
@@ -744,7 +816,7 @@ def random_density(dim: int, rank: int | None = None, seed=None) -> DensityOpera
     g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     mat = g @ g.conj().T
     mat /= np.real(np.trace(mat))
-    return DensityOperator((("A", dim),), mat)
+    return _derived(DensityOperator, (("A", int(dim)),), mat)
 
 
 def random_unitary(dim: int, seed=None) -> np.ndarray:
@@ -772,8 +844,7 @@ def random_channel(in_dim: int, out_dim: int, env_dim: int, seed=None) -> Channe
     if out_dim * env_dim < in_dim:
         raise DimensionMismatchError("out_dim * env_dim must be at least in_dim")
     v = random_isometry(in_dim, out_dim * env_dim, seed)
-    v = v.reshape(out_dim, env_dim, in_dim)
-    return Channel(tuple(v[:, e, :] for e in range(env_dim)))
+    return _derived(Channel, v.reshape(out_dim, env_dim, in_dim).swapaxes(0, 1))
 
 
 def random_povm(dim: int, n_outcomes: int, seed=None) -> tuple:
@@ -797,12 +868,9 @@ def random_instrument(dim: int, n_outcomes: int, efficient: bool, seed=None) -> 
     """
     rng = _rng(seed)
     if efficient:
-        povm = random_povm(dim, n_outcomes, rng)
-        outcomes = []
-        for x, lam in enumerate(povm):
-            v = random_unitary(dim, rng)
-            outcomes.append((str(x), (v @ complex_power(lam, 0.5),)))
-        return Instrument(tuple(outcomes))
+        roots = complex_power(np.stack(random_povm(dim, n_outcomes, rng)), 0.5)
+        outcomes = [(str(x), (random_unitary(dim, rng) @ root,)) for x, root in enumerate(roots)]
+        return _derived(Instrument, outcomes)
     raw = []
     for _ in range(n_outcomes):
         ks = [
@@ -812,16 +880,16 @@ def random_instrument(dim: int, n_outcomes: int, efficient: bool, seed=None) -> 
         raw.append(ks)
     total = sum(k.conj().T @ k for ks in raw for k in ks)
     s = complex_power(total, -0.5)
-    outcomes = tuple((str(x), tuple(k @ s for k in ks)) for x, ks in enumerate(raw))
-    return Instrument(outcomes)
+    outcomes = [(str(x), [k @ s for k in ks]) for x, ks in enumerate(raw)]
+    return _derived(Instrument, outcomes)
 
 
 def random_mixed_unitary_channel(dim: int, n_unitaries: int, seed=None) -> Channel:
     """Random mixture of Haar unitaries (unital and trace-preserving)."""
     rng = _rng(seed)
     probs = rng.dirichlet(np.ones(n_unitaries))
-    ks = tuple(np.sqrt(p) * random_unitary(dim, rng) for p in probs)
-    return Channel(ks)
+    ks = [np.sqrt(p) * random_unitary(dim, rng) for p in probs]
+    return _derived(Channel, ks)
 
 
 def random_subunital_channel(in_dim: int, out_dim: int, n_unitaries: int = 3, seed=None) -> Channel:

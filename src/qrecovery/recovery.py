@@ -216,9 +216,10 @@ def swiveled_root_fidelities(rho, sigma, channel: KrausMap, t) -> np.ndarray:
     swiveled Petz map of :func:`rotated_petz` for (sigma, N)."""
     sig, n_sig = _sigma_pair(sigma, channel)
     mat = as_matrix(rho)
-    ks = swiveled_kraus(eig_hermitian(sig), eig_hermitian(n_sig), channel.kraus, t)
-    sqrt_rho, sqrt_out = (eig_hermitian(x).power(0.5) for x in (mat, channel.apply(mat)))
-    return stacked_root_fidelity(sqrt_rho, ks, sqrt_out)
+    spec_in = eig_hermitian(np.stack([sig, mat]))
+    spec_out = eig_hermitian(np.stack([n_sig, channel.apply(mat)]))
+    ks = swiveled_kraus(spec_in[0], spec_out[0], channel.kraus, t)
+    return stacked_root_fidelity(spec_in[1].power(0.5), ks, spec_out[1].power(0.5))
 
 
 def _completion_state(completion_state, dim: int) -> np.ndarray:
@@ -274,8 +275,12 @@ def integrated_recovery(sigma, channel: KrausMap, completion_state=None) -> Chan
     """
     sig, n_sig = _sigma_pair(sigma, channel)
     tau = _completion_state(completion_state, channel.in_dim)
-    spec_out = eig_hermitian(n_sig)
-    u, lam, v, mu, core = _petz_core(eig_hermitian(sig), spec_out, channel.kraus)
+    if sig.shape == n_sig.shape:  # one stacked call when N keeps the dimension
+        pair = eig_hermitian(np.stack([sig, n_sig]))
+        spec_sig, spec_out = pair[0], pair[1]
+    else:
+        spec_sig, spec_out = eig_hermitian(sig), eig_hermitian(n_sig)
+    u, lam, v, mu, core = _petz_core(spec_sig, spec_out, channel.kraus)
     # rows: vec of the Petz Kraus operators in the support eigenbases
     petz = core.reshape(len(channel.kraus), -1)
     half_log = ((np.log(mu)[None, :] - np.log(lam)[:, None]) / 2.0).reshape(-1)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -132,7 +133,12 @@ def _dump(obj, out: list) -> None:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+_NEEDS_ESCAPE = re.compile(r'["\\\x00-\x1f]')
+
+
 def _escape(s: str) -> str:
+    if _NEEDS_ESCAPE.search(s) is None:
+        return '"' + s + '"'
     out = ['"']
     for ch in s:
         if ch == '"':

@@ -260,7 +260,7 @@ def minimal_entropy_gain(
         raise ValueError("minimal_entropy_gain expects equal input and output dimensions")
     d = channel.in_dim
     rng = _rng(seed)
-    kraus = np.stack(channel.kraus)
+    kraus = channel.stack
 
     starts = [np.concatenate([np.eye(d).reshape(-1), np.zeros(d * d)])]
     for _ in range(budget.restarts - 1):
@@ -360,16 +360,14 @@ def _reference_instrument_state(instr: Instrument, rho: DensityOperator):
 
 
 def _cq_assemble(weights, blocks, block_dim: int) -> np.ndarray:
-    """sum_x w_x block_x (x) |x><x| as one matrix (classical factor last)."""
+    """sum_x w_x block_x (x) |x><x| as one matrix (classical factor last):
+    w_x block_x fills the (x, x) slot of a (d, n, d, n) array."""
     n = len(weights)
-    out = np.zeros((block_dim * n, block_dim * n), dtype=complex)
+    out = np.zeros((block_dim, n, block_dim, n), dtype=complex)
     for x, (w, b) in enumerate(zip(weights, blocks)):
-        if b is None or w <= PROB_FLOOR:
-            continue
-        e = np.zeros((n, n))
-        e[x, x] = 1.0
-        out += w * np.kron(b, e)
-    return out
+        if b is not None and w > PROB_FLOOR:
+            out[:, x, :, x] += w * b
+    return out.reshape(block_dim * n, block_dim * n)
 
 
 def _avg(blocks, weights, dim: int) -> np.ndarray:
@@ -448,10 +446,11 @@ def check_info_gain_no_qsi(instr: Instrument, rho: DensityOperator, tol: float =
 
     product = _cq_assemble(probs, [sigma_r] * len(probs), r_dim)
     rhs_direct = -math.log2(fidelity(sigma_rx, product))
-    sqrt_fids = [
-        root_fidelity(block, sigma_r) if (p > PROB_FLOOR and block is not None) else 0.0
-        for p, block in zip(probs, posts_r)
-    ]
+    seen = _seen_outcomes(probs, posts_r)
+    blocks = np.stack([posts_r[x] for x in seen])
+    sqrt_fids = [0.0] * len(probs)
+    for x, fid in zip(seen, root_fidelity(blocks, np.broadcast_to(sigma_r, blocks.shape))):
+        sqrt_fids[x] = float(fid)
     avg_sqrt = float(np.sum(probs * np.array(sqrt_fids)))
     rhs_direct_sum = -2.0 * math.log2(max(avg_sqrt, 1e-300))
 
@@ -466,17 +465,13 @@ def check_info_gain_no_qsi(instr: Instrument, rho: DensityOperator, tol: float =
         a_label = rho.labels[0]
         out_label = a_label + "'"
         phi_sigma = Purification(a_label, phi.systems, phi.vector)
-        uhlmann_sqrt = []
+        uhlmann_sqrt = [0.0] * len(probs)
         max_dev = 0.0
-        for p, post, sqrt_fid in zip(probs, posts_ra, sqrt_fids):
-            if p <= PROB_FLOOR or post is None:
-                uhlmann_sqrt.append(0.0)
-                continue
-            vec = _pure_vector(post)
+        for x, vec in zip(seen, _pure_vectors([posts_ra[x] for x in seen])):
             phi_rho = Purification(out_label, (("R", r_dim), (out_label, instr.out_dim)), vec)
             res = uhlmann_isometry(phi_rho, phi_sigma)
-            uhlmann_sqrt.append(math.sqrt(max(res.achieved, 0.0)))
-            max_dev = max(max_dev, abs(res.achieved - sqrt_fid**2))
+            uhlmann_sqrt[x] = math.sqrt(max(res.achieved, 0.0))
+            max_dev = max(max_dev, abs(res.achieved - sqrt_fids[x]**2))
         avg_u = float(np.sum(probs * np.array(uhlmann_sqrt)))
         rhs = -2.0 * math.log2(max(avg_u, 1e-300))
         aux["per_outcome_sqrt_fid_uhlmann"] = [float(s) for s in uhlmann_sqrt]
@@ -491,9 +486,18 @@ def check_info_gain_no_qsi(instr: Instrument, rho: DensityOperator, tol: float =
     )
 
 
-def _pure_vector(density: np.ndarray) -> np.ndarray:
-    spec = eig_hermitian(density)
-    return spec.eigenvectors[:, -1] * math.sqrt(max(float(spec.eigenvalues[-1]), 0.0))
+def _seen_outcomes(probs, posts) -> list:
+    """Indices of the outcomes that get a post-measurement operator: those of
+    probability above ``PROB_FLOOR`` (at least one, as the probabilities sum to 1)."""
+    return [x for x, p in enumerate(probs) if p > PROB_FLOOR and posts[x] is not None]
+
+
+def _pure_vectors(densities) -> np.ndarray:
+    """sqrt(lam_max) times the top eigenvector of each density operator, for
+    rank-one inputs the vector whose projector each one is; one stacked call."""
+    spec = eig_hermitian(np.stack(densities))
+    top = np.sqrt(np.maximum(spec.eigenvalues[:, -1], 0.0))
+    return spec.eigenvectors[:, :, -1] * top[:, None]
 
 
 def _b_rotated_overlaps(phi: Purification, a_label: str, g: np.ndarray, phi_post: Purification):
@@ -567,22 +571,25 @@ def check_info_gain_qsi(
     )
 
     nodes, weights = quadrature(quad)
-    spec_b = eig_hermitian(omega_b)
+    seen = _seen_outcomes(probs, posts_rb)
+    # one stacked call each: omega_B with every omega_B^x, omega_RB with every omega^x_RB
+    spec_bx = eig_hermitian(np.stack([omega_b] + [omega_bx[x] for x in seen]))
+    sqrt_rbx = eig_hermitian(np.stack([omega_rb] + [posts_rb[x] for x in seen])).power(0.5)
+    spec_b, sqrt_rb = spec_bx[0], sqrt_rbx[0]
     support_b = spec_b.eigenvectors[:, spec_b.eigenvalues > spec_b.cutoff]
     proj_b = support_b @ support_b.conj().T
-    sqrt_rb = eig_hermitian(omega_rb).power(0.5)
+    if instr.efficient:
+        post_vecs = _pure_vectors([posts_rab[x] for x in seen])
 
     node_sum = np.zeros(len(nodes))
     tp_acc = np.zeros((len(nodes), d_b, d_b), dtype=complex)
     low_confidence = False
     uhlmann_dev = 0.0
-    for x in range(instr.n_outcomes):
-        if probs[x] <= PROB_FLOOR or posts_rb[x] is None:
-            continue
+    for j, x in enumerate(seen):
         # g_t = (omega_B^x)^{(1-it)/2} omega_B^{(-1+it)/2} at every node, (T, d_B, d_B)
-        g = swiveled_kraus(eig_hermitian(omega_bx[x]), spec_b, (np.eye(d_b),), nodes)
+        g = swiveled_kraus(spec_bx[j + 1], spec_b, (np.eye(d_b),), nodes)
         tp_acc += probs[x] * (g[:, 0].conj().swapaxes(1, 2) @ g[:, 0])
-        sqrt_f = stacked_root_fidelity(eig_hermitian(posts_rb[x]).power(0.5), g, sqrt_rb, lead=r_dim)
+        sqrt_f = stacked_root_fidelity(sqrt_rbx[j + 1], g, sqrt_rb, lead=r_dim)
         f = sqrt_f**2
         low_confidence = low_confidence or bool((f < 1e-14).any())
         node_sum += probs[x] * sqrt_f
@@ -590,7 +597,7 @@ def check_info_gain_qsi(
             phi_post = Purification(
                 out_label,
                 (("R", r_dim), (out_label, instr.out_dim), (b_label, d_b)),
-                _pure_vector(posts_rab[x]),
+                post_vecs[j],
             )
             achieved = _b_rotated_overlaps(phi, a_label, g[:, 0], phi_post)
             uhlmann_dev = max(uhlmann_dev, float(np.abs(achieved - f).max()))
@@ -636,11 +643,10 @@ def check_entropic_disturbance(
     chi_out = holevo_chi(ens.through(channel, out_systems))
     lhs = chi_in - chi_out
     rec = integrated_recovery(avg.matrix, channel, completion_state)
-    sqrt_fids = [
-        root_fidelity(state.matrix, rec.apply(channel.apply(state.matrix)))
-        for state in ens.states
-    ]
-    avg_sqrt = float(np.sum(ens.probs * np.array(sqrt_fids)))
+    states = [state.matrix for state in ens.states]
+    recovered = [rec.apply(channel.apply(s)) for s in states]
+    sqrt_fids = root_fidelity(np.stack(states), np.stack(recovered))
+    avg_sqrt = float(np.sum(ens.probs * sqrt_fids))
     rhs = -2.0 * math.log2(max(avg_sqrt, 1e-300))
     return CheckReport(
         name="entropic-disturbance",
@@ -652,6 +658,6 @@ def check_entropic_disturbance(
             "chi_in": chi_in,
             "chi_out": chi_out,
             "avg_sqrt_fid": avg_sqrt,
-            "min_sqrt_fid": float(min(sqrt_fids)),
+            "min_sqrt_fid": float(sqrt_fids.min()),
         },
     )

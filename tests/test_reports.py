@@ -1,6 +1,7 @@
+import json
 import math
 
-from qrecovery.reports import CheckReport, dumps_json, report_row, summarize
+from qrecovery.reports import CheckReport, _escape, dumps_json, report_row, summarize
 
 
 def test_summarize_keeps_infinite_worst_slack():
@@ -12,3 +13,13 @@ def test_summarize_keeps_infinite_worst_slack():
     assert summary["suites"]["b"]["worst_slack_bits"] == math.inf
     assert summary["total_passes"] == 1 and not summary["all_hold"]
     assert '"worst_slack_bits":"-inf"' in dumps_json(summary)
+
+
+def test_escaped_strings_round_trip_through_json():
+    specials = ['"', "\\"] + [chr(c) for c in range(0x20)]
+    strings = ["", "plain ascii", "ünïcode ∞ √F", "\x7f"] + [f"a{ch}b" for ch in specials]
+    strings.append("".join(specials))
+    for s in strings:
+        assert json.loads(_escape(s)) == s
+    row = {s: s for s in strings}
+    assert json.loads(dumps_json(row)) == row

@@ -612,7 +612,7 @@ def qsi_node_loop(instr, rho_ab, quad=QuadratureSpec()):
                 phi_post = Purification(
                     out_label,
                     (("R", r_dim), (out_label, instr.out_dim), (b_label, d_b)),
-                    theorems._pure_vector(posts_rab[x]),
+                    theorems._pure_vectors([posts_rab[x]])[0],
                 )
                 achieved = uhlmann_isometry(phi_rec, phi_post).achieved
                 uhlmann_dev = max(uhlmann_dev, abs(achieved - f))
@@ -690,7 +690,8 @@ class TestInfoGainQsiBatched:
             omega_bx = ptrace(posts_rb[x], (r_dim, 2), (1,))
             g = swiveled_kraus(eig_hermitian(omega_bx), spec_b, (np.eye(2),), nodes)[:, 0]
             phi_post = Purification(
-                "A'", (("R", r_dim), ("A'", 2), ("B", 2)), theorems._pure_vector(posts_rab[x])
+                "A'", (("R", r_dim), ("A'", 2), ("B", 2)),
+                theorems._pure_vectors([posts_rab[x]])[0],
             )
             batched = theorems._b_rotated_overlaps(phi, "A", g, phi_post)
             for g_t, value in zip(g, batched):
