@@ -3,9 +3,14 @@
 Every row is a pure function of the campaign config: trial instances are
 drawn from ``stream(master_seed, suite_index, check_index, trial)``, so a
 rerun with the same config reproduces the report byte for byte.  Suite
-runners yield ``(trial, CheckReport)`` pairs and set none of this
-themselves: ``_trials`` is the one place the stream path is set, and
-``run_suite`` the one place each row gets its seed and tolerance.
+runners draw instances and yield ``(trial, CheckReport)`` pairs.  Every
+inequality row comes from a ``check_*`` function of ``theorems`` or
+``cpdp``, called through this module's name for it (so a tracer that patches
+module bindings sees the call); the deviation and witness rows are built
+here from check outputs.  Every row's tolerance comes from
+``reports.TOLERANCES``.  ``_trials`` is the one place the stream path is
+set, and ``run_suite`` the one place each row gets its seed and, when set,
+the tolerance override.
 """
 
 from __future__ import annotations
@@ -25,16 +30,12 @@ from .cpdp import (
     identity_embedding,
     reduced_dynamics,
 )
-from .entropy import cmi, fidelity, rel_entropy, trace_norm
+from .entropy import trace_norm
 from .matfun import eig_hermitian
 from .qcore import (
     Channel,
     DensityOperator,
     Ensemble,
-    apply_on,
-    partial_trace,
-    partial_trace_channel,
-    permute,
     random_channel,
     random_density,
     random_instrument,
@@ -43,15 +44,11 @@ from .qcore import (
     random_unitary,
     stream,
 )
-from .recovery import (
-    QuadratureSpec,
-    integrated_recovery,
-    petz_map,
-    quadrature,
-    swiveled_root_fidelities,
-)
-from .reports import CheckReport, report_row
+from .recovery import QuadratureSpec, petz_map
+from .reports import TOLERANCES, CheckReport, report_row
 from .theorems import (
+    _recover_abc,
+    check_cmi_recovery,
     check_cond_entropy_gain,
     check_entropic_disturbance,
     check_entropy_gain,
@@ -60,6 +57,8 @@ from .theorems import (
     check_info_gain_no_qsi,
     check_info_gain_qsi,
     check_info_gain_upper,
+    check_recovery_fid,
+    check_recovery_stronger,
     groenewold_gain,
 )
 
@@ -103,12 +102,12 @@ def _has_type(value, types) -> bool:
     return isinstance(value, types) and (bool in types or not isinstance(value, bool))
 
 
-# Accepted types of the scalar config fields.
+# Accepted types of the scalar config fields; a float must also be finite.
 _FIELD_TYPES = {
     "master_seed": ((int,), "an integer"),
-    "tol_override": ((int, float, type(None)), "a number or null"),
+    "tol_override": ((int, float, type(None)), "a finite number or null"),
     "quad_nodes": ((int,), "an integer"),
-    "quad_halfwidth": ((int, float), "a number"),
+    "quad_halfwidth": ((int, float), "a finite number"),
     "bosonic_n_max": ((int,), "an integer"),
     "bosonic_guard": ((int, type(None)), "an integer or null"),
     "cpdp_isometric": ((bool,), "a boolean"),
@@ -131,7 +130,8 @@ class CampaignConfig:
     def __post_init__(self):
         for name, (types, expected) in _FIELD_TYPES.items():
             value = getattr(self, name)
-            if not _has_type(value, types):
+            finite = not isinstance(value, float) or math.isfinite(value)
+            if not (_has_type(value, types) and finite):
                 raise ConfigError(f"{name} must be {expected}, got {value!r}")
         if self.master_seed < 0:
             raise ConfigError(f"master_seed must be a non-negative integer, got {self.master_seed!r}")
@@ -211,8 +211,13 @@ def _state(systems, rank, rng) -> DensityOperator:
     return DensityOperator(tuple(systems), raw.matrix)
 
 
-def _deviation_report(name, deviation, tol, dims, aux=None) -> CheckReport:
-    return CheckReport(name=name, lhs=0.0, rhs=float(deviation), tol=tol, dims=dims, aux=aux or {})
+def _deviation_report(name, deviation, dims, aux=None) -> CheckReport:
+    return CheckReport(name=name, lhs=0.0, rhs=float(deviation), dims=dims, aux=aux or {})
+
+
+def _renamed(rep: CheckReport, name: str) -> CheckReport:
+    """``rep`` as a row of another name, with that name's tolerance."""
+    return replace(rep, name=name, tol=TOLERANCES[name])
 
 
 # ---------------------------------------------------------------------------
@@ -226,20 +231,19 @@ def _run_entropy_gain(cfg: CampaignConfig):
         d = int(rng.integers(lo, hi + 1))
         rho = random_density(d, int(rng.integers(1, d + 1)), rng)
         channel = random_channel(d, d, int(rng.integers(1, 5)), rng)
-        yield trial, check_entropy_gain(rho, channel, dims=(d,))
+        yield trial, check_entropy_gain(rho, channel)
 
     # dephasing equality witness: N self-adjoint idempotent, rho = |+><+|
     plus = np.full((2, 2), 0.5, dtype=complex)
     z = np.diag([1.0, -1.0])
     dephasing = Channel((np.eye(2) / math.sqrt(2), z / math.sqrt(2)))
-    rep = check_entropy_gain(plus, dephasing, dims=(2,))
-    yield 0, replace(rep, name="entropy-gain-equality")
+    yield 0, _renamed(check_entropy_gain(plus, dephasing), "entropy-gain-equality")
 
     for trial, rng in _trials(cfg, "entropy-gain", 2, min(n, 50)):
         d = int(rng.integers(lo, min(hi, 3) + 1))
         rho = random_density(d, int(rng.integers(1, d + 1)), rng)
         channel = random_subunital_channel(d, d + 1, 3, rng)
-        yield trial, check_entropy_gain_recovery(rho, channel, dims=(d, d + 1))
+        yield trial, check_entropy_gain_recovery(rho, channel)
 
     for trial, rng in _trials(cfg, "entropy-gain", 3, min(n, 50)):
         rho_ab = _state((("A", 2), ("B", 2)), int(rng.integers(1, 5)), rng)
@@ -270,64 +274,24 @@ def _run_recovery(cfg: CampaignConfig):
     n = cfg.n_trials("recovery")
 
     for trial, rng in _trials(cfg, "recovery", 0, n):
-        rho, sigma, channel = _recovery_instance(rng, lo, hi)
-        rec = integrated_recovery(sigma.matrix, channel)
-        lhs = (
-            rel_entropy(rho.matrix, sigma.matrix).value
-            - rel_entropy(channel.apply(rho.matrix), channel.apply(sigma.matrix)).value
-        )
-        recovered = rec.apply(channel.apply(rho.matrix))
-        rhs = -math.log2(max(fidelity(rho.matrix, recovered), 1e-300))
-        yield trial, CheckReport("recovery-fid", lhs, rhs, tol=1e-6, dims=(rho.dim, channel.out_dim))
+        yield trial, check_recovery_fid(*_recovery_instance(rng, lo, hi))
 
-    nodes, weights = quadrature(cfg.quad())
+    quad = cfg.quad()
     for trial, rng in _trials(cfg, "recovery", 1, min(n, 50)):
-        rho, sigma, channel = _recovery_instance(rng, lo, hi)
-        lhs = (
-            rel_entropy(rho.matrix, sigma.matrix).value
-            - rel_entropy(channel.apply(rho.matrix), channel.apply(sigma.matrix)).value
-        )
-        sqrt_fids = swiveled_root_fidelities(rho.matrix, sigma.matrix, channel, nodes)
-        acc = float(weights @ np.log2(np.maximum(sqrt_fids**2, 1e-300)))
-        yield trial, CheckReport(
-            "recovery-stronger", lhs, -acc, tol=1e-5, dims=(rho.dim, channel.out_dim)
-        )
+        yield trial, check_recovery_stronger(*_recovery_instance(rng, lo, hi), quad)
 
     for trial, rng in _trials(cfg, "recovery", 2, n):
         rho, sigma, channel = _recovery_instance(rng, lo, hi)
         pm = petz_map(sigma.matrix, channel)
         dev = trace_norm(pm.apply(channel.apply(sigma.matrix)) - sigma.matrix)
-        yield trial, _deviation_report("petz-fixed-point", dev, 1e-9, (sigma.dim, channel.out_dim))
+        yield trial, _deviation_report("petz-fixed-point", dev, (sigma.dim, channel.out_dim))
 
     for trial, rng in _trials(cfg, "recovery", 3, n):
-        yield trial, _cmi_recovery_trial(rng, (2, 2, 2))
+        rho = _state((("A", 2), ("B", 2), ("C", 2)), int(rng.integers(2, 9)), rng)
+        yield trial, check_cmi_recovery(rho)
 
     for trial, rng in _trials(cfg, "recovery", 4, min(n, 20)):
         yield trial, _markov_recovery_trial(rng)
-
-
-def _recover_abc(rho: DensityOperator) -> float:
-    """Fidelity of the A-factor recovery R_{C->AC}(rho_BC) against rho_ABC."""
-    rho_ac = partial_trace(rho, "B")
-    rho_bc = partial_trace(rho, "A")
-    trace_a = partial_trace_channel(rho_ac.systems, "A")
-    rec = integrated_recovery(rho_ac.matrix, trace_a)
-    d_a = rho.system_dim("A")
-    d_c = rho.system_dim("C")
-    mat, out_systems = apply_on(
-        rec, rho_bc.matrix, rho_bc.systems, "C", out_systems=(("A", d_a), ("C", d_c))
-    )
-    recovered = DensityOperator(out_systems, mat)
-    recovered = permute(recovered, ("A", "B", "C"))
-    return fidelity(rho.matrix, recovered.matrix)
-
-
-def _cmi_recovery_trial(rng, dims) -> CheckReport:
-    d_a, d_b, d_c = dims
-    rho = _state((("A", d_a), ("B", d_b), ("C", d_c)), int(rng.integers(2, d_a * d_b * d_c + 1)), rng)
-    lhs = cmi(rho, "A", "B", "C")
-    fid = _recover_abc(rho)
-    return CheckReport("cmi-recovery", lhs, -math.log2(max(fid, 1e-300)), tol=1e-6, dims=dims)
 
 
 def _markov_recovery_trial(rng) -> CheckReport:
@@ -343,7 +307,7 @@ def _markov_recovery_trial(rng) -> CheckReport:
         mat += p[c] * np.kron(np.kron(rho_a, rho_b), block)
     rho = DensityOperator((("A", 2), ("B", 2), ("C", 2)), mat)
     fid = _recover_abc(rho)
-    return _deviation_report("cmi-recovery-markov", 1.0 - fid, 1e-6, (2, 2, 2), {"fidelity": fid})
+    return _deviation_report("cmi-recovery-markov", 1.0 - fid, (2, 2, 2), {"fidelity": fid})
 
 
 def _run_info_gain(cfg: CampaignConfig):
@@ -358,7 +322,7 @@ def _run_info_gain(cfg: CampaignConfig):
         yield trial, rep
         gain = groenewold_gain(instr, rho)
         yield trial, _deviation_report(
-            "groenewold-vs-mutual-info", abs(gain - rep.lhs), 1e-8, (d,), {"groenewold_gain": gain}
+            "groenewold-vs-mutual-info", abs(gain - rep.lhs), (d,), {"groenewold_gain": gain}
         )
 
     for trial, rng in _trials(cfg, "info-gain", 1, n):
@@ -377,7 +341,7 @@ def _run_info_gain(cfg: CampaignConfig):
     yield n, rep
     gain = rep.aux["groenewold_gain"]
     yield 0, CheckReport(
-        "negative-groenewold-witness", lhs=-gain, rhs=0.0, tol=0.0, dims=(2,),
+        "negative-groenewold-witness", lhs=-gain, rhs=0.0, dims=(2,),
         aux={"groenewold_gain": gain},
     )
 
@@ -396,7 +360,7 @@ def _run_info_gain_qsi(cfg: CampaignConfig):
         rep = check_info_gain_qsi(instr, rho_ab, quad=quad)
         yield trial, rep
         yield trial, _deviation_report(
-            "qsi-recovery-instrument-tp", rep.aux["recovery_instrument_tp_dev"], 1e-8, (2, 2)
+            "qsi-recovery-instrument-tp", rep.aux["recovery_instrument_tp_dev"], (2, 2)
         )
 
 
@@ -427,10 +391,10 @@ def _run_disturbance(cfg: CampaignConfig):
         ens = Ensemble(probs, states)
         projs = [np.outer(basis[:, i], basis[:, i].conj()) for i in range(d)]
         rep = check_entropic_disturbance(ens, Channel(tuple(projs)))
-        yield trial, replace(rep, name="disturbance-commuting")
-        yield trial, _deviation_report("disturbance-commuting-chi", abs(rep.lhs), 1e-9, (d,))
+        yield trial, _renamed(rep, "disturbance-commuting")
+        yield trial, _deviation_report("disturbance-commuting-chi", abs(rep.lhs), (d,))
         yield trial, _deviation_report(
-            "disturbance-commuting-fidelity", 1.0 - rep.aux["avg_sqrt_fid"], 1e-8, (d,)
+            "disturbance-commuting-fidelity", 1.0 - rep.aux["avg_sqrt_fid"], (d,)
         )
 
 
@@ -465,13 +429,13 @@ def _run_cpdp(cfg: CampaignConfig):
         v = _draw_interaction(cfg, rng)
         _, rep = reduced_dynamics(config, v)
         yield trial, _deviation_report(
-            "cpdp-forward-product", 1.0 - rep.aux["fidelity"], 1e-6, (2, 2, 2)
+            "cpdp-forward-product", 1.0 - rep.aux["fidelity"], (2, 2, 2)
         )
 
     for trial, rng in _trials(cfg, "cpdp", 2, min(n, 20)):
         config = _random_config(rng)
         dev = abs(dp_slack(config, identity_embedding(2, 2)) - cmi_bound(config))
-        yield trial, _deviation_report("cpdp-embedding-consistency", dev, 1e-9, (2, 2, 2))
+        yield trial, _deviation_report("cpdp-embedding-consistency", dev, (2, 2, 2))
 
 
 def _bosonic_reports(cfg: CampaignConfig):
@@ -528,9 +492,9 @@ _RUNNERS = {
 def run_suite(cfg: CampaignConfig, suite: str):
     """Report rows of one suite.
 
-    The only place a row gets its seed, its tolerance and its trial number:
-    every report a runner yields is stamped with ``cfg.master_seed`` and, when
-    set, ``cfg.tol_override``.
+    The only place a row gets its seed and its trial number: every report a
+    runner yields is stamped with ``cfg.master_seed`` and, when set,
+    ``cfg.tol_override`` in place of its table tolerance.
     """
     if suite not in SUITES:
         raise ConfigError(f"unknown suite {suite!r}")

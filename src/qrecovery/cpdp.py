@@ -136,11 +136,7 @@ def _recovery_q_to_qe(config: TripartiteConfiguration) -> Channel:
     return integrated_recovery(rho_qe.matrix, trace_e)
 
 
-def reduced_dynamics(
-    config: TripartiteConfiguration,
-    v: Interaction,
-    tol: float = 1e-6,
-):
+def reduced_dynamics(config: TripartiteConfiguration, v: Interaction):
     """CPTP candidate for the reduced dynamics plus its fidelity certificate.
 
     Builds E(.) = Tr_{E'}{ V R_{Q->QE}(.) V^dag } with R the integrated
@@ -165,15 +161,8 @@ def reduced_dynamics(
     fid = fidelity(sigma_rqp.matrix, candidate)
     lhs = cmi_bound(config)
     rhs = -math.log2(max(fid, 1e-300))
-    report = CheckReport(
-        name="cpdp-forward",
-        lhs=lhs,
-        rhs=rhs,
-        tol=tol,
-        dims=config.dims,
-        aux={"fidelity": fid, "channel_kraus": len(channel.kraus)},
-    )
-    return channel, report
+    aux = {"fidelity": fid, "channel_kraus": len(channel.kraus)}
+    return channel, CheckReport("cpdp-forward", lhs, rhs, dims=config.dims, aux=aux)
 
 
 def afw_bound(eps: float, dim_r: int) -> float:
@@ -184,11 +173,7 @@ def afw_bound(eps: float, dim_r: int) -> float:
 
 
 def converse_bound(
-    config: TripartiteConfiguration,
-    v: Interaction,
-    channel,
-    eps: float,
-    tol: float = 1e-8,
+    config: TripartiteConfiguration, v: Interaction, channel, eps: float
 ) -> CheckReport:
     """Approximate data processing from approximately CPTP reduced dynamics.
 
@@ -237,7 +222,6 @@ def converse_bound(
         name="cpdp-converse",
         lhs=min(lhs_dp - i_out, cmi_budget - cmi_val),
         rhs=0.0,
-        tol=tol,
         dims=config.dims,
         aux={
             "eps_given": eps,

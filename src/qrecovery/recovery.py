@@ -95,8 +95,8 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.nodes < 3 or self.nodes % 2 == 0:
             raise ValueError(f"nodes must be odd and >= 3, got {self.nodes}")
-        if self.halfwidth <= 0:
-            raise ValueError("halfwidth must be positive")
+        if not (np.isfinite(self.halfwidth) and self.halfwidth > 0):
+            raise ValueError(f"halfwidth must be positive and finite, got {self.halfwidth!r}")
         if not 1 <= self.panels <= self.nodes:
             raise ValueError("panels must be between 1 and the node count")
 
@@ -222,11 +222,12 @@ def swiveled_root_fidelities(rho, sigma, channel: KrausMap, t) -> np.ndarray:
     return stacked_root_fidelity(spec_in[1].power(0.5), ks, spec_out[1].power(0.5))
 
 
-def _completion_state(completion_state, dim: int) -> np.ndarray:
-    """The completion state tau on a dim-dimensional input: I/d by default,
-    otherwise a validated density operator."""
+def _completion_eigenpairs(completion_state, dim: int):
+    """Eigenvalues (clipped at 0) and eigenvectors of the completion state tau
+    on a dim-dimensional input: (1/d, standard basis) for the default I/d,
+    with no eigendecomposition, otherwise those of a validated density operator."""
     if completion_state is None:
-        return np.eye(dim) / dim
+        return np.full(dim, 1.0 / dim), np.eye(dim, dtype=complex)
     tau = as_matrix(completion_state)
     if tau.shape != (dim, dim):
         raise DimensionMismatchError("completion state must live on the channel input space")
@@ -235,26 +236,25 @@ def _completion_state(completion_state, dim: int) -> np.ndarray:
             DensityOperator((("tau", dim),), tau)
         except ValueError as exc:
             raise ValueError(f"completion state is not a density operator: {exc}") from None
-    return tau
+    spec = eig_hermitian(tau)
+    return np.clip(spec.eigenvalues, 0.0, None), spec.eigenvectors
 
 
-def _completion_kraus(directions: np.ndarray, weights, tau: np.ndarray) -> list:
+def _completion_kraus(directions: np.ndarray, weights, tau) -> list:
     """Kraus operators sqrt(w_j lam_k) |t_k><d_j| of Q -> sum_j w_j <d_j|Q|d_j> tau.
 
     ``directions`` holds the orthonormal d_j as columns and ``weights`` their
-    w_j; (lam_k, t_k) runs over the positive eigenpairs of tau.  Operators are
-    ordered by direction, then by eigenvector of tau.
+    w_j; ``tau`` is the pair (lam, t) of :func:`_completion_eigenpairs`, whose
+    positive entries (lam_k, t_k) are used.  Operators are ordered by
+    direction, then by eigenvector of tau.
     """
-    if directions.shape[1] == 0:
-        return []
-    spec = eig_hermitian(tau)
-    lam = np.clip(spec.eigenvalues, 0.0, None)
+    lam, vecs = tau
     ks = []
     for j in range(directions.shape[1]):
         bra = directions[:, j].conj()
         for k in range(lam.shape[0]):
             if lam[k] > 0.0:
-                ks.append(np.sqrt(weights[j] * lam[k]) * np.outer(spec.eigenvectors[:, k], bra))
+                ks.append(np.sqrt(weights[j] * lam[k]) * np.outer(vecs[:, k], bra))
     return ks
 
 
@@ -274,7 +274,7 @@ def integrated_recovery(sigma, channel: KrausMap, completion_state=None) -> Chan
     trace-preserving channel that still recovers sigma perfectly.
     """
     sig, n_sig = _sigma_pair(sigma, channel)
-    tau = _completion_state(completion_state, channel.in_dim)
+    tau = _completion_eigenpairs(completion_state, channel.in_dim)
     if sig.shape == n_sig.shape:  # one stacked call when N keeps the dimension
         pair = eig_hermitian(np.stack([sig, n_sig]))
         spec_sig, spec_out = pair[0], pair[1]
@@ -306,7 +306,7 @@ def adjoint_recovery(channel: KrausMap, completion_state=None) -> Channel:
     on part of the output space, and the constructor rejects it with a witness
     input exhibiting the failure.
     """
-    tau = _completion_state(completion_state, channel.in_dim)
+    tau = _completion_eigenpairs(completion_state, channel.in_dim)
     gap = np.eye(channel.out_dim) - channel.on_identity()
     spec = eig_hermitian(gap)
     if spec.eigenvalues[0] < -1e-10:

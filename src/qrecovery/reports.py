@@ -3,7 +3,8 @@
 Every inequality evaluation is recorded as a :class:`CheckReport` with
 ``slack = lhs - rhs`` and ``holds`` iff ``slack >= -tol``.  Deviation-style
 checks (a quantity that should be ~0) are reported with ``lhs = 0`` and
-``rhs = deviation`` so the same convention applies.
+``rhs = deviation`` so the same convention applies.  :data:`TOLERANCES` is
+the one table of the finite campaign rows' tolerances.
 
 Serialization is byte-deterministic: field order is fixed, floats are written
 with 17 significant digits, non-finite floats become the strings "inf",
@@ -19,6 +20,7 @@ from dataclasses import dataclass, field
 
 __all__ = [
     "SCHEMA_VERSION",
+    "TOLERANCES",
     "CheckReport",
     "report_row",
     "CSV_COLUMNS",
@@ -44,14 +46,35 @@ CSV_COLUMNS = (
 )
 
 
+# Tolerance in bits of every row of the six finite suites, by row name and
+# grouped by suite; a report built without a tol takes its name's entry.
+TOLERANCES = {
+    "entropy-gain": 1e-8, "entropy-gain-equality": 1e-8, "entropy-gain-recovery": 1e-8,
+    "cond-entropy-gain": 1e-8,
+    "recovery-fid": 1e-6, "recovery-stronger": 1e-5, "petz-fixed-point": 1e-9,
+    "cmi-recovery": 1e-6, "cmi-recovery-markov": 1e-6,
+    "info-gain-no-qsi": 1e-8, "groenewold-vs-mutual-info": 1e-8, "info-gain-upper": 1e-8,
+    "negative-groenewold-witness": 0.0, "efficient-second-law": 1e-8,
+    "info-gain-qsi": 1e-5, "qsi-recovery-instrument-tp": 1e-8,
+    "entropic-disturbance": 1e-6, "disturbance-commuting": 1e-6,
+    "disturbance-commuting-chi": 1e-9, "disturbance-commuting-fidelity": 1e-8,
+    "cpdp-forward": 1e-6, "cpdp-converse": 1e-8, "cpdp-forward-product": 1e-6,
+    "cpdp-embedding-consistency": 1e-9,
+}
+
+
 @dataclass(frozen=True)
 class CheckReport:
-    """Record of one inequality evaluation, in bits."""
+    """Record of one inequality evaluation, in bits.
+
+    ``tol`` defaults to the entry for ``name`` in :data:`TOLERANCES`; it must
+    be finite and nonnegative.
+    """
 
     name: str
     lhs: float
     rhs: float
-    tol: float
+    tol: float | None = None
     seed: int | None = None
     dims: tuple = ()
     aux: dict = field(default_factory=dict)
@@ -59,10 +82,11 @@ class CheckReport:
     def __post_init__(self):
         object.__setattr__(self, "lhs", float(self.lhs))
         object.__setattr__(self, "rhs", float(self.rhs))
-        object.__setattr__(self, "tol", float(self.tol))
+        tol = TOLERANCES[self.name] if self.tol is None else float(self.tol)
+        object.__setattr__(self, "tol", tol)
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        if self.tol < 0:
-            raise ValueError("tolerance must be nonnegative")
+        if not (math.isfinite(tol) and tol >= 0):
+            raise ValueError(f"tolerance must be finite and nonnegative, got {tol!r}")
 
     @property
     def slack(self) -> float:

@@ -3,7 +3,8 @@ entropic-disturbance inequalities, each returning a :class:`CheckReport`.
 
 Conventions: all quantities are in bits; a report's ``lhs`` and ``rhs`` are
 arranged so the claim is ``lhs >= rhs`` and ``holds`` means
-``lhs - rhs >= -tol``.
+``lhs - rhs >= -tol``, with ``tol`` the row's entry in
+:data:`~qrecovery.reports.TOLERANCES`.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import numpy as np
 
 from .entropy import (
     NAT_TO_BITS,
+    cmi,
     cond_entropy,
     entropy,
     fidelity,
@@ -31,12 +33,16 @@ from .qcore import (
     Ensemble,
     Instrument,
     Purification,
+    _derived,
     _rng,
     adjoint,
     apply_on,
     as_matrix,
     instrument_channel,
     is_subunital,
+    partial_trace,
+    partial_trace_channel,
+    permute,
     ptrace,
     purify,
     tp_deviation,
@@ -48,6 +54,7 @@ from .recovery import (
     quadrature,
     stacked_root_fidelity,
     swiveled_kraus,
+    swiveled_root_fidelities,
     uhlmann_isometry,
 )
 from .reports import CheckReport
@@ -59,6 +66,9 @@ __all__ = [
     "MinimalEntropyGainResult",
     "check_entropy_gain",
     "check_entropy_gain_recovery",
+    "check_recovery_fid",
+    "check_recovery_stronger",
+    "check_cmi_recovery",
     "minimal_entropy_gain",
     "check_cond_entropy_gain",
     "groenewold_gain",
@@ -82,7 +92,7 @@ def _adjoint_compose_apply(channel, x: np.ndarray) -> np.ndarray:
     return adjoint(channel).apply(channel.apply(x))
 
 
-def check_entropy_gain(rho, channel, tol: float = 1e-8, dims=()) -> CheckReport:
+def check_entropy_gain(rho, channel) -> CheckReport:
     """Entropy gain bound H(N(rho)) - H(rho) >= D(rho || (N^dag o N)(rho)).
 
     ``channel`` may be any positive trace-preserving map exposing ``apply``
@@ -92,19 +102,11 @@ def check_entropy_gain(rho, channel, tol: float = 1e-8, dims=()) -> CheckReport:
     mat = as_matrix(rho)
     lhs = entropy(channel.apply(mat)) - entropy(mat)
     d = rel_entropy(mat, _adjoint_compose_apply(channel, mat))
-    return CheckReport(
-        name="entropy-gain",
-        lhs=lhs,
-        rhs=d.value,
-        tol=tol,
-        dims=dims or (mat.shape[0],),
-        aux={"support_violation": d.support_violation},
-    )
+    aux = {"support_violation": d.support_violation}
+    return CheckReport("entropy-gain", lhs, d.value, dims=(mat.shape[0],), aux=aux)
 
 
-def check_entropy_gain_recovery(
-    rho, channel: Channel, completion_state=None, tol: float = 1e-8, dims=()
-) -> CheckReport:
+def check_entropy_gain_recovery(rho, channel: Channel) -> CheckReport:
     """Entropy gain bound with the adjoint-based recovery channel.
 
     For subunital N: H(N(rho)) - H(rho) >= D(rho || (R o N)(rho)) with
@@ -117,18 +119,13 @@ def check_entropy_gain_recovery(
         top = float(np.linalg.eigvalsh(channel.on_identity())[-1])
         raise ValueError(f"channel is not subunital: max eigenvalue of N(I) is {top!r}")
     mat = as_matrix(rho)
-    rec = adjoint_recovery(channel, completion_state)
+    rec = adjoint_recovery(channel)
     lhs = entropy(channel.apply(mat)) - entropy(mat)
     rhs = rel_entropy(mat, rec.apply(channel.apply(mat))).value
     rhs_adjoint = rel_entropy(mat, _adjoint_compose_apply(channel, mat)).value
-    return CheckReport(
-        name="entropy-gain-recovery",
-        lhs=lhs,
-        rhs=rhs,
-        tol=tol,
-        dims=dims or (mat.shape[0],),
-        aux={"rhs_adjoint_only": rhs_adjoint, "dominance_slack": rhs_adjoint - rhs},
-    )
+    aux = {"rhs_adjoint_only": rhs_adjoint, "dominance_slack": rhs_adjoint - rhs}
+    dims = (mat.shape[0], channel.out_dim)
+    return CheckReport("entropy-gain-recovery", lhs, rhs, dims=dims, aux=aux)
 
 
 @dataclass(frozen=True)
@@ -281,15 +278,13 @@ def minimal_entropy_gain(
     )
 
 
-def check_cond_entropy_gain(
-    rho_ab: DensityOperator, channel: Channel, on: str | None = None, tol: float = 1e-8
-) -> CheckReport:
-    """Conditional-entropy gain under a local map on one factor:
+def check_cond_entropy_gain(rho_ab: DensityOperator, channel: Channel) -> CheckReport:
+    """Conditional-entropy gain under a local map on the first factor (A here):
 
     H(A'|B)_sigma - H(A|B)_rho >= D(rho_AB || ((N^dag o N) (x) id)(rho_AB)).
     """
     _require_tp(channel)
-    on = rho_ab.labels[0] if on is None else on
+    on = rho_ab.labels[0]
     out_label = on + "'"
     sigma_mat, out_systems = apply_on(
         channel, rho_ab.matrix, rho_ab.systems, on, out_systems=((out_label, channel.out_dim),)
@@ -299,17 +294,82 @@ def check_cond_entropy_gain(
     )
 
     cond_labels = tuple(label for label in rho_ab.labels if label != on)
-    sigma = DensityOperator(out_systems, sigma_mat)
+    # a checked trace-preserving channel on one factor of a checked state
+    sigma = _derived(DensityOperator, out_systems, sigma_mat)
     lhs = cond_entropy(sigma, cond_labels) - cond_entropy(rho_ab, cond_labels)
     d = rel_entropy(rho_ab.matrix, nn_mat)
-    return CheckReport(
-        name="cond-entropy-gain",
-        lhs=lhs,
-        rhs=d.value,
-        tol=tol,
-        dims=rho_ab.dims,
-        aux={"support_violation": d.support_violation},
+    aux = {"support_violation": d.support_violation}
+    return CheckReport("cond-entropy-gain", lhs, d.value, dims=rho_ab.dims, aux=aux)
+
+
+# ---------------------------------------------------------------------------
+# recoverability of relative entropy and of conditional mutual information
+
+
+def _rel_entropy_drop(rho: np.ndarray, sigma: np.ndarray, channel) -> float:
+    """D(rho || sigma) - D(N(rho) || N(sigma))."""
+    return (
+        rel_entropy(rho, sigma).value
+        - rel_entropy(channel.apply(rho), channel.apply(sigma)).value
     )
+
+
+def check_recovery_fid(rho, sigma, channel: Channel) -> CheckReport:
+    """Recoverability refinement of data processing (Junge, Renner, Sutter,
+    Wilde and Winter 2018):
+
+    D(rho || sigma) - D(N(rho) || N(sigma)) >= -log F(rho, (R o N)(rho)),
+
+    with R the integrated recovery map of (sigma, N); supp(rho) must lie in
+    supp(sigma).
+    """
+    rho, sigma = as_matrix(rho), as_matrix(sigma)
+    rec = integrated_recovery(sigma, channel)
+    lhs = _rel_entropy_drop(rho, sigma, channel)
+    fid = fidelity(rho, rec.apply(channel.apply(rho)))
+    rhs = -math.log2(max(fid, 1e-300))
+    return CheckReport("recovery-fid", lhs, rhs, dims=(rho.shape[0], channel.out_dim))
+
+
+def check_recovery_stronger(
+    rho, sigma, channel: Channel, quad: QuadratureSpec = QuadratureSpec()
+) -> CheckReport:
+    """The same bound with the average over ``p_weight`` outside the logarithm:
+
+    D(rho || sigma) - D(N(rho) || N(sigma)) >= -int dt p(t) log F(rho, R^{t/2}(N(rho))),
+
+    R^{t/2} the swiveled Petz map of (sigma, N); the integral is the ``quad``
+    rule over :func:`swiveled_root_fidelities`.
+    """
+    rho, sigma = as_matrix(rho), as_matrix(sigma)
+    lhs = _rel_entropy_drop(rho, sigma, channel)
+    nodes, weights = quadrature(quad)
+    sqrt_fids = swiveled_root_fidelities(rho, sigma, channel, nodes)
+    acc = float(weights @ np.log2(np.maximum(sqrt_fids**2, 1e-300)))
+    return CheckReport("recovery-stronger", lhs, -acc, dims=(rho.shape[0], channel.out_dim))
+
+
+def _recover_abc(rho: DensityOperator) -> float:
+    """Fidelity of the A-factor recovery R_{C->AC}(rho_BC) against rho_ABC."""
+    rho_ac, rho_bc = partial_trace(rho, "B"), partial_trace(rho, "A")
+    rec = integrated_recovery(rho_ac.matrix, partial_trace_channel(rho_ac.systems, "A"))
+    out = (("A", rho.system_dim("A")), ("C", rho.system_dim("C")))
+    mat, out_systems = apply_on(rec, rho_bc.matrix, rho_bc.systems, "C", out_systems=out)
+    recovered = permute(DensityOperator(out_systems, mat), ("A", "B", "C"))
+    return fidelity(rho.matrix, recovered.matrix)
+
+
+def check_cmi_recovery(rho_abc: DensityOperator) -> CheckReport:
+    """Conditional mutual information versus recovery of A from C:
+
+    I(A;B|C) >= -log F(rho_ABC, R_{C->AC}(rho_BC)),
+
+    with R the integrated recovery map of (rho_AC, Tr_A).  The factors are
+    labeled A, B and C.
+    """
+    lhs = cmi(rho_abc, "A", "B", "C")
+    fid = _recover_abc(rho_abc)
+    return CheckReport("cmi-recovery", lhs, -math.log2(max(fid, 1e-300)), dims=rho_abc.dims)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +438,7 @@ def _avg(blocks, weights, dim: int) -> np.ndarray:
     return out
 
 
-def check_info_gain_upper(instr: Instrument, rho, tol: float = 1e-8) -> CheckReport:
+def check_info_gain_upper(instr: Instrument, rho) -> CheckReport:
     """General information-gain bound, valid for any quantum instrument:
 
     H(X)_sigma - D(rho || (N^dag o N)(rho)) >= I_G, with N the
@@ -390,19 +450,11 @@ def check_info_gain_upper(instr: Instrument, rho, tol: float = 1e-8) -> CheckRep
     d = rel_entropy(mat, _adjoint_compose_apply(channel, mat))
     h_x = _shannon(probs)
     gain = _entropy_reduction(mat, probs, posts)
-    return CheckReport(
-        name="info-gain-upper",
-        lhs=h_x - d.value,
-        rhs=gain,
-        tol=tol,
-        dims=(instr.in_dim,),
-        aux={"h_x": h_x, "d_term": d.value, "groenewold_gain": gain, "efficient": instr.efficient},
-    )
+    aux = {"h_x": h_x, "d_term": d.value, "groenewold_gain": gain, "efficient": instr.efficient}
+    return CheckReport("info-gain-upper", h_x - d.value, gain, dims=(instr.in_dim,), aux=aux)
 
 
-def check_efficient_second_law(
-    instr: Instrument, rho: DensityOperator, completion_state=None, tol: float = 1e-8
-) -> CheckReport:
+def check_efficient_second_law(instr: Instrument, rho: DensityOperator) -> CheckReport:
     """Second-law strengthening for efficient instruments:
 
     H(X|R)_sigma >= D(rho || (R o N)(rho)), with sigma_RX the joint state of
@@ -417,19 +469,13 @@ def check_efficient_second_law(
     sigma_r = _avg(posts_r, probs, r_dim)
     lhs = entropy(sigma_rx) - entropy(sigma_r)
     channel = instrument_channel(instr)
-    rec = adjoint_recovery(channel, completion_state)
+    rec = adjoint_recovery(channel)
     rhs = rel_entropy(rho.matrix, rec.apply(channel.apply(rho.matrix))).value
-    return CheckReport(
-        name="efficient-second-law",
-        lhs=lhs,
-        rhs=rhs,
-        tol=tol,
-        dims=(instr.in_dim,),
-        aux={"outcome_probs_min": float(probs.min()), "n_outcomes": instr.n_outcomes},
-    )
+    aux = {"outcome_probs_min": float(probs.min()), "n_outcomes": instr.n_outcomes}
+    return CheckReport("efficient-second-law", lhs, rhs, dims=(instr.in_dim,), aux=aux)
 
 
-def check_info_gain_no_qsi(instr: Instrument, rho: DensityOperator, tol: float = 1e-8) -> CheckReport:
+def check_info_gain_no_qsi(instr: Instrument, rho: DensityOperator) -> CheckReport:
     """Information gain of a measurement versus recoverability (no side info).
 
     Always checks I(R;X) >= -log F(sigma_RX, sigma_R (x) sigma_X); for
@@ -476,14 +522,7 @@ def check_info_gain_no_qsi(instr: Instrument, rho: DensityOperator, tol: float =
         rhs = -2.0 * math.log2(max(avg_u, 1e-300))
         aux["per_outcome_sqrt_fid_uhlmann"] = [float(s) for s in uhlmann_sqrt]
         aux["uhlmann_vs_fidelity_max_dev"] = max_dev
-    return CheckReport(
-        name="info-gain-no-qsi",
-        lhs=lhs,
-        rhs=rhs,
-        tol=tol,
-        dims=(instr.in_dim,),
-        aux=aux,
-    )
+    return CheckReport("info-gain-no-qsi", lhs, rhs, dims=(instr.in_dim,), aux=aux)
 
 
 def _seen_outcomes(probs, posts) -> list:
@@ -516,10 +555,7 @@ def _b_rotated_overlaps(phi: Purification, a_label: str, g: np.ndarray, phi_post
 
 
 def check_info_gain_qsi(
-    instr: Instrument,
-    rho_ab: DensityOperator,
-    quad: QuadratureSpec = QuadratureSpec(),
-    tol: float = 1e-5,
+    instr: Instrument, rho_ab: DensityOperator, quad: QuadratureSpec = QuadratureSpec()
 ) -> CheckReport:
     """Information gain with quantum side information versus B-side recovery.
 
@@ -614,22 +650,10 @@ def check_info_gain_qsi(
     }
     if instr.efficient:
         aux["uhlmann_vs_fidelity_max_dev"] = uhlmann_dev
-    return CheckReport(
-        name="info-gain-qsi",
-        lhs=lhs,
-        rhs=rhs,
-        tol=tol,
-        dims=rho_ab.dims,
-        aux=aux,
-    )
+    return CheckReport("info-gain-qsi", lhs, rhs, dims=rho_ab.dims, aux=aux)
 
 
-def check_entropic_disturbance(
-    ens: Ensemble,
-    channel: Channel,
-    completion_state=None,
-    tol: float = 1e-6,
-) -> CheckReport:
+def check_entropic_disturbance(ens: Ensemble, channel: Channel) -> CheckReport:
     """Holevo-information loss versus average recoverability:
 
     chi(E) - chi(N(E)) >= -2 log sum_x p(x) sqrtF(rho^x, (R o N)(rho^x)),
@@ -642,22 +666,13 @@ def check_entropic_disturbance(
     chi_in = holevo_chi(ens)
     chi_out = holevo_chi(ens.through(channel, out_systems))
     lhs = chi_in - chi_out
-    rec = integrated_recovery(avg.matrix, channel, completion_state)
+    rec = integrated_recovery(avg.matrix, channel)
     states = [state.matrix for state in ens.states]
     recovered = [rec.apply(channel.apply(s)) for s in states]
     sqrt_fids = root_fidelity(np.stack(states), np.stack(recovered))
     avg_sqrt = float(np.sum(ens.probs * sqrt_fids))
     rhs = -2.0 * math.log2(max(avg_sqrt, 1e-300))
-    return CheckReport(
-        name="entropic-disturbance",
-        lhs=lhs,
-        rhs=rhs,
-        tol=tol,
-        dims=(ens.states[0].dim, channel.out_dim),
-        aux={
-            "chi_in": chi_in,
-            "chi_out": chi_out,
-            "avg_sqrt_fid": avg_sqrt,
-            "min_sqrt_fid": float(sqrt_fids.min()),
-        },
-    )
+    aux = {"chi_in": chi_in, "chi_out": chi_out, "avg_sqrt_fid": avg_sqrt,
+           "min_sqrt_fid": float(sqrt_fids.min())}
+    dims = (ens.states[0].dim, channel.out_dim)
+    return CheckReport("entropic-disturbance", lhs, rhs, dims=dims, aux=aux)

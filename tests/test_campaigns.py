@@ -5,6 +5,7 @@ import pytest
 from qrecovery import bosonic as bos
 from qrecovery.campaigns import SUITES, CampaignConfig, run_suite
 from qrecovery.qcore import random_channel, random_density, stream
+from qrecovery.reports import TOLERANCES
 from qrecovery.theorems import check_entropy_gain
 
 STAMPED = CampaignConfig(master_seed=7, tol_override=0.5, trials=dict.fromkeys(SUITES, 1))
@@ -21,6 +22,15 @@ def test_checks_keep_their_own_tolerance_without_override():
     rows = run_suite(CampaignConfig(master_seed=7, trials={"info-gain": 1}), "info-gain")
     assert {r["check"]: r["tol"] for r in rows}["negative-groenewold-witness"] == 0.0
     assert {r["tol"] for r in rows} == {0.0, 1e-8}
+
+
+def test_every_finite_row_takes_its_tolerance_from_the_table():
+    finite = [s for s in SUITES if s != "bosonic"]
+    rows = [
+        r for s in finite for r in run_suite(CampaignConfig(trials=dict.fromkeys(finite, 1)), s)
+    ]
+    assert all(r["tol"] == TOLERANCES[r["check"]] for r in rows)
+    assert {r["check"] for r in rows} == set(TOLERANCES)
 
 
 def test_direct_checks_carry_no_seed():
@@ -40,6 +50,6 @@ def test_row_regenerates_from_its_stream_path():
     d = int(rng.integers(2, 5))
     rho = random_density(d, int(rng.integers(1, d + 1)), rng)
     channel = random_channel(d, d, int(rng.integers(1, 5)), rng)
-    rep = check_entropy_gain(rho, channel, dims=(d,))
+    rep = check_entropy_gain(rho, channel)
     assert (row["lhs_bits"], row["rhs_bits"], row["dims"]) == (rep.lhs, rep.rhs, [d])
 

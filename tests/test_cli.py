@@ -64,6 +64,16 @@ def test_negative_tolerance_exits_two(capsys):
     assert "invalid config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag,value", [("--tol", "inf"), ("--tol", "nan"), ("--quad-halfwidth", "nan")]
+)
+def test_non_finite_number_exits_two(capsys, flag, value):
+    # inf would forgive every row, nan would fail every row, and a nan
+    # halfwidth would break the quadrature rule
+    assert run(["verify", "info-gain-qsi", flag, value]) == 2
+    assert "invalid config" in capsys.readouterr().err
+
+
 def test_unknown_suite_exits_two(capsys):
     assert run(["verify", "does-not-exist"]) == 2
     assert "invalid config" in capsys.readouterr().err
@@ -89,11 +99,15 @@ def test_negative_seed_exits_two(capsys):
         ("master_seed", "-3"),
         ("tol_override", '"x"'),
         ("tol_override", "true"),
+        ("tol_override", "NaN"),
+        ("tol_override", "Infinity"),
         ("quad_nodes", '"x"'),
         ("quad_nodes", "51.0"),
         ("quad_nodes", "true"),
         ("quad_halfwidth", '"x"'),
         ("quad_halfwidth", "false"),
+        ("quad_halfwidth", "NaN"),
+        ("quad_halfwidth", "Infinity"),
         ("bosonic_n_max", '"x"'),
         ("bosonic_n_max", "20.0"),
         ("bosonic_n_max", "true"),

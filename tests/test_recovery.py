@@ -41,6 +41,7 @@ from qrecovery.recovery import (
     swiveled_root_fidelities,
     uhlmann_isometry,
 )
+from qrecovery.theorems import check_cmi_recovery, check_recovery_fid, check_recovery_stronger
 
 NODES, WEIGHTS = quadrature(QuadratureSpec())
 
@@ -87,8 +88,9 @@ class TestQuadrature:
     def test_invalid_specs_rejected(self):
         with pytest.raises(ValueError):
             QuadratureSpec(nodes=100)
-        with pytest.raises(ValueError):
-            QuadratureSpec(halfwidth=-1)
+        for halfwidth in (-1, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                QuadratureSpec(halfwidth=halfwidth)
 
     def test_rule_is_cached_and_read_only(self):
         spec = QuadratureSpec(nodes=51, halfwidth=8.0, panels=5)
@@ -314,8 +316,9 @@ class TestIntegratedRecovery:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_markov_chain_recovered_exactly(self, seed):
-        # the campaign's cq Markov state has I(A;B|C) = 0, so _recover_abc
-        # rebuilds it exactly from its (B, C) marginal
+        # the campaign's cq Markov state has I(A;B|C) = 0, so
+        # theorems._recover_abc, the recovery of check_cmi_recovery, rebuilds
+        # it exactly from its (B, C) marginal
         from qrecovery.campaigns import _markov_recovery_trial
 
         rep = _markov_recovery_trial(stream(32, 4, seed))
@@ -528,6 +531,8 @@ class TestRecoverabilityInequality:
         )
         rhs = -math.log2(fidelity(rho.matrix, rec.apply(ch.apply(rho.matrix))))
         assert lhs - rhs >= -1e-6
+        rep = check_recovery_fid(rho, sigma, ch)
+        assert abs(rep.lhs - lhs) <= 1e-12 and abs(rep.rhs - rhs) <= 1e-12
 
     @pytest.mark.parametrize("seed", range(15))
     def test_stronger_integrated_form(self, seed):
@@ -542,6 +547,8 @@ class TestRecoverabilityInequality:
         )
         acc = float(WEIGHTS @ np.log2(stronger_node_loop(rho.matrix, sigma.matrix, ch) ** 2))
         assert lhs + acc >= -1e-5
+        rep = check_recovery_stronger(rho, sigma, ch)
+        assert abs(rep.lhs - lhs) <= 1e-12 and abs(rep.rhs + acc) <= 1e-12
 
     @pytest.mark.parametrize("seed", range(20))
     def test_cmi_recovery_inequality_dims_223(self, seed):
@@ -564,5 +571,8 @@ class TestRecoverabilityInequality:
         recovered = permute(
             DensityOperator(out_systems, lifted.apply(rho_bc.matrix)), ("A", "B", "C")
         )
-        slack = cmi(rho, "A", "B", "C") + math.log2(fidelity(rho.matrix, recovered.matrix))
-        assert slack >= -1e-6
+        lhs = cmi(rho, "A", "B", "C")
+        rhs = -math.log2(fidelity(rho.matrix, recovered.matrix))
+        assert lhs - rhs >= -1e-6
+        rep = check_cmi_recovery(rho)
+        assert abs(rep.lhs - lhs) <= 1e-12 and abs(rep.rhs - rhs) <= 1e-12

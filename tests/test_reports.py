@@ -1,7 +1,9 @@
 import json
 import math
 
-from qrecovery.reports import CheckReport, _escape, dumps_json, report_row, summarize
+import pytest
+
+from qrecovery.reports import TOLERANCES, CheckReport, _escape, dumps_json, report_row, summarize
 
 
 def test_summarize_keeps_infinite_worst_slack():
@@ -23,3 +25,10 @@ def test_escaped_strings_round_trip_through_json():
         assert json.loads(_escape(s)) == s
     row = {s: s for s in strings}
     assert json.loads(dumps_json(row)) == row
+
+
+def test_tolerance_defaults_to_the_table_and_must_be_finite():
+    assert CheckReport("recovery-fid", 1.0, 0.5).tol == TOLERANCES["recovery-fid"]
+    for tol in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError):
+            CheckReport("recovery-fid", 1.0, 0.5, tol=tol)

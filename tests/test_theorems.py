@@ -41,6 +41,8 @@ from qrecovery.theorems import (
     check_info_gain_no_qsi,
     check_info_gain_qsi,
     check_info_gain_upper,
+    check_recovery_fid,
+    check_recovery_stronger,
     groenewold_gain,
     minimal_entropy_gain,
 )
@@ -431,6 +433,25 @@ class TestCondEntropyGain:
         )
         ch = random_channel(2, 2, int(rng.integers(1, 5)), rng)
         assert check_cond_entropy_gain(rho, ch).slack >= -1e-8
+
+
+class TestRecoveryEqualityFamily:
+    """A replacer onto tau = diag(0.6, 0.4), rho = |0><0| and sigma = diag(p, 1-p):
+    N(rho) = N(sigma) = tau and every swiveled Petz map sends tau to sigma, so
+    lhs = D(rho || sigma) = -log2 p = -log2 F(rho, sigma) = rhs."""
+
+    REPLACER = Channel(
+        tuple(math.sqrt(t) * np.outer(np.eye(2)[i], np.eye(2)[j])
+              for i, t in enumerate((0.6, 0.4)) for j in range(2))
+    )
+    RHO = np.diag([1.0, 0.0])
+
+    @pytest.mark.parametrize("check", [check_recovery_fid, check_recovery_stronger])
+    @pytest.mark.parametrize("p", [0.1, 0.3, 0.45])
+    def test_holds_with_equality(self, check, p):
+        rep = check(self.RHO, np.diag([p, 1.0 - p]), self.REPLACER)
+        assert abs(rep.lhs + math.log2(p)) <= 1e-12
+        assert abs(rep.rhs + math.log2(p)) <= 1e-12
 
 
 class TestGroenewold:
