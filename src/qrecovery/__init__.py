@@ -7,10 +7,6 @@ from .matfun import (
     Spectrum,
     complex_power,
     eig_hermitian,
-    mat_func,
-    mat_inv,
-    mat_sqrt,
-    support_projector,
 )
 from .qcore import (
     Channel,
@@ -21,13 +17,8 @@ from .qcore import (
     Purification,
     TransferMap,
     adjoint,
-    apply,
-    choi,
     compose,
     instrument_channel,
-    is_cptp,
-    is_subunital,
-    is_unital,
     partial_trace,
     permute,
     purify,
@@ -36,7 +27,6 @@ from .qcore import (
     random_instrument,
     random_unitary,
     stream,
-    tensor,
 )
 from .entropy import (
     RelEntropyResult,

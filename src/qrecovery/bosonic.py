@@ -421,8 +421,9 @@ def loss_identity_tail(eta: float, level: int, n_max: int) -> float:
     return total
 
 
-def recommended_guard(spec: GaussianChannelSpec, trunc_tol: float = DEFAULT_TRUNC_TOL) -> int:
-    """Smallest guard band making the almost-unital identity testable at trunc_tol.
+def recommended_guard(spec: GaussianChannelSpec) -> int:
+    """Smallest guard band making the almost-unital identity testable at
+    ``DEFAULT_TRUNC_TOL``.
 
     Only the loss part contributes: amplifier output level m receives only
     from levels n <= m, so A_G(I) = I/G holds on every truncated level and
@@ -432,7 +433,7 @@ def recommended_guard(spec: GaussianChannelSpec, trunc_tol: float = DEFAULT_TRUN
         return 0
     n_max = spec.truncation.n_max
     for guard in range(0, n_max):
-        if loss_identity_tail(spec.eta, n_max - guard, n_max) <= trunc_tol:
+        if loss_identity_tail(spec.eta, n_max - guard, n_max) <= DEFAULT_TRUNC_TOL:
             return guard
     return n_max - 1
 
@@ -440,17 +441,17 @@ def recommended_guard(spec: GaussianChannelSpec, trunc_tol: float = DEFAULT_TRUN
 def check_almost_unital(
     spec: GaussianChannelSpec,
     n_guard: int | None = DEFAULT_GUARD,
-    trunc_tol: float = DEFAULT_TRUNC_TOL,
 ) -> CheckReport:
     """Deviation of N(I) from c^{-1} I on the guard-banded subspace.
 
     ``n_guard=None`` selects the recommended (parameter-dependent) guard.  The
     report's aux payload carries the analytic truncation tail at the band
-    edge; when that tail alone exceeds ``trunc_tol`` the guard band is too
-    small for this parameter and the report is flagged truncation-dominated.
+    edge; when that tail alone exceeds ``DEFAULT_TRUNC_TOL`` the guard band
+    is too small for this parameter and the report is flagged
+    truncation-dominated.
     """
     if n_guard is None:
-        n_guard = recommended_guard(spec, trunc_tol)
+        n_guard = recommended_guard(spec)
     n_max = spec.truncation.n_max
     keep = _keep_levels(n_max, n_guard)
     forward, _ = _spec_ladders(spec)
@@ -467,13 +468,12 @@ def check_almost_unital(
         name=f"bosonic-almost-unital-{spec.kind}",
         lhs=0.0,
         rhs=deviation,
-        tol=trunc_tol,
         dims=(spec.truncation.dim,),
         aux={
             "parameter": spec.parameter(),
             "guard": n_guard,
             "analytic_tail": tail,
-            "truncation_dominated": tail > trunc_tol,
+            "truncation_dominated": tail > DEFAULT_TRUNC_TOL,
         },
     )
 
@@ -481,7 +481,6 @@ def check_almost_unital(
 def check_adjoint_relation(
     spec: GaussianChannelSpec,
     n_guard: int = DEFAULT_GUARD,
-    trunc_tol: float = DEFAULT_TRUNC_TOL,
 ) -> CheckReport:
     """Adjoint duality between loss and amplification:
 
@@ -511,7 +510,6 @@ def check_adjoint_relation(
         name=f"bosonic-adjoint-{spec.kind}",
         lhs=0.0,
         rhs=deviation,
-        tol=trunc_tol,
         dims=(d,),
         aux={"parameter": spec.parameter(), "guard": n_guard, "scale": scale},
     )
@@ -521,8 +519,6 @@ def check_bosonic_entropy_gain(
     spec: GaussianChannelSpec,
     rho: np.ndarray,
     n_guard: int = DEFAULT_GUARD,
-    trunc_tol: float = DEFAULT_TRUNC_TOL,
-    tol: float | None = None,
     state_name: str = "state",
 ) -> CheckReport:
     """Entropy-gain inequality with the log-parameter shift, e.g. for loss:
@@ -544,8 +540,6 @@ def check_bosonic_entropy_gain(
     mean = mean_photon(rho)
     if mean > n_max / 4:
         raise ValueError(f"mean photon number {mean:.2f} exceeds n_max/4 = {n_max / 4}")
-    if tol is None:
-        tol = trunc_tol + 1e-6
     forward, reverse = _spec_ladders(spec)
     out = _apply_stages(forward, rho)
     reversed_out = _apply_stages(reverse, out)
@@ -556,7 +550,6 @@ def check_bosonic_entropy_gain(
         name=f"bosonic-entropy-gain-{spec.kind}",
         lhs=lhs,
         rhs=rhs,
-        tol=tol,
         dims=(spec.truncation.dim,),
         aux={
             "parameter": spec.parameter(),
@@ -573,7 +566,6 @@ def check_loss_semigroup(
     eta1: float,
     eta2: float,
     trunc: FockTruncation = FockTruncation(),
-    trunc_tol: float = DEFAULT_TRUNC_TOL,
 ) -> CheckReport:
     """B_eta1 o B_eta2 = B_(eta1 eta2): exact under truncation since loss only
     moves photons down the ladder.
@@ -588,7 +580,6 @@ def check_loss_semigroup(
         name="bosonic-loss-semigroup",
         lhs=0.0,
         rhs=deviation,
-        tol=trunc_tol,
         dims=(trunc.dim,),
         aux={"eta1": eta1, "eta2": eta2},
     )

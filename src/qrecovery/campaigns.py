@@ -30,7 +30,7 @@ from .cpdp import (
     identity_embedding,
     reduced_dynamics,
 )
-from .entropy import trace_norm
+from .entropy import fidelity, trace_norm
 from .matfun import eig_hermitian
 from .qcore import (
     Channel,
@@ -306,7 +306,7 @@ def _markov_recovery_trial(rng) -> CheckReport:
         block[c, c] = 1.0
         mat += p[c] * np.kron(np.kron(rho_a, rho_b), block)
     rho = DensityOperator((("A", 2), ("B", 2), ("C", 2)), mat)
-    fid = _recover_abc(rho)
+    fid = fidelity(rho.matrix, _recover_abc(rho).matrix)
     return _deviation_report("cmi-recovery-markov", 1.0 - fid, (2, 2, 2), {"fidelity": fid})
 
 

@@ -23,6 +23,7 @@ from .qcore import (
     DensityOperator,
     DimensionMismatchError,
     KrausMap,
+    _derived,
     apply_on,
     compose,
     partial_trace,
@@ -100,7 +101,11 @@ def identity_embedding(dim_q: int, dim_e: int) -> Interaction:
 
 
 def _evolved(config: TripartiteConfiguration, v: Interaction) -> DensityOperator:
-    """sigma_RQ'E' = (I_R (x) V) rho_RQE (I_R (x) V)^dag."""
+    """sigma_RQ'E' = (I_R (x) V) rho_RQE (I_R (x) V)^dag.
+
+    A checked isometry applied to a checked state gives a state, so it is
+    held without revalidation.
+    """
     r, q, e = config.reference, config.system, config.environment
     if v.in_dims != (config.state.system_dim(q), config.state.system_dim(e)):
         raise DimensionMismatchError("interaction input dims do not match the configuration")
@@ -111,7 +116,7 @@ def _evolved(config: TripartiteConfiguration, v: Interaction) -> DensityOperator
         (q, e),
         out_systems=((q + "'", v.out_dims[0]), (e + "'", v.out_dims[1])),
     )
-    return DensityOperator(out_systems, mat)
+    return _derived(DensityOperator, out_systems, mat)
 
 
 def dp_slack(config: TripartiteConfiguration, v: Interaction) -> float:

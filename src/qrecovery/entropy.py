@@ -41,19 +41,11 @@ class RelEntropyResult:
     """Relative entropy value in bits plus the support diagnostics.
 
     ``value`` is ``math.inf`` exactly when the mass of P outside the support
-    of Q (``support_violation``) exceeds the support tolerance.
+    of Q (``support_violation``) exceeds ``SUPPORT_TOL``.
     """
 
     value: float
     support_violation: float
-    support_tol: float = SUPPORT_TOL
-
-    @property
-    def is_infinite(self) -> bool:
-        return math.isinf(self.value)
-
-    def __float__(self) -> float:
-        return self.value
 
 
 def entropy(rho) -> float:
@@ -67,12 +59,12 @@ def entropy(rho) -> float:
     return float(-np.sum(lam * np.log(lam)) * NAT_TO_BITS) if lam.size else 0.0
 
 
-def rel_entropy(p, q, support_tol: float = SUPPORT_TOL) -> RelEntropyResult:
+def rel_entropy(p, q) -> RelEntropyResult:
     """Quantum relative entropy D(P||Q) = Tr{P [log2 P - log2 Q]}.
 
     Finite values are computed on the support of Q; the result carries the
-    mass of P on ker(Q) and is flagged infinite when that mass exceeds
-    ``support_tol``.
+    mass of P on ker(Q) and is infinite when that mass exceeds
+    ``SUPPORT_TOL``.
     """
     p, q = as_matrix(p), as_matrix(q)
     if p.shape != q.shape:
@@ -86,13 +78,13 @@ def rel_entropy(p, q, support_tol: float = SUPPORT_TOL) -> RelEntropyResult:
     vecs = spec[1].eigenvectors
     weights = np.real(np.sum(vecs.conj() * (p @ vecs), axis=0))
     violation = max(float(np.sum(weights[~mask_q])), 0.0)
-    if violation > support_tol:
-        return RelEntropyResult(math.inf, violation, support_tol)
+    if violation > SUPPORT_TOL:
+        return RelEntropyResult(math.inf, violation)
 
     mask_p = lam_p > rank_cutoff(lam_p)
     term_p = float(np.sum(lam_p[mask_p] * np.log(lam_p[mask_p]))) if mask_p.any() else 0.0
     term_q = float(np.sum(weights[mask_q] * np.log(lam_q[mask_q])))
-    return RelEntropyResult((term_p - term_q) * NAT_TO_BITS, violation, support_tol)
+    return RelEntropyResult((term_p - term_q) * NAT_TO_BITS, violation)
 
 
 def cond_entropy(rho: DensityOperator, cond) -> float:
@@ -107,16 +99,9 @@ def cond_entropy(rho: DensityOperator, cond) -> float:
     return entropy(rho) - entropy(sigma)
 
 
-def mutual_info(rho: DensityOperator, a=None, b=None) -> float:
-    """Mutual information I(A;B) = H(A) + H(B) - H(AB) for a bipartition.
-
-    For a two-factor state the partition is inferred; otherwise pass the two
-    label groups explicitly.
-    """
-    if a is None or b is None:
-        if len(rho.systems) != 2:
-            raise ValueError("label groups are required for more than two factors")
-        a, b = (rho.labels[0],), (rho.labels[1],)
+def mutual_info(rho: DensityOperator, a, b) -> float:
+    """Mutual information I(A;B) = H(A) + H(B) - H(AB) for the bipartition
+    of ``rho``'s factors into the label groups ``a`` and ``b``."""
     if isinstance(a, str):
         a = (a,)
     if isinstance(b, str):

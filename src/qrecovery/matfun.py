@@ -1,8 +1,8 @@
 """Hermitian eigendecomposition kernel and matrix-function conventions.
 
-Every matrix function here follows the support convention: eigenvalues at or
+Every matrix power here follows the support convention: eigenvalues at or
 below the numerical rank cutoff count as exact zeros and are mapped to zero,
-so ``mat_inv`` is a generalized inverse.  The cutoff is
+so the power -1 is a generalized inverse.  The cutoff is
 ``dim * max|eigenvalue| * 1e-12``.
 """
 
@@ -10,12 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
-
 import numpy as np
 
 __all__ = [
-    "DEFAULT_HERM_TOL",
     "RANK_CUTOFF_FACTOR",
     "NonHermitianError",
     "MatrixDomainError",
@@ -24,14 +21,10 @@ __all__ = [
     "assert_hermitian",
     "eig_hermitian",
     "rank_cutoff",
-    "support_projector",
-    "mat_func",
     "complex_power",
-    "mat_sqrt",
-    "mat_inv",
 ]
 
-DEFAULT_HERM_TOL = 1e-12
+HERM_TOL = 1e-12
 RANK_CUTOFF_FACTOR = 1e-12
 
 
@@ -71,10 +64,6 @@ class Spectrum:
     def cutoff(self) -> float:
         return rank_cutoff(self.eigenvalues)
 
-    def reconstruct(self) -> np.ndarray:
-        u = self.eigenvectors
-        return (u * self.eigenvalues[..., None, :]) @ u.conj().swapaxes(-1, -2)
-
     def __getitem__(self, index) -> "Spectrum":
         """The spectrum of one matrix (or of a sub-stack) of a stack."""
         return Spectrum(self.eigenvalues[index], self.eigenvectors[index])
@@ -106,20 +95,20 @@ def hermiticity_defect(matrix: np.ndarray) -> float:
     return float((asym / scale).max(initial=0.0))
 
 
-def assert_hermitian(matrix: np.ndarray, tol: float = DEFAULT_HERM_TOL) -> None:
+def assert_hermitian(matrix: np.ndarray) -> None:
     defect = hermiticity_defect(matrix)
-    if defect > tol:
-        raise NonHermitianError(defect, tol)
+    if defect > HERM_TOL:
+        raise NonHermitianError(defect, HERM_TOL)
 
 
-def eig_hermitian(matrix: np.ndarray, tol: float = DEFAULT_HERM_TOL) -> Spectrum:
+def eig_hermitian(matrix: np.ndarray) -> Spectrum:
     """Eigendecomposition of a Hermitian matrix or of a (..., d, d) stack of
     them, rejecting non-Hermitian input; one check covers the whole stack, and
     each matrix gets the same decomposition as on its own."""
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim < 2 or matrix.shape[-2] != matrix.shape[-1]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {matrix.shape}")
-    assert_hermitian(matrix, tol)
+    assert_hermitian(matrix)
     eigenvalues, eigenvectors = np.linalg.eigh(matrix)
     return Spectrum(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 
@@ -133,40 +122,6 @@ def rank_cutoff(eigenvalues: np.ndarray) -> float:
     eigenvalues = np.asarray(eigenvalues)
     lam_max = np.abs(eigenvalues).max(axis=-1, initial=0.0, keepdims=eigenvalues.ndim > 1)
     return eigenvalues.shape[-1] * lam_max * RANK_CUTOFF_FACTOR
-
-
-def support_projector(matrix: np.ndarray) -> np.ndarray:
-    """Orthogonal projector onto the support (nonzero eigenspaces) of H."""
-    spec = eig_hermitian(matrix)
-    u = spec.eigenvectors[:, spec.support_mask()]
-    return u @ u.conj().T
-
-
-def mat_func(
-    matrix: np.ndarray,
-    f: Callable[[np.ndarray], np.ndarray],
-    name: str = "f",
-) -> np.ndarray:
-    """Apply a scalar function to a Hermitian matrix on its support.
-
-    Kernel eigenvalues (at or below the rank cutoff) map to 0; support
-    eigenvalues map through ``f``.  If ``f`` produces a non-finite value at a
-    support eigenvalue, a :class:`MatrixDomainError` names the offending
-    eigenvalue.
-    """
-    spec = eig_hermitian(matrix)
-    mask = spec.support_mask()
-    values = np.zeros(spec.dim, dtype=complex)
-    if mask.any():
-        with np.errstate(all="ignore"):
-            mapped = np.asarray(f(spec.eigenvalues[mask]), dtype=complex)
-        bad = ~np.isfinite(mapped)
-        if bad.any():
-            lam = spec.eigenvalues[mask][bad][0]
-            raise MatrixDomainError(f"{name} is undefined at support eigenvalue {lam!r}")
-        values[mask] = mapped
-    u = spec.eigenvectors
-    return (u * values) @ u.conj().T
 
 
 def complex_power(matrix: np.ndarray, z: complex) -> np.ndarray:
@@ -183,11 +138,3 @@ def complex_power(matrix: np.ndarray, z: complex) -> np.ndarray:
         )
     return spec.power(z)
 
-
-def mat_sqrt(matrix: np.ndarray) -> np.ndarray:
-    return complex_power(matrix, 0.5)
-
-
-def mat_inv(matrix: np.ndarray) -> np.ndarray:
-    """Generalized inverse: invert support eigenvalues, keep the kernel at zero."""
-    return mat_func(matrix, lambda x: 1.0 / x, name="reciprocal")

@@ -8,9 +8,9 @@ never reorder the remaining factors; any reordering is an explicit
 
 Validation happens once, at the boundary: every public constructor runs its
 class's ``_validate``, and :func:`_derived` skips it only where validity
-follows from inputs that were already checked (partial traces, permutations,
-tensor products and averages of states, compositions and liftings of
-channels, and the random constructions).  Backing arrays are read-only, so
+follows from inputs that were already checked (partial traces, permutations
+and averages of states, compositions and liftings of channels, and the random
+constructions).  Backing arrays are read-only, so
 every object is immutable and safe to share across threads; randomized
 instances derive per-trial generators via :func:`stream`.
 """
@@ -41,21 +41,14 @@ __all__ = [
     "TransferMap",
     "stream",
     "as_matrix",
-    "tensor",
     "ptrace",
     "partial_trace",
     "permute",
     "purify",
-    "apply",
     "adjoint",
     "compose",
-    "choi",
     "transfer_matrix",
     "tp_deviation",
-    "is_trace_preserving",
-    "is_cptp",
-    "is_unital",
-    "is_subunital",
     "apply_on",
     "lift",
     "partial_trace_channel",
@@ -260,13 +253,6 @@ class Purification:
     def projector(self) -> np.ndarray:
         return np.outer(self.vector, self.vector.conj())
 
-    def reduced(self) -> DensityOperator:
-        """Partial trace over the reference, i.e. the state this purifies."""
-        keep = [l for l in _labels(self.systems) if l != self.reference_label]
-        mat = ptrace(self.projector(), _dims(self.systems), _keep_indices(self.systems, keep))
-        systems = tuple(s for s in self.systems if s[0] != self.reference_label)
-        return _derived(DensityOperator, systems, mat)
-
     def amplitude_matrix(self) -> np.ndarray:
         """Reshape into a (reference_dim x rest_dim) matrix, reference first.
 
@@ -305,14 +291,6 @@ def ptrace(matrix: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.n
     return np.asarray(t).reshape(dk, dk)
 
 
-def tensor(a, b):
-    """Kronecker product; concatenates system lists for labeled operands."""
-    if isinstance(a, DensityOperator) and isinstance(b, DensityOperator):
-        systems = _norm_systems(a.systems + b.systems)  # rejects duplicate labels
-        return _derived(DensityOperator, systems, np.kron(a.matrix, b.matrix))
-    return np.kron(np.asarray(a), np.asarray(b))
-
-
 def partial_trace(rho: DensityOperator, discard) -> DensityOperator:
     """Trace out the listed labels, preserving the order of remaining factors."""
     if isinstance(discard, str):
@@ -341,28 +319,18 @@ def permute(rho: DensityOperator, order: Sequence[str]) -> DensityOperator:
     return _derived(DensityOperator, systems, t.reshape(rho.dim, rho.dim))
 
 
-def purify(rho: DensityOperator, reference_label: str = "R", reference_dim: int | None = None) -> Purification:
-    """Purification with the reference factor first.
-
-    The reference dimension defaults to the numerical rank of ``rho`` (the
-    smallest valid choice); a larger ``reference_dim`` pads with zero
-    amplitudes, which is occasionally needed to hand two purifications with
-    matching reference sizes to the Uhlmann maximizer.
-    """
+def purify(rho: DensityOperator, reference_label: str = "R") -> Purification:
+    """Purification with the reference factor first, of dimension the
+    numerical rank of ``rho`` (the smallest valid choice)."""
     if reference_label in rho.labels:
         raise LabelError(f"reference label {reference_label!r} collides with {rho.labels!r}")
     spec = eig_hermitian(rho.matrix)
     lam = np.clip(spec.eigenvalues, 0.0, None)
     mask = lam > rank_cutoff(spec.eigenvalues)
     lam, vecs = lam[mask], spec.eigenvectors[:, mask]
-    rank = int(lam.shape[0])
-    ref_dim = rank if reference_dim is None else int(reference_dim)
-    if ref_dim < rank:
-        raise ValueError(f"reference_dim {ref_dim} is below the state rank {rank}")
-    # |phi> = sum_k sqrt(lam_k) |k>_ref |v_k>;  zero rows pad the reference.
-    amp = np.zeros((ref_dim, rho.dim), dtype=complex)
-    amp[:rank] = np.sqrt(lam)[:, None] * vecs.T
-    systems = ((reference_label, ref_dim),) + rho.systems
+    # |phi> = sum_k sqrt(lam_k) |k>_ref |v_k>
+    amp = np.sqrt(lam)[:, None] * vecs.T
+    systems = ((reference_label, lam.shape[0]),) + rho.systems
     return Purification(reference_label, systems, amp.reshape(-1))
 
 
@@ -422,7 +390,7 @@ class KrausMap:
 
 @dataclass(frozen=True)
 class Channel(KrausMap):
-    """CP trace-non-increasing map; flags are computed lazily and cached."""
+    """CP trace-non-increasing map."""
 
     def _validate(self) -> None:
         excess = _trace_excess(self)
@@ -431,27 +399,10 @@ class Channel(KrausMap):
                 f"Kraus operators are trace-increasing: max eig of sum K^dag K - I is {excess!r}"
             )
 
-    @cached_property
-    def trace_preserving(self) -> bool:
-        return is_trace_preserving(self)
-
-    @cached_property
-    def unital(self) -> bool:
-        return is_unital(self)
-
-    @cached_property
-    def subunital(self) -> bool:
-        return is_subunital(self)
-
 
 def _trace_excess(m: KrausMap) -> float:
     """Largest eigenvalue of sum K^dag K - I: positive iff some input gains trace."""
     return float(np.linalg.eigvalsh(m.kraus_gram() - np.eye(m.in_dim))[-1])
-
-
-def apply(channel, x: np.ndarray) -> np.ndarray:
-    """Apply a channel (or any map with ``.apply``) to a matrix."""
-    return channel.apply(np.asarray(x))
 
 
 def adjoint(channel: KrausMap) -> KrausMap:
@@ -476,12 +427,6 @@ def compose(after: KrausMap, before: KrausMap):
     return _derived(cls, ks)
 
 
-def choi(channel: KrausMap) -> np.ndarray:
-    """Choi matrix with input factor first: C = sum_ij |i><j| (x) N(|i><j|)."""
-    vecs = channel.stack.swapaxes(1, 2).reshape(len(channel.kraus), -1)
-    return vecs.T @ vecs.conj()
-
-
 def transfer_matrix(channel: KrausMap) -> np.ndarray:
     """Row-major superoperator matrix: vec(N(X)) = T vec(X).
 
@@ -504,29 +449,6 @@ def tp_deviation(channel) -> float:
     0 exactly when the map is trace-preserving."""
     gram = adjoint(channel).apply(np.eye(channel.out_dim))
     return float(np.abs(gram - np.eye(channel.in_dim)).max())
-
-
-def is_trace_preserving(channel, tol: float = 1e-10) -> bool:
-    return tp_deviation(channel) <= tol
-
-
-def is_cptp(channel: KrausMap, tol: float = 1e-9) -> bool:
-    """Complete positivity (Choi PSD) plus trace preservation within tol."""
-    c = choi(channel)
-    scale = max(1.0, float(np.abs(c).max()))
-    cp = float(np.linalg.eigvalsh(c)[0]) >= -tol * scale
-    return cp and is_trace_preserving(channel, tol)
-
-
-def is_unital(channel: KrausMap, tol: float = 1e-9) -> bool:
-    if channel.in_dim != channel.out_dim:
-        return False
-    return float(np.abs(channel.on_identity() - np.eye(channel.out_dim)).max()) <= tol
-
-
-def is_subunital(channel: KrausMap, tol: float = 1e-9) -> bool:
-    gap = np.eye(channel.out_dim) - channel.on_identity()
-    return float(np.linalg.eigvalsh(gap)[0]) >= -tol
 
 
 class TransferMap:

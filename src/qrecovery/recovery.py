@@ -11,7 +11,7 @@ throughout).  Rotating by the modular unitaries ``omega^{it} . omega^{-it}``
 multiplies these by complex matrix powers.  The integrated channel averages
 the rotated maps over ``p_weight`` in closed form (the rotation enters
 linearly through phases whose average is ``w / sinh w``) and adds a
-completion term ``Tr{(I - Pi) . } tau`` on the kernel of ``N(sigma)``, which
+completion term ``Tr{(I - Pi) . } I/d`` on the kernel of ``N(sigma)``, which
 restores exact trace preservation.
 
 Integrands that are nonlinear in the rotation, such as ``log F(rho,
@@ -31,7 +31,6 @@ import numpy as np
 from .matfun import Spectrum, complex_power, eig_hermitian
 from .qcore import (
     Channel,
-    DensityOperator,
     DimensionMismatchError,
     KrausMap,
     Purification,
@@ -222,43 +221,24 @@ def swiveled_root_fidelities(rho, sigma, channel: KrausMap, t) -> np.ndarray:
     return stacked_root_fidelity(spec_in[1].power(0.5), ks, spec_out[1].power(0.5))
 
 
-def _completion_eigenpairs(completion_state, dim: int):
-    """Eigenvalues (clipped at 0) and eigenvectors of the completion state tau
-    on a dim-dimensional input: (1/d, standard basis) for the default I/d,
-    with no eigendecomposition, otherwise those of a validated density operator."""
-    if completion_state is None:
-        return np.full(dim, 1.0 / dim), np.eye(dim, dtype=complex)
-    tau = as_matrix(completion_state)
-    if tau.shape != (dim, dim):
-        raise DimensionMismatchError("completion state must live on the channel input space")
-    if not isinstance(completion_state, DensityOperator):
-        try:
-            DensityOperator((("tau", dim),), tau)
-        except ValueError as exc:
-            raise ValueError(f"completion state is not a density operator: {exc}") from None
-    spec = eig_hermitian(tau)
-    return np.clip(spec.eigenvalues, 0.0, None), spec.eigenvectors
-
-
-def _completion_kraus(directions: np.ndarray, weights, tau) -> list:
-    """Kraus operators sqrt(w_j lam_k) |t_k><d_j| of Q -> sum_j w_j <d_j|Q|d_j> tau.
+def _completion_kraus(directions: np.ndarray, weights, dim: int) -> list:
+    """Kraus operators sqrt(w_j / d) |k><d_j| of Q -> sum_j w_j <d_j|Q|d_j> I/d.
 
     ``directions`` holds the orthonormal d_j as columns and ``weights`` their
-    w_j; ``tau`` is the pair (lam, t) of :func:`_completion_eigenpairs`, whose
-    positive entries (lam_k, t_k) are used.  Operators are ordered by
-    direction, then by eigenvector of tau.
+    w_j; |k> runs over the standard basis of the d = ``dim`` dimensional
+    channel input.  Operators are ordered by direction, then by k.
     """
-    lam, vecs = tau
+    basis = np.eye(dim, dtype=complex)
+    lam = 1.0 / dim
     ks = []
     for j in range(directions.shape[1]):
         bra = directions[:, j].conj()
-        for k in range(lam.shape[0]):
-            if lam[k] > 0.0:
-                ks.append(np.sqrt(weights[j] * lam[k]) * np.outer(vecs[:, k], bra))
+        for k in range(dim):
+            ks.append(np.sqrt(weights[j] * lam) * np.outer(basis[:, k], bra))
     return ks
 
 
-def integrated_recovery(sigma, channel: KrausMap, completion_state=None) -> Channel:
+def integrated_recovery(sigma, channel: KrausMap) -> Channel:
     """Average of swiveled Petz maps R^{t/2} over ``p_weight``, plus projector completion.
 
     In the eigenbases of sigma (eigenvalues lam) and N(sigma) (eigenvalues
@@ -268,13 +248,12 @@ def integrated_recovery(sigma, channel: KrausMap, completion_state=None) -> Chan
     exact: the Petz Choi matrix multiplied entrywise by w / sinh w, whose
     eigenvectors give at most rank(sigma) * rank(N(sigma)) Kraus operators.
 
-    The completion term ``Tr{(I - Pi_{N(sigma)}) Q} tau`` routes any input mass
-    outside the support of N(sigma) to ``completion_state`` (default maximally
-    mixed on the channel input space), making the result an exactly
-    trace-preserving channel that still recovers sigma perfectly.
+    The completion term ``Tr{(I - Pi_{N(sigma)}) Q} I/d`` routes any input
+    mass outside the support of N(sigma) to the maximally mixed state on the
+    channel input space, making the result an exactly trace-preserving
+    channel that still recovers sigma perfectly.
     """
     sig, n_sig = _sigma_pair(sigma, channel)
-    tau = _completion_eigenpairs(completion_state, channel.in_dim)
     if sig.shape == n_sig.shape:  # one stacked call when N keeps the dimension
         pair = eig_hermitian(np.stack([sig, n_sig]))
         spec_sig, spec_out = pair[0], pair[1]
@@ -294,19 +273,18 @@ def integrated_recovery(sigma, channel: KrausMap, completion_state=None) -> Chan
         if e > 0.0
     ]
     kernel = spec_out.eigenvectors[:, spec_out.eigenvalues <= spec_out.cutoff]
-    ks.extend(_completion_kraus(kernel, np.ones(kernel.shape[1]), tau))
+    ks.extend(_completion_kraus(kernel, np.ones(kernel.shape[1]), channel.in_dim))
     return Channel(tuple(ks))
 
 
-def adjoint_recovery(channel: KrausMap, completion_state=None) -> Channel:
-    """Recovery channel R(Y) = N^dag(Y) + Tr{(id - N^dag)(Y)} tau.
+def adjoint_recovery(channel: KrausMap) -> Channel:
+    """Recovery channel R(Y) = N^dag(Y) + Tr{(id - N^dag)(Y)} I/d.
 
     Trace-preserving for any trace-preserving N; completely positive exactly
     when N is subunital.  A superunital N makes the completion weight negative
     on part of the output space, and the constructor rejects it with a witness
     input exhibiting the failure.
     """
-    tau = _completion_eigenpairs(completion_state, channel.in_dim)
     gap = np.eye(channel.out_dim) - channel.on_identity()
     spec = eig_hermitian(gap)
     if spec.eigenvalues[0] < -1e-10:
@@ -317,10 +295,11 @@ def adjoint_recovery(channel: KrausMap, completion_state=None) -> Channel:
             witness,
         )
     ks = [k.conj().T for k in channel.kraus]
-    # Tr{(I - N(I)) Y} tau over the gap eigenpairs (mu_l, d_l); gap
+    # Tr{(I - N(I)) Y} I/d over the gap eigenpairs (mu_l, d_l); gap
     # directions below 1e-12 are numerical zeros of N(I) = I.
     gap_dirs = spec.eigenvalues > 1e-12
-    ks.extend(_completion_kraus(spec.eigenvectors[:, gap_dirs], spec.eigenvalues[gap_dirs], tau))
+    ks.extend(_completion_kraus(spec.eigenvectors[:, gap_dirs], spec.eigenvalues[gap_dirs],
+                                channel.in_dim))
     return Channel(tuple(ks))
 
 
@@ -350,8 +329,7 @@ def uhlmann_isometry(phi_rho: Purification, phi_sigma: Purification) -> UhlmannR
     r_rho, r_sigma = m_rho.shape[0], m_sigma.shape[0]
     if r_sigma < r_rho:
         raise DimensionMismatchError(
-            f"target reference dim {r_sigma} is smaller than source {r_rho}; "
-            "repurify with a padded reference"
+            f"target reference dim {r_sigma} is smaller than source {r_rho}"
         )
     # <phi_sigma| (U x I) |phi_rho> = Tr{U C} with C = M_rho M_sigma^dag
     c = m_rho @ m_sigma.conj().T

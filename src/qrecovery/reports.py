@@ -4,7 +4,7 @@ Every inequality evaluation is recorded as a :class:`CheckReport` with
 ``slack = lhs - rhs`` and ``holds`` iff ``slack >= -tol``.  Deviation-style
 checks (a quantity that should be ~0) are reported with ``lhs = 0`` and
 ``rhs = deviation`` so the same convention applies.  :data:`TOLERANCES` is
-the one table of the finite campaign rows' tolerances.
+the one table of the campaign rows' tolerances.
 
 Serialization is byte-deterministic: field order is fixed, floats are written
 with 17 significant digits, non-finite floats become the strings "inf",
@@ -46,8 +46,8 @@ CSV_COLUMNS = (
 )
 
 
-# Tolerance in bits of every row of the six finite suites, by row name and
-# grouped by suite; a report built without a tol takes its name's entry.
+# Tolerance in bits of every campaign row, by row name and grouped by suite;
+# a report built without a tol takes its name's entry.
 TOLERANCES = {
     "entropy-gain": 1e-8, "entropy-gain-equality": 1e-8, "entropy-gain-recovery": 1e-8,
     "cond-entropy-gain": 1e-8,
@@ -60,6 +60,12 @@ TOLERANCES = {
     "disturbance-commuting-chi": 1e-9, "disturbance-commuting-fidelity": 1e-8,
     "cpdp-forward": 1e-6, "cpdp-converse": 1e-8, "cpdp-forward-product": 1e-6,
     "cpdp-embedding-consistency": 1e-9,
+    "bosonic-almost-unital-loss": 1e-6, "bosonic-almost-unital-amp": 1e-6,
+    "bosonic-almost-unital-compose": 1e-6,
+    "bosonic-adjoint-loss": 1e-6, "bosonic-adjoint-amp": 1e-6, "bosonic-adjoint-compose": 1e-6,
+    "bosonic-entropy-gain-loss": 2e-6, "bosonic-entropy-gain-amp": 2e-6,
+    "bosonic-entropy-gain-compose": 2e-6,
+    "bosonic-loss-semigroup": 1e-6,
 }
 
 

@@ -247,7 +247,8 @@ def test_criterion_8_bosonic(campaign, announce):
     # almost-unital identity for the loss grid at the pinned guard band of 15
     for eta in (0.7, 0.8, 0.9, 0.99):
         spec = bos.GaussianChannelSpec("loss", trunc, eta=eta)
-        rep = bos.check_almost_unital(spec, n_guard=15, trunc_tol=1e-6)
+        rep = bos.check_almost_unital(spec, n_guard=15)
+        assert rep.tol == 1e-6
         if not rep.holds:
             failures.append(
                 f"B_eta(I) identity at eta={eta}: deviation {rep.rhs:.3e} on guard band "

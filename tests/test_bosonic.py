@@ -32,11 +32,11 @@ from qrecovery.qcore import (
     KrausMap,
     DimensionMismatchError,
     compose,
-    is_subunital,
-    is_trace_preserving,
-    is_unital,
+    tp_deviation,
     transfer_matrix,
 )
+
+from oracles import is_subunital
 
 TRUNC = FockTruncation(40)
 SMALL = FockTruncation(20)
@@ -59,16 +59,16 @@ class TestChannelConstruction:
         npt.assert_allclose(ch.apply(rho), vacuum_state(SMALL), atol=1e-10)
 
     def test_loss_exactly_trace_preserving(self):
-        assert is_trace_preserving(loss_channel(0.73, SMALL), tol=1e-12)
+        assert tp_deviation(loss_channel(0.73, SMALL)) <= 1e-12
 
     def test_amplifier_subunital_not_unital(self):
         ch = amp_channel(1.2, SMALL)
         assert is_subunital(ch)
-        assert not is_unital(ch)
+        assert np.abs(ch.on_identity() - np.eye(SMALL.dim)).max() > 1e-9
 
     def test_amplifier_trace_non_increasing_only(self):
         ch = amp_channel(1.25, SMALL)
-        assert not is_trace_preserving(ch, tol=1e-6)
+        assert tp_deviation(ch) > 1e-6
 
     def test_ladders_cached_and_read_only(self):
         for build, param in ((loss_channel, 0.73), (amp_channel, 1.2)):
@@ -520,7 +520,7 @@ class TestEntropyGain:
     def test_composition_grid(self, eta, gain):
         spec = GaussianChannelSpec("compose", TRUNC, eta=eta, gain=gain)
         rho = geometric_state(1.0, TRUNC, support_max=25)
-        rep = check_bosonic_entropy_gain(spec, rho, tol=1e-5)
+        rep = check_bosonic_entropy_gain(spec, rho)
         assert rep.holds, (eta, gain, rep.slack)
 
     def test_high_energy_input_rejected_with_leakage(self):

@@ -24,11 +24,9 @@ def test_checks_keep_their_own_tolerance_without_override():
     assert {r["tol"] for r in rows} == {0.0, 1e-8}
 
 
-def test_every_finite_row_takes_its_tolerance_from_the_table():
-    finite = [s for s in SUITES if s != "bosonic"]
-    rows = [
-        r for s in finite for r in run_suite(CampaignConfig(trials=dict.fromkeys(finite, 1)), s)
-    ]
+def test_every_row_takes_its_tolerance_from_the_table():
+    cfg = CampaignConfig(trials=dict.fromkeys(SUITES, 1))
+    rows = [r for s in SUITES for r in run_suite(cfg, s)]
     assert all(r["tol"] == TOLERANCES[r["check"]] for r in rows)
     assert {r["check"] for r in rows} == set(TOLERANCES)
 

@@ -18,11 +18,12 @@ from qrecovery.entropy import fidelity
 from qrecovery.qcore import (
     Channel,
     DensityOperator,
-    is_cptp,
     random_density,
     random_unitary,
     stream,
 )
+
+from oracles import is_cptp
 
 SWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=float

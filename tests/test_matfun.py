@@ -8,10 +8,6 @@ from qrecovery.matfun import (
     NonHermitianError,
     complex_power,
     eig_hermitian,
-    mat_func,
-    mat_inv,
-    mat_sqrt,
-    support_projector,
 )
 from qrecovery.qcore import random_unitary, stream
 
@@ -40,7 +36,8 @@ def test_reconstruction_error(seed):
     h = random_hermitian(4, stream(101, seed))
     spec = eig_hermitian(h)
     scale = max(np.abs(h).max(), 1.0)
-    assert np.linalg.norm(spec.reconstruct() - h) / np.linalg.norm(h) < 1e-10
+    u = spec.eigenvectors
+    assert np.linalg.norm((u * spec.eigenvalues) @ u.conj().T - h) / np.linalg.norm(h) < 1e-10
     assert np.abs(spec.eigenvectors.conj().T @ spec.eigenvectors - np.eye(4)).max() < 1e-10 * scale
 
 
@@ -51,24 +48,10 @@ def test_non_hermitian_rejected_with_measured_defect():
     assert err.value.defect == pytest.approx(1.0)
 
 
-def test_log2_on_support():
-    npt.assert_allclose(mat_func(np.diag([2.0, 0.0]), np.log2), np.diag([1.0, 0.0]), atol=1e-14)
-
-
-def test_identity_function_returns_input():
-    h = random_hermitian(3, stream(102, 0))
-    npt.assert_allclose(mat_func(h, lambda x: x), h, atol=1e-12)
-
-
 def test_generalized_inverse_of_diagonal():
     npt.assert_allclose(
-        mat_inv(np.diag([4.0, 0.0, 0.5])), np.diag([0.25, 0.0, 2.0]), atol=1e-14
+        complex_power(np.diag([4.0, 0.0, 0.5]), -1.0), np.diag([0.25, 0.0, 2.0]), atol=1e-14
     )
-
-
-def test_log_of_negative_support_eigenvalue_names_it():
-    with pytest.raises(MatrixDomainError, match="-2"):
-        mat_func(np.diag([1.0, -2.0]), np.log2, name="log2")
 
 
 def test_complex_power_identity_base():
@@ -91,6 +74,23 @@ def test_half_power_diagonal():
 def test_complex_power_rejects_negative_eigenvalues():
     with pytest.raises(MatrixDomainError):
         complex_power(np.diag([1.0, -1.0]), 0.5)
+
+
+def test_negative_eigenvalue_named_in_error():
+    with pytest.raises(MatrixDomainError, match="-2"):
+        complex_power(np.diag([1.0, -2.0]), 0.5)
+
+
+def test_unit_power_returns_input():
+    rng = stream(102, 0)
+    g = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+    h = g @ g.conj().T  # rank-2 PSD: the kernel maps to 0 = 0^1
+    npt.assert_allclose(complex_power(h, 1.0), h, atol=1e-12)
+
+
+def test_support_mask_excludes_kernel():
+    # eigenvalues ascend: 0, 2
+    npt.assert_array_equal(eig_hermitian(np.diag([2.0, 0.0])).support_mask(), [False, True])
 
 
 _POWERS = st.sampled_from([0.5, -0.5, 2.0, 1j * 0.7, 0.5 - 1j * 1.3, -0.5 + 1j * 2.1])
@@ -140,21 +140,23 @@ def test_imaginary_powers_compose_to_support_projector(seed):
     h = g @ g.conj().T  # rank 2 PSD
     t = 1.3
     prod = complex_power(h, 1j * t) @ complex_power(h, -1j * t)
-    npt.assert_allclose(prod, support_projector(h), atol=1e-10)
+    q, _ = np.linalg.qr(g)  # orthonormal basis of the support of h = g g^dag
+    npt.assert_allclose(prod, q @ q.conj().T, atol=1e-10)
 
 
 def test_support_projector_is_projector():
+    # H^0 is the projector onto the support of H
     rng = stream(105, 0)
     g = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
-    h = g @ g.conj().T
-    p = support_projector(h)
+    p = complex_power(g @ g.conj().T, 0.0)
     npt.assert_allclose(p @ p, p, atol=1e-10)
     npt.assert_allclose(p, p.conj().T, atol=1e-12)
+    assert np.trace(p).real == pytest.approx(3.0, abs=1e-10)
 
 
 def test_sqrt_then_square_returns_support_projected_input():
     rng = stream(106, 0)
     g = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
     h = g @ g.conj().T
-    s = mat_sqrt(h)
+    s = complex_power(h, 0.5)
     npt.assert_allclose(s @ s, h, atol=1e-10)

@@ -7,13 +7,12 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from qrecovery.entropy import fidelity, rel_entropy, root_fidelity, trace_distance
-from qrecovery.matfun import complex_power, eig_hermitian, mat_inv, mat_sqrt
+from qrecovery.matfun import complex_power, eig_hermitian
 from qrecovery.qcore import (
     Channel,
     DensityOperator,
     DimensionMismatchError,
-    choi,
-    is_cptp,
+    Purification,
     lift,
     partial_trace,
     partial_trace_channel,
@@ -42,6 +41,8 @@ from qrecovery.recovery import (
     uhlmann_isometry,
 )
 from qrecovery.theorems import check_cmi_recovery, check_recovery_fid, check_recovery_stronger
+
+from oracles import choi, is_cptp, mat_inv, mat_sqrt
 
 NODES, WEIGHTS = quadrature(QuadratureSpec())
 
@@ -325,11 +326,26 @@ class TestIntegratedRecovery:
         assert abs(1.0 - rep.aux["fidelity"]) <= 1e-12
 
     def test_completion_routes_complement_to_tau(self):
-        # N = identity, sigma supported on |0>: input |1><1| must map to tau
+        # N = identity, sigma supported on |0>: input |1><1| must map to tau = I/2
         sigma = np.diag([1.0, 0.0])
-        tau = np.diag([0.3, 0.7])
-        rec = integrated_recovery(sigma, Channel((np.eye(2),)), completion_state=tau)
-        npt.assert_allclose(rec.apply(np.diag([0.0, 1.0])), tau, atol=1e-10)
+        rec = integrated_recovery(sigma, Channel((np.eye(2),)))
+        npt.assert_allclose(rec.apply(np.diag([0.0, 1.0])), np.eye(2) / 2, atol=1e-10)
+
+    @pytest.mark.parametrize("d, rank", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 3)])
+    def test_completion_routes_kernel_to_maximally_mixed(self, d, rank):
+        # N = U . U^dag: N(sigma) has the kernel U ker(sigma), which R sends to I/d
+        rng = stream(32, 5, d, rank)
+        u = random_unitary(d, rng)
+        sigma = random_density(d, rank, rng).matrix
+        rec = integrated_recovery(sigma, Channel((u,)))
+        spec = eig_hermitian(sigma)
+        for k in spec.eigenvectors[:, ~spec.support_mask()].T:
+            y = u @ np.outer(k, k.conj()) @ u.conj().T
+            npt.assert_allclose(rec.apply(y), np.eye(d) / d, atol=1e-10)
+
+    def test_sigma_dimension_checked(self):
+        with pytest.raises(DimensionMismatchError):
+            integrated_recovery(np.eye(3) / 3, Channel((np.eye(2),)))
 
     def test_completely_positive(self):
         rng = stream(32, 2)
@@ -337,24 +353,6 @@ class TestIntegratedRecovery:
         ch = random_channel(2, 2, 2, rng)
         rec = integrated_recovery(sigma.matrix, ch)
         assert np.linalg.eigvalsh(choi(rec))[0] >= -1e-9
-
-    @pytest.mark.parametrize(
-        "tau, fault",
-        [
-            (np.diag([0.25, 0.25]), "trace"),
-            (np.diag([1.2, -0.2]), "PSD"),
-            (np.array([[0.5, 0.3], [0.0, 0.5]]), "Hermitian"),
-        ],
-    )
-    @pytest.mark.parametrize("sigma", [np.diag([1.0, 0.0]), np.diag([0.4, 0.6])])
-    def test_invalid_completion_state_rejected(self, sigma, tau, fault):
-        # N(sigma) has a kernel for the first sigma and none for the second
-        with pytest.raises(ValueError, match=f"completion state.*{fault}"):
-            integrated_recovery(sigma, Channel((np.eye(2),)), completion_state=tau)
-
-    def test_completion_state_dimension_checked(self):
-        with pytest.raises(DimensionMismatchError):
-            integrated_recovery(np.diag([1.0, 0.0]), Channel((np.eye(2),)), np.eye(3) / 3)
 
 
 class TestCmiRecovery:
@@ -404,27 +402,6 @@ class TestCmiRecovery:
 
 
 class TestAdjointRecovery:
-    @pytest.mark.parametrize(
-        "tau, fault",
-        [
-            (0.1 * np.eye(3), "trace"),
-            (np.diag([0.6, 0.6, -0.2]), "PSD"),
-            (np.array([[0.5, 0.3, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.0]]), "Hermitian"),
-        ],
-    )
-    @pytest.mark.parametrize("out_dim", [3, 4])
-    def test_invalid_completion_state_rejected(self, out_dim, tau, fault):
-        # out_dim 3: unitary, no gap directions; out_dim 4: strictly subunital
-        ch = Channel((random_isometry(3, out_dim, stream(34, 9)),))
-        with pytest.raises(ValueError, match=f"completion state.*{fault}"):
-            adjoint_recovery(ch, completion_state=tau)
-
-    def test_valid_completion_state_is_trace_preserving(self):
-        ch = Channel((random_isometry(2, 3, stream(34, 10)),))
-        tau = DensityOperator((("A", 2),), np.diag([0.3, 0.7]))
-        rec = adjoint_recovery(ch, completion_state=tau)
-        npt.assert_allclose(rec.kraus_gram(), np.eye(3), atol=1e-12)
-
     def test_unitary_channel_gives_exact_inverse(self):
         u = random_unitary(3, stream(34, 0))
         rec = adjoint_recovery(Channel((u,)))
@@ -456,6 +433,18 @@ class TestAdjointRecovery:
         rho = random_density(2, 2, stream(34, 5)).matrix
         gap = rec.apply(ch.apply(rho)) - adjoint(ch).apply(ch.apply(rho))
         assert np.linalg.eigvalsh(gap)[0] >= -1e-10
+
+    @pytest.mark.parametrize("in_dim, out_dim", [(2, 3), (2, 4), (3, 4)])
+    def test_completion_is_trace_preserving(self, in_dim, out_dim):
+        # N = V . V^dag for an isometry V: an output Y off the range of V has
+        # N^dag(Y) = 0 and gap weight Tr Y, so R(Y) = Tr{Y} I/d
+        v = random_isometry(in_dim, out_dim, stream(34, 10, in_dim, out_dim))
+        rec = adjoint_recovery(Channel((v,)))
+        npt.assert_allclose(rec.kraus_gram(), np.eye(out_dim), atol=1e-12)
+        off = np.linalg.svd(v)[0][:, in_dim:]
+        y = off @ off.conj().T
+        npt.assert_allclose(rec.apply(y), (out_dim - in_dim) * np.eye(in_dim) / in_dim,
+                            atol=1e-12)
 
     def test_superunital_channel_rejected_with_witness(self):
         # one Kraus operator of norm > 1 on part of the space
@@ -506,7 +495,11 @@ class TestUhlmann:
         rng = stream(35, 4)
         rho = random_density(3, 3, rng)
         sigma = random_density(3, 1, rng)
-        res = uhlmann_isometry(purify(rho), purify(sigma, reference_dim=3))
+        phi = purify(sigma)  # a rank-one reference, zero-padded to the source's 3
+        padded = np.zeros((3, 3), dtype=complex)
+        padded[:1] = phi.amplitude_matrix()
+        target = Purification("R", (("R", 3),) + sigma.systems, padded.reshape(-1))
+        res = uhlmann_isometry(purify(rho), target)
         assert res.achieved == pytest.approx(fidelity(rho, sigma), abs=1e-8)
 
     def test_mismatched_shared_systems_rejected(self):

@@ -29,7 +29,13 @@ from qrecovery.qcore import (
     stream,
     transpose_map,
 )
-from qrecovery.recovery import QuadratureSpec, quadrature, swiveled_kraus, uhlmann_isometry
+from qrecovery.recovery import (
+    NotCompletelyPositiveError,
+    QuadratureSpec,
+    quadrature,
+    swiveled_kraus,
+    uhlmann_isometry,
+)
 from qrecovery.theorems import (
     STATIONARITY_TOL,
     OptimizerBudget,
@@ -141,12 +147,20 @@ class TestEntropyGainRecovery:
         assert rep.rhs >= -1e-9  # Klein: (R o N) output is a state
         assert rep.aux["dominance_slack"] >= -1e-8
 
-    def test_superunital_rejected_with_max_eigenvalue(self):
+    def test_superunital_rejected_with_witness(self):
+        # pure loss is trace-preserving but superunital: B_eta(I) reaches 1/eta
         from qrecovery import bosonic as bos
 
-        loss = bos.loss_channel(0.8, bos.FockTruncation(6))
-        with pytest.raises(ValueError, match="subunital"):
-            check_entropy_gain_recovery(bos.vacuum_state(bos.FockTruncation(6)), loss)
+        trunc = bos.FockTruncation(6)
+        loss = bos.loss_channel(0.8, trunc)
+        with pytest.raises(NotCompletelyPositiveError, match="superunital") as err:
+            check_entropy_gain_recovery(bos.vacuum_state(trunc), loss)
+        w = err.value.witness
+        gap = np.eye(trunc.dim) - loss.on_identity()
+        # the witness is a pure state on which I - N(I) takes its least eigenvalue
+        assert np.trace(w).real == pytest.approx(1.0, abs=1e-12)
+        assert np.trace(w @ gap).real == pytest.approx(np.linalg.eigvalsh(gap)[0], abs=1e-10)
+        assert np.trace(w @ gap).real < -1e-10
 
 
 class TestMinimalEntropyGain:

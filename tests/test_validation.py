@@ -6,6 +6,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qrecovery.cpdp import Interaction, TripartiteConfiguration, _evolved
 from qrecovery.entropy import rel_entropy, root_fidelity
 from qrecovery.matfun import NonHermitianError, eig_hermitian
 from qrecovery.qcore import (
@@ -22,14 +23,14 @@ from qrecovery.qcore import (
     partial_trace,
     partial_trace_channel,
     permute,
-    purify,
     random_channel,
     random_density,
     random_instrument,
+    random_isometry,
     random_mixed_unitary_channel,
     stream,
-    tensor,
 )
+from qrecovery.theorems import _recover_abc
 
 NON_HERMITIAN = np.array([[0.5, 0.3], [0.0, 0.5]])
 
@@ -107,14 +108,27 @@ class TestDerivedSitesPassTheValidator:
         )
         probs = rng.dirichlet(np.ones(3))
         members = tuple(random_density(d_a, None, rng) for _ in range(3))
+        rqe = (("R", d_b), ("Q", d_a), ("E", d_b))
+        config = TripartiteConfiguration(
+            DensityOperator(rqe, random_density(d_a * d_b * d_b, None, rng).matrix)
+        )
+        d_q_out = int(rng.integers(1, 4))
+        d_e_out = -(-d_a * d_b // d_q_out) + int(rng.integers(0, 2))
+        v = Interaction(
+            random_isometry(d_a * d_b, d_q_out * d_e_out, rng), (d_a, d_b), (d_q_out, d_e_out)
+        )
+        abc = (("A", d_a), ("B", d_b), ("C", d_b))
+        d_abc = d_a * d_b * d_b
+        rank = int(rng.integers(1, d_abc + 1))  # a rank-deficient marginal exercises the completion
+        rho_abc = DensityOperator(abc, random_density(d_abc, rank, rng).matrix)
         for out in (
             rho_a,
             partial_trace(rho, "A"),
             partial_trace(rho, "B"),
             permute(rho, ("B", "A")),
-            tensor(rho_a, DensityOperator((("C", d_b),), np.eye(d_b) / d_b)),
-            purify(rho).reduced(),
             Ensemble(probs, members).average(),
+            _evolved(config, v),
+            _recover_abc(rho_abc),
         ):
             _revalidate(out)
 
