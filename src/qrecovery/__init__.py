@@ -3,6 +3,7 @@ entropy/information-gain inequalities, and approximate complete positivity."""
 
 from .matfun import (
     MatrixDomainError,
+    NonFiniteError,
     NonHermitianError,
     Spectrum,
     complex_power,

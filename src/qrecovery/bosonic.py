@@ -20,11 +20,13 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .entropy import entropy, rel_entropy
+from .matfun import _require_finite
 from .qcore import TRACE_TOL, Channel, DimensionMismatchError
 from .reports import CheckReport
 
@@ -61,8 +63,8 @@ class FockTruncation:
     n_max: int = 40
 
     def __post_init__(self):
-        if self.n_max < 1:
-            raise ValueError("n_max must be at least 1")
+        if not isinstance(self.n_max, numbers.Integral) or self.n_max < 1:
+            raise ValueError(f"n_max must be an integer of at least 1, got {self.n_max!r}")
 
     @property
     def dim(self) -> int:
@@ -86,8 +88,8 @@ class GaussianChannelSpec:
             if self.eta is None or not 0.0 < self.eta <= 1.0:
                 raise ValueError(f"loss transmissivity must lie in (0, 1], got {self.eta!r}")
         if self.kind in ("amp", "compose"):
-            if self.gain is None or self.gain < 1.0:
-                raise ValueError(f"amplifier gain must be >= 1, got {self.gain!r}")
+            if self.gain is None or not 1.0 <= self.gain < math.inf:
+                raise ValueError(f"amplifier gain must be finite and >= 1, got {self.gain!r}")
 
     def parameter(self) -> float:
         if self.kind == "loss":
@@ -175,7 +177,8 @@ class Ladder:
     """Kraus map on Fock levels 0..dim-1 whose every operator has one nonzero
     diagonal: K_j = sum_b diags[j, b] |b + shifts[j]><b|.
 
-    ``diags[j, b]`` is zero wherever b + shifts[j] falls outside the levels.
+    ``diags[j, b]`` must be finite, and zero wherever b + shifts[j] falls
+    outside the levels.
     Every operator keeps the coherence order Delta = n - m, so the map takes
     the Delta-diagonal of X to the Delta-diagonal of sum_j K_j X K_j^dag by
     one block (``_block``): :meth:`apply` makes one matrix-vector product per
@@ -192,32 +195,19 @@ class Ladder:
         diags.setflags(write=False)
         if len(self.shifts) != diags.shape[0]:
             raise ValueError("one shift per diagonal is required")
+        _require_finite(diags, "ladder diagonal")
         excess = float((np.abs(diags) ** 2).sum(axis=0).max() - 1.0)
         if excess > TRACE_TOL:
             raise ValueError(f"ladder is trace-increasing: max column sum of |diag|^2 - 1 is {excess!r}")
+        targets = np.array(self.shifts, dtype=int).reshape(-1, 1) + np.arange(diags.shape[1])
+        if diags[(targets < 0) | (targets >= diags.shape[1])].any():
+            raise ValueError("ladder has a nonzero entry whose target level lies outside the levels")
         object.__setattr__(self, "shifts", tuple(int(s) for s in self.shifts))
         object.__setattr__(self, "diags", diags)
 
     @property
     def dim(self) -> int:
         return self.diags.shape[1]
-
-    @classmethod
-    def from_kraus(cls, kraus) -> "Ladder":
-        """Ladder of dense square Kraus operators, each with at most one nonzero
-        diagonal; zero operators are dropped, any other raises ValueError."""
-        shifts, diags = [], []
-        for k in map(np.asarray, kraus):
-            rows, cols = np.nonzero(k)
-            offsets = np.unique(rows - cols)
-            if offsets.size > 1:
-                raise ValueError("Kraus operator mixes coherence orders; no ladder form")
-            if offsets.size:
-                diag = np.zeros(k.shape[1], dtype=k.dtype)
-                diag[cols] = k[rows, cols]
-                shifts.append(int(offsets[0]))
-                diags.append(diag)
-        return cls(tuple(shifts), np.array(diags))
 
     def kraus(self) -> tuple:
         """The dense Kraus operators: diags[j] on the diagonal -shifts[j]."""
@@ -285,8 +275,8 @@ def amp_ladder(gain: float, trunc: FockTruncation = FockTruncation()) -> Ladder:
 
     <n+k|A_k|n> = sqrt(C(n+k, k) (1 - 1/G)^k (1/G)^(n+1)).
     """
-    if gain < 1.0:
-        raise ValueError(f"gain must be >= 1, got {gain!r}")
+    if not 1.0 <= gain < math.inf:
+        raise ValueError(f"gain must be finite and >= 1, got {gain!r}")
     k, n = np.ogrid[: trunc.dim, : trunc.dim]
     inv = 1.0 / gain
     log_sq = math.log(inv) + _log_binom_pmf(k, n + k, 1.0 - inv, inv)
@@ -380,10 +370,13 @@ def fock_state(n: int, trunc: FockTruncation = FockTruncation()) -> np.ndarray:
 
 def geometric_state(mean: float, trunc: FockTruncation = FockTruncation(), support_max: int | None = None) -> np.ndarray:
     """Thermal-like diagonal state with geometric populations, renormalized
-    after truncating to ``support_max`` (default: the full truncated space)."""
-    if mean <= 0:
-        raise ValueError("mean must be positive")
-    top = trunc.n_max if support_max is None else int(support_max)
+    after truncating to ``support_max`` (default: the full truncated space),
+    an integer level 0 <= support_max <= n_max."""
+    if not 0 < mean < math.inf:
+        raise ValueError(f"mean must be finite and positive, got {mean!r}")
+    top = trunc.n_max if support_max is None else support_max
+    if not isinstance(top, numbers.Integral) or not 0 <= top <= trunc.n_max:
+        raise ValueError(f"support_max must be an integer level in 0..{trunc.n_max}, got {top!r}")
     r = mean / (1.0 + mean)
     pops = np.array([r**n for n in range(top + 1)])
     pops /= pops.sum()

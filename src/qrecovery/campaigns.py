@@ -242,7 +242,7 @@ def _run_entropy_gain(cfg: CampaignConfig):
     for trial, rng in _trials(cfg, "entropy-gain", 2, min(n, 50)):
         d = int(rng.integers(lo, min(hi, 3) + 1))
         rho = random_density(d, int(rng.integers(1, d + 1)), rng)
-        channel = random_subunital_channel(d, d + 1, 3, rng)
+        channel = random_subunital_channel(d, d + 1, rng)
         yield trial, check_entropy_gain_recovery(rho, channel)
 
     for trial, rng in _trials(cfg, "entropy-gain", 3, min(n, 50)):

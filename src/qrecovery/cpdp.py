@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import binary_entropy, fidelity, mutual_info, cmi, trace_distance
+from .matfun import _require_finite
 from .qcore import (
     Channel,
     DensityOperator,
@@ -46,18 +47,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TripartiteConfiguration:
-    """One tripartite state over labels (reference, system, environment)."""
+    """One tripartite state over the reference R, the system Q and the
+    environment E, its factors in that order."""
 
     state: DensityOperator
-    reference: str = "R"
-    system: str = "Q"
-    environment: str = "E"
 
     def __post_init__(self):
-        expected = (self.reference, self.system, self.environment)
-        if self.state.labels != expected:
+        if self.state.labels != ("R", "Q", "E"):
             raise ValueError(
-                f"state factors {self.state.labels!r} must be ordered {expected!r}"
+                f"state factors {self.state.labels!r} must be ordered ('R', 'Q', 'E')"
             )
 
     @property
@@ -80,6 +78,7 @@ class Interaction:
     def __post_init__(self):
         mat = np.array(self.matrix, dtype=complex)
         mat.setflags(write=False)
+        _require_finite(mat, "interaction")
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "in_dims", tuple(int(d) for d in self.in_dims))
         object.__setattr__(self, "out_dims", tuple(int(d) for d in self.out_dims))
@@ -106,38 +105,35 @@ def _evolved(config: TripartiteConfiguration, v: Interaction) -> DensityOperator
     A checked isometry applied to a checked state gives a state, so it is
     held without revalidation.
     """
-    r, q, e = config.reference, config.system, config.environment
-    if v.in_dims != (config.state.system_dim(q), config.state.system_dim(e)):
+    if v.in_dims != config.dims[1:]:
         raise DimensionMismatchError("interaction input dims do not match the configuration")
     mat, out_systems = apply_on(
         KrausMap((v.matrix,)),
         config.state.matrix,
         config.state.systems,
-        (q, e),
-        out_systems=((q + "'", v.out_dims[0]), (e + "'", v.out_dims[1])),
+        ("Q", "E"),
+        out_systems=(("Q'", v.out_dims[0]), ("E'", v.out_dims[1])),
     )
     return _derived(DensityOperator, out_systems, mat)
 
 
 def dp_slack(config: TripartiteConfiguration, v: Interaction) -> float:
     """I(R;Q')_sigma - I(R;Q)_rho; may take either sign for correlated environments."""
-    r, q = config.reference, config.system
     sigma = _evolved(config, v)
-    i_out = mutual_info(partial_trace(sigma, config.environment + "'"), r, q + "'")
-    i_in = mutual_info(config.marginal((r, q)), r, q)
+    i_out = mutual_info(partial_trace(sigma, "E'"), "R", "Q'")
+    i_in = mutual_info(config.marginal(("R", "Q")), "R", "Q")
     return i_out - i_in
 
 
 def cmi_bound(config: TripartiteConfiguration) -> float:
     """I(R;E|Q), the data-processing slack of the embedding evolution Q' = QE."""
-    return cmi(config.state, config.reference, config.environment, config.system)
+    return cmi(config.state, "R", "E", "Q")
 
 
 def _recovery_q_to_qe(config: TripartiteConfiguration) -> Channel:
     """Integrated recovery map Q -> QE built from the (Q, E) marginal."""
-    q, e = config.system, config.environment
-    rho_qe = config.marginal((q, e))
-    trace_e = partial_trace_channel(rho_qe.systems, e)
+    rho_qe = config.marginal(("Q", "E"))
+    trace_e = partial_trace_channel(rho_qe.systems, "E")
     return integrated_recovery(rho_qe.matrix, trace_e)
 
 
@@ -151,17 +147,16 @@ def reduced_dynamics(config: TripartiteConfiguration, v: Interaction):
 
     Returns ``(channel, report)``.
     """
-    r, q, e = config.reference, config.system, config.environment
     rec = _recovery_q_to_qe(config)
-    v_out_systems = ((q + "'", v.out_dims[0]), (e + "'", v.out_dims[1]))
-    trace_eprime = partial_trace_channel(v_out_systems, e + "'")
+    v_out_systems = (("Q'", v.out_dims[0]), ("E'", v.out_dims[1]))
+    trace_eprime = partial_trace_channel(v_out_systems, "E'")
     channel = compose(trace_eprime, compose(Channel((v.matrix,)), rec))
 
     sigma = _evolved(config, v)
-    sigma_rqp = partial_trace(sigma, e + "'")
-    rho_rq = config.marginal((r, q))
+    sigma_rqp = partial_trace(sigma, "E'")
+    rho_rq = config.marginal(("R", "Q"))
     candidate, _ = apply_on(
-        channel, rho_rq.matrix, rho_rq.systems, q, out_systems=((q + "'", v.out_dims[0]),)
+        channel, rho_rq.matrix, rho_rq.systems, "Q", out_systems=(("Q'", v.out_dims[0]),)
     )
     fid = fidelity(sigma_rqp.matrix, candidate)
     lhs = cmi_bound(config)
@@ -192,32 +187,27 @@ def converse_bound(
     """
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"eps must lie in [0, 1], got {eps!r}")
-    r, q = config.reference, config.system
-    d_r = config.state.system_dim(r)
+    d_r, d_q, d_e = config.dims
     sigma = _evolved(config, v)
-    sigma_rqp = partial_trace(sigma, config.environment + "'")
-    rho_rq = config.marginal((r, q))
+    sigma_rqp = partial_trace(sigma, "E'")
+    rho_rq = config.marginal(("R", "Q"))
     if isinstance(channel, KrausMap):
         candidate, _ = apply_on(
-            channel, rho_rq.matrix, rho_rq.systems, q, out_systems=((q + "'", channel.out_dim),)
+            channel, rho_rq.matrix, rho_rq.systems, "Q", out_systems=(("Q'", channel.out_dim),)
         )
     else:
         raise TypeError("converse_bound requires a Kraus-form channel")
     eps_measured = 0.5 * trace_distance(sigma_rqp.matrix, candidate)
     vacuous = eps_measured > eps + 1e-12
 
-    i_out = mutual_info(sigma_rqp, r, q + "'")
-    i_in = mutual_info(rho_rq, r, q)
+    i_out = mutual_info(sigma_rqp, "R", "Q'")
+    i_in = mutual_info(rho_rq, "R", "Q")
     lhs_dp = i_in + afw_bound(eps_measured, d_r)
 
     # embedding evolution: its recovery candidate controls I(R;E|Q)
     rec = _recovery_q_to_qe(config)
     recovered, _ = apply_on(
-        rec,
-        rho_rq.matrix,
-        rho_rq.systems,
-        q,
-        out_systems=((q, config.state.system_dim(q)), (config.environment, config.state.system_dim(config.environment))),
+        rec, rho_rq.matrix, rho_rq.systems, "Q", out_systems=(("Q", d_q), ("E", d_e))
     )
     eps_embed = 0.5 * trace_distance(config.state.matrix, recovered)
     cmi_val = cmi_bound(config)

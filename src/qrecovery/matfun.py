@@ -8,6 +8,7 @@ so the power -1 is a generalized inverse.  The cutoff is
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 import numpy as np
@@ -15,6 +16,7 @@ import numpy as np
 __all__ = [
     "RANK_CUTOFF_FACTOR",
     "NonHermitianError",
+    "NonFiniteError",
     "MatrixDomainError",
     "Spectrum",
     "hermiticity_defect",
@@ -37,6 +39,16 @@ class NonHermitianError(ValueError):
         super().__init__(
             f"matrix is not Hermitian: relative asymmetry {defect:.3e} exceeds {tol:.3e}"
         )
+
+
+class NonFiniteError(ValueError):
+    """Raised when an input holds a NaN or infinite entry."""
+
+
+def _require_finite(values, what: str) -> None:
+    """Raise :class:`NonFiniteError` unless every entry of ``values`` is finite."""
+    if not np.isfinite(values).all():
+        raise NonFiniteError(f"{what} has a NaN or infinite entry")
 
 
 class MatrixDomainError(ValueError):
@@ -84,13 +96,21 @@ class Spectrum:
 
 def hermiticity_defect(matrix: np.ndarray) -> float:
     """Max |H - H^dag| entry relative to the largest magnitude entry of H (at
-    least 1); for a (..., d, d) stack, the largest such defect of its matrices."""
+    least 1); for a (..., d, d) stack, the largest such defect of its matrices.
+
+    A NaN or infinite entry raises :class:`NonFiniteError`, found from the
+    largest magnitude before H - H^dag is formed.
+    """
     matrix = np.asarray(matrix)
     if matrix.ndim == 2:  # the common case, at half the cost of the stacked form
-        scale = max(float(np.abs(matrix).max(initial=0.0)), 1.0)
-        return float(np.abs(matrix - matrix.conj().T).max(initial=0.0)) / scale
+        peak = float(np.abs(matrix).max(initial=0.0))
+        if not math.isfinite(peak):
+            raise NonFiniteError("matrix has a NaN or infinite entry")
+        return float(np.abs(matrix - matrix.conj().T).max(initial=0.0)) / max(peak, 1.0)
     axes = (-2, -1)
-    scale = np.maximum(np.abs(matrix).max(axis=axes, initial=0.0), 1.0)
+    peak = np.abs(matrix).max(axis=axes, initial=0.0)
+    _require_finite(peak, "matrix stack")
+    scale = np.maximum(peak, 1.0)
     asym = np.abs(matrix - matrix.conj().swapaxes(-1, -2)).max(axis=axes, initial=0.0)
     return float((asym / scale).max(initial=0.0))
 

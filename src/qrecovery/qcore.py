@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 import numpy.random  # loaded lazily by numpy; every suite draws from it, so load it at import
 
-from .matfun import assert_hermitian, complex_power, eig_hermitian, rank_cutoff
+from .matfun import _require_finite, assert_hermitian, complex_power, eig_hermitian, rank_cutoff
 
 __all__ = [
     "Systems",
@@ -114,27 +114,33 @@ def _derived(cls, *fields):
 
 
 def _ordered_sum(terms: np.ndarray) -> np.ndarray:
-    """terms[0] + terms[1] + ... over the leading axis, in that order.
+    """The matrices of a (..., K, m, n) stack summed over the Kraus axis K, in
+    Kraus order.
 
-    ``sum(axis=0)`` adds a stack of matrices slice by slice, but pairs the
-    terms up when each has a single entry; ``cumsum`` never does.  The final
-    ``+= 0.0`` turns a -0 entry into 0, as a loop that starts from zeros does.
+    ``sum(axis=-3)`` adds them slice by slice, but pairs the terms up when
+    each has a single entry; ``cumsum`` never does.  The final ``+= 0.0``
+    turns a -0 entry into 0, as a loop that starts from zeros does.
     """
-    total = np.cumsum(terms, axis=0)[-1] if terms[0].size == 1 else terms.sum(axis=0)
+    if terms.shape[-2:] == (1, 1):
+        total = np.cumsum(terms, axis=-3)[..., -1, :, :]
+    else:
+        total = terms.sum(axis=-3)
     total += 0.0
     return total
 
 
 def _kraus_stack(kraus) -> np.ndarray:
     """Kraus operators as one (K, out, in) complex array, once they are
-    checked to be at least one and to share one shape."""
+    checked to be at least one, to share one shape and to be finite."""
     ks = tuple(kraus)
     if not ks:
         raise ValueError("at least one Kraus operator is required")
     shape = np.shape(ks[0])
     if len(shape) != 2 or any(np.shape(k) != shape for k in ks):
         raise DimensionMismatchError("all Kraus operators must share one (out, in) shape")
-    return np.array(ks, dtype=complex)
+    stack = np.array(ks, dtype=complex)
+    _require_finite(stack, "Kraus operator")
+    return stack
 
 
 def _norm_systems(systems) -> Systems:
@@ -319,19 +325,19 @@ def permute(rho: DensityOperator, order: Sequence[str]) -> DensityOperator:
     return _derived(DensityOperator, systems, t.reshape(rho.dim, rho.dim))
 
 
-def purify(rho: DensityOperator, reference_label: str = "R") -> Purification:
-    """Purification with the reference factor first, of dimension the
+def purify(rho: DensityOperator) -> Purification:
+    """Purification with the reference factor R first, of dimension the
     numerical rank of ``rho`` (the smallest valid choice)."""
-    if reference_label in rho.labels:
-        raise LabelError(f"reference label {reference_label!r} collides with {rho.labels!r}")
+    if "R" in rho.labels:
+        raise LabelError(f"reference label 'R' collides with {rho.labels!r}")
     spec = eig_hermitian(rho.matrix)
     lam = np.clip(spec.eigenvalues, 0.0, None)
     mask = lam > rank_cutoff(spec.eigenvalues)
     lam, vecs = lam[mask], spec.eigenvectors[:, mask]
     # |phi> = sum_k sqrt(lam_k) |k>_ref |v_k>
     amp = np.sqrt(lam)[:, None] * vecs.T
-    systems = ((reference_label, lam.shape[0]),) + rho.systems
-    return Purification(reference_label, systems, amp.reshape(-1))
+    systems = (("R", lam.shape[0]),) + rho.systems
+    return Purification("R", systems, amp.reshape(-1))
 
 
 # ---------------------------------------------------------------------------
@@ -370,14 +376,16 @@ class KrausMap:
         return self.stack.shape[1]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """sum_k K_k x K_k^dag, as one batched product summed in Kraus order."""
+        """sum_k K_k x K_k^dag for one operator x, or for each of a
+        (..., in, in) stack, as one batched product summed in Kraus order;
+        an operator in a stack gets the result it gets on its own."""
         x = np.asarray(x, dtype=complex)
-        if x.shape != (self.in_dim, self.in_dim):
+        if x.ndim < 2 or x.shape[-2:] != (self.in_dim, self.in_dim):
             raise DimensionMismatchError(
                 f"input shape {x.shape} does not match channel input dimension {self.in_dim}"
             )
         ks = self.stack
-        return _ordered_sum(ks @ x @ ks.conj().swapaxes(1, 2))
+        return _ordered_sum(ks @ x[..., None, :, :] @ ks.conj().swapaxes(1, 2))
 
     def kraus_gram(self) -> np.ndarray:
         """sum_i K_i^dag K_i (the adjoint's action on the identity)."""
@@ -463,6 +471,7 @@ class TransferMap:
         matrix = _freeze(matrix)
         if matrix.shape != (out_dim * out_dim, in_dim * in_dim):
             raise DimensionMismatchError("transfer matrix shape mismatch")
+        _require_finite(matrix, "transfer matrix")
         self.matrix = matrix
         self.in_dim = int(in_dim)
         self.out_dim = int(out_dim)
@@ -473,13 +482,6 @@ class TransferMap:
 
     def adjoint(self) -> "TransferMap":
         return TransferMap(self.matrix.conj().T, self.out_dim, self.in_dim)
-
-    @classmethod
-    def from_kraus(cls, m: KrausMap) -> "TransferMap":
-        return cls(transfer_matrix(m), m.in_dim, m.out_dim)
-
-    def compose(self, before: "TransferMap") -> "TransferMap":
-        return TransferMap(self.matrix @ before.matrix, before.in_dim, self.out_dim)
 
 
 def transpose_map(dim: int) -> TransferMap:
@@ -598,59 +600,49 @@ def partial_trace_channel(systems: Systems, discard) -> Channel:
 class Instrument:
     """Finite family of CP trace-non-increasing maps summing to a channel.
 
-    Each outcome's Kraus operators are held once, as one :class:`KrausMap`
-    (:meth:`outcome_map`); ``outcomes`` pairs each label with its slices.
+    Built from one sequence of Kraus operators per outcome, and held as
+    ``maps``, one :class:`KrausMap` per outcome in outcome order.
     """
 
-    outcomes: tuple  # tuple[tuple[str, tuple[np.ndarray, ...]], ...]
+    maps: tuple
 
     def __post_init__(self):
-        self._hold([(label, _kraus_stack(ks)) for label, ks in self.outcomes])
+        self._hold([_kraus_stack(ks) for ks in self.maps])
         self._validate()
 
-    def _hold(self, outcomes) -> None:
-        """``outcomes``: (label, Kraus operators) pairs."""
-        maps = tuple(_derived(KrausMap, ks) for _, ks in outcomes)
-        labels = (str(label) for label, _ in outcomes)
-        object.__setattr__(self, "_maps", maps)
-        object.__setattr__(self, "outcomes", tuple(zip(labels, (m.kraus for m in maps))))
+    def _hold(self, stacks) -> None:
+        """``stacks``: one (K, out, in) Kraus array per outcome."""
+        object.__setattr__(self, "maps", tuple(_derived(KrausMap, ks) for ks in stacks))
 
     def _validate(self) -> None:
-        if not self.outcomes:
+        if not self.maps:
             raise ValueError("an instrument needs at least one outcome")
-        labels = [label for label, _ in self.outcomes]
-        for i, label in enumerate(labels):
-            if label in labels[:i]:
-                raise LabelError(f"duplicate outcome label {label!r}")
-        shape = self._maps[0].stack.shape[1:]
-        if any(m.stack.shape[1:] != shape for m in self._maps):
+        shape = self.maps[0].stack.shape[1:]
+        if any(m.stack.shape[1:] != shape for m in self.maps):
             raise DimensionMismatchError("all outcomes must share one (out, in) shape")
         total = np.zeros((self.in_dim, self.in_dim), dtype=complex)
-        for label, m in zip(labels, self._maps):
+        for x, m in enumerate(self.maps):
             if _trace_excess(m) > TRACE_TOL:
-                raise ValueError(f"outcome {label!r} is trace-increasing")
+                raise ValueError(f"outcome {x} is trace-increasing")
             total += m.kraus_gram()
         if float(np.abs(total - np.eye(self.in_dim)).max()) > TRACE_TOL:
             raise ValueError("outcome maps do not sum to a trace-preserving channel")
 
     @property
     def in_dim(self) -> int:
-        return self._maps[0].in_dim
+        return self.maps[0].in_dim
 
     @property
     def out_dim(self) -> int:
-        return self._maps[0].out_dim
+        return self.maps[0].out_dim
 
     @property
     def n_outcomes(self) -> int:
-        return len(self.outcomes)
+        return len(self.maps)
 
     @property
     def efficient(self) -> bool:
-        return all(len(ks) == 1 for _, ks in self.outcomes)
-
-    def outcome_map(self, index: int) -> KrausMap:
-        return self._maps[index]
+        return all(len(m.kraus) == 1 for m in self.maps)
 
     def measure(self, x: np.ndarray, systems: Systems | None = None, on=None,
                 out_systems: Systems | None = None):
@@ -662,7 +654,7 @@ class Instrument:
         ``PROB_FLOOR`` gets ``None`` in place of its operator.
         """
         probs, posts = [], []
-        for m in self._maps:
+        for m in self.maps:
             out = m.apply(x) if systems is None else apply_on(m, x, systems, on, out_systems)[0]
             p = float(np.real(np.trace(out)))
             probs.append(max(p, 0.0))
@@ -675,14 +667,14 @@ def instrument_channel(instr: Instrument) -> Channel:
 
     Output factors are ordered (quantum, classical): the classical register is
     the minor (last) Kronecker factor, with basis index matching the outcome
-    position in ``instr.outcomes``.
+    position in ``instr.maps``.
     """
     n = instr.n_outcomes
     ks = []
-    for x, (_, kraus) in enumerate(instr.outcomes):
+    for x, m in enumerate(instr.maps):
         e = np.zeros((n, 1))
         e[x, 0] = 1.0
-        for k in kraus:
+        for k in m.kraus:
             ks.append(np.kron(k, e))
     return _derived(Channel, ks)
 
@@ -699,6 +691,7 @@ class Ensemble:
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "states", tuple(self.states))
+        _require_finite(probs, "probability vector")
         if len(self.states) != probs.shape[0]:
             raise DimensionMismatchError("probability vector and state list lengths differ")
         if probs.min(initial=0.0) < 0:
@@ -742,15 +735,13 @@ def random_density(dim: int, rank: int | None = None, seed=None) -> DensityOpera
 
 
 def random_unitary(dim: int, seed=None) -> np.ndarray:
-    """Haar-random unitary via phase-fixed QR of a Ginibre matrix."""
-    rng = _rng(seed)
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(g)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+    """Haar-random unitary: the square :func:`random_isometry`."""
+    return random_isometry(dim, dim, seed)
 
 
 def random_isometry(in_dim: int, out_dim: int, seed=None) -> np.ndarray:
-    """Haar-random isometry (out_dim x in_dim, out_dim >= in_dim)."""
+    """Haar-random isometry (out_dim x in_dim, out_dim >= in_dim) via
+    phase-fixed QR of a Ginibre matrix."""
     if out_dim < in_dim:
         raise DimensionMismatchError("an isometry needs out_dim >= in_dim")
     rng = _rng(seed)
@@ -791,8 +782,7 @@ def random_instrument(dim: int, n_outcomes: int, efficient: bool, seed=None) -> 
     rng = _rng(seed)
     if efficient:
         roots = complex_power(np.stack(random_povm(dim, n_outcomes, rng)), 0.5)
-        outcomes = [(str(x), (random_unitary(dim, rng) @ root,)) for x, root in enumerate(roots)]
-        return _derived(Instrument, outcomes)
+        return _derived(Instrument, [(random_unitary(dim, rng) @ root,) for root in roots])
     raw = []
     for _ in range(n_outcomes):
         ks = [
@@ -802,8 +792,7 @@ def random_instrument(dim: int, n_outcomes: int, efficient: bool, seed=None) -> 
         raw.append(ks)
     total = sum(k.conj().T @ k for ks in raw for k in ks)
     s = complex_power(total, -0.5)
-    outcomes = [(str(x), [k @ s for k in ks]) for x, ks in enumerate(raw)]
-    return _derived(Instrument, outcomes)
+    return _derived(Instrument, [[k @ s for k in ks] for ks in raw])
 
 
 def random_mixed_unitary_channel(dim: int, n_unitaries: int, seed=None) -> Channel:
@@ -814,13 +803,14 @@ def random_mixed_unitary_channel(dim: int, n_unitaries: int, seed=None) -> Chann
     return _derived(Channel, ks)
 
 
-def random_subunital_channel(in_dim: int, out_dim: int, n_unitaries: int = 3, seed=None) -> Channel:
-    """Random subunital positive TP map: mixed-unitary followed by an isometry.
+def random_subunital_channel(in_dim: int, out_dim: int, seed=None) -> Channel:
+    """Random subunital positive TP map: a mixture of 3 Haar unitaries followed
+    by an isometry.
 
     With out_dim > in_dim the result is strictly subunital; with equal
     dimensions it is unital.
     """
     rng = _rng(seed)
-    mixed = random_mixed_unitary_channel(in_dim, n_unitaries, rng)
+    mixed = random_mixed_unitary_channel(in_dim, 3, rng)
     v = random_isometry(in_dim, out_dim, rng)
     return compose(Channel((v,)), mixed)

@@ -32,6 +32,7 @@ from .qcore import (
     DensityOperator,
     Ensemble,
     Instrument,
+    KrausMap,
     Purification,
     _derived,
     _rng,
@@ -86,11 +87,6 @@ def _require_tp(channel) -> None:
         raise ValueError(f"map is not trace-preserving: max deviation {dev:.3e}")
 
 
-def _adjoint_compose_apply(channel, x: np.ndarray) -> np.ndarray:
-    """(N^dag o N)(x) for Kraus or transfer-matrix maps."""
-    return adjoint(channel).apply(channel.apply(x))
-
-
 def check_entropy_gain(rho, channel) -> CheckReport:
     """Entropy gain bound H(N(rho)) - H(rho) >= D(rho || (N^dag o N)(rho)).
 
@@ -99,8 +95,9 @@ def check_entropy_gain(rho, channel) -> CheckReport:
     """
     _require_tp(channel)
     mat = as_matrix(rho)
-    lhs = entropy(channel.apply(mat)) - entropy(mat)
-    d = rel_entropy(mat, _adjoint_compose_apply(channel, mat))
+    out = channel.apply(mat)
+    lhs = entropy(out) - entropy(mat)
+    d = rel_entropy(mat, adjoint(channel).apply(out))
     aux = {"support_violation": d.support_violation}
     return CheckReport("entropy-gain", lhs, d.value, dims=(mat.shape[0],), aux=aux)
 
@@ -116,9 +113,10 @@ def check_entropy_gain_recovery(rho, channel: Channel) -> CheckReport:
     _require_tp(channel)
     mat = as_matrix(rho)
     rec = adjoint_recovery(channel)
-    lhs = entropy(channel.apply(mat)) - entropy(mat)
-    rhs = rel_entropy(mat, rec.apply(channel.apply(mat))).value
-    rhs_adjoint = rel_entropy(mat, _adjoint_compose_apply(channel, mat)).value
+    out = channel.apply(mat)
+    lhs = entropy(out) - entropy(mat)
+    rhs = rel_entropy(mat, rec.apply(out)).value
+    rhs_adjoint = rel_entropy(mat, adjoint(channel).apply(out)).value
     aux = {"rhs_adjoint_only": rhs_adjoint, "dominance_slack": rhs_adjoint - rhs}
     dims = (mat.shape[0], channel.out_dim)
     return CheckReport("entropy-gain-recovery", lhs, rhs, dims=dims, aux=aux)
@@ -166,18 +164,17 @@ def _entropy_and_log(mats: np.ndarray):
     return -(lam * log_lam).sum(-1), (u * log_lam[:, None, :]) @ u.conj().swapaxes(1, 2)
 
 
-def _gain_gradient(rho: np.ndarray, kraus: np.ndarray):
+def _gain_gradient(rho: np.ndarray, channel: Channel, dual: KrausMap):
     """H(N(rho)) - H(rho) in nats and the gradient log rho - N^dag(log N(rho))
-    for a (S, d, d) stack of states, N given by its (k, d, d) Kraus stack.
+    for a (S, d, d) stack of states, ``dual`` the adjoint N^dag of ``channel``.
 
     Both logs are taken on the support, so the gradient is finite at every
     state; it is the derivative along traceless directions because N is
     trace-preserving.
     """
-    dual = kraus.conj().swapaxes(1, 2)
     h_in, log_in = _entropy_and_log(rho)
-    h_out, log_out = _entropy_and_log((kraus @ rho[:, None] @ dual).sum(1))
-    return h_out - h_in, log_in - (dual @ log_out[:, None] @ kraus).sum(1)
+    h_out, log_out = _entropy_and_log(channel.apply(rho))
+    return h_out - h_in, log_in - dual.apply(log_out)
 
 
 def _factor_states(x: np.ndarray, d: int):
@@ -193,20 +190,21 @@ def _factor_states(x: np.ndarray, d: int):
     return factor, rho, tr
 
 
-def _gain_objective(kraus: np.ndarray):
+def _gain_objective(channel: Channel):
     """x (S, 2d^2) -> (gains in bits (S,), gradients in x (S, 2d^2)) over
-    rho = L L^dag / Tr(L L^dag), N given by its (k, d, d) Kraus stack.
+    rho = L L^dag / Tr(L L^dag), N the channel.
 
     With G the state gradient and t = Tr(L L^dag), the gradient in L is
     M = 2 (G - Tr(rho G) I) L / t; its real and imaginary parts are the
     gradients in Re L and Im L.  The factor L keeps M finite as rho loses
     rank, and M = 0 at the I/d fallback.
     """
-    d = kraus.shape[-1]
+    d = channel.in_dim
+    dual = adjoint(channel)
 
     def objective(x: np.ndarray):
         factor, rho, tr = _factor_states(x, d)
-        gain, grad = _gain_gradient(rho, kraus)
+        gain, grad = _gain_gradient(rho, channel, dual)
         shift = (rho.conj() * grad).sum((1, 2)).real
         scale = 2.0 * NAT_TO_BITS / np.where(tr > 0, tr, 1.0)
         m = scale[:, None, None] * ((grad - shift[:, None, None] * np.eye(d)) @ factor)
@@ -253,17 +251,17 @@ def minimal_entropy_gain(
         raise ValueError("minimal_entropy_gain expects equal input and output dimensions")
     d = channel.in_dim
     rng = _rng(seed)
-    kraus = channel.stack
 
     starts = [np.concatenate([np.eye(d).reshape(-1), np.zeros(d * d)])]
     for _ in range(budget.restarts - 1):
         starts.append(rng.standard_normal(2 * d * d))
-    values, points, evals = minimize_stack(_gain_objective(kraus), np.stack(starts), budget.max_evals)
+    values, points, evals = minimize_stack(_gain_objective(channel), np.stack(starts), budget.max_evals)
     _, states, _ = _factor_states(points, d)
     dual = adjoint(channel)
-    lower = min(rel_entropy(mat, dual.apply(channel.apply(mat))).value for mat in states)
+    recovered = dual.apply(channel.apply(states))
+    lower = min(rel_entropy(mat, rec).value for mat, rec in zip(states, recovered))
     best = states[int(np.argmin(values))]
-    stationarity = _stationarity(best, _gain_gradient(best[None], kraus)[1][0])
+    stationarity = _stationarity(best, _gain_gradient(best[None], channel, dual)[1][0])
     return MinimalEntropyGainResult(
         value=entropy(channel.apply(best)) - entropy(best),
         argmin=best,
@@ -302,14 +300,6 @@ def check_cond_entropy_gain(rho_ab: DensityOperator, channel: Channel) -> CheckR
 # recoverability of relative entropy and of conditional mutual information
 
 
-def _rel_entropy_drop(rho: np.ndarray, sigma: np.ndarray, channel) -> float:
-    """D(rho || sigma) - D(N(rho) || N(sigma))."""
-    return (
-        rel_entropy(rho, sigma).value
-        - rel_entropy(channel.apply(rho), channel.apply(sigma)).value
-    )
-
-
 def check_recovery_fid(rho, sigma, channel: Channel) -> CheckReport:
     """Recoverability refinement of data processing (Junge, Renner, Sutter,
     Wilde and Winter 2018):
@@ -321,8 +311,9 @@ def check_recovery_fid(rho, sigma, channel: Channel) -> CheckReport:
     """
     rho, sigma = as_matrix(rho), as_matrix(sigma)
     rec = integrated_recovery(sigma, channel)
-    lhs = _rel_entropy_drop(rho, sigma, channel)
-    fid = fidelity(rho, rec.apply(channel.apply(rho)))
+    out = channel.apply(rho)
+    lhs = rel_entropy(rho, sigma).value - rel_entropy(out, channel.apply(sigma)).value
+    fid = fidelity(rho, rec.apply(out))
     rhs = -math.log2(max(fid, 1e-300))
     return CheckReport("recovery-fid", lhs, rhs, dims=(rho.shape[0], channel.out_dim))
 
@@ -338,7 +329,8 @@ def check_recovery_stronger(
     rule over :func:`swiveled_root_fidelities`.
     """
     rho, sigma = as_matrix(rho), as_matrix(sigma)
-    lhs = _rel_entropy_drop(rho, sigma, channel)
+    n_rho, n_sigma = channel.apply(rho), channel.apply(sigma)
+    lhs = rel_entropy(rho, sigma).value - rel_entropy(n_rho, n_sigma).value
     nodes, weights = quadrature(quad)
     sqrt_fids = swiveled_root_fidelities(rho, sigma, channel, nodes)
     acc = float(weights @ np.log2(np.maximum(sqrt_fids**2, 1e-300)))
@@ -407,7 +399,7 @@ def _reference_instrument_state(instr: Instrument, rho: DensityOperator):
     normalized post-measurement operators on (R, A', rest) (pure for
     efficient instruments), and their reductions on (R, rest).
     """
-    phi = purify(rho, "R")
+    phi = purify(rho)
     a_label = rho.labels[0]
     probs, posts = instr.measure(
         phi.projector(), phi.systems, a_label, out_systems=((a_label + "'", instr.out_dim),)
@@ -420,19 +412,21 @@ def _reference_instrument_state(instr: Instrument, rho: DensityOperator):
 
 def _cq_assemble(weights, blocks, block_dim: int) -> np.ndarray:
     """sum_x w_x block_x (x) |x><x| as one matrix (classical factor last):
-    w_x block_x fills the (x, x) slot of a (d, n, d, n) array."""
+    w_x block_x fills the (x, x) slot of a (d, n, d, n) array, and a block
+    that is ``None`` (an outcome at or below ``PROB_FLOOR``) leaves it 0."""
     n = len(weights)
     out = np.zeros((block_dim, n, block_dim, n), dtype=complex)
     for x, (w, b) in enumerate(zip(weights, blocks)):
-        if b is not None and w > PROB_FLOOR:
+        if b is not None:
             out[:, x, :, x] += w * b
     return out.reshape(block_dim * n, block_dim * n)
 
 
 def _avg(blocks, weights, dim: int) -> np.ndarray:
+    """sum_x w_x block_x over the blocks that are not ``None``."""
     out = np.zeros((dim, dim), dtype=complex)
     for w, b in zip(weights, blocks):
-        if b is not None and w > PROB_FLOOR:
+        if b is not None:
             out += w * b
     return out
 
@@ -446,7 +440,7 @@ def check_info_gain_upper(instr: Instrument, rho) -> CheckReport:
     mat = as_matrix(rho)
     channel = instrument_channel(instr)
     probs, posts = instr.measure(mat)
-    d = rel_entropy(mat, _adjoint_compose_apply(channel, mat))
+    d = rel_entropy(mat, adjoint(channel).apply(channel.apply(mat)))
     h_x = _shannon(probs)
     gain = _entropy_reduction(mat, probs, posts)
     aux = {"h_x": h_x, "d_term": d.value, "groenewold_gain": gain, "efficient": instr.efficient}
@@ -489,9 +483,9 @@ def check_info_gain_no_qsi(instr: Instrument, rho: DensityOperator) -> CheckRepo
     h_x = _shannon(probs)
     lhs = entropy(sigma_r) + h_x - entropy(sigma_rx)
 
-    product = _cq_assemble(probs, [sigma_r] * len(probs), r_dim)
+    product = _cq_assemble(probs, [None if b is None else sigma_r for b in posts_r], r_dim)
     rhs_direct = -math.log2(fidelity(sigma_rx, product))
-    seen = _seen_outcomes(probs, posts_r)
+    seen = _seen_outcomes(posts_r)
     blocks = np.stack([posts_r[x] for x in seen])
     sqrt_fids = [0.0] * len(probs)
     for x, fid in zip(seen, root_fidelity(blocks, np.broadcast_to(sigma_r, blocks.shape))):
@@ -524,10 +518,10 @@ def check_info_gain_no_qsi(instr: Instrument, rho: DensityOperator) -> CheckRepo
     return CheckReport("info-gain-no-qsi", lhs, rhs, dims=(instr.in_dim,), aux=aux)
 
 
-def _seen_outcomes(probs, posts) -> list:
+def _seen_outcomes(posts) -> list:
     """Indices of the outcomes that get a post-measurement operator: those of
     probability above ``PROB_FLOOR`` (at least one, as the probabilities sum to 1)."""
-    return [x for x, p in enumerate(probs) if p > PROB_FLOOR and posts[x] is not None]
+    return [x for x, post in enumerate(posts) if post is not None]
 
 
 def _pure_vectors(densities) -> np.ndarray:
@@ -606,7 +600,7 @@ def check_info_gain_qsi(
     )
 
     nodes, weights = quadrature(quad)
-    seen = _seen_outcomes(probs, posts_rb)
+    seen = _seen_outcomes(posts_rb)
     # one stacked call each: omega_B with every omega_B^x, omega_RB with every omega^x_RB
     spec_bx = eig_hermitian(np.stack([omega_b] + [omega_bx[x] for x in seen]))
     sqrt_rbx = eig_hermitian(np.stack([omega_rb] + [posts_rb[x] for x in seen])).power(0.5)
@@ -662,13 +656,13 @@ def check_entropic_disturbance(ens: Ensemble, channel: Channel) -> CheckReport:
     """
     avg = ens.average()
     out_systems = ((ens.states[0].labels[0] + "'", channel.out_dim),)
+    out = ens.through(channel, out_systems)
     chi_in = holevo_chi(ens)
-    chi_out = holevo_chi(ens.through(channel, out_systems))
+    chi_out = holevo_chi(out)
     lhs = chi_in - chi_out
     rec = integrated_recovery(avg.matrix, channel)
-    states = [state.matrix for state in ens.states]
-    recovered = [rec.apply(channel.apply(s)) for s in states]
-    sqrt_fids = root_fidelity(np.stack(states), np.stack(recovered))
+    recovered = rec.apply(np.stack([state.matrix for state in out.states]))
+    sqrt_fids = root_fidelity(np.stack([state.matrix for state in ens.states]), recovered)
     avg_sqrt = float(np.sum(ens.probs * sqrt_fids))
     rhs = -2.0 * math.log2(max(avg_sqrt, 1e-300))
     aux = {"chi_in": chi_in, "chi_out": chi_out, "avg_sqrt_fid": avg_sqrt,

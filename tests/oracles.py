@@ -6,8 +6,9 @@ a property that tests assert about channels and matrix functions.
 
 import numpy as np
 
+from qrecovery.bosonic import Ladder
 from qrecovery.matfun import rank_cutoff
-from qrecovery.qcore import tp_deviation
+from qrecovery.qcore import TransferMap, tp_deviation, transfer_matrix
 
 
 def choi(channel) -> np.ndarray:
@@ -46,3 +47,27 @@ def mat_inv(matrix: np.ndarray) -> np.ndarray:
 def mat_sqrt(matrix: np.ndarray) -> np.ndarray:
     """Square root of a PSD matrix."""
     return _on_support(matrix, np.sqrt)
+
+
+def transfer_map(channel) -> TransferMap:
+    """The transfer-matrix form of a Kraus map."""
+    return TransferMap(transfer_matrix(channel), channel.in_dim, channel.out_dim)
+
+
+def transfer_compose(after: TransferMap, before: TransferMap) -> TransferMap:
+    """after(before(.)) as one transfer matrix."""
+    return TransferMap(after.matrix @ before.matrix, before.in_dim, after.out_dim)
+
+
+def ladder_from_kraus(kraus) -> Ladder:
+    """Ladder of dense square Kraus operators, each with at most one nonzero
+    diagonal; zero operators are dropped."""
+    shifts, diags = [], []
+    for k in map(np.asarray, kraus):
+        rows, cols = np.nonzero(k)
+        if rows.size:
+            diag = np.zeros(k.shape[1], dtype=k.dtype)
+            diag[cols] = k[rows, cols]
+            shifts.append(int(rows[0] - cols[0]))
+            diags.append(diag)
+    return Ladder(tuple(shifts), np.array(diags))

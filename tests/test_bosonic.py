@@ -27,6 +27,7 @@ from qrecovery.bosonic import (
 from qrecovery import bosonic
 from qrecovery.bosonic import _sectors, _spec_ladders
 from qrecovery.entropy import rel_entropy
+from qrecovery.matfun import NonFiniteError
 from qrecovery.qcore import (
     Channel,
     KrausMap,
@@ -36,7 +37,7 @@ from qrecovery.qcore import (
     transfer_matrix,
 )
 
-from oracles import is_subunital
+from oracles import is_subunital, ladder_from_kraus
 
 TRUNC = FockTruncation(40)
 SMALL = FockTruncation(20)
@@ -95,6 +96,26 @@ class TestChannelConstruction:
             amp_ladder(0.9, SMALL)
         with pytest.raises(ValueError):
             GaussianChannelSpec("loss", SMALL, eta=None)
+
+    @pytest.mark.parametrize("gain", [math.nan, math.inf])
+    @pytest.mark.parametrize("kind", ["amp", "compose"])
+    def test_non_finite_gain_rejected(self, kind, gain):
+        with pytest.raises(ValueError, match="finite"):
+            GaussianChannelSpec(kind, SMALL, eta=0.9, gain=gain)
+        with pytest.raises(ValueError, match="finite"):
+            amp_ladder(gain, SMALL)
+
+    @pytest.mark.parametrize(
+        "mean, support_max",
+        [(1.0, -1), (1.0, SMALL.n_max + 1), (1.0, 2.5), (math.nan, None), (math.inf, None)],
+    )
+    def test_geometric_state_rejects_invalid_input(self, mean, support_max):
+        with pytest.raises(ValueError):
+            geometric_state(mean, SMALL, support_max=support_max)
+
+    def test_truncation_needs_an_integer(self):
+        with pytest.raises(ValueError, match="integer"):
+            FockTruncation(2.5)
 
     @pytest.mark.parametrize("kind, gain", [("loss", None), ("compose", 1.1)])
     def test_zero_transmissivity_rejected(self, kind, gain):
@@ -232,16 +253,6 @@ class TestSectors:
                 idx = levels * d + levels - delta
                 dense[np.ix_(idx, idx)] = block
             npt.assert_allclose(dense, _chain_transfer(stages), rtol=0, atol=1e-14)
-
-    def test_rejects_map_mixing_coherence_orders(self):
-        trunc = FockTruncation(3)
-        hadamard = np.eye(trunc.dim)
-        hadamard[:2, :2] = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
-        loss = loss_channel(0.8, trunc)
-        with pytest.raises(ValueError, match="coherence"):
-            Ladder.from_kraus((hadamard,))
-        with pytest.raises(ValueError, match="coherence"):
-            Ladder.from_kraus(loss.kraus + (hadamard,))
 
 
 def _apply_by_slices(ladder, x):
@@ -391,15 +402,23 @@ class TestLadder:
 
     def test_from_kraus_round_trip(self):
         ladder = amp_ladder(1.25, FockTruncation(6))
-        again = Ladder.from_kraus(ladder.kraus())
+        again = ladder_from_kraus(ladder.kraus())
         assert again.shifts == ladder.shifts
         npt.assert_array_equal(again.diags, ladder.diags)
         # zero operators carry no diagonal and are dropped
-        assert Ladder.from_kraus(ladder.kraus() + (np.zeros((7, 7)),)).shifts == ladder.shifts
+        assert ladder_from_kraus(ladder.kraus() + (np.zeros((7, 7)),)).shifts == ladder.shifts
 
     def test_rejects_trace_increasing_and_mismatched_input(self):
         with pytest.raises(ValueError, match="trace-increasing"):
             Ladder((0, 1), np.ones((2, 4)))
+        # shift 1 moves level 1 to level 2, outside dim 2
+        with pytest.raises(ValueError, match="outside the levels"):
+            Ladder((1,), [[1.0, 1.0]])
+        with pytest.raises(ValueError, match="outside the levels"):
+            Ladder((0, -1), [[0.6, 0.6], [0.8, 0.8]])
+        Ladder((1,), [[1.0, 0.0]])  # a zero entry may point outside
+        with pytest.raises(NonFiniteError):
+            Ladder((0,), [[math.nan, 1.0]])
         with pytest.raises(ValueError, match="does not match"):
             loss_ladder(0.5, FockTruncation(4)).apply(np.eye(4))
 
@@ -462,7 +481,7 @@ class TestAdjointDenseReference:
                 continue
             damp = np.eye(SMALL.dim)
             damp[level, level] = 0.5
-            skewed = reverse + [Ladder.from_kraus((damp,))]
+            skewed = reverse + [ladder_from_kraus((damp,))]
             monkeypatch.setattr(bosonic, "_spec_ladders", lambda _: (forward, skewed))
             rep = check_adjoint_relation(spec, n_guard=guard)
             ref = _dense_adjoint_deviation(forward, skewed, scale, SMALL.dim, keep)

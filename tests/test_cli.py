@@ -289,6 +289,8 @@ def test_sweep_prints_guard_feasibility_table(tmp_path, capsys):
         ["--etas", "1.5"],
         ["--etas", "0", "--n-max", "20", "--guard", "5"],
         ["--etas", "0.9,0", "--gains", "1.1"],
+        ["--n-max", "20", "--guard", "5", "--etas", "0.9", "--gains", "nan"],
+        ["--n-max", "20", "--guard", "5", "--etas", "0.9", "--gains", "inf"],
     ],
 )
 def test_sweep_invalid_config_exits_two(flags, capsys):

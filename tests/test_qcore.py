@@ -14,7 +14,6 @@ from qrecovery.qcore import (
     Instrument,
     KrausMap,
     LabelError,
-    TransferMap,
     adjoint,
     apply_on,
     compose,
@@ -34,7 +33,7 @@ from qrecovery.qcore import (
     transfer_matrix,
 )
 
-from oracles import choi, is_cptp, is_subunital
+from oracles import choi, is_cptp, is_subunital, transfer_map
 
 BELL = np.zeros((4, 4), dtype=complex)
 BELL[np.ix_([0, 3], [0, 3])] = 0.5
@@ -173,7 +172,7 @@ def test_flags_dephasing():
 def test_flags_scaled_isometry():
     half = Channel((np.eye(2) / 2,))
     # N^dag(I) = I/4 in Kraus and in transfer-matrix form
-    assert tp_deviation(half) == tp_deviation(TransferMap.from_kraus(half)) == 0.75
+    assert tp_deviation(half) == tp_deviation(transfer_map(half)) == 0.75
 
 
 def test_trace_increasing_kraus_rejected():
@@ -344,7 +343,7 @@ class TestRandomInstances:
     def test_random_instrument_efficient(self):
         instr = random_instrument(3, 2, True, stream(13, 2))
         assert instr.efficient
-        assert all(len(ks) == 1 for _, ks in instr.outcomes)
+        assert all(len(m.kraus) == 1 for m in instr.maps)
         assert tp_deviation(instrument_channel(instr)) <= 1e-10
 
     def test_random_instrument_inefficient(self):
@@ -363,14 +362,14 @@ class TestRandomInstances:
 class TestInstrumentChannel:
     def test_single_outcome_appends_classical_register(self):
         ch = random_channel(2, 2, 2, stream(16, 0))
-        instr = Instrument((("0", ch.kraus),))
+        instr = Instrument((ch.kraus,))
         rho = random_density(2, 2, stream(16, 1))
         out = instrument_channel(instr).apply(rho.matrix)
         npt.assert_allclose(out, np.kron(ch.apply(rho.matrix), [[1.0]]), atol=1e-12)
 
     def test_projective_measurement_on_plus(self):
         # hand computation: equal-weight |0><0| and |1><1| blocks
-        instr = Instrument((("0", (np.diag([1.0, 0.0]),)), ("1", (np.diag([0.0, 1.0]),))))
+        instr = Instrument(((np.diag([1.0, 0.0]),), (np.diag([0.0, 1.0]),)))
         plus = np.full((2, 2), 0.5)
         out = instrument_channel(instr).apply(plus)
         expected = np.zeros((4, 4))
@@ -394,9 +393,7 @@ class TestMeasure:
         instr = random_instrument(2, 3, False, stream(16, 4))
         rho = DensityOperator((("R", 3), ("A", 2)), random_density(6, 4, stream(16, 5)).matrix)
         probs, posts = instr.measure(rho.matrix, rho.systems, "A")
-        lifted = Instrument(
-            tuple((label, lift(KrausMap(ks), rho.systems, "A")[0].kraus) for label, ks in instr.outcomes)
-        )
+        lifted = Instrument(tuple(lift(m, rho.systems, "A")[0].kraus for m in instr.maps))
         ref_probs, ref_posts = lifted.measure(rho.matrix)
         npt.assert_allclose(probs, ref_probs, atol=1e-12)
         for post, ref in zip(posts, ref_posts):
@@ -404,7 +401,7 @@ class TestMeasure:
 
     def test_improbable_outcome_has_no_post_state(self):
         probs, posts = Instrument(
-            (("0", (np.diag([1.0, 0.0]),)), ("1", (np.diag([0.0, 1.0]),)))
+            ((np.diag([1.0, 0.0]),), (np.diag([0.0, 1.0]),))
         ).measure(np.diag([1.0, 0.0]))
         npt.assert_array_equal(probs, [1.0, 0.0])
         npt.assert_allclose(posts[0], np.diag([1.0, 0.0]), atol=0)
@@ -432,3 +429,35 @@ def test_stream_is_deterministic_and_path_dependent():
 def test_kraus_map_allows_trace_increasing():
     m = KrausMap((np.eye(2) * 2.0,))
     npt.assert_allclose(m.apply(np.eye(2)), 4 * np.eye(2), atol=1e-14)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    in_dim=st.integers(1, 5),
+    out_dim=st.integers(1, 5),
+    n_kraus=st.integers(1, 5),
+    n_states=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_apply_on_a_stack_matches_single_applications(in_dim, out_dim, n_kraus, n_states, seed):
+    rng = np.random.default_rng(seed)
+    ks = rng.standard_normal((n_kraus, out_dim, in_dim)) + 1j * rng.standard_normal(
+        (n_kraus, out_dim, in_dim)
+    )
+    xs = rng.standard_normal((n_states, in_dim, in_dim)) + 1j * rng.standard_normal(
+        (n_states, in_dim, in_dim)
+    )
+    m = KrausMap(tuple(ks))
+    out = m.apply(xs)
+    assert out.shape == (n_states, out_dim, out_dim)
+    for x, got in zip(xs, out):
+        if out_dim >= 2:
+            assert np.array_equal(got, m.apply(x))
+        else:
+            npt.assert_allclose(got, m.apply(x), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("shape", [(2,), (3, 3), (4, 3, 3), (4, 2, 3), (4, 3, 2)])
+def test_apply_rejects_wrong_trailing_shape(shape):
+    with pytest.raises(DimensionMismatchError):
+        random_channel(2, 2, 2, stream(17, 2)).apply(np.zeros(shape))

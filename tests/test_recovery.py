@@ -420,7 +420,7 @@ class TestAdjointRecovery:
     def test_subunital_channel_gives_cptp_recovery(self):
         from qrecovery.qcore import random_subunital_channel
 
-        ch = random_subunital_channel(2, 3, 3, stream(34, 3))
+        ch = random_subunital_channel(2, 3, stream(34, 3))
         rec = adjoint_recovery(ch)
         assert is_cptp(rec)
         npt.assert_allclose(rec.kraus_gram(), np.eye(3), atol=1e-10)
@@ -428,7 +428,7 @@ class TestAdjointRecovery:
     def test_recovery_dominates_plain_adjoint(self):
         from qrecovery.qcore import adjoint, random_subunital_channel
 
-        ch = random_subunital_channel(2, 3, 3, stream(34, 4))
+        ch = random_subunital_channel(2, 3, stream(34, 4))
         rec = adjoint_recovery(ch)
         rho = random_density(2, 2, stream(34, 5)).matrix
         gap = rec.apply(ch.apply(rho)) - adjoint(ch).apply(ch.apply(rho))

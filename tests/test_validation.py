@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from qrecovery.cpdp import Interaction, TripartiteConfiguration, _evolved
 from qrecovery.entropy import rel_entropy, root_fidelity
-from qrecovery.matfun import NonHermitianError, eig_hermitian
+from qrecovery.matfun import NonFiniteError, NonHermitianError, eig_hermitian
 from qrecovery.qcore import (
     Channel,
     DensityOperator,
@@ -16,6 +16,7 @@ from qrecovery.qcore import (
     Ensemble,
     Instrument,
     KrausMap,
+    TransferMap,
     adjoint,
     compose,
     instrument_channel,
@@ -62,16 +63,40 @@ class TestPublicChecks:
 
     def test_instrument_rejects_trace_increasing_outcome(self):
         with pytest.raises(ValueError, match="trace-increasing"):
-            Instrument((("0", (1.2 * np.eye(2),)), ("1", (np.zeros((2, 2)),))))
+            Instrument(((1.2 * np.eye(2),), (np.zeros((2, 2)),)))
 
     def test_instrument_rejects_outcomes_not_summing_to_a_channel(self):
         with pytest.raises(ValueError, match="trace-preserving"):
-            Instrument((("0", (np.diag([1.0, 0.0]),)), ("1", (np.diag([0.0, 0.5]),))))
+            Instrument(((np.diag([1.0, 0.0]),), (np.diag([0.0, 0.5]),)))
 
     def test_ensemble_through_a_trace_halving_channel_raises(self):
         ens = Ensemble(np.array([1.0]), (random_density(2, 2, stream(41, 0)),))
         with pytest.raises(ValueError, match="trace"):
             ens.through(Channel((np.eye(2) / np.sqrt(2),)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda bad: DensityOperator((("A", 2),), np.diag([bad, 1.0])),
+            lambda bad: DensityOperator((("A", 2),), [[0.5, bad], [0.0, 0.5]]),
+            lambda bad: KrausMap((np.diag([bad, 1.0]),)),
+            lambda bad: Channel((np.diag([bad, 1.0]),)),
+            lambda bad: Instrument(((np.diag([bad, 1.0]),),)),
+            lambda bad: Interaction(np.diag([bad, 1.0, 1.0, 1.0]), (2, 2), (2, 2)),
+            lambda bad: eig_hermitian(np.diag([bad, 1.0])),
+            lambda bad: eig_hermitian(np.stack([np.eye(2), np.diag([bad, 1.0])])),
+            lambda bad: Ensemble([bad, 1.0], (random_density(2, 2, stream(41, 2)),) * 2),
+            lambda bad: TransferMap(np.diag([bad, 1.0, 1.0, 1.0]), 2, 2),
+        ],
+        ids=["state-diagonal", "state-off-diagonal", "kraus-map", "channel", "instrument",
+             "interaction", "eig-hermitian", "eig-hermitian-stack", "ensemble", "transfer-map"],
+    )
+    def test_non_finite_entries_rejected(self, build, bad):
+        # RuntimeWarning is an error under pytest, so this also shows that no
+        # arithmetic ran on the bad entry before it was rejected
+        with pytest.raises(NonFiniteError):
+            build(bad)
 
     @pytest.mark.parametrize("fn", [rel_entropy, root_fidelity])
     def test_entropy_functionals_reject_non_hermitian_operands(self, fn):
@@ -88,7 +113,7 @@ def _revalidate(obj):
         again = DensityOperator(obj.systems, obj.matrix)
         npt.assert_array_equal(again.matrix, obj.matrix)
     elif isinstance(obj, Instrument):
-        Instrument(obj.outcomes)
+        Instrument([m.kraus for m in obj.maps])
     elif isinstance(obj, Channel):
         Channel(obj.kraus)
     else:
@@ -158,7 +183,7 @@ class TestDerivedSitesPassTheValidator:
             lift(adjoint(first), (("L", 2), ("B", d_out)), "B", (("A", d_in),))[0],
             adjoint(first),
             instr,
-            instr.outcome_map(0),
+            instr.maps[0],
         ):
             _revalidate(out)
 
