@@ -5,11 +5,18 @@ Truncation policy: channels act on the span of Fock levels 0..n_max.  The
 loss channel is exactly trace-preserving there (it only moves photons down);
 the amplifier leaks probability above the cutoff and is trace-non-increasing.
 Every Kraus operator of either channel has one nonzero diagonal, so both are
-held as a :class:`Ladder` of (shift, diagonal) pairs.  A ladder keeps the
-coherence order Delta = n - m, so it acts on the Delta-diagonal of a matrix by
-one block (``_block``), which serves both to apply a ladder and to compose a
-chain of them (``_sectors``); the dense :class:`~qrecovery.qcore.Channel`
-forms are kept as the reference.
+held as a :class:`Ladder` of (shift, diagonal) pairs with distinct shifts, and
+with their operator sum D = sum_k K_k, in which each entry comes from exactly
+one operator.  A ladder keeps the coherence order Delta = n - m, so it acts on
+the Delta-diagonal of a matrix by one block (``_block``), the product of two
+windows of D.  The blocks of every order compose a chain of ladders
+(``_sectors``) for the adjoint and semigroup checks.  The channels are
+phase-covariant, so a Fock-diagonal state stays Fock-diagonal: the
+almost-unital and entropy-gain checks hold it as its photon-number vector,
+moved by the Delta = 0 block |D|^2 of each stage, and take Shannon entropies
+(:func:`~qrecovery.entropy.shannon_entropy`,
+:func:`~qrecovery.entropy.classical_rel_entropy`).  The dense
+:class:`~qrecovery.qcore.Channel` forms are kept as the reference.
 Identity claims inherited from the infinite-dimensional channels are asserted
 only on a guard-banded subspace ``n <= n_max - n_guard``, and each report
 carries an analytic estimate of the truncation tail so a failure can be
@@ -21,19 +28,20 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entropy import entropy, rel_entropy
-from .matfun import _require_finite
-from .qcore import TRACE_TOL, Channel, DimensionMismatchError
+from .entropy import classical_rel_entropy, shannon_entropy
+from .matfun import HERM_TOL, _require_finite
+from .qcore import PSD_TOL, TRACE_TOL, Channel, DimensionMismatchError
 from .reports import CheckReport
 
 __all__ = [
     "FockTruncation",
     "GaussianChannelSpec",
     "Ladder",
+    "NotFockDiagonalError",
     "loss_ladder",
     "amp_ladder",
     "loss_channel",
@@ -54,6 +62,11 @@ __all__ = [
 
 DEFAULT_GUARD = 15
 DEFAULT_TRUNC_TOL = 1e-6
+
+
+class NotFockDiagonalError(ValueError):
+    """Raised when a state given to a check that holds it as photon-number
+    populations is not real and diagonal in the Fock basis."""
 
 
 @dataclass(frozen=True)
@@ -85,8 +98,10 @@ class GaussianChannelSpec:
             raise ValueError(f"unknown channel kind {self.kind!r}")
         if self.kind in ("loss", "compose"):
             # every check reverses the loss by the amplifier of gain 1/eta
-            if self.eta is None or not 0.0 < self.eta <= 1.0:
-                raise ValueError(f"loss transmissivity must lie in (0, 1], got {self.eta!r}")
+            if self.eta is None or not 0.0 < self.eta <= 1.0 or 1.0 / self.eta == math.inf:
+                raise ValueError(
+                    f"loss transmissivity must lie in (0, 1] with a finite reciprocal, got {self.eta!r}"
+                )
         if self.kind in ("amp", "compose"):
             if self.gain is None or not 1.0 <= self.gain < math.inf:
                 raise ValueError(f"amplifier gain must be finite and >= 1, got {self.gain!r}")
@@ -178,32 +193,43 @@ class Ladder:
     diagonal: K_j = sum_b diags[j, b] |b + shifts[j]><b|.
 
     ``diags[j, b]`` must be finite, and zero wherever b + shifts[j] falls
-    outside the levels.
+    outside the levels.  The shifts must be distinct, so that each entry of
+    ``operator_sum``, the read-only sum_j K_j, is one operator's entry:
+    (b + shifts[j], b) holds diags[j, b].
     Every operator keeps the coherence order Delta = n - m, so the map takes
     the Delta-diagonal of X to the Delta-diagonal of sum_j K_j X K_j^dag by
-    one block (``_block``): :meth:`apply` makes one matrix-vector product per
-    order present in X, so a diagonal X costs one dim x dim block.  The gram
-    sum_j K_j^dag K_j is diagonal with entries sum_j |diags[j, b]|^2; a column
-    sum above 1 + TRACE_TOL raises as :class:`~qrecovery.qcore.Channel` does.
+    one block (``_block``).  The gram sum_j K_j^dag K_j is diagonal with
+    entries sum_j |diags[j, b]|^2; a column sum above 1 + TRACE_TOL raises as
+    :class:`~qrecovery.qcore.Channel` does.
     """
 
     shifts: tuple
     diags: np.ndarray
+    operator_sum: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         diags = np.array(self.diags, ndmin=2)
         diags.setflags(write=False)
         if len(self.shifts) != diags.shape[0]:
             raise ValueError("one shift per diagonal is required")
+        shifts = tuple(int(s) for s in self.shifts)
+        if len(set(shifts)) != len(shifts):
+            raise ValueError(f"ladder shifts must be distinct, got {shifts!r}")
         _require_finite(diags, "ladder diagonal")
         excess = float((np.abs(diags) ** 2).sum(axis=0).max() - 1.0)
         if excess > TRACE_TOL:
             raise ValueError(f"ladder is trace-increasing: max column sum of |diag|^2 - 1 is {excess!r}")
-        targets = np.array(self.shifts, dtype=int).reshape(-1, 1) + np.arange(diags.shape[1])
-        if diags[(targets < 0) | (targets >= diags.shape[1])].any():
+        d = diags.shape[1]
+        targets = np.array(shifts, dtype=int).reshape(-1, 1) + np.arange(d)
+        inside = (targets >= 0) & (targets < d)
+        if diags[~inside].any():
             raise ValueError("ladder has a nonzero entry whose target level lies outside the levels")
-        object.__setattr__(self, "shifts", tuple(int(s) for s in self.shifts))
+        total = np.zeros((d, d), dtype=np.result_type(diags, float))
+        total[targets[inside], np.nonzero(inside)[1]] = diags[inside]
+        total.setflags(write=False)
+        object.__setattr__(self, "shifts", shifts)
         object.__setattr__(self, "diags", diags)
+        object.__setattr__(self, "operator_sum", total)
 
     @property
     def dim(self) -> int:
@@ -214,49 +240,19 @@ class Ladder:
         d = self.dim
         return tuple(np.diag(diag[max(0, -s) : d - max(0, s)], -s) for s, diag in zip(self.shifts, self.diags))
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=complex)
-        d = self.dim
-        if x.shape != (d, d):
-            raise DimensionMismatchError(f"input shape {x.shape} does not match ladder dimension {d}")
-        out = np.zeros((d, d), dtype=complex)
-        flat_x, flat_out = x.reshape(-1), out.reshape(-1)
-        rows, cols = np.nonzero(x)
-        for delta in set((rows - cols).tolist()):
-            # entries (a, a - Delta), a ascending from max(Delta, 0) as in _block
-            start, size = max(delta, 0) * (d + 1) - delta, d - abs(delta)
-            diagonal = slice(start, start + size * (d + 1), d + 1)
-            block, x_delta = _block(self, delta, size), flat_x[diagonal]
-            if np.iscomplexobj(block):
-                flat_out[diagonal] = block @ x_delta
-            else:
-                flat_out.real[diagonal] = block @ x_delta.real
-                flat_out.imag[diagonal] = block @ x_delta.imag
-        return out
-
 
 def _block(ladder: Ladder, delta: int, size: int) -> np.ndarray:
     """Leading ``size`` x ``size`` window of a ladder's coherence-order block Delta.
 
     The block maps the Delta-diagonal of X to that of sum_k K_k X K_k^dag: its
     entry (a, b), with levels counted from max(Delta, 0), is
-    sum_k K_k[a, b] conj(K_k[a - Delta, b - Delta]).  Operator k puts
-    diags[k, b] conj(diags[k, b - Delta]) at (b + shifts[k], b); one bincount
-    sums the operators that share an entry, in operator order, on rows padded
-    by dim on both sides so that entries outside the window need no mask.
+    sum_k K_k[a, b] conj(K_k[a - Delta, b - Delta]).  Both factors belong to
+    the one operator of shift a - b, so the sum is one product of two windows
+    of the operator sum D: D[a, b] conj(D[a - Delta, b - Delta]).
     """
-    lo, d = max(delta, 0), ladder.dim
-    values = ladder.diags[:, lo : lo + size] * ladder.diags[:, lo - delta : lo - delta + size].conj()
-    cols = np.arange(size)
-    flat = ((np.array(ladder.shifts)[:, None] + d + cols) * size + cols).reshape(-1)
-    n, window = (size + 2 * d) * size, slice(d * size, (d + size) * size)
-    if np.iscomplexobj(values):
-        re, im = (np.bincount(flat, part.reshape(-1), n)[window] for part in (values.real, values.imag))
-        block = re + 1j * im
-    else:
-        # copied, so that a block kept by the caller does not hold the padding
-        block = np.bincount(flat, values.reshape(-1), n)[window].copy()
-    return block.reshape(size, size)
+    lo, total = max(delta, 0), ladder.operator_sum
+    window, shifted = slice(lo, lo + size), slice(lo - delta, lo - delta + size)
+    return total[window, window] * total[shifted, shifted].conj()
 
 
 @functools.lru_cache(maxsize=32)
@@ -312,10 +308,12 @@ def _spec_ladders(spec: GaussianChannelSpec):
     return forward, reverse
 
 
-def _apply_stages(stages, mat: np.ndarray) -> np.ndarray:
+def _propagate(stages, pops: np.ndarray) -> np.ndarray:
+    """Photon-number populations after a ladder chain (applied left to right):
+    the Delta = 0 block of each stage, one matrix-vector product each."""
     for ladder in stages:
-        mat = ladder.apply(mat)
-    return mat
+        pops = _block(ladder, 0, ladder.dim) @ pops
+    return pops
 
 
 def _sectors(stages, keep: int | None = None) -> dict:
@@ -385,9 +383,38 @@ def geometric_state(mean: float, trunc: FockTruncation = FockTruncation(), suppo
     return mat
 
 
+def _populations(rho, dim: int) -> np.ndarray:
+    """Photon-number populations of a state given as a Fock-diagonal matrix.
+
+    The entries must be finite (else :class:`~qrecovery.matfun.NonFiniteError`),
+    every entry off the real diagonal within ``HERM_TOL`` of 0 relative to the
+    largest entry (else :class:`NotFockDiagonalError`), the populations at least
+    -PSD_TOL and their sum within TRACE_TOL of 1, as for
+    :class:`~qrecovery.qcore.DensityOperator`.
+    """
+    rho = np.asarray(rho)
+    if rho.shape != (dim, dim):
+        raise DimensionMismatchError(f"state shape {rho.shape} does not match truncation dimension {dim}")
+    _require_finite(rho, "state")
+    pops = np.real(np.diagonal(rho)).copy()
+    defect = float(np.abs(rho - np.diag(pops)).max()) / max(float(np.abs(rho).max()), 1.0)
+    if defect > HERM_TOL:
+        raise NotFockDiagonalError(
+            f"state is not real and Fock-diagonal: relative off-diagonal or imaginary entry {defect:.3e}"
+        )
+    tr = float(pops.sum())
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise ValueError(f"trace {tr!r} deviates from 1 beyond {TRACE_TOL}")
+    if pops.min() < -PSD_TOL:
+        raise ValueError(f"state is not PSD: minimum population {float(pops.min())!r}")
+    return pops
+
+
 def mean_photon(mat: np.ndarray) -> float:
-    d = mat.shape[0]
-    return float(np.real(np.sum(np.arange(d) * np.diag(mat))))
+    # summed as complex whatever the dtype, so that a real and a complex copy
+    # of one state give the same bits
+    diag = np.diag(np.asarray(mat, dtype=complex))
+    return float(np.real(np.sum(np.arange(diag.size) * diag)))
 
 
 def loss_identity_tail(eta: float, level: int, n_max: int) -> float:
@@ -396,13 +423,29 @@ def loss_identity_tail(eta: float, level: int, n_max: int) -> float:
     eta^m * sum_{k > n_max - m} C(m+k, k) (1-eta)^k, the negative-binomial
     tail lost to the cutoff.  This is exactly how far the truncated channel
     must deviate from the infinite-dimensional identity B_eta(I) = I/eta.
-    The first term is taken in log space, so no n_max overflows.
+
+    The terms rise while their ratio x (m + k + 1) / (k + 1), x = 1 - eta,
+    exceeds 1 and fall after.  Where they fall from the first tail term on,
+    the tail is summed upward from it; where they still rise, the tail holds
+    the bulk of the full sum 1/eta, and it is 1/eta less the head
+    k <= n_max - m, summed downward from its largest term.  The term a sum
+    starts from is taken in log space, so no n_max overflows.
     """
     if eta >= 1.0:
         return 0.0
     m = int(level)
     x = 1.0 - eta
     k = n_max - m + 1
+    if x * (m + k + 1) > k + 1:
+        k -= 1
+        term = float(np.exp(_log_binom_pmf(k, m + k, x, eta)))
+        head = 0.0
+        while True:
+            head += term
+            if k == 0 or term < head * 1e-16:
+                return 1.0 / eta - head
+            term *= k / (x * (m + k))
+            k -= 1
     term = float(np.exp(_log_binom_pmf(k, m + k, x, eta)))
     total = 0.0
     while True:
@@ -425,10 +468,16 @@ def recommended_guard(spec: GaussianChannelSpec) -> int:
     if spec.kind == "amp":
         return 0
     n_max = spec.truncation.n_max
-    for guard in range(0, n_max):
-        if loss_identity_tail(spec.eta, n_max - guard, n_max) <= DEFAULT_TRUNC_TOL:
-            return guard
-    return n_max - 1
+    # the tail falls as the guard grows: bisect for the first guard below the
+    # tolerance, or n_max - 1 when none up to there is
+    lo, hi = 0, n_max - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if loss_identity_tail(spec.eta, n_max - mid, n_max) <= DEFAULT_TRUNC_TOL:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def check_almost_unital(
@@ -448,9 +497,9 @@ def check_almost_unital(
     n_max = spec.truncation.n_max
     keep = _keep_levels(n_max, n_guard)
     forward, _ = _spec_ladders(spec)
-    out = _apply_stages(forward, np.eye(spec.truncation.dim))
-    target = np.eye(spec.truncation.dim) / spec.parameter()
-    deviation = float(np.abs((out - target)[:keep, :keep]).max())
+    # N(I) is Fock-diagonal: the populations of I, moved stage by stage
+    out = _propagate(forward, np.ones(spec.truncation.dim))
+    deviation = float(np.abs(out[:keep] - 1.0 / spec.parameter()).max())
     if spec.kind == "amp":
         tail = 0.0
     else:
@@ -519,13 +568,18 @@ def check_bosonic_entropy_gain(
     H(B_eta(rho)) - H(rho) >= D(rho || (A_{1/eta} o B_eta)(rho)) + log2(eta),
 
     and the gain/composition analogues with log2(G) and log2(eta G).  Inputs
-    must be low-energy: supported inside the guard band with mean photon
-    number at most n_max / 4.
+    must be states diagonal in the Fock basis (see ``_populations``; a
+    non-diagonal one raises :class:`NotFockDiagonalError`), and low-energy:
+    supported inside the guard band with mean photon number at most n_max / 4.
+
+    Every stage is phase-covariant, so the output and reversed output are
+    Fock-diagonal too: all three are held as photon-number vectors and their
+    entropies are Shannon entropies, equal to the matrix forms'.
     """
     n_max = spec.truncation.n_max
     keep = _keep_levels(n_max, n_guard)
-    rho = np.asarray(rho, dtype=complex)
-    leakage = float(np.real(np.trace(rho[keep:, keep:])))
+    pops = _populations(rho, spec.truncation.dim)
+    leakage = float(pops[keep:].sum())
     if leakage > 1e-12:
         raise ValueError(
             f"input state leaks {leakage:.3e} probability above the guard band (n >= {keep})"
@@ -534,10 +588,10 @@ def check_bosonic_entropy_gain(
     if mean > n_max / 4:
         raise ValueError(f"mean photon number {mean:.2f} exceeds n_max/4 = {n_max / 4}")
     forward, reverse = _spec_ladders(spec)
-    out = _apply_stages(forward, rho)
-    reversed_out = _apply_stages(reverse, out)
-    lhs = entropy(out) - entropy(rho)
-    d = rel_entropy(rho, reversed_out)
+    out = _propagate(forward, pops)
+    reversed_out = _propagate(reverse, out)
+    lhs = shannon_entropy(out) - shannon_entropy(pops)
+    d = classical_rel_entropy(pops, reversed_out)
     rhs = d.value + math.log2(spec.parameter())
     return CheckReport(
         name=f"bosonic-entropy-gain-{spec.kind}",
@@ -549,7 +603,7 @@ def check_bosonic_entropy_gain(
             "state": state_name,
             "mean_photon": mean,
             "guard_leakage": leakage,
-            "output_trace_deficit": 1.0 - float(np.real(np.trace(out))),
+            "output_trace_deficit": 1.0 - float(out.sum()),
             "support_violation": d.support_violation,
         },
     )

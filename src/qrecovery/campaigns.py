@@ -415,9 +415,9 @@ def _run_cpdp(cfg: CampaignConfig):
     for trial, rng in _trials(cfg, "cpdp", 0, n):
         config = _random_config(rng)
         v = _draw_interaction(cfg, rng)
-        channel, rep = reduced_dynamics(config, v)
-        yield trial, rep
-        yield trial, converse_bound(config, v, channel, eps=1.0)
+        forward = reduced_dynamics(config, v)
+        yield trial, forward.report
+        yield trial, converse_bound(forward, eps=1.0)
 
     for trial, rng in _trials(cfg, "cpdp", 1, min(n, 10)):
         rho_rq = _state((("R", 2), ("Q", 2)), int(rng.integers(2, 5)), rng)
@@ -427,7 +427,7 @@ def _run_cpdp(cfg: CampaignConfig):
             DensityOperator((("R", 2), ("Q", 2), ("E", 2)), mat)
         )
         v = _draw_interaction(cfg, rng)
-        _, rep = reduced_dynamics(config, v)
+        rep = reduced_dynamics(config, v).report
         yield trial, _deviation_report(
             "cpdp-forward-product", 1.0 - rep.aux["fidelity"], (2, 2, 2)
         )

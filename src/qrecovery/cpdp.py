@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,6 +40,7 @@ __all__ = [
     "identity_embedding",
     "dp_slack",
     "cmi_bound",
+    "ForwardResult",
     "reduced_dynamics",
     "converse_bound",
     "afw_bound",
@@ -137,15 +139,27 @@ def _recovery_q_to_qe(config: TripartiteConfiguration) -> Channel:
     return integrated_recovery(rho_qe.matrix, trace_e)
 
 
-def reduced_dynamics(config: TripartiteConfiguration, v: Interaction):
+class ForwardResult(NamedTuple):
+    """What :func:`reduced_dynamics` derives for one (configuration, V): the
+    candidate E and its report (lhs I(R;E|Q)_rho), and the states and the
+    Q -> QE recovery that :func:`converse_bound` reuses."""
+
+    channel: Channel
+    report: CheckReport
+    config: TripartiteConfiguration
+    sigma_rqp: DensityOperator  # sigma_RQ'
+    rho_rq: DensityOperator
+    candidate: np.ndarray  # E(rho_RQ)
+    recovery: Channel  # R_{Q->QE}
+
+
+def reduced_dynamics(config: TripartiteConfiguration, v: Interaction) -> ForwardResult:
     """CPTP candidate for the reduced dynamics plus its fidelity certificate.
 
     Builds E(.) = Tr_{E'}{ V R_{Q->QE}(.) V^dag } with R the integrated
     recovery of the (Q, E) marginal, and checks
 
         I(R;E|Q)_rho >= -log F(sigma_RQ', E(rho_RQ)).
-
-    Returns ``(channel, report)``.
     """
     rec = _recovery_q_to_qe(config)
     v_out_systems = (("Q'", v.out_dims[0]), ("E'", v.out_dims[1]))
@@ -162,7 +176,8 @@ def reduced_dynamics(config: TripartiteConfiguration, v: Interaction):
     lhs = cmi_bound(config)
     rhs = -math.log2(max(fid, 1e-300))
     aux = {"fidelity": fid, "channel_kraus": len(channel.kraus)}
-    return channel, CheckReport("cpdp-forward", lhs, rhs, dims=config.dims, aux=aux)
+    report = CheckReport("cpdp-forward", lhs, rhs, dims=config.dims, aux=aux)
+    return ForwardResult(channel, report, config, sigma_rqp, rho_rq, candidate, rec)
 
 
 def afw_bound(eps: float, dim_r: int) -> float:
@@ -172,9 +187,7 @@ def afw_bound(eps: float, dim_r: int) -> float:
     return 2.0 * eps * math.log2(dim_r) + (1.0 + eps) * binary_entropy(eps / (1.0 + eps))
 
 
-def converse_bound(
-    config: TripartiteConfiguration, v: Interaction, channel, eps: float
-) -> CheckReport:
+def converse_bound(forward: ForwardResult, eps: float, channel=None) -> CheckReport:
     """Approximate data processing from approximately CPTP reduced dynamics.
 
     Given a CPTP candidate E with (1/2)||sigma_RQ' - E(rho_RQ)||_1 <= eps,
@@ -183,15 +196,19 @@ def converse_bound(
     (the per-V distance does not control the conditional mutual information;
     the embedding Q' = QE is the evolution the converse argument uses).
 
+    ``forward`` is :func:`reduced_dynamics`' result for the configuration and
+    V, whose states, recovery and I(R;E|Q) are used as they are; E is its
+    candidate unless another Kraus-form ``channel`` is given.
+
     The report is marked vacuous when the measured distance exceeds ``eps``.
     """
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"eps must lie in [0, 1], got {eps!r}")
+    config, sigma_rqp, rho_rq = forward.config, forward.sigma_rqp, forward.rho_rq
     d_r, d_q, d_e = config.dims
-    sigma = _evolved(config, v)
-    sigma_rqp = partial_trace(sigma, "E'")
-    rho_rq = config.marginal(("R", "Q"))
-    if isinstance(channel, KrausMap):
+    if channel is None:
+        candidate = forward.candidate
+    elif isinstance(channel, KrausMap):
         candidate, _ = apply_on(
             channel, rho_rq.matrix, rho_rq.systems, "Q", out_systems=(("Q'", channel.out_dim),)
         )
@@ -205,12 +222,11 @@ def converse_bound(
     lhs_dp = i_in + afw_bound(eps_measured, d_r)
 
     # embedding evolution: its recovery candidate controls I(R;E|Q)
-    rec = _recovery_q_to_qe(config)
     recovered, _ = apply_on(
-        rec, rho_rq.matrix, rho_rq.systems, "Q", out_systems=(("Q", d_q), ("E", d_e))
+        forward.recovery, rho_rq.matrix, rho_rq.systems, "Q", out_systems=(("Q", d_q), ("E", d_e))
     )
     eps_embed = 0.5 * trace_distance(config.state.matrix, recovered)
-    cmi_val = cmi_bound(config)
+    cmi_val = forward.report.lhs
     cmi_budget = afw_bound(eps_embed, d_r)
 
     return CheckReport(

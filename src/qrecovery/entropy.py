@@ -21,6 +21,8 @@ __all__ = [
     "RelEntropyResult",
     "entropy",
     "rel_entropy",
+    "shannon_entropy",
+    "classical_rel_entropy",
     "cond_entropy",
     "mutual_info",
     "cmi",
@@ -52,11 +54,8 @@ def entropy(rho) -> float:
     """von Neumann entropy -Tr{rho log2 rho} of a PSD matrix; a
     :class:`DensityOperator` lends its cached eigenvalues."""
     if isinstance(rho, DensityOperator):
-        lam = rho.eigenvalues
-    else:
-        lam = np.linalg.eigvalsh(as_matrix(rho))
-    lam = lam[lam > rank_cutoff(lam)]
-    return float(-np.sum(lam * np.log(lam)) * NAT_TO_BITS) if lam.size else 0.0
+        return shannon_entropy(rho.eigenvalues)
+    return shannon_entropy(np.linalg.eigvalsh(as_matrix(rho)))
 
 
 def rel_entropy(p, q) -> RelEntropyResult:
@@ -73,10 +72,36 @@ def rel_entropy(p, q) -> RelEntropyResult:
         raise ValueError("rel_entropy requires P != 0")
     spec = eig_hermitian(np.stack([p, q]))
     lam_p, lam_q = spec.eigenvalues
-    mask_q = lam_q > rank_cutoff(lam_q)
     # <v|P|v> on every eigenvector v of Q; on ker(Q) they sum to the mass of P there
     vecs = spec[1].eigenvectors
     weights = np.real(np.sum(vecs.conj() * (p @ vecs), axis=0))
+    return _rel_entropy(lam_p, weights, lam_q)
+
+
+def shannon_entropy(p) -> float:
+    """Shannon entropy -sum_i p_i log2 p_i of a probability vector, under the
+    same rank cutoff as :func:`entropy`: the entropy of diag(p)."""
+    lam = np.asarray(p)
+    lam = lam[lam > rank_cutoff(lam)]
+    return float(-np.sum(lam * np.log(lam)) * NAT_TO_BITS) if lam.size else 0.0
+
+
+def classical_rel_entropy(p, q) -> RelEntropyResult:
+    """Relative entropy D(p||q) = sum_i p_i [log2 p_i - log2 q_i] of two
+    nonnegative vectors, under the same rank cutoff and support convention as
+    :func:`rel_entropy`: the relative entropy of diag(p) and diag(q)."""
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    if p.ndim != 1 or p.shape != q.shape:
+        raise ValueError(f"operands must be vectors of one length: {p.shape} vs {q.shape}")
+    if float(np.abs(p).max(initial=0.0)) == 0.0:
+        raise ValueError("classical_rel_entropy requires p != 0")
+    return _rel_entropy(p, p, q)
+
+
+def _rel_entropy(lam_p: np.ndarray, weights: np.ndarray, lam_q: np.ndarray) -> RelEntropyResult:
+    """D(P||Q) from the spectra of P and Q and the weights <v|P|v> of P on
+    the eigenvectors v of Q, in the order of ``lam_q``."""
+    mask_q = lam_q > rank_cutoff(lam_q)
     violation = max(float(np.sum(weights[~mask_q])), 0.0)
     if violation > SUPPORT_TOL:
         return RelEntropyResult(math.inf, violation)

@@ -210,13 +210,12 @@ def stacked_root_fidelity(sqrt_rho: np.ndarray, kraus: np.ndarray, sqrt_x: np.nd
     return np.linalg.svd(stack, compute_uv=False).sum(axis=-1)
 
 
-def swiveled_root_fidelities(rho, sigma, channel: KrausMap, t) -> np.ndarray:
+def swiveled_root_fidelities(rho, sigma, channel: KrausMap, t, n_rho, n_sigma) -> np.ndarray:
     """sqrt F(rho, R^{t/2}(N(rho))) at every node of ``t``, with R^{t/2} the
-    swiveled Petz map of :func:`rotated_petz` for (sigma, N)."""
-    sig, n_sig = _sigma_pair(sigma, channel)
-    mat = as_matrix(rho)
-    spec_in = eig_hermitian(np.stack([sig, mat]))
-    spec_out = eig_hermitian(np.stack([n_sig, channel.apply(mat)]))
+    swiveled Petz map of :func:`rotated_petz` for (sigma, N); ``n_rho`` and
+    ``n_sigma`` are the caller's N(rho) and N(sigma)."""
+    spec_in = eig_hermitian(np.stack([as_matrix(sigma), as_matrix(rho)]))
+    spec_out = eig_hermitian(np.stack([as_matrix(n_sigma), as_matrix(n_rho)]))
     ks = swiveled_kraus(spec_in[0], spec_out[0], channel.kraus, t)
     return stacked_root_fidelity(spec_in[1].power(0.5), ks, spec_out[1].power(0.5))
 

@@ -332,7 +332,7 @@ def check_recovery_stronger(
     n_rho, n_sigma = channel.apply(rho), channel.apply(sigma)
     lhs = rel_entropy(rho, sigma).value - rel_entropy(n_rho, n_sigma).value
     nodes, weights = quadrature(quad)
-    sqrt_fids = swiveled_root_fidelities(rho, sigma, channel, nodes)
+    sqrt_fids = swiveled_root_fidelities(rho, sigma, channel, nodes, n_rho, n_sigma)
     acc = float(weights @ np.log2(np.maximum(sqrt_fids**2, 1e-300)))
     return CheckReport("recovery-stronger", lhs, -acc, dims=(rho.shape[0], channel.out_dim))
 

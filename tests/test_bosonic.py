@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import numpy.testing as npt
@@ -9,6 +10,7 @@ from qrecovery.bosonic import (
     FockTruncation,
     GaussianChannelSpec,
     Ladder,
+    NotFockDiagonalError,
     amp_channel,
     amp_ladder,
     check_adjoint_relation,
@@ -25,7 +27,8 @@ from qrecovery.bosonic import (
     vacuum_state,
 )
 from qrecovery import bosonic
-from qrecovery.bosonic import _sectors, _spec_ladders
+from qrecovery.bosonic import _block, _sectors, _spec_ladders
+from qrecovery.campaigns import BOSONIC_ETAS, BOSONIC_GAINS, bosonic_specs
 from qrecovery.entropy import rel_entropy
 from qrecovery.matfun import NonFiniteError
 from qrecovery.qcore import (
@@ -37,7 +40,14 @@ from qrecovery.qcore import (
     transfer_matrix,
 )
 
-from oracles import is_subunital, ladder_from_kraus
+from oracles import (
+    apply_stages,
+    block_by_bincount,
+    dense_entropy_gain,
+    is_subunital,
+    ladder_apply,
+    ladder_from_kraus,
+)
 
 TRUNC = FockTruncation(40)
 SMALL = FockTruncation(20)
@@ -117,11 +127,13 @@ class TestChannelConstruction:
         with pytest.raises(ValueError, match="integer"):
             FockTruncation(2.5)
 
+    @pytest.mark.parametrize("eta", [0.0, 5e-324, 5e-309])
     @pytest.mark.parametrize("kind, gain", [("loss", None), ("compose", 1.1)])
-    def test_zero_transmissivity_rejected(self, kind, gain):
-        # the reversal amplifier of gain 1/eta does not exist at eta = 0
+    def test_zero_transmissivity_rejected(self, kind, gain, eta):
+        # the reversal amplifier of gain 1/eta does not exist at eta = 0, and
+        # its gain overflows below 1 / DBL_MAX
         with pytest.raises(ValueError, match=r"\(0, 1\]"):
-            GaussianChannelSpec(kind, SMALL, eta=0.0, gain=gain)
+            GaussianChannelSpec(kind, SMALL, eta=eta, gain=gain)
 
 
 class TestAlmostUnital:
@@ -282,7 +294,7 @@ def _oracle_input(kind, d, rng):
 
 
 class TestApplyOracle:
-    """``Ladder.apply`` by coherence-order blocks against the per-operator slice loop."""
+    """Application by coherence-order blocks (``_block``) against the per-operator slice loop."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -297,22 +309,85 @@ class TestApplyOracle:
         d = trunc.dim
         rng = np.random.default_rng(seed)
         loss, amp = loss_ladder(eta, trunc), amp_ladder(gain, trunc)
-        # complex diagonals, and operators that share a shift (the loss map again)
+        # complex diagonals
         phased = Ladder(amp.shifts, amp.diags * np.exp(1j * rng.uniform(0, 2 * np.pi, amp.diags.shape)))
-        split = Ladder(loss.shifts * 2, np.vstack([loss.diags, loss.diags]) / math.sqrt(2))
         x = _oracle_input(kind, d, rng)
         # the same input in column-major memory, as x.T or rho.conj().T are
         for x in (x, np.asfortranarray(x)):
-            for ladder in (loss, amp, phased, split):
-                npt.assert_allclose(ladder.apply(x), _apply_by_slices(ladder, x), rtol=0, atol=1e-14)
-            npt.assert_allclose(split.apply(x), loss.apply(x), rtol=0, atol=1e-14)
+            for ladder in (loss, amp, phased):
+                npt.assert_allclose(ladder_apply(ladder, x), _apply_by_slices(ladder, x), rtol=0, atol=1e-14)
+
+    def test_repeated_shift_rejected(self):
+        # the loss map written as two half-weight copies: block entries would
+        # need a sum over operators, which the window product does not take
+        loss = loss_ladder(0.7, FockTruncation(6))
+        with pytest.raises(ValueError, match="distinct"):
+            Ladder(loss.shifts * 2, np.vstack([loss.diags, loss.diags]) / math.sqrt(2))
+        with pytest.raises(ValueError, match="distinct"):
+            Ladder((0, 0), np.full((2, 3), 0.5))
 
     def test_zero_input_and_wrong_shape(self):
         ladder = amp_ladder(1.25, FockTruncation(6))
-        npt.assert_array_equal(ladder.apply(np.zeros((7, 7))), np.zeros((7, 7)))
+        npt.assert_array_equal(ladder_apply(ladder, np.zeros((7, 7))), np.zeros((7, 7)))
+        spec = GaussianChannelSpec("amp", FockTruncation(6), gain=1.25)
         for shape in ((6, 6), (7, 8), (49,)):
             with pytest.raises(DimensionMismatchError, match="does not match"):
-                ladder.apply(np.ones(shape))
+                check_bosonic_entropy_gain(spec, np.ones(shape), n_guard=2)
+
+
+def _default_suite_ladders():
+    """Every ladder of the default bosonic suite (n_max 40): the forward and
+    reversal stages of its specs and the semigroup rows' losses."""
+    ladders = {}
+    for spec in bosonic_specs(TRUNC, BOSONIC_ETAS, BOSONIC_GAINS):
+        for stages in _spec_ladders(spec):
+            ladders.update((id(ladder), ladder) for ladder in stages)
+    for eta in (0.9, 0.8, 0.9 * 0.8, 0.7, 0.99, 0.7 * 0.99):
+        ladder = loss_ladder(eta, TRUNC)
+        ladders[id(ladder)] = ladder
+    return list(ladders.values())
+
+
+class TestWindowBlock:
+    """``_block`` as one product of two windows of the operator sum, against
+    the operator-by-operator bincount builder it replaced."""
+
+    @staticmethod
+    def _assert_blocks_equal(ladder):
+        d = ladder.dim
+        for delta in range(1 - d, d):
+            for size in range(1, d - abs(delta) + 1):
+                new, old = _block(ladder, delta, size), block_by_bincount(ladder, delta, size)
+                assert new.dtype == old.dtype and new.shape == old.shape
+                assert new.tobytes() == old.tobytes(), (delta, size)
+
+    def test_default_suite_ladders_byte_for_byte(self):
+        ladders = _default_suite_ladders()
+        # 12 from the specs (loss 0.8 and amplifier 1.25 reverse each other,
+        # as 1 / 1.25 == 0.8), and the semigroup's losses 0.72 and 0.693
+        assert len(ladders) == 14
+        for ladder in ladders:
+            self._assert_blocks_equal(ladder)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(1, 12),
+        st.floats(0.0, 1.0, exclude_min=True),
+        st.floats(1.0, 3.0),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_real_and_phased_ladders(self, n_max, eta, gain, seed):
+        trunc = FockTruncation(n_max)
+        rng = np.random.default_rng(seed)
+        for ladder in (loss_ladder(eta, trunc), amp_ladder(gain, trunc)):
+            self._assert_blocks_equal(ladder)
+            phases = np.exp(1j * rng.uniform(0, 2 * np.pi, ladder.diags.shape))
+            phased = Ladder(ladder.shifts, ladder.diags * phases)
+            # signed zeros aside, the same entries
+            d = phased.dim
+            for delta in range(1 - d, d):
+                for size in range(1, d - abs(delta) + 1):
+                    npt.assert_array_equal(_block(phased, delta, size), block_by_bincount(phased, delta, size))
 
 
 class TestSectorWindow:
@@ -368,7 +443,7 @@ class TestLadder:
         loss, amp = loss_ladder(eta, trunc), amp_ladder(gain, trunc)
         for ladder in (loss, amp):
             dense = Channel(ladder.kraus())
-            npt.assert_allclose(ladder.apply(x), dense.apply(x), rtol=0, atol=1e-14)
+            npt.assert_allclose(ladder_apply(ladder, x), dense.apply(x), rtol=0, atol=1e-14)
         for stages in ([loss], [amp], [loss, amp]):
             blocks = _sectors(stages)
             ref = _chain_transfer(stages)
@@ -420,7 +495,15 @@ class TestLadder:
         with pytest.raises(NonFiniteError):
             Ladder((0,), [[math.nan, 1.0]])
         with pytest.raises(ValueError, match="does not match"):
-            loss_ladder(0.5, FockTruncation(4)).apply(np.eye(4))
+            check_bosonic_entropy_gain(
+                GaussianChannelSpec("loss", FockTruncation(4), eta=0.5), np.eye(4) / 4, n_guard=0
+            )
+
+    def test_operator_sum_holds_each_entry_once(self):
+        for ladder in (loss_ladder(0.7, SMALL), amp_ladder(1.25, SMALL)):
+            npt.assert_array_equal(ladder.operator_sum, sum(ladder.kraus()))
+            with pytest.raises(ValueError, match="read-only"):
+                ladder.operator_sum[0, 0] = 1.0
 
     def test_stirling_table_matches_gammaln(self):
         # the tabulated remainders are the gammaln expression they replaced, bit for bit
@@ -555,6 +638,82 @@ class TestEntropyGain:
             check_bosonic_entropy_gain(spec, warm)
 
 
+def _invalid_states():
+    off = geometric_state(1.0, SMALL, support_max=5)
+    off[0, 1] = off[1, 0] = 0.1
+    nan = vacuum_state(SMALL)
+    nan[2, 2] = math.nan
+    imag = vacuum_state(SMALL).astype(complex)
+    imag[1, 1] = 1e-3j
+    negative = np.diag([1.5, -0.5] + [0.0] * (SMALL.dim - 2))
+    return [
+        pytest.param(2 * vacuum_state(SMALL), ValueError, "trace", id="trace-two"),
+        pytest.param(negative, ValueError, "PSD", id="negative-population"),
+        pytest.param(nan, NonFiniteError, "NaN", id="nan-population"),
+        pytest.param(off, NotFockDiagonalError, "Fock-diagonal", id="off-diagonal"),
+        pytest.param(imag, NotFockDiagonalError, "Fock-diagonal", id="imaginary-population"),
+    ]
+
+
+class TestPopulationPath:
+    """The photon-number path of the entropy-gain and almost-unital checks
+    against dense channels and matrix entropies."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(4, 40),
+        st.sampled_from(["loss", "amp", "compose"]),
+        st.floats(1e-300, 1.0),
+        st.floats(1.0, 3.0),
+        st.floats(0.0, 1.0),
+        st.floats(0.05, 3.0),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_dense_oracle(self, n_max, kind, eta, gain, guard_share, alpha, seed):
+        trunc = FockTruncation(n_max)
+        spec = GaussianChannelSpec(kind, trunc, eta=eta, gain=gain)
+        guard = round(guard_share * n_max)
+        # Dirichlet populations on levels 0..top, inside the guard band and
+        # with mean photon number at most n_max / 4
+        top = min(n_max - guard, n_max // 4)
+        rho = np.zeros((trunc.dim, trunc.dim))
+        rho[: top + 1, : top + 1] = np.diag(np.random.default_rng(seed).dirichlet(np.full(top + 1, alpha)))
+        rep = check_bosonic_entropy_gain(spec, rho, n_guard=guard)
+        lhs, rhs, violation = dense_entropy_gain(spec, rho)
+        assert abs(rep.lhs - lhs) <= 1e-12
+        assert rep.rhs == rhs or abs(rep.rhs - rhs) <= 1e-12
+        assert abs(rep.aux["support_violation"] - violation) <= 1e-12
+
+    @pytest.mark.parametrize("n_guard", [0, 10, 15])
+    @pytest.mark.parametrize(
+        "kind,eta,gain", [("loss", 0.7, None), ("loss", 0.99, None), ("amp", None, 1.25), ("compose", 0.8, 1.1)]
+    )
+    def test_almost_unital_matches_dense_identity(self, n_guard, kind, eta, gain):
+        spec = GaussianChannelSpec(kind, TRUNC, eta=eta, gain=gain)
+        forward, _ = _spec_ladders(spec)
+        keep = TRUNC.n_max - n_guard + 1
+        out = apply_stages(forward, np.eye(TRUNC.dim))
+        ref = float(np.abs((out - np.eye(TRUNC.dim) / spec.parameter())[:keep, :keep]).max())
+        assert check_almost_unital(spec, n_guard=n_guard).rhs == ref
+
+    @pytest.mark.parametrize("rho, error, message", _invalid_states())
+    def test_rejects_inputs_that_are_not_diagonal_states(self, rho, error, message):
+        spec = GaussianChannelSpec("loss", SMALL, eta=0.8)
+        with pytest.raises(error, match=message):
+            check_bosonic_entropy_gain(spec, rho, n_guard=5)
+
+    @pytest.mark.parametrize("n_max", [16, 40, 160, 300])
+    def test_recommended_guard_equals_linear_scan(self, n_max):
+        trunc = FockTruncation(n_max)
+        for eta in np.concatenate([np.geomspace(1e-3, 0.05, 10, endpoint=False), np.linspace(0.05, 1.0, 25)]):
+            spec = GaussianChannelSpec("loss", trunc, eta=float(eta))
+            scan = next(
+                (g for g in range(n_max) if loss_identity_tail(spec.eta, n_max - g, n_max) <= bosonic.DEFAULT_TRUNC_TOL),
+                n_max - 1,
+            )
+            assert recommended_guard(spec) == scan, eta
+
+
 class TestStructure:
     @pytest.mark.parametrize("pair", [(0.9, 0.8), (0.7, 0.99)])
     def test_loss_semigroup(self, pair):
@@ -569,6 +728,30 @@ class TestStructure:
             math.comb(m + k, k) * x**k for k in range(n_max - m + 1, 400)
         )
         assert loss_identity_tail(eta, m, n_max) == pytest.approx(brute, rel=1e-10)
+
+    @pytest.mark.parametrize(
+        "eta, m, n_max",
+        [(0.001, 100, 300), (0.002, 50, 300), (0.02, 290, 300), (0.001, 10, 40), (0.7, 290, 300),
+         (0.5, 20, 40), (0.7, 25, 40), (0.8, 25, 40), (0.3, 5, 40), (0.9, 10, 40)],
+    )
+    def test_loss_identity_tail_matches_exact_sum(self, eta, m, n_max):
+        # (1 - eta^(m+1) sum_{k <= n_max - m} C(m+k, k) (1-eta)^k) / eta in
+        # exact rationals.  The terms of the first five still rise at the
+        # first tail term; summed upward from it, the first four read 3e-21,
+        # 449.7, 0 and 3.46 (an underflowed start or the loop's step cap)
+        e = Fraction(eta)
+        head = sum(math.comb(m + k, k) * (1 - e) ** k for k in range(n_max - m + 1)) * e ** (m + 1)
+        exact = float((1 - head) / e)
+        assert loss_identity_tail(eta, m, n_max) == pytest.approx(exact, rel=1e-13)
+
+    @pytest.mark.parametrize("eta", [0.02, 0.05])
+    def test_small_eta_tail_is_the_measured_deviation(self, eta):
+        # at n_max 300 and band edge m = 290 the first tail term,
+        # C(301, 11) (1 - eta)^11 eta^290, is below the smallest double
+        rep = check_almost_unital(GaussianChannelSpec("loss", FockTruncation(300), eta=eta), n_guard=10)
+        assert rep.aux["analytic_tail"] == pytest.approx(1.0 / eta, rel=1e-15)
+        assert rep.rhs == pytest.approx(rep.aux["analytic_tail"], rel=1e-12)
+        assert rep.aux["truncation_dominated"]
 
     def test_truncation_validation(self):
         with pytest.raises(ValueError):

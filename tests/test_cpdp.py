@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from qrecovery import cpdp
 from qrecovery.cpdp import (
     Interaction,
     TripartiteConfiguration,
@@ -120,21 +121,21 @@ class TestReducedDynamics:
     def test_product_environment_exact(self):
         rng = stream(53, 0)
         config = product_env_config(rng)
-        channel, rep = reduced_dynamics(config, unitary_interaction(rng))
+        channel, rep = reduced_dynamics(config, unitary_interaction(rng))[:2]
         assert rep.aux["fidelity"] >= 1.0 - 1e-8
         assert is_cptp(channel, tol=1e-8)
 
     def test_markov_chain_exact(self):
         rng = stream(53, 1)
         config = cq_markov_config(rng)
-        _, rep = reduced_dynamics(config, unitary_interaction(rng))
+        rep = reduced_dynamics(config, unitary_interaction(rng)).report
         assert rep.aux["fidelity"] >= 1.0 - 1e-6
 
     @pytest.mark.parametrize("seed", range(25))
     def test_random_configurations_bound_holds(self, seed):
         rng = stream(53, 2, seed)
         config = random_config(rng)
-        channel, rep = reduced_dynamics(config, unitary_interaction(rng))
+        channel, rep = reduced_dynamics(config, unitary_interaction(rng))[:2]
         assert rep.slack >= -1e-6
         assert is_cptp(channel, tol=1e-8)
 
@@ -145,8 +146,8 @@ class TestReducedDynamics:
         v1 = random_unitary(4, rng)
         w = random_unitary(2, rng)
         v2 = np.kron(np.eye(2), w) @ v1
-        ch1, _ = reduced_dynamics(config, Interaction(v1, (2, 2), (2, 2)))
-        ch2, _ = reduced_dynamics(config, Interaction(v2, (2, 2), (2, 2)))
+        ch1 = reduced_dynamics(config, Interaction(v1, (2, 2), (2, 2))).channel
+        ch2 = reduced_dynamics(config, Interaction(v2, (2, 2), (2, 2))).channel
         x = random_density(2, 2, rng).matrix
         npt.assert_allclose(ch1.apply(x), ch2.apply(x), atol=1e-9)
 
@@ -156,7 +157,7 @@ class TestReducedDynamics:
         config = cq_markov_config(rng)
         assert cmi_bound(config) <= 1e-8
         for _ in range(5):
-            _, rep = reduced_dynamics(config, unitary_interaction(rng))
+            rep = reduced_dynamics(config, unitary_interaction(rng)).report
             assert rep.aux["fidelity"] >= 1.0 - 1e-6
 
 
@@ -177,7 +178,7 @@ class TestConverseBound:
         rng = stream(54, 0)
         config = random_config(rng)
         v = Interaction(np.eye(4), (2, 2), (2, 2))
-        rep = converse_bound(config, v, Channel((np.eye(2),)), eps=0.0)
+        rep = converse_bound(reduced_dynamics(config, v), eps=0.0, channel=Channel((np.eye(2),)))
         assert rep.aux["eps_measured"] <= 1e-12
         assert not rep.aux["vacuous"]
         assert rep.aux["dp_budget"] - rep.aux["dp_lhs_mutual_info"] >= -1e-8
@@ -187,8 +188,7 @@ class TestConverseBound:
         rng = stream(54, 1, seed)
         config = random_config(rng)
         v = unitary_interaction(rng)
-        channel, _ = reduced_dynamics(config, v)
-        rep = converse_bound(config, v, channel, eps=1.0)
+        rep = converse_bound(reduced_dynamics(config, v), eps=1.0)
         assert rep.slack >= -1e-8
 
     def test_poor_candidate_still_bounded(self):
@@ -196,7 +196,7 @@ class TestConverseBound:
         config = random_config(rng)
         v = unitary_interaction(rng)
         fixed = replace_with_fixed_state(random_density(2, 2, rng).matrix)
-        rep = converse_bound(config, v, fixed, eps=1.0)
+        rep = converse_bound(reduced_dynamics(config, v), eps=1.0, channel=fixed)
         assert rep.slack >= -1e-8
         assert rep.aux["eps_measured"] > 0.05
 
@@ -205,15 +205,31 @@ class TestConverseBound:
         config = random_config(rng)
         v = unitary_interaction(rng)
         fixed = replace_with_fixed_state(np.eye(2) / 2)
-        rep = converse_bound(config, v, fixed, eps=1e-6)
+        rep = converse_bound(reduced_dynamics(config, v), eps=1e-6, channel=fixed)
         assert rep.aux["vacuous"]
+
+    def test_reuses_the_forward_derivation(self, monkeypatch):
+        # one evolved state, one Q -> QE recovery and one I(R;E|Q) per
+        # (configuration, V), shared by the forward and converse rows; the
+        # forward candidate given explicitly gives the same report
+        rng = stream(54, 5)
+        config = random_config(rng)
+        v = unitary_interaction(rng)
+        calls = []
+        for name in ("_evolved", "integrated_recovery", "cmi_bound"):
+            real = getattr(cpdp, name)
+            monkeypatch.setattr(cpdp, name, lambda *a, _f=real, _n=name: calls.append(_n) or _f(*a))
+        forward = reduced_dynamics(config, v)
+        rep = converse_bound(forward, eps=1.0)
+        assert sorted(calls) == ["_evolved", "cmi_bound", "integrated_recovery"]
+        assert converse_bound(forward, eps=1.0, channel=forward.channel) == rep
 
     def test_eps_outside_unit_interval_rejected(self):
         rng = stream(54, 4)
         config = random_config(rng)
         v = unitary_interaction(rng)
         with pytest.raises(ValueError):
-            converse_bound(config, v, Channel((np.eye(2),)), eps=1.5)
+            converse_bound(reduced_dynamics(config, v), eps=1.5, channel=Channel((np.eye(2),)))
 
 
 def test_afw_bound_zero_and_monotone():

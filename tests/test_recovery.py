@@ -245,7 +245,7 @@ class TestSwiveledStack:
     def test_integrand_matches_node_loop(self, kind, seed):
         # measured: at most 7.3e-15 per node over 40 instances of each kind
         rho, sigma, ch = _stronger_instance(kind, seed)
-        batched = swiveled_root_fidelities(rho, sigma, ch, NODES)
+        batched = swiveled_root_fidelities(rho, sigma, ch, NODES, ch.apply(rho), ch.apply(sigma))
         assert np.isfinite(batched).all()
         loop = stronger_node_loop(rho, sigma, ch)
         assert float(np.abs(batched - loop).max()) <= 1e-12
@@ -259,7 +259,7 @@ class TestSwiveledStack:
         # eigenvalues into ~1e-8 (gaps of 1.7e-9 to 1.0e-8 at these seeds);
         # with every root taken on the support the loop agrees to 1e-12.
         rho, sigma, ch = _stronger_instance("rho_off_support", seed)
-        batched = swiveled_root_fidelities(rho, sigma, ch, NODES)
+        batched = swiveled_root_fidelities(rho, sigma, ch, NODES, ch.apply(rho), ch.apply(sigma))
         assert np.isfinite(batched).all()
         assert float(np.abs(batched - stronger_node_loop(rho, sigma, ch)).max()) <= 1e-12
 

@@ -166,7 +166,8 @@ class TestEntropyGainRecovery:
 
 def test_each_check_takes_the_channel_output_once(monkeypatch):
     # check_entropy_gain: N^dag(I) for the TP test, N(rho), N^dag(N(rho));
-    # check_entropy_gain_recovery adds N(I) for the recovery and R(N(rho))
+    # check_entropy_gain_recovery adds N(I) for the recovery and R(N(rho));
+    # check_recovery_stronger takes N(rho) and N(sigma)
     calls = []
     apply = KrausMap.apply
 
@@ -183,6 +184,9 @@ def test_each_check_takes_the_channel_output_once(monkeypatch):
     calls.clear()
     check_entropy_gain_recovery(rho, ch)
     assert len(calls) == 5
+    calls.clear()
+    check_recovery_stronger(rho, random_density(2, 2, rng), ch)
+    assert len(calls) == 2
 
 
 class TestMinimalEntropyGain:
