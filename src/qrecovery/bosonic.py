@@ -4,17 +4,16 @@ entropy-gain / adjoint-relation checks built on them.
 Truncation policy: channels act on the span of Fock levels 0..n_max.  The
 loss channel is exactly trace-preserving there (it only moves photons down);
 the amplifier leaks probability above the cutoff and is trace-non-increasing.
-Every Kraus operator of either channel has one nonzero diagonal, so both are
-held as a :class:`Ladder` of (shift, diagonal) pairs with distinct shifts, and
-with their operator sum D = sum_k K_k, in which each entry comes from exactly
-one operator.  A ladder keeps the coherence order Delta = n - m, so it acts on
-the Delta-diagonal of a matrix by one block (``_block``), the product of two
-windows of D.  The blocks of every order compose a chain of ladders
-(``_sectors``) for the adjoint and semigroup checks.  The channels are
-phase-covariant, so a Fock-diagonal state stays Fock-diagonal: the
-almost-unital and entropy-gain checks hold it as its photon-number vector,
-moved by the Delta = 0 block |D|^2 of each stage, and take Shannon entropies
-(:func:`~qrecovery.entropy.shannon_entropy`,
+Every Kraus operator of either channel has one nonzero diagonal, each a
+different one, so a channel (a ladder) is held as its read-only operator sum
+D = sum_k K_k, in which each entry is one operator's.  A ladder keeps the
+coherence order Delta = n - m, so it acts on the Delta-diagonal of a matrix
+by one block (``_block``), the product of two windows of D.  The blocks of
+every order compose a chain of ladders (``_sectors``) for the adjoint and
+semigroup checks.  The channels are phase-covariant, so a Fock-diagonal
+state stays Fock-diagonal: a state is held as its photon-number vector,
+moved by the Delta = 0 block |D|^2 of each stage, and its entropies are
+Shannon entropies (:func:`~qrecovery.entropy.shannon_entropy`,
 :func:`~qrecovery.entropy.classical_rel_entropy`).  The dense
 :class:`~qrecovery.qcore.Channel` forms are kept as the reference.
 Identity claims inherited from the infinite-dimensional channels are asserted
@@ -28,20 +27,18 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .entropy import classical_rel_entropy, shannon_entropy
-from .matfun import HERM_TOL, _require_finite
+from .matfun import _require_finite
 from .qcore import PSD_TOL, TRACE_TOL, Channel, DimensionMismatchError
 from .reports import CheckReport
 
 __all__ = [
     "FockTruncation",
     "GaussianChannelSpec",
-    "Ladder",
-    "NotFockDiagonalError",
     "loss_ladder",
     "amp_ladder",
     "loss_channel",
@@ -62,11 +59,6 @@ __all__ = [
 
 DEFAULT_GUARD = 15
 DEFAULT_TRUNC_TOL = 1e-6
-
-
-class NotFockDiagonalError(ValueError):
-    """Raised when a state given to a check that holds it as photon-number
-    populations is not real and diagonal in the Fock basis."""
 
 
 @dataclass(frozen=True)
@@ -187,113 +179,79 @@ def _log_binom_pmf(k: np.ndarray, n: np.ndarray, p: float, q: float) -> np.ndarr
     return np.where(inner, saddle, edge)
 
 
-@dataclass(frozen=True, eq=False)
-class Ladder:
-    """Kraus map on Fock levels 0..dim-1 whose every operator has one nonzero
-    diagonal: K_j = sum_b diags[j, b] |b + shifts[j]><b|.
-
-    ``diags[j, b]`` must be finite, and zero wherever b + shifts[j] falls
-    outside the levels.  The shifts must be distinct, so that each entry of
-    ``operator_sum``, the read-only sum_j K_j, is one operator's entry:
-    (b + shifts[j], b) holds diags[j, b].
-    Every operator keeps the coherence order Delta = n - m, so the map takes
-    the Delta-diagonal of X to the Delta-diagonal of sum_j K_j X K_j^dag by
-    one block (``_block``).  The gram sum_j K_j^dag K_j is diagonal with
-    entries sum_j |diags[j, b]|^2; a column sum above 1 + TRACE_TOL raises as
-    :class:`~qrecovery.qcore.Channel` does.
-    """
-
-    shifts: tuple
-    diags: np.ndarray
-    operator_sum: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        diags = np.array(self.diags, ndmin=2)
-        diags.setflags(write=False)
-        if len(self.shifts) != diags.shape[0]:
-            raise ValueError("one shift per diagonal is required")
-        shifts = tuple(int(s) for s in self.shifts)
-        if len(set(shifts)) != len(shifts):
-            raise ValueError(f"ladder shifts must be distinct, got {shifts!r}")
-        _require_finite(diags, "ladder diagonal")
-        excess = float((np.abs(diags) ** 2).sum(axis=0).max() - 1.0)
-        if excess > TRACE_TOL:
-            raise ValueError(f"ladder is trace-increasing: max column sum of |diag|^2 - 1 is {excess!r}")
-        d = diags.shape[1]
-        targets = np.array(shifts, dtype=int).reshape(-1, 1) + np.arange(d)
-        inside = (targets >= 0) & (targets < d)
-        if diags[~inside].any():
-            raise ValueError("ladder has a nonzero entry whose target level lies outside the levels")
-        total = np.zeros((d, d), dtype=np.result_type(diags, float))
-        total[targets[inside], np.nonzero(inside)[1]] = diags[inside]
-        total.setflags(write=False)
-        object.__setattr__(self, "shifts", shifts)
-        object.__setattr__(self, "diags", diags)
-        object.__setattr__(self, "operator_sum", total)
-
-    @property
-    def dim(self) -> int:
-        return self.diags.shape[1]
-
-    def kraus(self) -> tuple:
-        """The dense Kraus operators: diags[j] on the diagonal -shifts[j]."""
-        d = self.dim
-        return tuple(np.diag(diag[max(0, -s) : d - max(0, s)], -s) for s, diag in zip(self.shifts, self.diags))
+def _checked_ladder(total: np.ndarray) -> np.ndarray:
+    """A ladder's operator sum D, read-only once it is finite and its gram
+    sum_k K_k^dag K_k, diagonal with the column sums of |D|^2, is at most
+    1 + TRACE_TOL, as :class:`~qrecovery.qcore.Channel` requires."""
+    _require_finite(total, "ladder operator sum")
+    excess = float((np.abs(total) ** 2).sum(axis=0).max() - 1.0)
+    if excess > TRACE_TOL:
+        raise ValueError(f"ladder is trace-increasing: max column sum of |D|^2 - 1 is {excess!r}")
+    total.setflags(write=False)
+    return total
 
 
-def _block(ladder: Ladder, delta: int, size: int) -> np.ndarray:
-    """Leading ``size`` x ``size`` window of a ladder's coherence-order block Delta.
+def _block(total: np.ndarray, delta: int, size: int) -> np.ndarray:
+    """Leading ``size`` x ``size`` window of the coherence-order block Delta of
+    the ladder whose operator sum D is ``total``.
 
     The block maps the Delta-diagonal of X to that of sum_k K_k X K_k^dag: its
     entry (a, b), with levels counted from max(Delta, 0), is
     sum_k K_k[a, b] conj(K_k[a - Delta, b - Delta]).  Both factors belong to
     the one operator of shift a - b, so the sum is one product of two windows
-    of the operator sum D: D[a, b] conj(D[a - Delta, b - Delta]).
+    of D: D[a, b] conj(D[a - Delta, b - Delta]).
     """
-    lo, total = max(delta, 0), ladder.operator_sum
+    lo = max(delta, 0)
     window, shifted = slice(lo, lo + size), slice(lo - delta, lo - delta + size)
     return total[window, window] * total[shifted, shifted].conj()
 
 
 @functools.lru_cache(maxsize=32)
-def loss_ladder(eta: float, trunc: FockTruncation = FockTruncation()) -> Ladder:
-    """Beamsplitter with vacuum environment: <n-k|K_k|n> = sqrt(C(n,k) eta^(n-k) (1-eta)^k)."""
+def loss_ladder(eta: float, trunc: FockTruncation = FockTruncation()) -> np.ndarray:
+    """Operator sum of the beamsplitter with vacuum environment, upper-triangular:
+
+    D[n-k, n] = <n-k|K_k|n> = sqrt(C(n,k) eta^(n-k) (1-eta)^k).
+    """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"transmissivity must lie in [0, 1], got {eta!r}")
-    k, n = np.ogrid[: trunc.dim, : trunc.dim]
-    log_sq = _log_binom_pmf(np.minimum(k, n), n, 1.0 - eta, eta)
-    return _nonzero_rows(-np.arange(trunc.dim), np.where(k <= n, np.exp(0.5 * log_sq), 0.0))
+    r, n = np.ogrid[: trunc.dim, : trunc.dim]
+    log_sq = _log_binom_pmf(np.maximum(n - r, 0), n, 1.0 - eta, eta)
+    return _checked_ladder(np.where(r <= n, np.exp(0.5 * log_sq), 0.0))
 
 
 @functools.lru_cache(maxsize=32)
-def amp_ladder(gain: float, trunc: FockTruncation = FockTruncation()) -> Ladder:
-    """Two-mode squeezer with vacuum environment, truncated at n_max:
+def amp_ladder(gain: float, trunc: FockTruncation = FockTruncation()) -> np.ndarray:
+    """Operator sum of the two-mode squeezer with vacuum environment, truncated
+    at n_max, lower-triangular:
 
-    <n+k|A_k|n> = sqrt(C(n+k, k) (1 - 1/G)^k (1/G)^(n+1)).
+    D[n+k, n] = <n+k|A_k|n> = sqrt(C(n+k, k) (1 - 1/G)^k (1/G)^(n+1)).
     """
     if not 1.0 <= gain < math.inf:
         raise ValueError(f"gain must be finite and >= 1, got {gain!r}")
-    k, n = np.ogrid[: trunc.dim, : trunc.dim]
+    r, n = np.ogrid[: trunc.dim, : trunc.dim]
     inv = 1.0 / gain
-    log_sq = math.log(inv) + _log_binom_pmf(k, n + k, 1.0 - inv, inv)
-    return _nonzero_rows(np.arange(trunc.dim), np.where(n + k < trunc.dim, np.exp(0.5 * log_sq), 0.0))
+    log_sq = math.log(inv) + _log_binom_pmf(np.maximum(r - n, 0), r, 1.0 - inv, inv)
+    return _checked_ladder(np.where(r >= n, np.exp(0.5 * log_sq), 0.0))
 
 
-def _nonzero_rows(shifts: np.ndarray, diags: np.ndarray) -> Ladder:
-    keep = diags.any(axis=1)
-    return Ladder(tuple(shifts[keep]), diags[keep])
+def _channel(total: np.ndarray, step: int) -> Channel:
+    """Dense :class:`Channel` of a ladder: one Kraus operator per nonzero
+    diagonal of D, at offsets 0, step, 2 step, ... (shift 0 first, then by
+    photon count; step 1 for the loss, -1 for the amplifier)."""
+    offsets = [s for s in range(0, step * len(total), step) if np.diagonal(total, s).any()]
+    return Channel(tuple(np.diag(np.diagonal(total, s), s) for s in offsets))
 
 
 @functools.lru_cache(maxsize=32)
 def loss_channel(eta: float, trunc: FockTruncation = FockTruncation()) -> Channel:
     """Dense :class:`Channel` of :func:`loss_ladder`, the reference form."""
-    return Channel(loss_ladder(eta, trunc).kraus())
+    return _channel(loss_ladder(eta, trunc), 1)
 
 
 @functools.lru_cache(maxsize=32)
 def amp_channel(gain: float, trunc: FockTruncation = FockTruncation()) -> Channel:
     """Dense :class:`Channel` of :func:`amp_ladder`, the reference form."""
-    return Channel(amp_ladder(gain, trunc).kraus())
+    return _channel(amp_ladder(gain, trunc), -1)
 
 
 def _spec_ladders(spec: GaussianChannelSpec):
@@ -310,9 +268,9 @@ def _spec_ladders(spec: GaussianChannelSpec):
 
 def _propagate(stages, pops: np.ndarray) -> np.ndarray:
     """Photon-number populations after a ladder chain (applied left to right):
-    the Delta = 0 block of each stage, one matrix-vector product each."""
-    for ladder in stages:
-        pops = _block(ladder, 0, ladder.dim) @ pops
+    the Delta = 0 block |D|^2 of each stage, one matrix-vector product each."""
+    for total in stages:
+        pops = _block(total, 0, len(total)) @ pops
     return pops
 
 
@@ -328,20 +286,19 @@ def _sectors(stages, keep: int | None = None) -> dict:
     ``keep`` (default dim) keeps the orders |Delta| < keep, each cut to its
     leading keep - |Delta| levels, the guard-banded window.  Every block is
     built and multiplied at full size and then cut.  For loss stages
-    (shifts <= 0, upper-triangular blocks) followed by amplifier stages
-    (shifts >= 0, lower-triangular blocks) the product of the stage windows is
-    the same window in exact arithmetic, as (L U)[:w, :w] = L[:w, :w] U[:w, :w];
-    but OpenBLAS rounds the smaller product differently, by one ulp at
-    n_max = 40.
+    (upper-triangular D and blocks) followed by amplifier stages
+    (lower-triangular) the product of the stage windows is the same window in
+    exact arithmetic, as (L U)[:w, :w] = L[:w, :w] U[:w, :w]; but OpenBLAS
+    rounds the smaller product differently, by one ulp at n_max = 40.
     """
-    dim = stages[0].dim
+    dim = len(stages[0])
     keep = dim if keep is None else keep
     blocks = {}
     for delta in range(1 - keep, keep):
         n = dim - abs(delta)
         block = _block(stages[0], delta, n)
-        for ladder in stages[1:]:
-            block = _block(ladder, delta, n) @ block
+        for total in stages[1:]:
+            block = _block(total, delta, n) @ block
         w = keep - abs(delta)
         blocks[delta] = block[:w, :w]
     return blocks
@@ -359,49 +316,38 @@ def vacuum_state(trunc: FockTruncation = FockTruncation()) -> np.ndarray:
 
 
 def fock_state(n: int, trunc: FockTruncation = FockTruncation()) -> np.ndarray:
+    """Photon-number populations of the Fock state |n>."""
     if not 0 <= n <= trunc.n_max:
         raise ValueError(f"Fock level {n} outside truncation 0..{trunc.n_max}")
-    mat = np.zeros((trunc.dim, trunc.dim))
-    mat[n, n] = 1.0
-    return mat
+    pops = np.zeros(trunc.dim)
+    pops[n] = 1.0
+    return pops
 
 
 def geometric_state(mean: float, trunc: FockTruncation = FockTruncation(), support_max: int | None = None) -> np.ndarray:
-    """Thermal-like diagonal state with geometric populations, renormalized
-    after truncating to ``support_max`` (default: the full truncated space),
-    an integer level 0 <= support_max <= n_max."""
+    """Photon-number populations of a thermal-like state: geometric, and
+    renormalized after truncating to ``support_max`` (default: the full
+    truncated space), an integer level 0 <= support_max <= n_max."""
     if not 0 < mean < math.inf:
         raise ValueError(f"mean must be finite and positive, got {mean!r}")
     top = trunc.n_max if support_max is None else support_max
     if not isinstance(top, numbers.Integral) or not 0 <= top <= trunc.n_max:
         raise ValueError(f"support_max must be an integer level in 0..{trunc.n_max}, got {top!r}")
     r = mean / (1.0 + mean)
-    pops = np.array([r**n for n in range(top + 1)])
-    pops /= pops.sum()
-    mat = np.zeros((trunc.dim, trunc.dim))
-    mat[: top + 1, : top + 1] = np.diag(pops)
-    return mat
+    support = np.array([r**n for n in range(top + 1)])
+    return np.pad(support / support.sum(), (0, trunc.n_max - top))
 
 
-def _populations(rho, dim: int) -> np.ndarray:
-    """Photon-number populations of a state given as a Fock-diagonal matrix.
-
-    The entries must be finite (else :class:`~qrecovery.matfun.NonFiniteError`),
-    every entry off the real diagonal within ``HERM_TOL`` of 0 relative to the
-    largest entry (else :class:`NotFockDiagonalError`), the populations at least
-    -PSD_TOL and their sum within TRACE_TOL of 1, as for
-    :class:`~qrecovery.qcore.DensityOperator`.
-    """
-    rho = np.asarray(rho)
-    if rho.shape != (dim, dim):
-        raise DimensionMismatchError(f"state shape {rho.shape} does not match truncation dimension {dim}")
-    _require_finite(rho, "state")
-    pops = np.real(np.diagonal(rho)).copy()
-    defect = float(np.abs(rho - np.diag(pops)).max()) / max(float(np.abs(rho).max()), 1.0)
-    if defect > HERM_TOL:
-        raise NotFockDiagonalError(
-            f"state is not real and Fock-diagonal: relative off-diagonal or imaginary entry {defect:.3e}"
-        )
+def _populations(pops, dim: int) -> np.ndarray:
+    """Photon-number populations checked as :class:`~qrecovery.qcore.DensityOperator`
+    checks a state: ``dim`` of them, finite, real, each at least -PSD_TOL, and
+    summing to 1 within TRACE_TOL."""
+    pops = np.asarray(pops)
+    if pops.shape != (dim,):
+        raise DimensionMismatchError(f"population shape {pops.shape} does not match truncation dimension {dim}")
+    _require_finite(pops, "state")
+    if np.iscomplexobj(pops):
+        raise ValueError(f"populations must be real, got dtype {pops.dtype}")
     tr = float(pops.sum())
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"trace {tr!r} deviates from 1 beyond {TRACE_TOL}")
@@ -410,11 +356,11 @@ def _populations(rho, dim: int) -> np.ndarray:
     return pops
 
 
-def mean_photon(mat: np.ndarray) -> float:
+def mean_photon(pops: np.ndarray) -> float:
     # summed as complex whatever the dtype, so that a real and a complex copy
     # of one state give the same bits
-    diag = np.diag(np.asarray(mat, dtype=complex))
-    return float(np.real(np.sum(np.arange(diag.size) * diag)))
+    pops = np.asarray(pops, dtype=complex)
+    return float(np.real(np.sum(np.arange(pops.size) * pops)))
 
 
 def loss_identity_tail(eta: float, level: int, n_max: int) -> float:
@@ -426,35 +372,35 @@ def loss_identity_tail(eta: float, level: int, n_max: int) -> float:
 
     The terms rise while their ratio x (m + k + 1) / (k + 1), x = 1 - eta,
     exceeds 1 and fall after.  Where they fall from the first tail term on,
-    the tail is summed upward from it; where they still rise, the tail holds
-    the bulk of the full sum 1/eta, and it is 1/eta less the head
-    k <= n_max - m, summed downward from its largest term.  The term a sum
-    starts from is taken in log space, so no n_max overflows.
+    the tail is summed upward from it.  Where they still rise there, or fall
+    too slowly for the sum to settle by k = 100 (n_max + 1) (small eta and
+    m, where the ratio tends to x near 1), the tail holds the bulk of the
+    full sum 1/eta, and it is 1/eta less the head k <= n_max - m, summed
+    downward.  The term a sum starts from is taken in log space, so no n_max
+    overflows.
     """
     if eta >= 1.0:
         return 0.0
     m = int(level)
     x = 1.0 - eta
-    k = n_max - m + 1
-    if x * (m + k + 1) > k + 1:
-        k -= 1
+    first = n_max - m + 1
+    if x * (m + first + 1) <= first + 1:
+        k, total = first, 0.0
         term = float(np.exp(_log_binom_pmf(k, m + k, x, eta)))
-        head = 0.0
-        while True:
-            head += term
-            if k == 0 or term < head * 1e-16:
-                return 1.0 / eta - head
-            term *= k / (x * (m + k))
-            k -= 1
+        while k <= 100 * (n_max + 1):
+            total += term
+            k += 1
+            term *= x * (m + k) / k
+            if term <= total * 1e-16:  # <=: ends a sum whose 1e-16th underflows
+                return total
+    k, head = first - 1, 0.0
     term = float(np.exp(_log_binom_pmf(k, m + k, x, eta)))
-    total = 0.0
     while True:
-        total += term
-        k += 1
-        term *= x * (m + k) / k
-        if term < total * 1e-16 or k > 100 * (n_max + 1):
-            break
-    return total
+        head += term
+        if k == 0 or term < head * 1e-16:
+            return 1.0 / eta - head
+        term *= k / (x * (m + k))
+        k -= 1
 
 
 def recommended_guard(spec: GaussianChannelSpec) -> int:
@@ -559,7 +505,7 @@ def check_adjoint_relation(
 
 def check_bosonic_entropy_gain(
     spec: GaussianChannelSpec,
-    rho: np.ndarray,
+    pops: np.ndarray,
     n_guard: int = DEFAULT_GUARD,
     state_name: str = "state",
 ) -> CheckReport:
@@ -567,10 +513,10 @@ def check_bosonic_entropy_gain(
 
     H(B_eta(rho)) - H(rho) >= D(rho || (A_{1/eta} o B_eta)(rho)) + log2(eta),
 
-    and the gain/composition analogues with log2(G) and log2(eta G).  Inputs
-    must be states diagonal in the Fock basis (see ``_populations``; a
-    non-diagonal one raises :class:`NotFockDiagonalError`), and low-energy:
-    supported inside the guard band with mean photon number at most n_max / 4.
+    and the gain/composition analogues with log2(G) and log2(eta G).  The
+    input rho is a Fock-diagonal state given as its photon-number populations
+    ``pops`` (checked by ``_populations``), and low-energy: supported inside
+    the guard band with mean photon number at most n_max / 4.
 
     Every stage is phase-covariant, so the output and reversed output are
     Fock-diagonal too: all three are held as photon-number vectors and their
@@ -578,13 +524,13 @@ def check_bosonic_entropy_gain(
     """
     n_max = spec.truncation.n_max
     keep = _keep_levels(n_max, n_guard)
-    pops = _populations(rho, spec.truncation.dim)
+    pops = _populations(pops, spec.truncation.dim)
     leakage = float(pops[keep:].sum())
     if leakage > 1e-12:
         raise ValueError(
             f"input state leaks {leakage:.3e} probability above the guard band (n >= {keep})"
         )
-    mean = mean_photon(rho)
+    mean = mean_photon(pops)
     if mean > n_max / 4:
         raise ValueError(f"mean photon number {mean:.2f} exceeds n_max/4 = {n_max / 4}")
     forward, reverse = _spec_ladders(spec)

@@ -446,8 +446,8 @@ def _bosonic_reports(cfg: CampaignConfig):
 
     states = bosonic_states(trunc, bos.DEFAULT_GUARD)
     for spec in bosonic_specs(trunc, BOSONIC_ETAS, BOSONIC_GAINS):
-        for name, rho in states:
-            yield bos.check_bosonic_entropy_gain(spec, rho, state_name=name)
+        for name, pops in states:
+            yield bos.check_bosonic_entropy_gain(spec, pops, state_name=name)
 
     yield bos.check_loss_semigroup(0.9, 0.8, trunc)
     yield bos.check_loss_semigroup(0.7, 0.99, trunc)
@@ -459,7 +459,8 @@ def _run_bosonic(cfg: CampaignConfig):
 
 
 def bosonic_states(trunc: bos.FockTruncation, guard: int):
-    """Named entropy-gain inputs of the bosonic suite and sweep, all inside the guard band."""
+    """Named entropy-gain inputs of the bosonic suite and sweep, as photon-number
+    vectors, all inside the guard band."""
     return (
         ("vacuum", bos.vacuum_state(trunc)),
         ("single-photon", bos.fock_state(1, trunc)),

@@ -151,8 +151,8 @@ def _cmd_sweep(args) -> int:
     rows = []
     ok = True
     for spec in specs:
-        for name, rho in states:
-            rep = bos.check_bosonic_entropy_gain(spec, rho, n_guard=guard, state_name=name)
+        for name, pops in states:
+            rep = bos.check_bosonic_entropy_gain(spec, pops, n_guard=guard, state_name=name)
             ok = ok and rep.holds
             rows.append(
                 report_row(rep, "bosonic-sweep", len(rows))

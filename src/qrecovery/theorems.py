@@ -23,6 +23,7 @@ from .entropy import (
     holevo_chi,
     rel_entropy,
     root_fidelity,
+    shannon_entropy,
 )
 from .lbfgs import minimize_stack
 from .matfun import eig_hermitian, rank_cutoff
@@ -387,11 +388,6 @@ def _entropy_reduction(mat: np.ndarray, probs, posts) -> float:
     return reduction
 
 
-def _shannon(probs: np.ndarray) -> float:
-    p = probs[probs > PROB_FLOOR]
-    return float(-np.sum(p * np.log(p)) * NAT_TO_BITS)
-
-
 def _reference_instrument_state(instr: Instrument, rho: DensityOperator):
     """Purify rho and run the instrument on its first factor A.
 
@@ -441,7 +437,7 @@ def check_info_gain_upper(instr: Instrument, rho) -> CheckReport:
     channel = instrument_channel(instr)
     probs, posts = instr.measure(mat)
     d = rel_entropy(mat, adjoint(channel).apply(channel.apply(mat)))
-    h_x = _shannon(probs)
+    h_x = shannon_entropy(probs)
     gain = _entropy_reduction(mat, probs, posts)
     aux = {"h_x": h_x, "d_term": d.value, "groenewold_gain": gain, "efficient": instr.efficient}
     return CheckReport("info-gain-upper", h_x - d.value, gain, dims=(instr.in_dim,), aux=aux)
@@ -480,7 +476,7 @@ def check_info_gain_no_qsi(instr: Instrument, rho: DensityOperator) -> CheckRepo
     r_dim = phi.reference_dim
     sigma_rx = _cq_assemble(probs, posts_r, r_dim)
     sigma_r = _avg(posts_r, probs, r_dim)
-    h_x = _shannon(probs)
+    h_x = shannon_entropy(probs)
     lhs = entropy(sigma_r) + h_x - entropy(sigma_rx)
 
     product = _cq_assemble(probs, [None if b is None else sigma_r for b in posts_r], r_dim)

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from qrecovery.bosonic import Ladder, _block, amp_channel, loss_channel
+from qrecovery.bosonic import _block, _checked_ladder, amp_channel, loss_channel
 from qrecovery.entropy import entropy, rel_entropy
 from qrecovery.matfun import rank_cutoff
 from qrecovery.qcore import DimensionMismatchError, TransferMap, tp_deviation, transfer_matrix
@@ -62,30 +62,42 @@ def transfer_compose(after: TransferMap, before: TransferMap) -> TransferMap:
     return TransferMap(after.matrix @ before.matrix, before.in_dim, after.out_dim)
 
 
-def ladder_from_kraus(kraus) -> Ladder:
-    """Ladder of dense square Kraus operators, each with at most one nonzero
-    diagonal; zero operators are dropped."""
-    shifts, diags = [], []
+def ladder_from_kraus(kraus) -> np.ndarray:
+    """Operator sum D = sum_k K_k of dense square Kraus operators, each with at
+    most one nonzero diagonal, no two on the same one; checked as the
+    library's ladders are."""
+    total = np.zeros(np.shape(kraus[0]), dtype=np.result_type(*kraus, float))
     for k in map(np.asarray, kraus):
         rows, cols = np.nonzero(k)
-        if rows.size:
-            diag = np.zeros(k.shape[1], dtype=k.dtype)
-            diag[cols] = k[rows, cols]
-            shifts.append(int(rows[0] - cols[0]))
-            diags.append(diag)
-    return Ladder(tuple(shifts), np.array(diags))
+        assert not total[rows, cols].any() and np.unique(rows - cols).size <= 1
+        total[rows, cols] = k[rows, cols]
+    return _checked_ladder(total)
 
 
-def block_by_bincount(ladder: Ladder, delta: int, size: int) -> np.ndarray:
+def ladder_kraus(total: np.ndarray) -> tuple:
+    """The dense Kraus operators of a ladder: every nonzero diagonal of its
+    operator sum D, as one operator."""
+    d = len(total)
+    offsets = [s for s in range(1 - d, d) if np.diagonal(total, s).any()]
+    return tuple(np.diag(np.diagonal(total, s), s) for s in offsets)
+
+
+def block_by_bincount(total: np.ndarray, delta: int, size: int) -> np.ndarray:
     """Leading ``size`` x ``size`` window of a ladder's coherence-order block
-    Delta, summed operator by operator: operator k puts
-    diags[k, b] conj(diags[k, b - Delta]) at (b + shifts[k], b), and one
-    bincount sums the operators that share an entry, on rows padded by dim on
-    both sides so that entries outside the window need no mask."""
-    lo, d = max(delta, 0), ladder.dim
-    values = ladder.diags[:, lo : lo + size] * ladder.diags[:, lo - delta : lo - delta + size].conj()
+    Delta, built operator by operator: the operator of shift s, with diagonal
+    diag[b] = D[b + s, b], puts diag[b] conj(diag[b - Delta]) at (b + s, b),
+    and one bincount scatters every operator's entries, on rows padded by dim
+    on both sides so that entries outside the window need no mask."""
+    lo, d = max(delta, 0), len(total)
+    shifts = np.arange(1 - d, d)
+    # diags[j, b] = D[b + shifts[j], b], 0 where the target is off the levels
+    b = np.arange(d)
+    rows = shifts[:, None] + b
+    inside = (rows >= 0) & (rows < d)
+    diags = np.where(inside, total[np.clip(rows, 0, d - 1), b], 0)
+    values = diags[:, lo : lo + size] * diags[:, lo - delta : lo - delta + size].conj()
     cols = np.arange(size)
-    flat = ((np.array(ladder.shifts)[:, None] + d + cols) * size + cols).reshape(-1)
+    flat = ((shifts[:, None] + d + cols) * size + cols).reshape(-1)
     n, window = (size + 2 * d) * size, slice(d * size, (d + size) * size)
     if np.iscomplexobj(values):
         re, im = (np.bincount(flat, part.reshape(-1), n)[window] for part in (values.real, values.imag))
@@ -95,11 +107,11 @@ def block_by_bincount(ladder: Ladder, delta: int, size: int) -> np.ndarray:
     return block.reshape(size, size)
 
 
-def ladder_apply(ladder: Ladder, x: np.ndarray) -> np.ndarray:
-    """sum_k K_k X K_k^dag for any matrix X: one block product per coherence
-    order present in X."""
+def ladder_apply(total: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_k K_k X K_k^dag for any matrix X, with the ladder given by its
+    operator sum D: one block product per coherence order present in X."""
     x = np.asarray(x, dtype=complex)
-    d = ladder.dim
+    d = len(total)
     if x.shape != (d, d):
         raise DimensionMismatchError(f"input shape {x.shape} does not match ladder dimension {d}")
     out = np.zeros((d, d), dtype=complex)
@@ -109,7 +121,7 @@ def ladder_apply(ladder: Ladder, x: np.ndarray) -> np.ndarray:
         # entries (a, a - Delta), a ascending from max(Delta, 0) as in _block
         start, size = max(delta, 0) * (d + 1) - delta, d - abs(delta)
         diagonal = slice(start, start + size * (d + 1), d + 1)
-        block, x_delta = _block(ladder, delta, size), flat_x[diagonal]
+        block, x_delta = _block(total, delta, size), flat_x[diagonal]
         if np.iscomplexobj(block):
             flat_out[diagonal] = block @ x_delta
         else:
@@ -119,9 +131,9 @@ def ladder_apply(ladder: Ladder, x: np.ndarray) -> np.ndarray:
 
 
 def apply_stages(stages, x: np.ndarray) -> np.ndarray:
-    """A ladder chain (applied left to right) on any matrix X."""
-    for ladder in stages:
-        x = ladder_apply(ladder, x)
+    """A ladder chain (operator sums, applied left to right) on any matrix X."""
+    for total in stages:
+        x = ladder_apply(total, x)
     return x
 
 

@@ -9,8 +9,6 @@ from hypothesis import given, settings, strategies as st
 from qrecovery.bosonic import (
     FockTruncation,
     GaussianChannelSpec,
-    Ladder,
-    NotFockDiagonalError,
     amp_channel,
     amp_ladder,
     check_adjoint_relation,
@@ -32,7 +30,6 @@ from qrecovery.campaigns import BOSONIC_ETAS, BOSONIC_GAINS, bosonic_specs
 from qrecovery.entropy import rel_entropy
 from qrecovery.matfun import NonFiniteError
 from qrecovery.qcore import (
-    Channel,
     KrausMap,
     DimensionMismatchError,
     compose,
@@ -47,6 +44,7 @@ from oracles import (
     is_subunital,
     ladder_apply,
     ladder_from_kraus,
+    ladder_kraus,
 )
 
 TRUNC = FockTruncation(40)
@@ -56,18 +54,18 @@ SMALL = FockTruncation(20)
 class TestChannelConstruction:
     def test_lossless_is_identity(self):
         ch = loss_channel(1.0, SMALL)
-        rho = geometric_state(1.0, SMALL, support_max=12)
+        rho = np.diag(geometric_state(1.0, SMALL, support_max=12))
         npt.assert_allclose(ch.apply(rho), rho, atol=1e-14)
 
     def test_unit_gain_is_identity(self):
         ch = amp_channel(1.0, SMALL)
-        rho = geometric_state(1.0, SMALL, support_max=12)
+        rho = np.diag(geometric_state(1.0, SMALL, support_max=12))
         npt.assert_allclose(ch.apply(rho), rho, atol=1e-14)
 
     def test_full_loss_gives_vacuum(self):
         ch = loss_channel(0.0, SMALL)
-        rho = geometric_state(2.0, SMALL, support_max=15)
-        npt.assert_allclose(ch.apply(rho), vacuum_state(SMALL), atol=1e-10)
+        rho = np.diag(geometric_state(2.0, SMALL, support_max=15))
+        npt.assert_allclose(ch.apply(rho), np.diag(vacuum_state(SMALL)), atol=1e-10)
 
     def test_loss_exactly_trace_preserving(self):
         assert tp_deviation(loss_channel(0.73, SMALL)) <= 1e-12
@@ -93,7 +91,7 @@ class TestChannelConstruction:
             assert build(param, SMALL) is ladder
             assert build(param, FockTruncation(10)) is not ladder
             with pytest.raises(ValueError, match="read-only"):
-                ladder.diags[0, 0] = 1.0
+                ladder[0, 0] = 1.0
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -230,9 +228,9 @@ class TestAdjointRelation:
 
 def _chain_transfer(stages):
     """Dense transfer matrix of a ladder chain (applied left to right) via Kraus composition."""
-    channel = KrausMap(stages[0].kraus())
-    for ladder in stages[1:]:
-        channel = compose(KrausMap(ladder.kraus()), channel)
+    channel = KrausMap(ladder_kraus(stages[0]))
+    for total in stages[1:]:
+        channel = compose(KrausMap(ladder_kraus(total)), channel)
     return transfer_matrix(channel)
 
 
@@ -267,14 +265,15 @@ class TestSectors:
             npt.assert_allclose(dense, _chain_transfer(stages), rtol=0, atol=1e-14)
 
 
-def _apply_by_slices(ladder, x):
-    """sum_k K_k X K_k^dag, one elementwise product on shifted slices per operator."""
-    d = ladder.dim
+def _apply_by_slices(total, x):
+    """sum_k K_k X K_k^dag, one elementwise product on shifted slices per
+    operator: the operator of shift s is the diagonal D[b + s, b]."""
+    d = len(total)
     out = np.zeros((d, d), dtype=complex)
-    for s, diag in zip(ladder.shifts, ladder.diags):
+    for s in range(1 - d, d):
         lo, hi = max(0, -s), min(d, d - s)
         src, dst = slice(lo, hi), slice(lo + s, hi + s)
-        w = diag[src]
+        w = np.diagonal(total, -s)
         out[dst, dst] += (w[:, None] * x[src, src]) * w.conj()
     return out
 
@@ -310,27 +309,18 @@ class TestApplyOracle:
         rng = np.random.default_rng(seed)
         loss, amp = loss_ladder(eta, trunc), amp_ladder(gain, trunc)
         # complex diagonals
-        phased = Ladder(amp.shifts, amp.diags * np.exp(1j * rng.uniform(0, 2 * np.pi, amp.diags.shape)))
+        phased = amp * np.exp(1j * rng.uniform(0, 2 * np.pi, amp.shape))
         x = _oracle_input(kind, d, rng)
         # the same input in column-major memory, as x.T or rho.conj().T are
         for x in (x, np.asfortranarray(x)):
             for ladder in (loss, amp, phased):
                 npt.assert_allclose(ladder_apply(ladder, x), _apply_by_slices(ladder, x), rtol=0, atol=1e-14)
 
-    def test_repeated_shift_rejected(self):
-        # the loss map written as two half-weight copies: block entries would
-        # need a sum over operators, which the window product does not take
-        loss = loss_ladder(0.7, FockTruncation(6))
-        with pytest.raises(ValueError, match="distinct"):
-            Ladder(loss.shifts * 2, np.vstack([loss.diags, loss.diags]) / math.sqrt(2))
-        with pytest.raises(ValueError, match="distinct"):
-            Ladder((0, 0), np.full((2, 3), 0.5))
-
     def test_zero_input_and_wrong_shape(self):
         ladder = amp_ladder(1.25, FockTruncation(6))
         npt.assert_array_equal(ladder_apply(ladder, np.zeros((7, 7))), np.zeros((7, 7)))
         spec = GaussianChannelSpec("amp", FockTruncation(6), gain=1.25)
-        for shape in ((6, 6), (7, 8), (49,)):
+        for shape in ((6,), (8,), (7, 7), (49,)):
             with pytest.raises(DimensionMismatchError, match="does not match"):
                 check_bosonic_entropy_gain(spec, np.ones(shape), n_guard=2)
 
@@ -354,7 +344,7 @@ class TestWindowBlock:
 
     @staticmethod
     def _assert_blocks_equal(ladder):
-        d = ladder.dim
+        d = len(ladder)
         for delta in range(1 - d, d):
             for size in range(1, d - abs(delta) + 1):
                 new, old = _block(ladder, delta, size), block_by_bincount(ladder, delta, size)
@@ -381,10 +371,9 @@ class TestWindowBlock:
         rng = np.random.default_rng(seed)
         for ladder in (loss_ladder(eta, trunc), amp_ladder(gain, trunc)):
             self._assert_blocks_equal(ladder)
-            phases = np.exp(1j * rng.uniform(0, 2 * np.pi, ladder.diags.shape))
-            phased = Ladder(ladder.shifts, ladder.diags * phases)
+            phased = ladder * np.exp(1j * rng.uniform(0, 2 * np.pi, ladder.shape))
             # signed zeros aside, the same entries
-            d = phased.dim
+            d = len(phased)
             for delta in range(1 - d, d):
                 for size in range(1, d - abs(delta) + 1):
                     npt.assert_array_equal(_block(phased, delta, size), block_by_bincount(phased, delta, size))
@@ -426,7 +415,7 @@ def _comb_amp(gain, n, k):
 
 
 class TestLadder:
-    """The (shift, diagonal) kernel against the dense Kraus path it replaced."""
+    """The operator sum D against the dense Kraus path it replaced."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -441,8 +430,7 @@ class TestLadder:
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         loss, amp = loss_ladder(eta, trunc), amp_ladder(gain, trunc)
-        for ladder in (loss, amp):
-            dense = Channel(ladder.kraus())
+        for ladder, dense in ((loss, loss_channel(eta, trunc)), (amp, amp_channel(gain, trunc))):
             npt.assert_allclose(ladder_apply(ladder, x), dense.apply(x), rtol=0, atol=1e-14)
         for stages in ([loss], [amp], [loss, amp]):
             blocks = _sectors(stages)
@@ -454,56 +442,71 @@ class TestLadder:
 
     @pytest.mark.parametrize("n_max", [5, 40, 60])
     def test_diagonals_match_comb_formula(self, n_max):
+        # operator k of the loss is the diagonal D[n - k, n], of the amplifier D[n + k, n]
         trunc = FockTruncation(n_max)
         for eta in (0.05, 0.5, 0.7, 0.99):
             ladder = loss_ladder(eta, trunc)
-            assert ladder.shifts == tuple(-k for k in range(trunc.dim))
-            for k, diag in enumerate(ladder.diags):
-                ref = np.array([_comb_loss(eta, n, k) if n >= k else 0.0 for n in range(trunc.dim)])
-                npt.assert_allclose(diag, ref, rtol=1e-13, atol=0)
+            npt.assert_array_equal(np.tril(ladder, -1), 0.0)
+            for k in range(trunc.dim):
+                ref = np.array([_comb_loss(eta, n, k) for n in range(k, trunc.dim)])
+                npt.assert_allclose(np.diagonal(ladder, k), ref, rtol=1e-13, atol=0)
         for gain in (1.01, 1.25, 3.0):
             ladder = amp_ladder(gain, trunc)
-            assert ladder.shifts == tuple(range(trunc.dim))
-            for k, diag in enumerate(ladder.diags):
-                ref = np.array([_comb_amp(gain, n, k) if n + k <= n_max else 0.0 for n in range(trunc.dim)])
-                npt.assert_allclose(diag, ref, rtol=1e-13, atol=0)
+            npt.assert_array_equal(np.triu(ladder, 1), 0.0)
+            for k in range(trunc.dim):
+                ref = np.array([_comb_amp(gain, n, k) for n in range(trunc.dim - k)])
+                npt.assert_allclose(np.diagonal(ladder, -k), ref, rtol=1e-13, atol=0)
 
     def test_edge_parameters_drop_zero_operators(self):
         # eta = 1 and G = 1 are the identity; eta = 0 sends every level to vacuum
-        assert loss_ladder(1.0, SMALL).shifts == (0,)
-        assert amp_ladder(1.0, SMALL).shifts == (0,)
-        npt.assert_array_equal(loss_ladder(1.0, SMALL).diags, np.ones((1, SMALL.dim)))
-        npt.assert_array_equal(loss_ladder(0.0, SMALL).diags, np.eye(SMALL.dim))
+        npt.assert_array_equal(loss_ladder(1.0, SMALL), np.eye(SMALL.dim))
+        npt.assert_array_equal(amp_ladder(1.0, SMALL), np.eye(SMALL.dim))
+        vacuum = np.zeros((SMALL.dim, SMALL.dim))
+        vacuum[0] = 1.0
+        npt.assert_array_equal(loss_ladder(0.0, SMALL), vacuum)
+        assert len(loss_channel(1.0, SMALL).kraus) == len(amp_channel(1.0, SMALL).kraus) == 1
+        assert len(loss_channel(0.0, SMALL).kraus) == SMALL.dim
+
+    @pytest.mark.parametrize("n_max", [1, 6, 20])
+    @pytest.mark.parametrize("param", [0.0, 0.3, 0.7, 1.0, 1.25, 3.0])
+    def test_channel_kraus_are_the_ladder_diagonals(self, n_max, param):
+        # one operator per nonzero diagonal of D: shift 0 first, then by
+        # photon count, and together exactly D
+        trunc = FockTruncation(n_max)
+        cases = []
+        if param <= 1.0:
+            cases.append((loss_channel(param, trunc), loss_ladder(param, trunc), 1))
+        if param >= 1.0:
+            cases.append((amp_channel(param, trunc), amp_ladder(param, trunc), -1))
+        for channel, ladder, step in cases:
+            offsets = []
+            for k in channel.kraus:
+                rows, cols = np.nonzero(k)
+                assert rows.size and np.unique(cols - rows).size == 1
+                offsets.append(int(cols[0] - rows[0]))
+            nonzero = [s for s in range(0, step * trunc.dim, step) if np.diagonal(ladder, s).any()]
+            assert offsets == nonzero
+            npt.assert_array_equal(sum(channel.kraus), ladder)
 
     def test_from_kraus_round_trip(self):
         ladder = amp_ladder(1.25, FockTruncation(6))
-        again = ladder_from_kraus(ladder.kraus())
-        assert again.shifts == ladder.shifts
-        npt.assert_array_equal(again.diags, ladder.diags)
-        # zero operators carry no diagonal and are dropped
-        assert ladder_from_kraus(ladder.kraus() + (np.zeros((7, 7)),)).shifts == ladder.shifts
+        npt.assert_array_equal(ladder_from_kraus(ladder_kraus(ladder)), ladder)
+        # zero operators add nothing
+        npt.assert_array_equal(ladder_from_kraus(ladder_kraus(ladder) + (np.zeros((7, 7)),)), ladder)
 
     def test_rejects_trace_increasing_and_mismatched_input(self):
         with pytest.raises(ValueError, match="trace-increasing"):
-            Ladder((0, 1), np.ones((2, 4)))
-        # shift 1 moves level 1 to level 2, outside dim 2
-        with pytest.raises(ValueError, match="outside the levels"):
-            Ladder((1,), [[1.0, 1.0]])
-        with pytest.raises(ValueError, match="outside the levels"):
-            Ladder((0, -1), [[0.6, 0.6], [0.8, 0.8]])
-        Ladder((1,), [[1.0, 0.0]])  # a zero entry may point outside
-        with pytest.raises(NonFiniteError):
-            Ladder((0,), [[math.nan, 1.0]])
+            bosonic._checked_ladder(np.eye(4) + np.eye(4, k=-1))
+        for bad in (math.nan, math.inf):
+            # a NaN column sums to NaN, which a > test would let pass
+            total = np.eye(4)
+            total[:, 2] = bad
+            with pytest.raises(NonFiniteError):
+                bosonic._checked_ladder(total)
         with pytest.raises(ValueError, match="does not match"):
             check_bosonic_entropy_gain(
-                GaussianChannelSpec("loss", FockTruncation(4), eta=0.5), np.eye(4) / 4, n_guard=0
+                GaussianChannelSpec("loss", FockTruncation(4), eta=0.5), np.full(4, 0.25), n_guard=0
             )
-
-    def test_operator_sum_holds_each_entry_once(self):
-        for ladder in (loss_ladder(0.7, SMALL), amp_ladder(1.25, SMALL)):
-            npt.assert_array_equal(ladder.operator_sum, sum(ladder.kraus()))
-            with pytest.raises(ValueError, match="read-only"):
-                ladder.operator_sum[0, 0] = 1.0
 
     def test_stirling_table_matches_gammaln(self):
         # the tabulated remainders are the gammaln expression they replaced, bit for bit
@@ -530,10 +533,10 @@ class TestLadder:
         trunc = FockTruncation(1100)
         try:
             for eta in (0.3, 0.9):
-                sums = (loss_ladder(eta, trunc).diags ** 2).sum(axis=0)
+                sums = (loss_ladder(eta, trunc) ** 2).sum(axis=0)
                 assert np.abs(sums - 1.0).max() <= 1e-12
             for gain in (1.01, 1.5):
-                sums = (amp_ladder(gain, trunc).diags ** 2).sum(axis=0)
+                sums = (amp_ladder(gain, trunc) ** 2).sum(axis=0)
                 assert sums.max() <= 1.0 + 1e-12
                 # the vacuum column loses only (1 - 1/G)^(n_max + 1) to the cutoff
                 assert sums[0] == pytest.approx(1.0, abs=1e-12)
@@ -602,7 +605,8 @@ class TestEntropyGain:
         assert rep.lhs == pytest.approx(0.0, abs=1e-10)
         assert rep.rhs == pytest.approx(0.0, abs=1e-9)
         amp = amp_channel(1 / eta, TRUNC)
-        d = rel_entropy(vacuum_state(TRUNC), amp.apply(vacuum_state(TRUNC))).value
+        vac = np.diag(vacuum_state(TRUNC))
+        d = rel_entropy(vac, amp.apply(vac)).value
         assert d == pytest.approx(-math.log2(eta), abs=1e-10)
 
     def test_single_photon_through_mild_loss(self):
@@ -639,19 +643,18 @@ class TestEntropyGain:
 
 
 def _invalid_states():
-    off = geometric_state(1.0, SMALL, support_max=5)
-    off[0, 1] = off[1, 0] = 0.1
     nan = vacuum_state(SMALL)
-    nan[2, 2] = math.nan
+    nan[2] = math.nan
     imag = vacuum_state(SMALL).astype(complex)
-    imag[1, 1] = 1e-3j
-    negative = np.diag([1.5, -0.5] + [0.0] * (SMALL.dim - 2))
+    imag[1] = 1e-3j
+    negative = np.array([1.5, -0.5] + [0.0] * (SMALL.dim - 2))
     return [
         pytest.param(2 * vacuum_state(SMALL), ValueError, "trace", id="trace-two"),
         pytest.param(negative, ValueError, "PSD", id="negative-population"),
         pytest.param(nan, NonFiniteError, "NaN", id="nan-population"),
-        pytest.param(off, NotFockDiagonalError, "Fock-diagonal", id="off-diagonal"),
-        pytest.param(imag, NotFockDiagonalError, "Fock-diagonal", id="imaginary-population"),
+        pytest.param(vacuum_state(SMALL)[:-1], DimensionMismatchError, "does not match", id="wrong-length"),
+        pytest.param(vacuum_state(SMALL).astype(complex), ValueError, "real", id="complex-dtype"),
+        pytest.param(imag, ValueError, "real", id="imaginary-population"),
     ]
 
 
@@ -676,10 +679,10 @@ class TestPopulationPath:
         # Dirichlet populations on levels 0..top, inside the guard band and
         # with mean photon number at most n_max / 4
         top = min(n_max - guard, n_max // 4)
-        rho = np.zeros((trunc.dim, trunc.dim))
-        rho[: top + 1, : top + 1] = np.diag(np.random.default_rng(seed).dirichlet(np.full(top + 1, alpha)))
-        rep = check_bosonic_entropy_gain(spec, rho, n_guard=guard)
-        lhs, rhs, violation = dense_entropy_gain(spec, rho)
+        pops = np.zeros(trunc.dim)
+        pops[: top + 1] = np.random.default_rng(seed).dirichlet(np.full(top + 1, alpha))
+        rep = check_bosonic_entropy_gain(spec, pops, n_guard=guard)
+        lhs, rhs, violation = dense_entropy_gain(spec, np.diag(pops))
         assert abs(rep.lhs - lhs) <= 1e-12
         assert rep.rhs == rhs or abs(rep.rhs - rhs) <= 1e-12
         assert abs(rep.aux["support_violation"] - violation) <= 1e-12
@@ -696,11 +699,11 @@ class TestPopulationPath:
         ref = float(np.abs((out - np.eye(TRUNC.dim) / spec.parameter())[:keep, :keep]).max())
         assert check_almost_unital(spec, n_guard=n_guard).rhs == ref
 
-    @pytest.mark.parametrize("rho, error, message", _invalid_states())
-    def test_rejects_inputs_that_are_not_diagonal_states(self, rho, error, message):
+    @pytest.mark.parametrize("pops, error, message", _invalid_states())
+    def test_rejects_inputs_that_are_not_states(self, pops, error, message):
         spec = GaussianChannelSpec("loss", SMALL, eta=0.8)
         with pytest.raises(error, match=message):
-            check_bosonic_entropy_gain(spec, rho, n_guard=5)
+            check_bosonic_entropy_gain(spec, pops, n_guard=5)
 
     @pytest.mark.parametrize("n_max", [16, 40, 160, 300])
     def test_recommended_guard_equals_linear_scan(self, n_max):
@@ -732,17 +735,29 @@ class TestStructure:
     @pytest.mark.parametrize(
         "eta, m, n_max",
         [(0.001, 100, 300), (0.002, 50, 300), (0.02, 290, 300), (0.001, 10, 40), (0.7, 290, 300),
-         (0.5, 20, 40), (0.7, 25, 40), (0.8, 25, 40), (0.3, 5, 40), (0.9, 10, 40)],
+         (0.5, 20, 40), (0.7, 25, 40), (0.8, 25, 40), (0.3, 5, 40), (0.9, 10, 40),
+         (0.001, 0, 10), (0.0204, 0, 10)]
+        + [(eta, m, n_max) for eta in (0.002, 0.005, 0.01, 0.03) for m in range(4) for n_max in (10, 40)],
     )
     def test_loss_identity_tail_matches_exact_sum(self, eta, m, n_max):
         # (1 - eta^(m+1) sum_{k <= n_max - m} C(m+k, k) (1-eta)^k) / eta in
         # exact rationals.  The terms of the first five still rise at the
         # first tail term; summed upward from it, the first four read 3e-21,
-        # 449.7, 0 and 3.46 (an underflowed start or the loop's step cap)
+        # 449.7, 0 and 3.46 (an underflowed start or the loop's step cap).
+        # From (0.001, 0, 10) on the terms fall from the first tail term, but
+        # so slowly (their ratio tends to 1 - eta) that the upward sum would
+        # still be short at the step cap: (0.001, 0, 10) read 656.7 there
         e = Fraction(eta)
         head = sum(math.comb(m + k, k) * (1 - e) ** k for k in range(n_max - m + 1)) * e ** (m + 1)
         exact = float((1 - head) / e)
         assert loss_identity_tail(eta, m, n_max) == pytest.approx(exact, rel=1e-13)
+
+    @pytest.mark.parametrize("n_max", [160, 300])
+    def test_underflowing_tail_is_not_taken_as_a_difference(self, n_max):
+        # the tail (1 - eta)^(n_max + 1) / eta is 1e-322 or underflows to 0;
+        # the upward sum must end at its zero terms rather than run to the
+        # step cap and fall back to 1/eta less the head, which reads 1e-5 or 1
+        assert loss_identity_tail(0.99, 0, n_max) <= 1e-300
 
     @pytest.mark.parametrize("eta", [0.02, 0.05])
     def test_small_eta_tail_is_the_measured_deviation(self, eta):
