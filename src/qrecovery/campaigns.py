@@ -2,15 +2,22 @@
 
 Every row is a pure function of the campaign config: trial instances are
 drawn from ``stream(master_seed, suite_index, check_index, trial)``, so a
-rerun with the same config reproduces the report byte for byte.  Suite
-runners draw instances and yield ``(trial, CheckReport)`` pairs.  Every
-inequality row comes from a ``check_*`` function of ``theorems`` or
-``cpdp``, called through this module's name for it (so a tracer that patches
-module bindings sees the call); the deviation and witness rows are built
-here from check outputs.  Every row's tolerance comes from
-``reports.TOLERANCES``.  ``_trials`` is the one place the stream path is
-set, and ``run_suite`` the one place each row gets its seed and, when set,
-the tolerance override.
+rerun with the same config reproduces the report byte for byte.  ``_trials``
+is the one place the stream path is set, and ``run_suite`` the one place
+each row gets its seed and, when set, the tolerance override.
+
+Each check family is a draw and a rows step (``_family``).  The draw makes
+one trial's instance, as arrays, from that trial's own stream.  The rows
+step groups the family's instances by shape (``_stacked``) and computes each
+group at once through the stacked core of its ``theorems`` or ``cpdp``
+check: every primitive takes the group's stack with a leading trial axis and
+gives each trial the bits its own ``check_*`` call would give it, so a row
+depends only on its own trial.  The cores split a group further where a
+spectrum fixes a shape (support sizes, ranks, Kraus counts); info-gain-qsi
+runs its quadrature per trial and outcome, so one trial's node stacks stay
+its memory peak.  The witness rows call their ``check_*`` directly.
+Deviation and witness rows are built here from check outputs, and every
+row's tolerance comes from ``reports.TOLERANCES``.
 """
 
 from __future__ import annotations
@@ -24,18 +31,19 @@ from . import bosonic as bos
 from .cpdp import (
     Interaction,
     TripartiteConfiguration,
-    cmi_bound,
-    converse_bound,
-    dp_slack,
+    _converse_stack,
+    _dp_slacks,
+    _reduced_dynamics_stack,
     identity_embedding,
-    reduced_dynamics,
 )
-from .entropy import fidelity, trace_norm
+from .entropy import _cmi_stack, root_fidelity, trace_norm
 from .matfun import eig_hermitian
 from .qcore import (
     Channel,
     DensityOperator,
     Ensemble,
+    _apply_kraus,
+    _grouped,
     random_channel,
     random_density,
     random_instrument,
@@ -44,22 +52,25 @@ from .qcore import (
     random_unitary,
     stream,
 )
-from .recovery import QuadratureSpec, petz_map
+from .recovery import QuadratureSpec, _petz_stack
 from .reports import TOLERANCES, CheckReport, report_row
 from .theorems import (
-    _recover_abc,
-    check_cmi_recovery,
-    check_cond_entropy_gain,
-    check_entropic_disturbance,
+    _cmi_recovery_stack,
+    _cond_entropy_gain_stack,
+    _efficient_second_law_stack,
+    _entropic_disturbance_stack,
+    _entropy_gain_recovery_stack,
+    _entropy_gain_stack,
+    _groenewold_gains,
+    _info_gain_no_qsi_stack,
+    _info_gain_qsi_stack,
+    _info_gain_upper_stack,
+    _outcome_stack,
+    _recover_abc_stack,
+    _recovery_fid_stack,
+    _recovery_stronger_stack,
     check_entropy_gain,
-    check_entropy_gain_recovery,
-    check_efficient_second_law,
-    check_info_gain_no_qsi,
-    check_info_gain_qsi,
     check_info_gain_upper,
-    check_recovery_fid,
-    check_recovery_stronger,
-    groenewold_gain,
 )
 
 __all__ = ["SUITES", "CampaignConfig", "ConfigError", "run_suite", "run_campaign"]
@@ -224,14 +235,43 @@ def _renamed(rep: CheckReport, name: str) -> CheckReport:
 # suite runners: each yields (trial, CheckReport) pairs in row order
 
 
+def _family(cfg: CampaignConfig, suite: str, family: int, n: int, draw, rows):
+    """(trial, report) pairs of one check family, in row order.
+
+    ``draw(rng)`` makes one trial's instance from that trial's own stream;
+    ``rows(instances)`` returns every instance's reports, one list each.
+    """
+    instances = [draw(rng) for _, rng in _trials(cfg, suite, family, n)]
+    return [(trial, rep) for trial, reps in enumerate(rows(instances)) for rep in reps]
+
+
+def _stacked(core):
+    """Rows of a family whose instances are tuples of arrays: ``core`` on the
+    stacks of the arrays of each group of instances with equal shapes, which
+    returns each instance's report, or its list of reports."""
+
+    def group(instances, idx):
+        out = core(*(np.stack(part) for part in zip(*(instances[i] for i in idx))))
+        return [reps if isinstance(reps, list) else [reps] for reps in out]
+
+    def rows(instances):
+        shapes = [tuple(np.shape(part) for part in inst) for inst in instances]
+        return _grouped(shapes, lambda idx: group(instances, idx))
+
+    return rows
+
+
 def _run_entropy_gain(cfg: CampaignConfig):
     lo, hi = cfg.dims[0], min(cfg.dims[1], 4)
     n = cfg.n_trials("entropy-gain")
-    for trial, rng in _trials(cfg, "entropy-gain", 0, n):
+
+    def random_channel_instance(rng):
         d = int(rng.integers(lo, hi + 1))
         rho = random_density(d, int(rng.integers(1, d + 1)), rng)
-        channel = random_channel(d, d, int(rng.integers(1, 5)), rng)
-        yield trial, check_entropy_gain(rho, channel)
+        return rho.matrix, random_channel(d, d, int(rng.integers(1, 5)), rng).stack
+
+    yield from _family(cfg, "entropy-gain", 0, n, random_channel_instance,
+                       _stacked(_entropy_gain_stack))
 
     # dephasing equality witness: N self-adjoint idempotent, rho = |+><+|
     plus = np.full((2, 2), 0.5, dtype=complex)
@@ -239,20 +279,24 @@ def _run_entropy_gain(cfg: CampaignConfig):
     dephasing = Channel((np.eye(2) / math.sqrt(2), z / math.sqrt(2)))
     yield 0, _renamed(check_entropy_gain(plus, dephasing), "entropy-gain-equality")
 
-    for trial, rng in _trials(cfg, "entropy-gain", 2, min(n, 50)):
+    def subunital_instance(rng):
         d = int(rng.integers(lo, min(hi, 3) + 1))
         rho = random_density(d, int(rng.integers(1, d + 1)), rng)
-        channel = random_subunital_channel(d, d + 1, rng)
-        yield trial, check_entropy_gain_recovery(rho, channel)
+        return rho.matrix, random_subunital_channel(d, d + 1, rng).stack
 
-    for trial, rng in _trials(cfg, "entropy-gain", 3, min(n, 50)):
-        rho_ab = _state((("A", 2), ("B", 2)), int(rng.integers(1, 5)), rng)
-        channel = random_channel(2, 2, int(rng.integers(1, 5)), rng)
-        yield trial, check_cond_entropy_gain(rho_ab, channel)
+    yield from _family(cfg, "entropy-gain", 2, min(n, 50), subunital_instance,
+                       _stacked(_entropy_gain_recovery_stack))
+
+    def conditional_instance(rng):
+        rho_ab = random_density(4, int(rng.integers(1, 5)), rng)
+        return rho_ab.matrix, random_channel(2, 2, int(rng.integers(1, 5)), rng).stack
+
+    yield from _family(cfg, "entropy-gain", 3, min(n, 50), conditional_instance,
+                       _stacked(lambda rho, ks: _cond_entropy_gain_stack(rho, ks, (2, 2))))
 
 
 def _recovery_instance(rng, lo, hi):
-    """(rho, sigma, channel) with supp(rho) inside supp(sigma)."""
+    """(rho, sigma, Kraus stack of N) with supp(rho) inside supp(sigma)."""
     d = int(rng.integers(lo, hi + 1))
     rank_sigma = d if rng.integers(4) else max(1, d - 1)
     sigma = random_density(d, rank_sigma, rng)
@@ -261,40 +305,45 @@ def _recovery_instance(rng, lo, hi):
     else:
         small = random_density(rank_sigma, int(rng.integers(1, rank_sigma + 1)), rng)
         spec = eig_hermitian(sigma.matrix)
-        support = spec.eigenvectors[:, spec.eigenvalues > 1e-12]
+        support = spec.eigenvectors[:, spec.support_mask()]
         rho = DensityOperator((("A", d),), support @ small.matrix @ support.conj().T)
     d_out = int(rng.integers(lo, hi + 1))
     env_min = -(-d // d_out)  # Stinespring needs out * env >= in
     channel = random_channel(d, d_out, int(rng.integers(env_min, env_min + 4)), rng)
-    return rho, sigma, channel
+    return rho.matrix, sigma.matrix, channel.stack
+
+
+def _petz_fixed_point_rows(rho, sigma, ks) -> list:
+    """||(P o N)(sigma) - sigma||_1 of the Petz map P of (sigma, N) for each
+    map of a (N, K, out, in) Kraus stack."""
+    n_sigma = _apply_kraus(ks, sigma)
+    dev = trace_norm(_apply_kraus(_petz_stack(sigma, ks, n_sigma), n_sigma) - sigma)
+    dims = (sigma.shape[-1], ks.shape[-2])
+    return [_deviation_report("petz-fixed-point", x, dims) for x in dev]
 
 
 def _run_recovery(cfg: CampaignConfig):
     lo, hi = cfg.dims[0], min(cfg.dims[1], 3)
     n = cfg.n_trials("recovery")
 
-    for trial, rng in _trials(cfg, "recovery", 0, n):
-        yield trial, check_recovery_fid(*_recovery_instance(rng, lo, hi))
+    def draw(rng):
+        return _recovery_instance(rng, lo, hi)
 
+    yield from _family(cfg, "recovery", 0, n, draw, _stacked(_recovery_fid_stack))
     quad = cfg.quad()
-    for trial, rng in _trials(cfg, "recovery", 1, min(n, 50)):
-        yield trial, check_recovery_stronger(*_recovery_instance(rng, lo, hi), quad)
+    yield from _family(cfg, "recovery", 1, min(n, 50), draw,
+                       _stacked(lambda rho, sigma, ks: _recovery_stronger_stack(rho, sigma, ks, quad)))
+    yield from _family(cfg, "recovery", 2, n, draw, _stacked(_petz_fixed_point_rows))
 
-    for trial, rng in _trials(cfg, "recovery", 2, n):
-        rho, sigma, channel = _recovery_instance(rng, lo, hi)
-        pm = petz_map(sigma.matrix, channel)
-        dev = trace_norm(pm.apply(channel.apply(sigma.matrix)) - sigma.matrix)
-        yield trial, _deviation_report("petz-fixed-point", dev, (sigma.dim, channel.out_dim))
+    def tripartite(rng):
+        return (random_density(8, int(rng.integers(2, 9)), rng).matrix,)
 
-    for trial, rng in _trials(cfg, "recovery", 3, n):
-        rho = _state((("A", 2), ("B", 2), ("C", 2)), int(rng.integers(2, 9)), rng)
-        yield trial, check_cmi_recovery(rho)
-
-    for trial, rng in _trials(cfg, "recovery", 4, min(n, 20)):
-        yield trial, _markov_recovery_trial(rng)
+    yield from _family(cfg, "recovery", 3, n, tripartite,
+                       _stacked(lambda rho: _cmi_recovery_stack(rho, (2, 2, 2))))
+    yield from _family(cfg, "recovery", 4, min(n, 20), _markov_state, _stacked(_markov_rows))
 
 
-def _markov_recovery_trial(rng) -> CheckReport:
+def _markov_state(rng):
     """cq Markov chain: a classical channel on C of a B-C correlated cq state
     writes the A factor, so I(A;B|C) = 0 and recovery from C is exact."""
     p = rng.dirichlet(np.ones(2))
@@ -305,32 +354,41 @@ def _markov_recovery_trial(rng) -> CheckReport:
         block = np.zeros((2, 2))
         block[c, c] = 1.0
         mat += p[c] * np.kron(np.kron(rho_a, rho_b), block)
-    rho = DensityOperator((("A", 2), ("B", 2), ("C", 2)), mat)
-    fid = fidelity(rho.matrix, _recover_abc(rho).matrix)
-    return _deviation_report("cmi-recovery-markov", 1.0 - fid, (2, 2, 2), {"fidelity": fid})
+    return (DensityOperator((("A", 2), ("B", 2), ("C", 2)), mat).matrix,)
+
+
+def _markov_rows(rho) -> list:
+    fids = root_fidelity(rho, _recover_abc_stack(rho, (2, 2, 2)))
+    rows = []
+    for f in fids:
+        fid = float(f) ** 2
+        rows.append(_deviation_report("cmi-recovery-markov", 1.0 - fid, (2, 2, 2), {"fidelity": fid}))
+    return rows
 
 
 def _run_info_gain(cfg: CampaignConfig):
     lo, hi = cfg.dims[0], min(cfg.dims[1], 3)
     n = cfg.n_trials("info-gain")
 
-    for trial, rng in _trials(cfg, "info-gain", 0, n):
+    def instance(rng, efficient=True):
         d = int(rng.integers(lo, hi + 1))
-        instr = random_instrument(d, int(rng.integers(2, 5)), True, rng)
-        rho = random_density(d, int(rng.integers(1, d + 1)), rng)
-        rep = check_info_gain_no_qsi(instr, rho)
-        yield trial, rep
-        gain = groenewold_gain(instr, rho)
-        yield trial, _deviation_report(
-            "groenewold-vs-mutual-info", abs(gain - rep.lhs), (d,), {"groenewold_gain": gain}
-        )
-
-    for trial, rng in _trials(cfg, "info-gain", 1, n):
-        d = int(rng.integers(lo, hi + 1))
-        efficient = bool(rng.integers(2))
+        if efficient is None:
+            efficient = bool(rng.integers(2))
         instr = random_instrument(d, int(rng.integers(2, 5)), efficient, rng)
         rho = random_density(d, int(rng.integers(1, d + 1)), rng)
-        yield trial, check_info_gain_upper(instr, rho)
+        return rho.matrix, _outcome_stack(instr)
+
+    def no_qsi_rows(rho, kx):
+        gains = _groenewold_gains(rho, kx)
+        return [
+            [rep, _deviation_report("groenewold-vs-mutual-info", abs(float(gain) - rep.lhs),
+                                    (rho.shape[-1],), {"groenewold_gain": float(gain)})]
+            for rep, gain in zip(_info_gain_no_qsi_stack(rho, kx), gains)
+        ]
+
+    yield from _family(cfg, "info-gain", 0, n, instance, _stacked(no_qsi_rows))
+    yield from _family(cfg, "info-gain", 1, n, lambda rng: instance(rng, None),
+                       _stacked(_info_gain_upper_stack))
 
     # a pure input through a two-Kraus instrument yields mixed post states,
     # so the entropy reduction is strictly negative while the bound still holds
@@ -345,39 +403,42 @@ def _run_info_gain(cfg: CampaignConfig):
         aux={"groenewold_gain": gain},
     )
 
-    for trial, rng in _trials(cfg, "info-gain", 2, n):
-        d = int(rng.integers(lo, hi + 1))
-        instr = random_instrument(d, int(rng.integers(2, 5)), True, rng)
-        rho = random_density(d, int(rng.integers(1, d + 1)), rng)
-        yield trial, check_efficient_second_law(instr, rho)
+    yield from _family(cfg, "info-gain", 2, n, instance, _stacked(_efficient_second_law_stack))
 
 
 def _run_info_gain_qsi(cfg: CampaignConfig):
     quad = cfg.quad()
-    for trial, rng in _trials(cfg, "info-gain-qsi", 0, cfg.n_trials("info-gain-qsi")):
+
+    def instance(rng):
         rho_ab = _state((("A", 2), ("B", 2)), int(rng.integers(2, 5)), rng)
-        instr = random_instrument(2, int(rng.integers(2, 4)), True, rng)
-        rep = check_info_gain_qsi(instr, rho_ab, quad=quad)
-        yield trial, rep
-        yield trial, _deviation_report(
-            "qsi-recovery-instrument-tp", rep.aux["recovery_instrument_tp_dev"], (2, 2)
-        )
+        return rho_ab.matrix, _outcome_stack(random_instrument(2, int(rng.integers(2, 4)), True, rng))
+
+    def rows(rho, kx):
+        tp = "qsi-recovery-instrument-tp"
+        return [[rep, _deviation_report(tp, rep.aux["recovery_instrument_tp_dev"], (2, 2))]
+                for rep in _info_gain_qsi_stack(rho, kx, (2, 2), quad)]
+
+    n = cfg.n_trials("info-gain-qsi")
+    yield from _family(cfg, "info-gain-qsi", 0, n, instance, _stacked(rows))
 
 
 def _run_disturbance(cfg: CampaignConfig):
     lo, hi = cfg.dims[0], min(cfg.dims[1], 3)
     n = cfg.n_trials("disturbance")
 
-    for trial, rng in _trials(cfg, "disturbance", 0, n):
+    def random_ensemble(rng):
         d = int(rng.integers(lo, hi + 1))
         m = int(rng.integers(2, 5))
         probs = rng.dirichlet(np.ones(m))
         states = tuple(random_density(d, int(rng.integers(1, d + 1)), rng) for _ in range(m))
         ens = Ensemble(probs, states)
         channel = random_channel(d, d, int(rng.integers(1, 5)), rng)
-        yield trial, check_entropic_disturbance(ens, channel)
+        return ens.probs, np.stack([s.matrix for s in ens.states]), channel.stack
 
-    for trial, rng in _trials(cfg, "disturbance", 1, min(n, 20)):
+    yield from _family(cfg, "disturbance", 0, n, random_ensemble,
+                       _stacked(_entropic_disturbance_stack))
+
+    def commuting_ensemble(rng):
         d = int(rng.integers(lo, hi + 1))
         basis = random_unitary(d, rng)
         m = int(rng.integers(2, 5))
@@ -390,12 +451,19 @@ def _run_disturbance(cfg: CampaignConfig):
         )
         ens = Ensemble(probs, states)
         projs = [np.outer(basis[:, i], basis[:, i].conj()) for i in range(d)]
-        rep = check_entropic_disturbance(ens, Channel(tuple(projs)))
-        yield trial, _renamed(rep, "disturbance-commuting")
-        yield trial, _deviation_report("disturbance-commuting-chi", abs(rep.lhs), (d,))
-        yield trial, _deviation_report(
-            "disturbance-commuting-fidelity", 1.0 - rep.aux["avg_sqrt_fid"], (d,)
-        )
+        return ens.probs, np.stack([s.matrix for s in ens.states]), Channel(tuple(projs)).stack
+
+    def commuting_rows(probs, states, ks):
+        d = (states.shape[-1],)
+        return [
+            [_renamed(rep, "disturbance-commuting"),
+             _deviation_report("disturbance-commuting-chi", abs(rep.lhs), d),
+             _deviation_report("disturbance-commuting-fidelity", 1.0 - rep.aux["avg_sqrt_fid"], d)]
+            for rep in _entropic_disturbance_stack(probs, states, ks)
+        ]
+
+    yield from _family(cfg, "disturbance", 1, min(n, 20), commuting_ensemble,
+                       _stacked(commuting_rows))
 
 
 def _random_config(rng) -> TripartiteConfiguration:
@@ -412,30 +480,38 @@ def _draw_interaction(cfg: CampaignConfig, rng) -> Interaction:
 def _run_cpdp(cfg: CampaignConfig):
     n = cfg.n_trials("cpdp")
 
-    for trial, rng in _trials(cfg, "cpdp", 0, n):
-        config = _random_config(rng)
-        v = _draw_interaction(cfg, rng)
-        forward = reduced_dynamics(config, v)
-        yield trial, forward.report
-        yield trial, converse_bound(forward, eps=1.0)
+    def forward_rows(insts):
+        configs, interactions = zip(*insts)
+        forwards = _reduced_dynamics_stack(configs, interactions)
+        converse = _converse_stack(forwards, np.stack([f.candidate for f in forwards]), 1.0)
+        return [[f.report, c] for f, c in zip(forwards, converse)]
 
-    for trial, rng in _trials(cfg, "cpdp", 1, min(n, 10)):
+    yield from _family(cfg, "cpdp", 0, n, lambda rng: (_random_config(rng), _draw_interaction(cfg, rng)),
+                       forward_rows)
+
+    def product_instance(rng):
         rho_rq = _state((("R", 2), ("Q", 2)), int(rng.integers(2, 5)), rng)
         rho_e = random_density(2, int(rng.integers(1, 3)), rng)
         mat = np.kron(rho_rq.matrix, rho_e.matrix)
         config = TripartiteConfiguration(
             DensityOperator((("R", 2), ("Q", 2), ("E", 2)), mat)
         )
-        v = _draw_interaction(cfg, rng)
-        rep = reduced_dynamics(config, v).report
-        yield trial, _deviation_report(
-            "cpdp-forward-product", 1.0 - rep.aux["fidelity"], (2, 2, 2)
-        )
+        return config, _draw_interaction(cfg, rng)
 
-    for trial, rng in _trials(cfg, "cpdp", 2, min(n, 20)):
-        config = _random_config(rng)
-        dev = abs(dp_slack(config, identity_embedding(2, 2)) - cmi_bound(config))
-        yield trial, _deviation_report("cpdp-embedding-consistency", dev, (2, 2, 2))
+    def product_rows(insts):
+        return [[_deviation_report("cpdp-forward-product", 1.0 - f.report.aux["fidelity"], (2, 2, 2))]
+                for f in _reduced_dynamics_stack(*zip(*insts))]
+
+    yield from _family(cfg, "cpdp", 1, min(n, 10), product_instance, product_rows)
+
+    def embedding_rows(configs):
+        embed = identity_embedding(2, 2)
+        slack = _dp_slacks(configs, [embed] * len(configs))
+        cmi = _cmi_stack(np.stack([c.state.matrix for c in configs]), (2, 2, 2), (0,), (2,), (1,))
+        return [[_deviation_report("cpdp-embedding-consistency", abs(float(s) - float(c)), (2, 2, 2))]
+                for s, c in zip(slack, cmi)]
+
+    yield from _family(cfg, "cpdp", 2, min(n, 20), _random_config, embedding_rows)
 
 
 def _bosonic_reports(cfg: CampaignConfig):

@@ -13,7 +13,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matfun import eig_hermitian, rank_cutoff
-from .qcore import DensityOperator, Ensemble, as_matrix, partial_trace
+from .qcore import (
+    DensityOperator,
+    Ensemble,
+    _grouped,
+    _keep_indices,
+    _mixture,
+    as_matrix,
+    partial_trace,
+    ptrace,
+)
 
 __all__ = [
     "NAT_TO_BITS",
@@ -50,9 +59,10 @@ class RelEntropyResult:
     support_violation: float
 
 
-def entropy(rho) -> float:
+def entropy(rho):
     """von Neumann entropy -Tr{rho log2 rho} of a PSD matrix; a
-    :class:`DensityOperator` lends its cached eigenvalues."""
+    :class:`DensityOperator` lends its cached eigenvalues.  For a (..., d, d)
+    stack, the array of each matrix's entropy."""
     if isinstance(rho, DensityOperator):
         return shannon_entropy(rho.eigenvalues)
     return shannon_entropy(np.linalg.eigvalsh(as_matrix(rho)))
@@ -63,27 +73,60 @@ def rel_entropy(p, q) -> RelEntropyResult:
 
     Finite values are computed on the support of Q; the result carries the
     mass of P on ker(Q) and is infinite when that mass exceeds
-    ``SUPPORT_TOL``.
+    ``SUPPORT_TOL``.  For two (..., d, d) stacks both fields are arrays, one
+    entry per pair.
     """
     p, q = as_matrix(p), as_matrix(q)
     if p.shape != q.shape:
         raise ValueError(f"operand shapes differ: {p.shape} vs {q.shape}")
-    if float(np.abs(p).max(initial=0.0)) == 0.0:
+    if (np.abs(p).max(axis=(-2, -1), initial=0.0) == 0.0).any():
         raise ValueError("rel_entropy requires P != 0")
-    spec = eig_hermitian(np.stack([p, q]))
-    lam_p, lam_q = spec.eigenvalues
+    spec = eig_hermitian(np.stack([p, q], axis=-3))
+    lam_p, lam_q = spec.eigenvalues[..., 0, :], spec.eigenvalues[..., 1, :]
     # <v|P|v> on every eigenvector v of Q; on ker(Q) they sum to the mass of P there
-    vecs = spec[1].eigenvectors
-    weights = np.real(np.sum(vecs.conj() * (p @ vecs), axis=0))
+    vecs = spec.eigenvectors[..., 1, :, :]
+    weights = np.real(np.sum(vecs.conj() * (p @ vecs), axis=-2))
     return _rel_entropy(lam_p, weights, lam_q)
 
 
-def shannon_entropy(p) -> float:
+def shannon_entropy(p):
     """Shannon entropy -sum_i p_i log2 p_i of a probability vector, under the
-    same rank cutoff as :func:`entropy`: the entropy of diag(p)."""
+    same rank cutoff as :func:`entropy`: the entropy of diag(p).  For a
+    (..., n) stack, the array of each row's entropy."""
     lam = np.asarray(p)
-    lam = lam[lam > rank_cutoff(lam)]
-    return float(-np.sum(lam * np.log(lam)) * NAT_TO_BITS) if lam.size else 0.0
+    keep = lam > rank_cutoff(lam)
+    total = _masked_sums(lam * np.log(np.where(keep, lam, 1.0)), keep)
+    return _scalar(np.where(keep.any(axis=-1), -total * NAT_TO_BITS, 0.0))
+
+
+def _scalar(values):
+    """A 0-d result as a float, any other as it is."""
+    return float(values) if np.ndim(values) == 0 else values
+
+
+def _masked_sums(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Sum over the last axis of each row's entries where ``mask`` holds, every
+    row summed as its compressed vector ``row[mask_row]`` is summed on its own.
+
+    Zeros in place of the dropped entries would not do: numpy's sum takes the
+    first entry as its start and pairs terms up by position from 8 on.  So the
+    rows are grouped by mask pattern and each group's kept columns summed.
+    """
+    if values.ndim == 1:
+        return values[mask].sum()
+    n = values.shape[-1]
+    if values.size == n:  # one row
+        row = values.reshape(n)[np.broadcast_to(mask, values.shape).reshape(n)]
+        return row.sum().reshape(values.shape[:-1])
+    flat, keep = values.reshape(-1, n), np.broadcast_to(mask, values.shape).reshape(-1, n)
+
+    def group(idx):
+        # C order: a column-indexed copy comes out in Fortran order, whose
+        # rows numpy would not sum pairwise
+        return np.ascontiguousarray(flat[idx][:, keep[idx[0]]]).sum(axis=-1)
+
+    sums = _grouped([row.tobytes() for row in keep], group)
+    return np.array(sums, dtype=values.dtype).reshape(values.shape[:-1])
 
 
 def classical_rel_entropy(p, q) -> RelEntropyResult:
@@ -100,16 +143,15 @@ def classical_rel_entropy(p, q) -> RelEntropyResult:
 
 def _rel_entropy(lam_p: np.ndarray, weights: np.ndarray, lam_q: np.ndarray) -> RelEntropyResult:
     """D(P||Q) from the spectra of P and Q and the weights <v|P|v> of P on
-    the eigenvectors v of Q, in the order of ``lam_q``."""
+    the eigenvectors v of Q, in the order of ``lam_q``; row-wise for stacks."""
     mask_q = lam_q > rank_cutoff(lam_q)
-    violation = max(float(np.sum(weights[~mask_q])), 0.0)
-    if violation > SUPPORT_TOL:
-        return RelEntropyResult(math.inf, violation)
-
+    mass = _masked_sums(weights, ~mask_q)
+    violation = np.where(0.0 > mass, 0.0, mass)  # max(mass, 0.0), keeping a -0.0 as max does
     mask_p = lam_p > rank_cutoff(lam_p)
-    term_p = float(np.sum(lam_p[mask_p] * np.log(lam_p[mask_p]))) if mask_p.any() else 0.0
-    term_q = float(np.sum(weights[mask_q] * np.log(lam_q[mask_q])))
-    return RelEntropyResult((term_p - term_q) * NAT_TO_BITS, violation)
+    term_p = _masked_sums(lam_p * np.log(np.where(mask_p, lam_p, 1.0)), mask_p)
+    term_q = _masked_sums(weights * np.log(np.where(mask_q, lam_q, 1.0)), mask_q)
+    value = np.where(violation > SUPPORT_TOL, math.inf, (term_p - term_q) * NAT_TO_BITS)
+    return RelEntropyResult(_scalar(value), _scalar(violation))
 
 
 def cond_entropy(rho: DensityOperator, cond) -> float:
@@ -134,7 +176,15 @@ def mutual_info(rho: DensityOperator, a, b) -> float:
     labels = set(rho.labels)
     if set(a) | set(b) != labels or set(a) & set(b):
         raise ValueError(f"groups {a!r}, {b!r} do not bipartition {rho.labels!r}")
-    return entropy(partial_trace(rho, b)) + entropy(partial_trace(rho, a)) - entropy(rho)
+    a, b = (_keep_indices(rho.systems, group) for group in (a, b))
+    return float(_mutual_info(rho.matrix[None], rho.dims, a, b)[0])
+
+
+def _mutual_info(rho: np.ndarray, dims: tuple, a, b) -> np.ndarray:
+    """I(A;B) of each state of a (N, D, D) stack on factors of sizes
+    ``dims``, A and B the factors of the index groups ``a`` and ``b``, which
+    together hold every factor."""
+    return entropy(ptrace(rho, dims, a)) + entropy(ptrace(rho, dims, b)) - entropy(rho)
 
 
 def cmi(rho: DensityOperator, a, b, c) -> float:
@@ -143,17 +193,29 @@ def cmi(rho: DensityOperator, a, b, c) -> float:
     a, b, c = groups
     if set(a + b + c) != set(rho.labels) or len(a + b + c) != len(rho.labels):
         raise ValueError(f"groups {groups!r} do not tripartition {rho.labels!r}")
-    h_ac = entropy(partial_trace(rho, b))
-    h_bc = entropy(partial_trace(rho, a))
-    h_c = entropy(partial_trace(rho, a + b))
-    return h_ac + h_bc - entropy(rho) - h_c
+    a, b, c = (_keep_indices(rho.systems, group) for group in groups)
+    return float(_cmi_stack(rho.matrix[None], rho.dims, a, b, c)[0])
+
+
+def _cmi_stack(rho: np.ndarray, dims: tuple, a, b, c) -> np.ndarray:
+    """I(A;B|C) = H(AC) + H(BC) - H(ABC) - H(C) of each state of a (N, D, D)
+    stack on factors of sizes ``dims``, A, B and C the factors of the index
+    groups ``a``, ``b`` and ``c``."""
+    h_ac = entropy(ptrace(rho, dims, list(a) + list(c)))
+    h_bc = entropy(ptrace(rho, dims, list(b) + list(c)))
+    return h_ac + h_bc - entropy(rho) - entropy(ptrace(rho, dims, c))
 
 
 def holevo_chi(ens: Ensemble) -> float:
     """Holevo information: entropy of the average minus average entropy."""
-    avg = entropy(ens.average())
-    members = float(np.sum(ens.probs * np.array([entropy(s) for s in ens.states])))
-    return avg - members
+    mats = np.stack([s.matrix for s in ens.states])
+    return float(_holevo_chi(ens.probs[None], mats[None])[0])
+
+
+def _holevo_chi(probs: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """:func:`holevo_chi` of each ensemble of (N, m) probabilities and
+    (N, m, d, d) member states."""
+    return entropy(_mixture(probs, mats)) - (probs * entropy(mats)).sum(axis=-1)
 
 
 def root_fidelity(p, q):
@@ -172,8 +234,9 @@ def fidelity(p, q) -> float:
     return root_fidelity(p, q) ** 2
 
 
-def trace_norm(x) -> float:
-    return float(np.linalg.svd(as_matrix(x), compute_uv=False).sum())
+def trace_norm(x):
+    """||X||_1, or the array of each norm of a (..., m, n) stack."""
+    return _scalar(np.linalg.svd(as_matrix(x), compute_uv=False).sum(axis=-1))
 
 
 def trace_distance(rho, sigma) -> float:

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 import numpy.random  # loaded lazily by numpy; every suite draws from it, so load it at import
 
-from .matfun import _require_finite, assert_hermitian, complex_power, eig_hermitian, rank_cutoff
+from .matfun import _require_finite, assert_hermitian, complex_power, eig_hermitian
 
 __all__ = [
     "Systems",
@@ -127,6 +127,50 @@ def _ordered_sum(terms: np.ndarray) -> np.ndarray:
         total = terms.sum(axis=-3)
     total += 0.0
     return total
+
+
+def _apply_kraus(ks: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_k K_k x K_k^dag for a (..., K, out, in) Kraus stack and a
+    (..., in, in) operator stack whose leading axes broadcast, summed in Kraus
+    order by :func:`_ordered_sum`; a zero operator adds exact zeros, so a
+    Kraus stack may be padded with zero operators."""
+    return _ordered_sum(ks @ x[..., None, :, :] @ ks.conj().swapaxes(-1, -2))
+
+
+def _adjoint_stack(ks: np.ndarray) -> np.ndarray:
+    """The Kraus operators K_k^dag of the adjoint map, C-ordered as
+    :func:`adjoint` holds them."""
+    return np.ascontiguousarray(ks.conj().swapaxes(-1, -2))
+
+
+def _tp_deviations(ks: np.ndarray) -> np.ndarray:
+    """Largest entry of |N^dag(I) - I| for each map of a (..., K, out, in) Kraus stack."""
+    eye_in = np.eye(ks.shape[-1])
+    gram = _apply_kraus(_adjoint_stack(ks), np.eye(ks.shape[-2]))
+    return np.abs(gram - eye_in).max(axis=(-2, -1))
+
+
+def _grouped(keys, fn) -> list:
+    """``fn(index)`` once per distinct key, ``index`` the array of positions
+    holding that key; ``fn`` returns one item per position, and the items come
+    back in position order."""
+    out = [None] * len(keys)
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    for idx in groups.values():
+        for i, item in zip(idx, fn(np.array(idx))):
+            out[i] = item
+    return out
+
+
+def _padded(kraus) -> np.ndarray:
+    """The (K_i, out, in) Kraus arrays of several maps as one (N, K, out, in)
+    stack, zero-padded at the end; only :func:`_apply_kraus` may take it."""
+    stack = np.zeros((len(kraus), max(len(k) for k in kraus)) + kraus[0].shape[1:], dtype=complex)
+    for i, k in enumerate(kraus):
+        stack[i, : len(k)] = k
+    return stack
 
 
 def _kraus_stack(kraus) -> np.ndarray:
@@ -285,16 +329,20 @@ def _keep_indices(systems: Systems, keep_labels: Sequence[str]) -> list:
 
 
 def ptrace(matrix: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
-    """Partial trace of a square matrix on factors of sizes ``dims`` over the
-    factors whose indices are not in ``keep``; kept factors stay in order."""
+    """Partial trace of a square matrix, or of each matrix of a (..., D, D)
+    stack, on factors of sizes ``dims`` over the factors whose indices are not
+    in ``keep``; kept factors stay in order."""
     dims = list(dims)
     n = len(dims)
     keep = sorted(keep)
-    t = np.asarray(matrix).reshape(dims + dims)
+    matrix = np.asarray(matrix)
+    lead = matrix.shape[:-2]
+    t = matrix.reshape(lead + tuple(dims + dims))
     for ax in sorted((i for i in range(n) if i not in keep), reverse=True):
-        t = np.trace(t, axis1=ax, axis2=ax + t.ndim // 2)
+        half = (t.ndim - len(lead)) // 2
+        t = np.trace(t, axis1=len(lead) + ax, axis2=len(lead) + ax + half)
     dk = int(np.prod([dims[i] for i in keep], dtype=np.int64)) if keep else 1
-    return np.asarray(t).reshape(dk, dk)
+    return np.asarray(t).reshape(lead + (dk, dk))
 
 
 def partial_trace(rho: DensityOperator, discard) -> DensityOperator:
@@ -331,13 +379,25 @@ def purify(rho: DensityOperator) -> Purification:
     if "R" in rho.labels:
         raise LabelError(f"reference label 'R' collides with {rho.labels!r}")
     spec = eig_hermitian(rho.matrix)
-    lam = np.clip(spec.eigenvalues, 0.0, None)
-    mask = lam > rank_cutoff(spec.eigenvalues)
-    lam, vecs = lam[mask], spec.eigenvectors[:, mask]
-    # |phi> = sum_k sqrt(lam_k) |k>_ref |v_k>
-    amp = np.sqrt(lam)[:, None] * vecs.T
-    systems = (("R", lam.shape[0]),) + rho.systems
-    return Purification("R", systems, amp.reshape(-1))
+    rank = int(_ranks(spec))
+    systems = (("R", rank),) + rho.systems
+    return Purification("R", systems, _purification_vectors(spec[None], rank)[0])
+
+
+def _ranks(spec) -> np.ndarray:
+    """Numerical rank of each matrix of a spectrum: the reference dimension
+    of its :func:`purify`."""
+    return np.count_nonzero(np.clip(spec.eigenvalues, 0.0, None) > spec.cutoff, axis=-1)
+
+
+def _purification_vectors(spec, rank: int) -> np.ndarray:
+    """The :func:`purify` vectors sum_k sqrt(lam_k) |k>_ref |v_k> of a (N, d)
+    stack of spectra of rank ``rank``, as (N, rank * d); the support is the
+    last ``rank`` eigenpairs."""
+    lam = np.clip(spec.eigenvalues[:, spec.dim - rank :], 0.0, None)
+    vecs = spec.eigenvectors[:, :, spec.dim - rank :]
+    amp = np.sqrt(lam)[:, :, None] * vecs.swapaxes(1, 2)
+    return amp.reshape(len(amp), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -384,8 +444,7 @@ class KrausMap:
             raise DimensionMismatchError(
                 f"input shape {x.shape} does not match channel input dimension {self.in_dim}"
             )
-        ks = self.stack
-        return _ordered_sum(ks @ x[..., None, :, :] @ ks.conj().swapaxes(1, 2))
+        return _apply_kraus(self.stack, x)
 
     def kraus_gram(self) -> np.ndarray:
         """sum_i K_i^dag K_i (the adjoint's action on the identity)."""
@@ -545,14 +604,30 @@ def apply_on(m: KrausMap, x: np.ndarray, systems: Systems, on, out_systems: Syst
         raise DimensionMismatchError(
             f"operator shape {x.shape} does not match dimension {d_in} of {systems}"
         )
-    n = len(m.kraus)
-    ks = m.stack[:, None]  # (n, 1, out, in), broadcast over the left factor
+    return _apply_block(m.stack, x, d_left, d_right), new_systems
+
+
+def _apply_block(ks: np.ndarray, x: np.ndarray, d_left: int, d_right: int) -> np.ndarray:
+    """:func:`apply_on`'s product: the (..., K, out, in) Kraus stack on the
+    middle factor of (d_left, in, d_right) for each operator of a (..., D, D)
+    stack, leading axes broadcast.  The Kraus terms are added one at a time
+    in Kraus order, as ``sum`` over a leading axis adds them, so a stack holds
+    no K-fold product; a zero term would turn a -0 entry into 0, so every map
+    of a stack needs its own K operators, unpadded."""
+    n, m_out, m_in = ks.shape[-3:]
+    d_in, d_out = d_left * m_in * d_right, d_left * m_out * d_right
+    x = x.reshape(x.shape[:-2] + (d_left, m_in, d_right * d_in))
     # With K_k acting on the block, Y_k = K_k X and sum_k K_k Y_k^dag = N(X^dag),
     # whose adjoint is N(X): a map in Kraus form commutes with the adjoint.
-    y = (ks @ x.reshape(d_left, m.in_dim, d_right * d_in)).reshape(n, d_out, d_in)
-    y = y.conj().swapaxes(1, 2).reshape(n, d_left, m.in_dim, d_right * d_out)
-    out = (ks @ y).sum(axis=0).reshape(d_out, d_out).conj().T
-    return out, new_systems
+    out = None
+    for k in range(n):
+        op = ks[..., k, None, :, :]  # (..., 1, out, in), broadcast over the left factor
+        y = op @ x
+        lead = y.shape[:-3]
+        y = y.reshape(lead + (d_out, d_in)).conj().swapaxes(-1, -2)
+        term = op @ y.reshape(lead + (d_left, m_in, d_right * d_out))
+        out = term if out is None else out + term
+    return out.reshape(lead + (d_out, d_out)).conj().swapaxes(-1, -2)
 
 
 def lift(m: KrausMap, systems: Systems, on, out_systems: Systems | None = None):
@@ -653,13 +728,54 @@ class Instrument:
         are clipped at 0, and an outcome of probability at most
         ``PROB_FLOOR`` gets ``None`` in place of its operator.
         """
-        probs, posts = [], []
-        for m in self.maps:
-            out = m.apply(x) if systems is None else apply_on(m, x, systems, on, out_systems)[0]
-            p = float(np.real(np.trace(out)))
-            probs.append(max(p, 0.0))
-            posts.append(out / p if p > PROB_FLOOR else None)
-        return np.array(probs), posts
+        maps = self.maps
+        if systems is None:
+            x = np.asarray(x, dtype=complex)
+            if x.shape != (self.in_dim, self.in_dim):
+                raise DimensionMismatchError(
+                    f"input shape {x.shape} does not match channel input dimension {self.in_dim}"
+                )
+            outs = _apply_kraus(_padded([m.stack for m in maps]), x)
+        else:
+            systems, start, stop, _ = _factor_block(maps[0], systems, on, out_systems)
+            d_left, d_right = _total_dim(systems[:start]), _total_dim(systems[stop:])
+            x = np.asarray(x, dtype=complex)
+            # apply_on adds the Kraus terms by sum, so maps of one count go together
+            outs = np.stack(_grouped([len(m.kraus) for m in maps], lambda idx: _apply_block(
+                np.stack([maps[i].stack for i in idx]), x, d_left, d_right)))
+        probs, seen, posts = _outcomes(outs)
+        return probs, [post if s else None for post, s in zip(posts, seen)]
+
+
+def _mixture(probs: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """sum_x p_x rho_x for each row of (N, m) weights and (N, m, d, d)
+    matrices, added in member order from 0 as ``sum`` adds them."""
+    total = 0
+    for x in range(probs.shape[1]):
+        total = total + probs[:, x, None, None] * mats[:, x]
+    return total
+
+
+def _outcomes(outs: np.ndarray):
+    """Probabilities, the mask of those above ``PROB_FLOOR`` and the
+    normalized post-measurement operators of a (..., n, D, D) stack of
+    unnormalized outcome operators.  Probabilities are clipped at 0 (a -0.0
+    stays, as under ``max``); a post at or below the floor is all zeros."""
+    p = np.real(np.trace(outs, axis1=-2, axis2=-1))
+    seen = p > PROB_FLOOR
+    posts = outs / np.where(seen, p, 1.0)[..., None, None]
+    posts[~seen] = 0.0
+    return np.where(0.0 > p, 0.0, p), seen, posts
+
+
+def _instrument_kraus(kx: np.ndarray, kets: np.ndarray) -> np.ndarray:
+    """Kraus operators K (x) |x> of the quantum-classical channel for the
+    outcome maps of a (..., n, K, out, in) stack, ``kets`` the (n, n_total)
+    classical basis rows of those outcomes: the (..., n K, out n_total, in)
+    stack, ordered by outcome, then by Kraus operator, as ``np.kron`` makes
+    each."""
+    ops = kx[..., None, :] * kets[:, None, None, :, None]
+    return ops.reshape(kx.shape[:-4] + (-1, kx.shape[-2] * kets.shape[-1], kx.shape[-1]))
 
 
 def instrument_channel(instr: Instrument) -> Channel:
@@ -669,14 +785,9 @@ def instrument_channel(instr: Instrument) -> Channel:
     the minor (last) Kronecker factor, with basis index matching the outcome
     position in ``instr.maps``.
     """
-    n = instr.n_outcomes
-    ks = []
-    for x, m in enumerate(instr.maps):
-        e = np.zeros((n, 1))
-        e[x, 0] = 1.0
-        for k in m.kraus:
-            ks.append(np.kron(k, e))
-    return _derived(Channel, ks)
+    kets = np.eye(instr.n_outcomes)
+    return _derived(Channel, np.concatenate(
+        [_instrument_kraus(m.stack[None], kets[x : x + 1]) for x, m in enumerate(instr.maps)]))
 
 
 @dataclass(frozen=True)
@@ -707,7 +818,8 @@ class Ensemble:
         return len(self.states)
 
     def average(self) -> DensityOperator:
-        mat = sum(p * s.matrix for p, s in zip(self.probs, self.states))
+        mats = np.stack([s.matrix for s in self.states])
+        mat = _mixture(self.probs[None], mats[None])[0]
         return _derived(DensityOperator, self.states[0].systems, mat)
 
     def through(self, channel: Channel, out_systems: Systems | None = None) -> "Ensemble":
@@ -728,7 +840,7 @@ def random_density(dim: int, rank: int | None = None, seed=None) -> DensityOpera
     rank = dim if rank is None else int(rank)
     if not 1 <= rank <= dim:
         raise ValueError(f"rank must be in [1, {dim}], got {rank}")
-    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    g = _ginibre(rng, (dim, rank))
     mat = g @ g.conj().T
     mat /= np.real(np.trace(mat))
     return _derived(DensityOperator, (("A", int(dim)),), mat)
@@ -744,10 +856,22 @@ def random_isometry(in_dim: int, out_dim: int, seed=None) -> np.ndarray:
     phase-fixed QR of a Ginibre matrix."""
     if out_dim < in_dim:
         raise DimensionMismatchError("an isometry needs out_dim >= in_dim")
-    rng = _rng(seed)
-    g = rng.standard_normal((out_dim, in_dim)) + 1j * rng.standard_normal((out_dim, in_dim))
+    return _haar_isometries(_ginibre(_rng(seed), (out_dim, in_dim)))
+
+
+def _ginibre(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    """A complex Gaussian (..., m, n) array.  Each matrix takes its real
+    part, then its imaginary part, from one ``standard_normal`` call, which
+    draws the numbers that a call per part would."""
+    g = rng.standard_normal(shape[:-2] + (2,) + shape[-2:])
+    return g[..., 0, :, :] + 1j * g[..., 1, :, :]
+
+
+def _haar_isometries(g: np.ndarray) -> np.ndarray:
+    """Phase-fixed QR of a Ginibre matrix, or of each of a stack."""
     q, r = np.linalg.qr(g)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+    phases = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (phases / np.abs(phases))[..., None, :]
 
 
 def random_channel(in_dim: int, out_dim: int, env_dim: int, seed=None) -> Channel:
@@ -765,7 +889,7 @@ def random_povm(dim: int, n_outcomes: int, seed=None) -> tuple:
     rng = _rng(seed)
     parts = []
     for _ in range(n_outcomes):
-        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        g = _ginibre(rng, (dim, dim))
         parts.append(g @ g.conj().T)
     total = sum(parts)
     s = complex_power(total, -0.5)
@@ -782,14 +906,11 @@ def random_instrument(dim: int, n_outcomes: int, efficient: bool, seed=None) -> 
     rng = _rng(seed)
     if efficient:
         roots = complex_power(np.stack(random_povm(dim, n_outcomes, rng)), 0.5)
-        return _derived(Instrument, [(random_unitary(dim, rng) @ root,) for root in roots])
+        unitaries = _haar_isometries(_ginibre(rng, (n_outcomes, dim, dim)))
+        return _derived(Instrument, [(u @ root,) for u, root in zip(unitaries, roots)])
     raw = []
     for _ in range(n_outcomes):
-        ks = [
-            rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-            for _ in range(2)
-        ]
-        raw.append(ks)
+        raw.append([_ginibre(rng, (dim, dim)) for _ in range(2)])
     total = sum(k.conj().T @ k for ks in raw for k in ks)
     s = complex_power(total, -0.5)
     return _derived(Instrument, [[k @ s for k in ks] for ks in raw])

@@ -34,6 +34,9 @@ from .qcore import (
     DimensionMismatchError,
     KrausMap,
     Purification,
+    _adjoint_stack,
+    _apply_kraus,
+    _grouped,
     as_matrix,
 )
 
@@ -145,9 +148,16 @@ def petz_map(sigma, channel: KrausMap) -> Channel:
     Perfectly recovers sigma: ``(P o N)(sigma) = sigma``.
     """
     sig, n_sig = _sigma_pair(sigma, channel)
-    left = complex_power(sig, 0.5)
-    right = complex_power(n_sig, -0.5)
-    return Channel(tuple(left @ k.conj().T @ right for k in channel.kraus))
+    return Channel(tuple(_petz_stack(sig[None], channel.stack[None], n_sig[None])[0]))
+
+
+def _petz_stack(sig: np.ndarray, ks: np.ndarray, n_sig: np.ndarray) -> np.ndarray:
+    """The Petz Kraus operators sigma^{1/2} K_k^dag N(sigma)^{-1/2} for each
+    map of a (N, K, out, in) Kraus stack, sigma and N(sigma) from (N, in, in)
+    and (N, out, out) stacks: the (N, K, in, out) stack."""
+    left = complex_power(sig, 0.5)[:, None]
+    right = complex_power(n_sig, -0.5)[:, None]
+    return left @ ks.conj().swapaxes(-1, -2) @ right
 
 
 def rotated_petz(sigma, channel: KrausMap, t: float) -> Channel:
@@ -163,34 +173,45 @@ def rotated_petz(sigma, channel: KrausMap, t: float) -> Channel:
     return Channel(tuple(left @ k.conj().T @ right for k in channel.kraus))
 
 
-def _petz_core(spec_sig: Spectrum, spec_out: Spectrum, kraus):
+def _petz_core(spec_sig: Spectrum, spec_out: Spectrum, ks: np.ndarray):
     """Support eigenbases u, v, their eigenvalues lam, mu, and the Petz Kraus
-    operators lam^{1/2} u^dag K_k^dag v mu^{-1/2} in those bases, stacked (K, r_in, r_out)."""
-    in_supp = spec_sig.eigenvalues > spec_sig.cutoff
-    out_supp = spec_out.eigenvalues > spec_out.cutoff
-    u = spec_sig.eigenvectors[:, in_supp]
-    v = spec_out.eigenvectors[:, out_supp]
-    lam = spec_sig.eigenvalues[in_supp]
-    mu = spec_out.eigenvalues[out_supp]
-    scale = np.sqrt(lam)[:, None] / np.sqrt(mu)[None, :]
-    core = np.stack([scale * (u.conj().T @ k.conj().T @ v) for k in kraus])
+    operators lam^{1/2} u^dag K_k^dag v mu^{-1/2} in those bases, stacked (K, r_in, r_out).
+
+    ``ks`` is the (K, out, in) Kraus stack.  Spectra of (N, d) stacks with a
+    (N, K, out, in) Kraus stack give every array a leading N axis; their
+    supports must share their sizes.  A support is a suffix of the ascending
+    spectrum, so it is sliced, then copied to the layout a mask gives.
+    """
+    r_in = int(np.count_nonzero(spec_sig.eigenvalues > spec_sig.cutoff, axis=-1).max())
+    r_out = int(np.count_nonzero(spec_out.eigenvalues > spec_out.cutoff, axis=-1).max())
+    u = np.ascontiguousarray(spec_sig.eigenvectors[..., spec_sig.dim - r_in :])
+    v = np.ascontiguousarray(spec_out.eigenvectors[..., spec_out.dim - r_out :])
+    lam = spec_sig.eigenvalues[..., spec_sig.dim - r_in :]
+    mu = spec_out.eigenvalues[..., spec_out.dim - r_out :]
+    scale = np.sqrt(lam)[..., :, None] / np.sqrt(mu)[..., None, :]
+    adj = u.conj().swapaxes(-1, -2)[..., None, :, :] @ ks.conj().swapaxes(-1, -2)
+    core = scale[..., None, :, :] * (adj @ v[..., None, :, :])
     return u, lam, v, mu, core
 
 
-def swiveled_kraus(spec_sig: Spectrum, spec_out: Spectrum, kraus, t) -> np.ndarray:
+def swiveled_kraus(spec_sig: Spectrum, spec_out: Spectrum, kraus: np.ndarray, t) -> np.ndarray:
     """Kraus operators sigma^{(1-it)/2} K_k^dag N(sigma)^{(-1+it)/2} of the
     swiveled Petz map R^{t/2} for every node of ``t``, stacked (T, K, d_in, d_out).
 
+    ``kraus`` holds the (out, in) Kraus operators of N.
     ``spec_sig`` and ``spec_out`` are the spectra of sigma and of the output
     reference N(sigma) (any PSD operator on the output space will do); powers
     act on their supports as in :func:`rotated_petz`.  Between nodes only the
     phases lam^{-it/2} and mu^{it/2} change, so the Petz core is built once.
+    Spectra of (N, d) stacks whose supports share their sizes, with a (N, K,
+    out, in) Kraus stack, give the (N, T, K, d_in, d_out) stack.
     """
-    u, lam, v, mu, core = _petz_core(spec_sig, spec_out, kraus)
+    u, lam, v, mu, core = _petz_core(spec_sig, spec_out, np.asarray(kraus))
     half = np.asarray(t, dtype=float)[:, None] / 2.0
-    left = u * np.exp(-1j * half * np.log(lam))[:, None, :]
-    right = np.exp(1j * half * np.log(mu))[:, :, None] * v.conj().T
-    return left[:, None] @ core @ right[:, None]
+    left = u[..., None, :, :] * np.exp(-1j * half * np.log(lam)[..., None, :])[..., None, :]
+    v_dag = v.conj().swapaxes(-1, -2)[..., None, :, :]
+    right = np.exp(1j * half * np.log(mu)[..., None, :])[..., None] * v_dag
+    return left[..., None, :, :] @ core[..., None, :, :, :] @ right[..., None, :, :]
 
 
 def stacked_root_fidelity(sqrt_rho: np.ndarray, kraus: np.ndarray, sqrt_x: np.ndarray,
@@ -200,13 +221,16 @@ def stacked_root_fidelity(sqrt_rho: np.ndarray, kraus: np.ndarray, sqrt_x: np.nd
     ``kraus`` is (T, K, d_out, d_in); each A_k = I_lead (x) kraus[j, k] acts
     on the last factor of X.  With W = sqrt(X) the root fidelity is the trace
     norm ||sqrt(rho) [A_1 W ... A_K W]||_1, so no recovered state and no
-    square root of it is formed.
+    square root of it is formed.  Leading axes of ``kraus`` (..., T, K,
+    d_out, d_in) go with those of ``sqrt_rho`` and ``sqrt_x``, and give
+    (..., T) root fidelities.
     """
-    n_nodes, n_kraus, d_out, d_in = kraus.shape
-    w = np.asarray(sqrt_x).reshape(lead, d_in, -1)
-    cols = (kraus[:, :, None] @ w).reshape(n_nodes, n_kraus, lead * d_out, -1)
-    m = (sqrt_rho @ cols).transpose(0, 2, 1, 3)
-    stack = m.reshape(n_nodes, m.shape[1], -1)
+    n_nodes, n_kraus, d_out, d_in = kraus.shape[-4:]
+    sqrt_x = np.asarray(sqrt_x)
+    w = sqrt_x.reshape(sqrt_x.shape[:-2] + (1, 1, lead, d_in, -1))
+    cols = (kraus[..., None, :, :] @ w).reshape(kraus.shape[:-2] + (lead * d_out, -1))
+    m = (sqrt_rho[..., None, None, :, :] @ cols).swapaxes(-3, -2)
+    stack = m.reshape(m.shape[:-2] + (-1,))
     return np.linalg.svd(stack, compute_uv=False).sum(axis=-1)
 
 
@@ -214,27 +238,83 @@ def swiveled_root_fidelities(rho, sigma, channel: KrausMap, t, n_rho, n_sigma) -
     """sqrt F(rho, R^{t/2}(N(rho))) at every node of ``t``, with R^{t/2} the
     swiveled Petz map of :func:`rotated_petz` for (sigma, N); ``n_rho`` and
     ``n_sigma`` are the caller's N(rho) and N(sigma)."""
-    spec_in = eig_hermitian(np.stack([as_matrix(sigma), as_matrix(rho)]))
-    spec_out = eig_hermitian(np.stack([as_matrix(n_sigma), as_matrix(n_rho)]))
-    ks = swiveled_kraus(spec_in[0], spec_out[0], channel.kraus, t)
-    return stacked_root_fidelity(spec_in[1].power(0.5), ks, spec_out[1].power(0.5))
+    mats = [as_matrix(x)[None] for x in (rho, sigma, n_rho, n_sigma)]
+    return _swiveled_root_fidelity_stack(*mats, channel.stack[None], t)[0]
 
 
-def _completion_kraus(directions: np.ndarray, weights, dim: int) -> list:
+def _swiveled_root_fidelity_stack(rho, sigma, n_rho, n_sigma, ks: np.ndarray, t) -> np.ndarray:
+    """:func:`swiveled_root_fidelities` for each map of a (N, K, out, in)
+    Kraus stack and (N, ., .) stacks of rho, sigma, N(rho) and N(sigma): the
+    (N, T) root fidelities.  The Petz core's shape is fixed by the support
+    sizes of sigma and N(sigma), so it is built per group of maps sharing them."""
+    spec_in = eig_hermitian(np.stack([sigma, rho], axis=1))
+    spec_out = eig_hermitian(np.stack([n_sigma, n_rho], axis=1))
+    sizes = [
+        np.count_nonzero(spec.eigenvalues > spec.cutoff, axis=1).tolist()
+        for spec in (spec_in[:, 0], spec_out[:, 0])
+    ]
+
+    def group(idx):
+        kraus = swiveled_kraus(spec_in[idx, 0], spec_out[idx, 0], ks[idx], t)
+        return stacked_root_fidelity(spec_in[idx, 1].power(0.5), kraus, spec_out[idx, 1].power(0.5))
+
+    return np.stack(_grouped(list(zip(*sizes)), group))
+
+
+def _completion_kraus(directions: np.ndarray, weights: np.ndarray, dim: int) -> np.ndarray:
     """Kraus operators sqrt(w_j / d) |k><d_j| of Q -> sum_j w_j <d_j|Q|d_j> I/d.
 
-    ``directions`` holds the orthonormal d_j as columns and ``weights`` their
-    w_j; |k> runs over the standard basis of the d = ``dim`` dimensional
-    channel input.  Operators are ordered by direction, then by k.
+    ``directions`` holds the orthonormal d_j as the columns of a (..., n, J)
+    stack and ``weights`` their w_j as (..., J); |k> runs over the standard
+    basis of the d = ``dim`` dimensional channel input.  Returns the
+    (..., J d, d, n) stack, ordered by direction, then by k; a zero weight
+    gives zero operators.
     """
-    basis = np.eye(dim, dtype=complex)
-    lam = 1.0 / dim
-    ks = []
-    for j in range(directions.shape[1]):
-        bra = directions[:, j].conj()
-        for k in range(dim):
-            ks.append(np.sqrt(weights[j] * lam) * np.outer(basis[:, k], bra))
-    return ks
+    bras = directions.conj().swapaxes(-1, -2)[..., :, None, None, :]  # (..., J, 1, 1, n)
+    kets = np.eye(dim, dtype=complex)[:, :, None]  # |k> as (k, d, 1)
+    ops = np.sqrt(weights * (1.0 / dim))[..., :, None, None, None] * (kets * bras)
+    return ops.reshape(ops.shape[:-4] + (-1, dim, directions.shape[-2]))
+
+
+def _integrated_recovery_stack(sig: np.ndarray, ks: np.ndarray, n_sig: np.ndarray) -> list:
+    """:func:`integrated_recovery` for each map of a (N, K, out, d) Kraus
+    stack, with its reference sigma from a (N, d, d) stack and N(sigma) from
+    a (N, out, out) one: the list of each recovery's (K_i, d, out) Kraus
+    operators.  The support sizes of sigma and N(sigma) fix the shapes of the
+    Petz core, so it is built once per group of pairs that share them.
+    """
+    if sig.shape == n_sig.shape:  # one stacked call when N keeps the dimension
+        pair = eig_hermitian(np.stack([sig, n_sig], axis=1))
+        spec_sig, spec_out = pair[:, 0], pair[:, 1]
+    else:
+        spec_sig, spec_out = eig_hermitian(sig), eig_hermitian(n_sig)
+    sizes = zip(
+        np.count_nonzero(spec_sig.eigenvalues > spec_sig.cutoff, axis=1).tolist(),
+        np.count_nonzero(spec_out.eigenvalues > spec_out.cutoff, axis=1).tolist(),
+    )
+    return _grouped(list(sizes), lambda idx: _integrated_group(spec_sig[idx], spec_out[idx], ks[idx]))
+
+
+def _integrated_group(spec_sig: Spectrum, spec_out: Spectrum, ks: np.ndarray) -> list:
+    """The recovery Kraus operators of a group of pairs whose references share
+    their support sizes, one (K_i, d, out) array per pair."""
+    u, lam, v, mu, core = _petz_core(spec_sig, spec_out, ks)
+    n, r_in, r_out = core.shape[0], lam.shape[1], mu.shape[1]
+    # rows: vec of the Petz Kraus operators in the support eigenbases
+    petz = core.reshape(n, ks.shape[1], -1)
+    half_log = ((np.log(mu)[:, None, :] - np.log(lam)[:, :, None]) / 2.0).reshape(n, -1)
+    w = half_log[:, :, None] - half_log[:, None, :]
+    with np.errstate(invalid="ignore"):
+        char = np.where(w == 0.0, 1.0, w / np.sinh(w))
+    spec = eig_hermitian((petz.swapaxes(1, 2) @ petz.conj()) * char)
+    # eigenvector j as an r_in x r_out matrix, a strided view as in a loop over columns
+    vecs = spec.eigenvectors.swapaxes(1, 2).reshape(n, -1, r_in, r_out)
+    roots = np.sqrt(np.maximum(spec.eigenvalues, 0.0))[:, :, None, None]
+    ops = roots * (u[:, None] @ vecs @ v.conj().swapaxes(1, 2)[:, None])
+    kernel = spec_out.eigenvectors[:, :, : spec_out.dim - r_out]
+    completion = _completion_kraus(kernel, np.ones(kernel.shape[::2]), ks.shape[-1])
+    positive = spec.eigenvalues > 0.0
+    return [np.concatenate([ops[i, positive[i]], completion[i]]) for i in range(n)]
 
 
 def integrated_recovery(sigma, channel: KrausMap) -> Channel:
@@ -253,27 +333,32 @@ def integrated_recovery(sigma, channel: KrausMap) -> Channel:
     channel that still recovers sigma perfectly.
     """
     sig, n_sig = _sigma_pair(sigma, channel)
-    if sig.shape == n_sig.shape:  # one stacked call when N keeps the dimension
-        pair = eig_hermitian(np.stack([sig, n_sig]))
-        spec_sig, spec_out = pair[0], pair[1]
-    else:
-        spec_sig, spec_out = eig_hermitian(sig), eig_hermitian(n_sig)
-    u, lam, v, mu, core = _petz_core(spec_sig, spec_out, channel.kraus)
-    # rows: vec of the Petz Kraus operators in the support eigenbases
-    petz = core.reshape(len(channel.kraus), -1)
-    half_log = ((np.log(mu)[None, :] - np.log(lam)[:, None]) / 2.0).reshape(-1)
-    w = half_log[:, None] - half_log[None, :]
-    with np.errstate(invalid="ignore"):
-        char = np.where(w == 0.0, 1.0, w / np.sinh(w))
-    spec = eig_hermitian((petz.T @ petz.conj()) * char)
-    ks = [
-        np.sqrt(e) * (u @ vec.reshape(len(lam), len(mu)) @ v.conj().T)
-        for e, vec in zip(spec.eigenvalues, spec.eigenvectors.T)
-        if e > 0.0
-    ]
-    kernel = spec_out.eigenvectors[:, spec_out.eigenvalues <= spec_out.cutoff]
-    ks.extend(_completion_kraus(kernel, np.ones(kernel.shape[1]), channel.in_dim))
-    return Channel(tuple(ks))
+    return Channel(tuple(_integrated_recovery_stack(sig[None], channel.stack[None], n_sig[None])[0]))
+
+
+def _adjoint_recovery_stack(ks: np.ndarray) -> np.ndarray:
+    """:func:`adjoint_recovery` for each map of a (N, K, out, in) Kraus stack:
+    the (N, K', in, out) recovery Kraus stack.  Maps with fewer gap directions
+    than the most get zero operators in place of the missing completion
+    terms, which :func:`~qrecovery.qcore._apply_kraus` adds exactly."""
+    d_out, d_in = ks.shape[-2:]
+    spec = eig_hermitian(np.eye(d_out) - _apply_kraus(ks, np.eye(d_in)))
+    bad = np.flatnonzero(spec.eigenvalues[:, 0] < -1e-10)
+    if bad.size:
+        low, vec = spec.eigenvalues[bad[0], 0], spec.eigenvectors[bad[0], :, 0]
+        raise NotCompletelyPositiveError(
+            "channel is superunital (max eig of N(I) is "
+            f"{1.0 - low:.12g}); the adjoint-based recovery is not CP",
+            np.outer(vec, vec.conj()),
+        )
+    # Tr{(I - N(I)) Y} I/d over the gap eigenpairs (mu_l, d_l); gap
+    # directions below 1e-12 are numerical zeros of N(I) = I, and the others
+    # end the ascending spectrum.
+    gap_dirs = spec.eigenvalues > 1e-12
+    first = d_out - int(gap_dirs.sum(axis=1).max())
+    weights = np.where(gap_dirs, spec.eigenvalues, 0.0)[:, first:]
+    completion = _completion_kraus(spec.eigenvectors[:, :, first:], weights, d_in)
+    return np.concatenate([_adjoint_stack(ks), completion], axis=1)
 
 
 def adjoint_recovery(channel: KrausMap) -> Channel:
@@ -284,22 +369,7 @@ def adjoint_recovery(channel: KrausMap) -> Channel:
     on part of the output space, and the constructor rejects it with a witness
     input exhibiting the failure.
     """
-    gap = np.eye(channel.out_dim) - channel.on_identity()
-    spec = eig_hermitian(gap)
-    if spec.eigenvalues[0] < -1e-10:
-        witness = np.outer(spec.eigenvectors[:, 0], spec.eigenvectors[:, 0].conj())
-        raise NotCompletelyPositiveError(
-            "channel is superunital (max eig of N(I) is "
-            f"{1.0 - spec.eigenvalues[0]:.12g}); the adjoint-based recovery is not CP",
-            witness,
-        )
-    ks = [k.conj().T for k in channel.kraus]
-    # Tr{(I - N(I)) Y} I/d over the gap eigenpairs (mu_l, d_l); gap
-    # directions below 1e-12 are numerical zeros of N(I) = I.
-    gap_dirs = spec.eigenvalues > 1e-12
-    ks.extend(_completion_kraus(spec.eigenvectors[:, gap_dirs], spec.eigenvalues[gap_dirs],
-                                channel.in_dim))
-    return Channel(tuple(ks))
+    return Channel(tuple(_adjoint_recovery_stack(channel.stack[None])[0]))
 
 
 @dataclass(frozen=True)

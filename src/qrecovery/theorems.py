@@ -16,11 +16,9 @@ import numpy as np
 
 from .entropy import (
     NAT_TO_BITS,
-    cmi,
-    cond_entropy,
+    _cmi_stack,
+    _holevo_chi,
     entropy,
-    fidelity,
-    holevo_chi,
     rel_entropy,
     root_fidelity,
     shannon_entropy,
@@ -31,32 +29,39 @@ from .qcore import (
     PROB_FLOOR,
     Channel,
     DensityOperator,
+    DimensionMismatchError,
     Ensemble,
     Instrument,
     KrausMap,
-    Purification,
-    _derived,
+    LabelError,
+    _adjoint_stack,
+    _apply_block,
+    _apply_kraus,
+    _factor_block,
+    _grouped,
+    _instrument_kraus,
+    _mixture,
+    _outcomes,
+    _padded,
+    _purification_vectors,
+    _ranks,
     _rng,
+    _tp_deviations,
     adjoint,
-    apply_on,
     as_matrix,
-    instrument_channel,
-    partial_trace,
     partial_trace_channel,
-    permute,
     ptrace,
     purify,
     tp_deviation,
 )
 from .recovery import (
     QuadratureSpec,
-    adjoint_recovery,
-    integrated_recovery,
+    _adjoint_recovery_stack,
+    _integrated_recovery_stack,
+    _swiveled_root_fidelity_stack,
     quadrature,
     stacked_root_fidelity,
     swiveled_kraus,
-    swiveled_root_fidelities,
-    uhlmann_isometry,
 )
 from .reports import CheckReport
 
@@ -82,8 +87,12 @@ __all__ = [
 
 
 def _require_tp(channel) -> None:
-    """A Kraus or transfer-matrix map is trace-preserving iff its adjoint takes I to I."""
-    dev = tp_deviation(channel)
+    """A Kraus or transfer-matrix map is trace-preserving iff its adjoint takes
+    I to I; a (N, K, out, in) Kraus stack must hold only such maps."""
+    if isinstance(channel, np.ndarray):
+        dev = float(_tp_deviations(channel).max())
+    else:
+        dev = tp_deviation(channel)
     if dev > 1e-9:
         raise ValueError(f"map is not trace-preserving: max deviation {dev:.3e}")
 
@@ -97,10 +106,26 @@ def check_entropy_gain(rho, channel) -> CheckReport:
     _require_tp(channel)
     mat = as_matrix(rho)
     out = channel.apply(mat)
+    return _entropy_gain_reports(mat[None], out[None], adjoint(channel).apply(out)[None])[0]
+
+
+def _entropy_gain_stack(mat: np.ndarray, ks: np.ndarray) -> list:
+    """:func:`check_entropy_gain` for each pair of a (N, d, d) stack of states
+    and a (N, K, d', d) stack of channels in Kraus form."""
+    _require_tp(ks)
+    out = _apply_kraus(ks, mat)
+    return _entropy_gain_reports(mat, out, _apply_kraus(_adjoint_stack(ks), out))
+
+
+def _entropy_gain_reports(mat: np.ndarray, out: np.ndarray, back: np.ndarray) -> list:
+    """The entropy-gain rows of (N, d, d) states rho, their outputs N(rho) and
+    (N^dag o N)(rho)."""
     lhs = entropy(out) - entropy(mat)
-    d = rel_entropy(mat, adjoint(channel).apply(out))
-    aux = {"support_violation": d.support_violation}
-    return CheckReport("entropy-gain", lhs, d.value, dims=(mat.shape[0],), aux=aux)
+    d = rel_entropy(mat, back)
+    return [
+        CheckReport("entropy-gain", l, r, dims=(mat.shape[-1],), aux={"support_violation": float(v)})
+        for l, r, v in zip(lhs, d.value, d.support_violation)
+    ]
 
 
 def check_entropy_gain_recovery(rho, channel: Channel) -> CheckReport:
@@ -111,16 +136,24 @@ def check_entropy_gain_recovery(rho, channel: Channel) -> CheckReport:
     plain adjoint bound D(rho || (N^dag o N)(rho)), which dominates the
     recovery bound because (R o N)(rho) >= (N^dag o N)(rho).
     """
-    _require_tp(channel)
-    mat = as_matrix(rho)
-    rec = adjoint_recovery(channel)
-    out = channel.apply(mat)
+    return _entropy_gain_recovery_stack(as_matrix(rho)[None], channel.stack[None])[0]
+
+
+def _entropy_gain_recovery_stack(mat: np.ndarray, ks: np.ndarray) -> list:
+    """:func:`check_entropy_gain_recovery` for each pair of a (N, d, d) stack
+    of states and a (N, K, d', d) stack of channels in Kraus form."""
+    _require_tp(ks)
+    rec = _adjoint_recovery_stack(ks)
+    out = _apply_kraus(ks, mat)
     lhs = entropy(out) - entropy(mat)
-    rhs = rel_entropy(mat, rec.apply(out)).value
-    rhs_adjoint = rel_entropy(mat, adjoint(channel).apply(out)).value
-    aux = {"rhs_adjoint_only": rhs_adjoint, "dominance_slack": rhs_adjoint - rhs}
-    dims = (mat.shape[0], channel.out_dim)
-    return CheckReport("entropy-gain-recovery", lhs, rhs, dims=dims, aux=aux)
+    rhs = rel_entropy(mat, _apply_kraus(rec, out)).value
+    rhs_adjoint = rel_entropy(mat, _apply_kraus(_adjoint_stack(ks), out)).value
+    dims = (mat.shape[-1], ks.shape[-2])
+    return [
+        CheckReport("entropy-gain-recovery", l, r, dims=dims,
+                    aux={"rhs_adjoint_only": float(a), "dominance_slack": float(a - r)})
+        for l, r, a in zip(lhs, rhs, rhs_adjoint)
+    ]
 
 
 @dataclass(frozen=True)
@@ -278,23 +311,28 @@ def check_cond_entropy_gain(rho_ab: DensityOperator, channel: Channel) -> CheckR
 
     H(A'|B)_sigma - H(A|B)_rho >= D(rho_AB || ((N^dag o N) (x) id)(rho_AB)).
     """
-    _require_tp(channel)
     on = rho_ab.labels[0]
-    out_label = on + "'"
-    sigma_mat, out_systems = apply_on(
-        channel, rho_ab.matrix, rho_ab.systems, on, out_systems=((out_label, channel.out_dim),)
-    )
-    nn_mat, _ = apply_on(
-        adjoint(channel), sigma_mat, out_systems, out_label, out_systems=((on, channel.in_dim),)
-    )
+    _factor_block(channel, rho_ab.systems, on, ((on + "'", channel.out_dim),))
+    return _cond_entropy_gain_stack(rho_ab.matrix[None], channel.stack[None], rho_ab.dims)[0]
 
-    cond_labels = tuple(label for label in rho_ab.labels if label != on)
-    # a checked trace-preserving channel on one factor of a checked state
-    sigma = _derived(DensityOperator, out_systems, sigma_mat)
-    lhs = cond_entropy(sigma, cond_labels) - cond_entropy(rho_ab, cond_labels)
-    d = rel_entropy(rho_ab.matrix, nn_mat)
-    aux = {"support_violation": d.support_violation}
-    return CheckReport("cond-entropy-gain", lhs, d.value, dims=rho_ab.dims, aux=aux)
+
+def _cond_entropy_gain_stack(rho: np.ndarray, ks: np.ndarray, dims: tuple) -> list:
+    """:func:`check_cond_entropy_gain` for each pair of a (N, D, D) stack of
+    states on factors of sizes ``dims`` and a (N, K, d', dims[0]) stack of
+    channels in Kraus form acting on the first factor."""
+    _require_tp(ks)
+    rest = math.prod(dims[1:])
+    sigma = _apply_block(ks, rho, 1, rest)
+    back = _apply_block(_adjoint_stack(ks), sigma, 1, rest)
+    keep = range(1, len(dims))
+    out_dims = (ks.shape[-2],) + tuple(dims[1:])
+    h_out = entropy(sigma) - entropy(ptrace(sigma, out_dims, keep))
+    lhs = h_out - (entropy(rho) - entropy(ptrace(rho, dims, keep)))
+    d = rel_entropy(rho, back)
+    return [
+        CheckReport("cond-entropy-gain", l, r, dims=dims, aux={"support_violation": float(v)})
+        for l, r, v in zip(lhs, d.value, d.support_violation)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -310,13 +348,33 @@ def check_recovery_fid(rho, sigma, channel: Channel) -> CheckReport:
     with R the integrated recovery map of (sigma, N); supp(rho) must lie in
     supp(sigma).
     """
+    rho, sigma = _recovery_pair(rho, sigma, channel)
+    return _recovery_fid_stack(rho[None], sigma[None], channel.stack[None])[0]
+
+
+def _recovery_pair(rho, sigma, channel: KrausMap):
+    """rho and sigma as matrices, once they are checked to fit the channel input."""
     rho, sigma = as_matrix(rho), as_matrix(sigma)
-    rec = integrated_recovery(sigma, channel)
-    out = channel.apply(rho)
-    lhs = rel_entropy(rho, sigma).value - rel_entropy(out, channel.apply(sigma)).value
-    fid = fidelity(rho, rec.apply(out))
-    rhs = -math.log2(max(fid, 1e-300))
-    return CheckReport("recovery-fid", lhs, rhs, dims=(rho.shape[0], channel.out_dim))
+    for x in (rho, sigma):
+        if x.shape != (channel.in_dim, channel.in_dim):
+            raise DimensionMismatchError(
+                f"operand dimension {x.shape} does not match channel input {channel.in_dim}"
+            )
+    return rho, sigma
+
+
+def _recovery_fid_stack(rho: np.ndarray, sigma: np.ndarray, ks: np.ndarray) -> list:
+    """:func:`check_recovery_fid` for each triple of (N, d, d) stacks of rho
+    and sigma and a (N, K, out, d) Kraus stack."""
+    n_rho, n_sigma = _apply_kraus(ks, rho), _apply_kraus(ks, sigma)
+    rec = _padded(_integrated_recovery_stack(sigma, ks, n_sigma))
+    lhs = rel_entropy(rho, sigma).value - rel_entropy(n_rho, n_sigma).value
+    sqrt_fids = root_fidelity(rho, _apply_kraus(rec, n_rho))
+    dims = (rho.shape[-1], ks.shape[-2])
+    return [
+        CheckReport("recovery-fid", l, -math.log2(max(float(f) ** 2, 1e-300)), dims=dims)
+        for l, f in zip(lhs, sqrt_fids)
+    ]
 
 
 def check_recovery_stronger(
@@ -329,26 +387,46 @@ def check_recovery_stronger(
     R^{t/2} the swiveled Petz map of (sigma, N); the integral is the ``quad``
     rule over :func:`swiveled_root_fidelities`.
     """
-    rho, sigma = as_matrix(rho), as_matrix(sigma)
-    n_rho, n_sigma = channel.apply(rho), channel.apply(sigma)
+    rho, sigma = _recovery_pair(rho, sigma, channel)
+    return _recovery_stronger_stack(rho[None], sigma[None], channel.stack[None], quad)[0]
+
+
+def _recovery_stronger_stack(rho: np.ndarray, sigma: np.ndarray, ks: np.ndarray,
+                             quad: QuadratureSpec) -> list:
+    """:func:`check_recovery_stronger` for each triple of (N, d, d) stacks of
+    rho and sigma and a (N, K, out, d) Kraus stack."""
+    n_rho, n_sigma = _apply_kraus(ks, rho), _apply_kraus(ks, sigma)
     lhs = rel_entropy(rho, sigma).value - rel_entropy(n_rho, n_sigma).value
     nodes, weights = quadrature(quad)
-    sqrt_fids = swiveled_root_fidelities(rho, sigma, channel, nodes, n_rho, n_sigma)
-    acc = float(weights @ np.log2(np.maximum(sqrt_fids**2, 1e-300)))
-    return CheckReport("recovery-stronger", lhs, -acc, dims=(rho.shape[0], channel.out_dim))
+    sqrt_fids = _swiveled_root_fidelity_stack(rho, sigma, n_rho, n_sigma, ks, nodes)
+    logs = np.log2(np.maximum(sqrt_fids**2, 1e-300))
+    dims = (rho.shape[-1], ks.shape[-2])
+    return [
+        CheckReport("recovery-stronger", l, -float(weights @ row), dims=dims)
+        for l, row in zip(lhs, logs)
+    ]
 
 
-def _recover_abc(rho: DensityOperator) -> DensityOperator:
-    """The A-factor recovery R_{C->AC}(rho_BC) of rho_ABC, factors in the order A, B, C.
+def _recover_abc_stack(rho: np.ndarray, dims: tuple) -> np.ndarray:
+    """R_{C->AC}(rho_BC) for each state of a (N, D, D) stack on factors A, B,
+    C of sizes ``dims``, as a (N, D, D) stack in the factor order A, B, C.
 
-    A trace-preserving recovery channel on one factor of a partial trace of a
-    checked state gives a state, so it is held without revalidation.
+    Each recovery's Kraus count is its own, and they act on C through
+    :func:`~qrecovery.qcore.apply_on`'s product, which adds them by ``sum``;
+    so they are applied per group of equal counts, unpadded.
     """
-    rho_ac, rho_bc = partial_trace(rho, "B"), partial_trace(rho, "A")
-    rec = integrated_recovery(rho_ac.matrix, partial_trace_channel(rho_ac.systems, "A"))
-    out = (("A", rho.system_dim("A")), ("C", rho.system_dim("C")))
-    mat, out_systems = apply_on(rec, rho_bc.matrix, rho_bc.systems, "C", out_systems=out)
-    return permute(_derived(DensityOperator, out_systems, mat), ("A", "B", "C"))
+    d_a, d_b, d_c = dims
+    rho_ac, rho_bc = ptrace(rho, dims, (0, 2)), ptrace(rho, dims, (1, 2))
+    trace_a = partial_trace_channel((("A", d_a), ("C", d_c)), "A").stack
+    ks = np.broadcast_to(trace_a, (len(rho),) + trace_a.shape)
+    recs = _integrated_recovery_stack(rho_ac, ks, _apply_kraus(ks, rho_ac))
+    recovered = np.stack(_grouped(
+        [len(k) for k in recs],
+        lambda idx: _apply_block(np.stack([recs[i] for i in idx]), rho_bc[idx], d_b, 1),
+    ))
+    # factors (B, A, C) -> (A, B, C)
+    t = recovered.reshape((len(rho), d_b, d_a, d_c, d_b, d_a, d_c))
+    return t.transpose(0, 2, 1, 3, 5, 4, 6).reshape(rho.shape)
 
 
 def check_cmi_recovery(rho_abc: DensityOperator) -> CheckReport:
@@ -359,9 +437,20 @@ def check_cmi_recovery(rho_abc: DensityOperator) -> CheckReport:
     with R the integrated recovery map of (rho_AC, Tr_A).  The factors are
     labeled A, B and C.
     """
-    lhs = cmi(rho_abc, "A", "B", "C")
-    fid = fidelity(rho_abc.matrix, _recover_abc(rho_abc).matrix)
-    return CheckReport("cmi-recovery", lhs, -math.log2(max(fid, 1e-300)), dims=rho_abc.dims)
+    if rho_abc.labels != ("A", "B", "C"):
+        raise LabelError(f"factors {rho_abc.labels!r} must be ('A', 'B', 'C')")
+    return _cmi_recovery_stack(rho_abc.matrix[None], rho_abc.dims)[0]
+
+
+def _cmi_recovery_stack(rho: np.ndarray, dims: tuple) -> list:
+    """:func:`check_cmi_recovery` for each state of a (N, D, D) stack on
+    factors A, B, C of sizes ``dims``."""
+    lhs = _cmi_stack(rho, dims, (0,), (1,), (2,))
+    sqrt_fids = root_fidelity(rho, _recover_abc_stack(rho, dims))
+    return [
+        CheckReport("cmi-recovery", l, -math.log2(max(float(f) ** 2, 1e-300)), dims=dims)
+        for l, f in zip(lhs, sqrt_fids)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -374,57 +463,71 @@ def groenewold_gain(instr: Instrument, rho) -> float:
     Negative values occur only for inefficient instruments; outcomes with
     probability at or below ``PROB_FLOOR`` are dropped from the sum.
     """
-    mat = as_matrix(rho)
-    return _entropy_reduction(mat, *instr.measure(mat))
+    return float(_groenewold_gains(as_matrix(rho)[None], _outcome_stack(instr)[None])[0])
 
 
-def _entropy_reduction(mat: np.ndarray, probs, posts) -> float:
-    """H(rho) - sum_x p(x) H(rho^x) from :meth:`Instrument.measure`'s outcomes,
-    whose post is ``None`` at or below ``PROB_FLOOR``."""
+def _outcome_stack(instr: Instrument) -> np.ndarray:
+    """The outcome maps' Kraus operators as one (n, K, out, in) stack, a map
+    with fewer than K operators padded with zero ones."""
+    return _padded([m.stack for m in instr.maps])
+
+
+def _groenewold_gains(mat: np.ndarray, kx: np.ndarray) -> np.ndarray:
+    """H(rho) - sum_x p(x) H(rho^x) for each pair of a (N, d, d) stack of
+    states and a (N, n, K, out, d) stack of instruments."""
+    probs, seen, posts = _outcomes(_apply_kraus(kx, mat[:, None]))
+    return _entropy_reduction(mat, probs, seen, posts)
+
+
+def _entropy_reduction(mat: np.ndarray, probs, seen, posts) -> np.ndarray:
+    """H(rho) - sum_x p(x) H(rho^x) from :func:`~qrecovery.qcore._outcomes`'
+    (N, n) probabilities and mask and (N, n, d, d) posts, each row's terms
+    taken in outcome order."""
     reduction = entropy(mat)
-    for p, post in zip(probs, posts):
-        if post is not None:
-            reduction -= p * entropy(post)
+    terms = probs * entropy(posts)
+    for x in range(probs.shape[1]):
+        reduction = reduction - np.where(seen[:, x], terms[:, x], 0.0)
     return reduction
 
 
-def _reference_instrument_state(instr: Instrument, rho: DensityOperator):
-    """Purify rho and run the instrument on its first factor A.
+def _by_rank(mat: np.ndarray, group) -> list:
+    """``group(idx, rank, vectors)`` per group of the (N, D, D) states of equal
+    numerical rank, ``vectors`` their (n_idx, rank * D) purification vectors,
+    with the items in state order."""
+    spec = eig_hermitian(mat)
+    ranks = _ranks(spec).tolist()
 
-    Returns the purification (factors R, A, rest), outcome probabilities, the
-    normalized post-measurement operators on (R, A', rest) (pure for
-    efficient instruments), and their reductions on (R, rest).
+    def ranked(idx):
+        rank = ranks[idx[0]]
+        return group(idx, rank, _purification_vectors(spec[idx], rank))
+
+    return _grouped(ranks, ranked)
+
+
+def _instrument_state(vecs: np.ndarray, kx: np.ndarray, rank: int, rest: tuple):
+    """Run the instruments of a (N, n, K, out, in) stack on the factor A of
+    the purifications (factors R, A, rest) with vectors ``vecs``.
+
+    Returns the (N, n) probabilities and mask of those above ``PROB_FLOOR``,
+    the normalized posts on (R, A', rest) (pure for efficient instruments,
+    zero below the floor) and their reductions on (R, rest).
     """
-    phi = purify(rho)
-    a_label = rho.labels[0]
-    probs, posts = instr.measure(
-        phi.projector(), phi.systems, a_label, out_systems=((a_label + "'", instr.out_dim),)
-    )
-    dims = (phi.reference_dim, instr.out_dim) + rho.dims[1:]
-    keep = [i for i in range(len(dims)) if i != 1]
-    reduced = [None if post is None else ptrace(post, dims, keep) for post in posts]
-    return phi, probs, posts, reduced
+    proj = vecs[:, :, None] * vecs.conj()[:, None, :]
+    d_rest = math.prod(rest)
+    probs, seen, posts = _outcomes(_apply_block(kx, proj[:, None], rank, d_rest))
+    dims = (rank, kx.shape[-2]) + tuple(rest)
+    return probs, seen, posts, ptrace(posts, dims, [i for i in range(len(dims)) if i != 1])
 
 
-def _cq_assemble(weights, blocks, block_dim: int) -> np.ndarray:
-    """sum_x w_x block_x (x) |x><x| as one matrix (classical factor last):
-    w_x block_x fills the (x, x) slot of a (d, n, d, n) array, and a block
-    that is ``None`` (an outcome at or below ``PROB_FLOOR``) leaves it 0."""
-    n = len(weights)
-    out = np.zeros((block_dim, n, block_dim, n), dtype=complex)
-    for x, (w, b) in enumerate(zip(weights, blocks)):
-        if b is not None:
-            out[:, x, :, x] += w * b
-    return out.reshape(block_dim * n, block_dim * n)
-
-
-def _avg(blocks, weights, dim: int) -> np.ndarray:
-    """sum_x w_x block_x over the blocks that are not ``None``."""
-    out = np.zeros((dim, dim), dtype=complex)
-    for w, b in zip(weights, blocks):
-        if b is not None:
-            out += w * b
-    return out
+def _cq_assemble(weights: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """sum_x w_x block_x (x) |x><x| for each row of (N, n) weights and
+    (N, n, b, b) blocks (classical factor last); w_x block_x fills the
+    (x, x) slot of a (N, b, n, b, n) array, outcome by outcome."""
+    n_rows, n, b = blocks.shape[0], blocks.shape[1], blocks.shape[-1]
+    out = np.zeros((n_rows, b, n, b, n), dtype=complex)
+    for x in range(n):
+        out[:, :, x, :, x] += weights[:, x, None, None] * blocks[:, x]
+    return out.reshape(n_rows, b * n, b * n)
 
 
 def check_info_gain_upper(instr: Instrument, rho) -> CheckReport:
@@ -433,14 +536,23 @@ def check_info_gain_upper(instr: Instrument, rho) -> CheckReport:
     H(X)_sigma - D(rho || (N^dag o N)(rho)) >= I_G, with N the
     quantum-classical instrument channel.
     """
-    mat = as_matrix(rho)
-    channel = instrument_channel(instr)
-    probs, posts = instr.measure(mat)
-    d = rel_entropy(mat, adjoint(channel).apply(channel.apply(mat)))
+    return _info_gain_upper_stack(as_matrix(rho)[None], _outcome_stack(instr)[None])[0]
+
+
+def _info_gain_upper_stack(mat: np.ndarray, kx: np.ndarray) -> list:
+    """:func:`check_info_gain_upper` for each pair of a (N, d, d) stack of
+    states and a (N, n, K, out, d) stack of instruments."""
+    ks = _instrument_kraus(kx, np.eye(kx.shape[1]))
+    probs, seen, posts = _outcomes(_apply_kraus(kx, mat[:, None]))
+    d = rel_entropy(mat, _apply_kraus(_adjoint_stack(ks), _apply_kraus(ks, mat))).value
     h_x = shannon_entropy(probs)
-    gain = _entropy_reduction(mat, probs, posts)
-    aux = {"h_x": h_x, "d_term": d.value, "groenewold_gain": gain, "efficient": instr.efficient}
-    return CheckReport("info-gain-upper", h_x - d.value, gain, dims=(instr.in_dim,), aux=aux)
+    gain = _entropy_reduction(mat, probs, seen, posts)
+    efficient = kx.shape[2] == 1
+    return [
+        CheckReport("info-gain-upper", h - v, g, dims=(mat.shape[-1],), aux={
+            "h_x": float(h), "d_term": float(v), "groenewold_gain": float(g), "efficient": efficient})
+        for h, v, g in zip(h_x, d, gain)
+    ]
 
 
 def check_efficient_second_law(instr: Instrument, rho: DensityOperator) -> CheckReport:
@@ -452,16 +564,27 @@ def check_efficient_second_law(instr: Instrument, rho: DensityOperator) -> Check
     """
     if not instr.efficient:
         raise ValueError("check_efficient_second_law requires an efficient instrument")
-    phi, probs, _, posts_r = _reference_instrument_state(instr, rho)
-    r_dim = phi.reference_dim
-    sigma_rx = _cq_assemble(probs, posts_r, r_dim)
-    sigma_r = _avg(posts_r, probs, r_dim)
-    lhs = entropy(sigma_rx) - entropy(sigma_r)
-    channel = instrument_channel(instr)
-    rec = adjoint_recovery(channel)
-    rhs = rel_entropy(rho.matrix, rec.apply(channel.apply(rho.matrix))).value
-    aux = {"outcome_probs_min": float(probs.min()), "n_outcomes": instr.n_outcomes}
-    return CheckReport("efficient-second-law", lhs, rhs, dims=(instr.in_dim,), aux=aux)
+    purify(rho)  # checks the labels
+    return _efficient_second_law_stack(rho.matrix[None], _outcome_stack(instr)[None])[0]
+
+
+def _efficient_second_law_stack(mat: np.ndarray, kx: np.ndarray) -> list:
+    """:func:`check_efficient_second_law` for each pair of a (N, d, d) stack
+    of states and a (N, n, 1, out, d) stack of efficient instruments."""
+    ks = _instrument_kraus(kx, np.eye(kx.shape[1]))
+    rhs = rel_entropy(mat, _apply_kraus(_adjoint_recovery_stack(ks), _apply_kraus(ks, mat))).value
+
+    def group(idx, rank, vecs):
+        probs, seen, _, posts_r = _instrument_state(vecs, kx[idx], rank, ())
+        lhs = entropy(_cq_assemble(probs, posts_r)) - entropy(_mixture(probs, posts_r))
+        n = kx.shape[1]
+        return [
+            CheckReport("efficient-second-law", l, rhs[i], dims=(mat.shape[-1],),
+                        aux={"outcome_probs_min": float(p.min()), "n_outcomes": n})
+            for i, l, p in zip(idx, lhs, probs)
+        ]
+
+    return _by_rank(mat, group)
 
 
 def check_info_gain_no_qsi(instr: Instrument, rho: DensityOperator) -> CheckReport:
@@ -472,75 +595,94 @@ def check_info_gain_no_qsi(instr: Instrument, rho: DensityOperator) -> CheckRepo
     isometries carrying the post-measurement purifications back to the input
     space, and the per-outcome root fidelities are reported.
     """
-    phi, probs, posts_ra, posts_r = _reference_instrument_state(instr, rho)
-    r_dim = phi.reference_dim
-    sigma_rx = _cq_assemble(probs, posts_r, r_dim)
-    sigma_r = _avg(posts_r, probs, r_dim)
-    h_x = shannon_entropy(probs)
-    lhs = entropy(sigma_r) + h_x - entropy(sigma_rx)
-
-    product = _cq_assemble(probs, [None if b is None else sigma_r for b in posts_r], r_dim)
-    rhs_direct = -math.log2(fidelity(sigma_rx, product))
-    seen = _seen_outcomes(posts_r)
-    blocks = np.stack([posts_r[x] for x in seen])
-    sqrt_fids = [0.0] * len(probs)
-    for x, fid in zip(seen, root_fidelity(blocks, np.broadcast_to(sigma_r, blocks.shape))):
-        sqrt_fids[x] = float(fid)
-    avg_sqrt = float(np.sum(probs * np.array(sqrt_fids)))
-    rhs_direct_sum = -2.0 * math.log2(max(avg_sqrt, 1e-300))
-
-    aux = {
-        "rhs_fid_direct": rhs_direct,
-        "rhs_fid_direct_sum": rhs_direct_sum,
-        "efficient": instr.efficient,
-        "per_outcome_sqrt_fid": [float(s) for s in sqrt_fids],
-    }
-    rhs = rhs_direct
-    if instr.efficient:
-        a_label = rho.labels[0]
-        out_label = a_label + "'"
-        phi_sigma = Purification(a_label, phi.systems, phi.vector)
-        uhlmann_sqrt = [0.0] * len(probs)
-        max_dev = 0.0
-        for x, vec in zip(seen, _pure_vectors([posts_ra[x] for x in seen])):
-            phi_rho = Purification(out_label, (("R", r_dim), (out_label, instr.out_dim)), vec)
-            res = uhlmann_isometry(phi_rho, phi_sigma)
-            uhlmann_sqrt[x] = math.sqrt(max(res.achieved, 0.0))
-            max_dev = max(max_dev, abs(res.achieved - sqrt_fids[x]**2))
-        avg_u = float(np.sum(probs * np.array(uhlmann_sqrt)))
-        rhs = -2.0 * math.log2(max(avg_u, 1e-300))
-        aux["per_outcome_sqrt_fid_uhlmann"] = [float(s) for s in uhlmann_sqrt]
-        aux["uhlmann_vs_fidelity_max_dev"] = max_dev
-    return CheckReport("info-gain-no-qsi", lhs, rhs, dims=(instr.in_dim,), aux=aux)
+    purify(rho)  # checks the labels
+    return _info_gain_no_qsi_stack(rho.matrix[None], _outcome_stack(instr)[None])[0]
 
 
-def _seen_outcomes(posts) -> list:
-    """Indices of the outcomes that get a post-measurement operator: those of
-    probability above ``PROB_FLOOR`` (at least one, as the probabilities sum to 1)."""
-    return [x for x, post in enumerate(posts) if post is not None]
+def _info_gain_no_qsi_stack(mat: np.ndarray, kx: np.ndarray) -> list:
+    """:func:`check_info_gain_no_qsi` for each pair of a (N, d, d) stack of
+    states and a (N, n, K, out, d) stack of instruments.
+
+    The Uhlmann overlaps of the efficient case are the singular values of
+    M_post M_in^dag, M the amplitude matrices with A' and A as references, as
+    :func:`~qrecovery.recovery.uhlmann_isometry` takes them.
+    """
+    d, (n, n_kraus, d_out) = mat.shape[-1], kx.shape[1:4]
+
+    def group(idx, rank, vecs):
+        probs, seen, posts_ra, posts_r = _instrument_state(vecs, kx[idx], rank, ())
+        sigma_rx = _cq_assemble(probs, posts_r)
+        sigma_r = _mixture(probs, posts_r)
+        h_x = shannon_entropy(probs)
+        lhs = entropy(sigma_r) + h_x - entropy(sigma_rx)
+        product = _cq_assemble(probs, np.where(seen[:, :, None, None], sigma_r[:, None], 0.0))
+        fid_direct = root_fidelity(sigma_rx, product)
+        outcome_fids = root_fidelity(posts_r, np.broadcast_to(sigma_r[:, None], posts_r.shape))
+        sqrt_fids = np.where(seen, outcome_fids, 0.0)
+        avg_sqrt = (probs * sqrt_fids).sum(axis=1)
+        if n_kraus == 1:
+            m_post = _pure_vectors(posts_ra).reshape(len(idx), n, rank, d_out).swapaxes(2, 3)
+            m_in = vecs.reshape(len(idx), rank, d).swapaxes(1, 2)
+            overlap = m_post @ m_in.conj().swapaxes(1, 2)[:, None]
+            overlaps = np.linalg.svd(overlap)[1].sum(axis=-1)
+        reports = []
+        for i in range(len(idx)):
+            aux = {
+                "rhs_fid_direct": -math.log2(float(fid_direct[i]) ** 2),
+                "rhs_fid_direct_sum": -2.0 * math.log2(max(float(avg_sqrt[i]), 1e-300)),
+                "efficient": n_kraus == 1,
+                "per_outcome_sqrt_fid": [float(f) for f in sqrt_fids[i]],
+            }
+            rhs = aux["rhs_fid_direct"]
+            if n_kraus == 1:
+                uhlmann_sqrt, max_dev = [0.0] * n, 0.0
+                for x in np.flatnonzero(seen[i]):
+                    # squared one by one: a scalar ** 2 is pow(), an array's is x * x
+                    achieved = float(overlaps[i, x] ** 2)
+                    uhlmann_sqrt[x] = math.sqrt(max(achieved, 0.0))
+                    max_dev = max(max_dev, abs(achieved - float(sqrt_fids[i, x]) ** 2))
+                avg_u = float(np.sum(probs[i] * np.array(uhlmann_sqrt)))
+                rhs = -2.0 * math.log2(max(avg_u, 1e-300))
+                aux["per_outcome_sqrt_fid_uhlmann"] = uhlmann_sqrt
+                aux["uhlmann_vs_fidelity_max_dev"] = max_dev
+            reports.append(CheckReport("info-gain-no-qsi", lhs[i], rhs, dims=(d,), aux=aux))
+        return reports
+
+    return _by_rank(mat, group)
 
 
 def _pure_vectors(densities) -> np.ndarray:
     """sqrt(lam_max) times the top eigenvector of each density operator, for
     rank-one inputs the vector whose projector each one is; one stacked call."""
     spec = eig_hermitian(np.stack(densities))
-    top = np.sqrt(np.maximum(spec.eigenvalues[:, -1], 0.0))
-    return spec.eigenvectors[:, :, -1] * top[:, None]
+    top = np.sqrt(np.maximum(spec.eigenvalues[..., -1], 0.0))
+    return spec.eigenvectors[..., -1] * top[..., None]
 
 
-def _b_rotated_overlaps(phi: Purification, a_label: str, g: np.ndarray, phi_post: Purification):
-    """Uhlmann overlaps of (I_RA (x) g_t)|phi> with ``phi_post`` for every g_t
-    of a (T, d_B, d_B) stack, B the last factor of ``phi``.
+def _b_rotated_overlaps(m_in: np.ndarray, g: np.ndarray, m_post: np.ndarray):
+    """Uhlmann overlaps of (I_RA (x) g_t)|phi> with a post-measurement
+    purification for every g_t of a (T, d_B, d_B) stack, B the last factor of
+    |phi>; ``m_in`` and ``m_post`` are the amplitude matrices of |phi> and of
+    the post with A and A' as references.
 
-    With A as the reference, the amplitude matrix of the rotated purification
-    is M (I_R (x) g_t)^T, M that of ``phi``; one batched SVD of the overlap
-    matrices then gives every ``uhlmann_isometry(...).achieved``.
+    The amplitude matrix of the rotated purification is M (I_R (x) g_t)^T,
+    M = ``m_in``; one batched SVD of the overlap matrices then gives every
+    ``uhlmann_isometry(...).achieved``.
     """
-    m_in = Purification(a_label, phi.systems, phi.vector).amplitude_matrix()
     d_a, d_b = m_in.shape[0], g.shape[-1]
     m_rec = (m_in.reshape(d_a, -1, d_b) @ g.swapaxes(1, 2)[:, None]).reshape(len(g), d_a, -1)
-    overlap = m_rec @ phi_post.amplitude_matrix().conj().T
+    overlap = m_rec @ m_post.conj().T
     return np.linalg.svd(overlap, compute_uv=False).sum(axis=-1) ** 2
+
+
+def _amplitudes(vecs: np.ndarray, dims: tuple) -> np.ndarray:
+    """Amplitude matrices of (..., prod(dims)) vectors on factors (R, A, B),
+    A as the reference: (..., d_A, d_R d_B), as
+    :meth:`~qrecovery.qcore.Purification.amplitude_matrix` lays them out."""
+    r, a, b = dims
+    lead = vecs.shape[:-1]
+    swapped = np.ascontiguousarray(vecs.reshape(lead + (r, a, b)).swapaxes(-3, -2))
+    return swapped.reshape(lead + (a, r * b))
 
 
 def check_info_gain_qsi(
@@ -574,72 +716,79 @@ def check_info_gain_qsi(
     """
     if len(rho_ab.systems) != 2:
         raise ValueError("check_info_gain_qsi expects a bipartite input state")
-    a_label, b_label = rho_ab.labels
-    d_b = rho_ab.system_dim(b_label)
-    out_label = a_label + "'"
-    # purification factors (R, A, B); posts on (R, A', B), reductions on (R, B)
-    phi, probs, posts_rab, posts_rb = _reference_instrument_state(instr, rho_ab)
-    r_dim = phi.reference_dim
+    purify(rho_ab)  # checks the labels
+    kx = _outcome_stack(instr)[None]
+    return _info_gain_qsi_stack(rho_ab.matrix[None], kx, rho_ab.dims, quad)[0]
 
-    omega_rb = _avg(posts_rb, probs, r_dim * d_b)
-    omega_b = ptrace(omega_rb, (r_dim, d_b), (1,))
-    omega_bx = [
-        ptrace(block, (r_dim, d_b), (1,)) if block is not None else None for block in posts_rb
-    ]
 
-    omega_rbx = _cq_assemble(probs, posts_rb, r_dim * d_b)
-    lhs = (
-        entropy(omega_rb)
-        + entropy(_cq_assemble(probs, omega_bx, d_b))
-        - entropy(omega_rbx)
-        - entropy(omega_b)
-    )
+def _info_gain_qsi_stack(mat: np.ndarray, kx: np.ndarray, dims: tuple,
+                         quad: QuadratureSpec) -> list:
+    """:func:`check_info_gain_qsi` for each pair of a (N, D, D) stack of
+    states on factors A, B of sizes ``dims`` and a (N, n, K, out, d_A) stack
+    of instruments on A.
 
+    The states, entropies and spectra come from one stacked call per group
+    of equal purification rank; the quadrature runs per trial and outcome, so
+    a trial's (T, ...) node stacks stay the memory peak of the family.
+    """
+    d_a, d_b = dims
+    n, n_kraus, d_out = kx.shape[1:4]
+    efficient = n_kraus == 1
     nodes, weights = quadrature(quad)
-    seen = _seen_outcomes(posts_rb)
-    # one stacked call each: omega_B with every omega_B^x, omega_RB with every omega^x_RB
-    spec_bx = eig_hermitian(np.stack([omega_b] + [omega_bx[x] for x in seen]))
-    sqrt_rbx = eig_hermitian(np.stack([omega_rb] + [posts_rb[x] for x in seen])).power(0.5)
-    spec_b, sqrt_rb = spec_bx[0], sqrt_rbx[0]
-    support_b = spec_b.eigenvectors[:, spec_b.eigenvalues > spec_b.cutoff]
-    proj_b = support_b @ support_b.conj().T
-    if instr.efficient:
-        post_vecs = _pure_vectors([posts_rab[x] for x in seen])
 
-    node_sum = np.zeros(len(nodes))
-    tp_acc = np.zeros((len(nodes), d_b, d_b), dtype=complex)
-    low_confidence = False
-    uhlmann_dev = 0.0
-    for j, x in enumerate(seen):
-        # g_t = (omega_B^x)^{(1-it)/2} omega_B^{(-1+it)/2} at every node, (T, d_B, d_B)
-        g = swiveled_kraus(spec_bx[j + 1], spec_b, (np.eye(d_b),), nodes)
-        tp_acc += probs[x] * (g[:, 0].conj().swapaxes(1, 2) @ g[:, 0])
-        sqrt_f = stacked_root_fidelity(sqrt_rbx[j + 1], g, sqrt_rb, lead=r_dim)
-        f = sqrt_f**2
-        low_confidence = low_confidence or bool((f < 1e-14).any())
-        node_sum += probs[x] * sqrt_f
-        if instr.efficient:
-            phi_post = Purification(
-                out_label,
-                (("R", r_dim), (out_label, instr.out_dim), (b_label, d_b)),
-                post_vecs[j],
-            )
-            achieved = _b_rotated_overlaps(phi, a_label, g[:, 0], phi_post)
-            uhlmann_dev = max(uhlmann_dev, float(np.abs(achieved - f).max()))
-    min_node_sum = float(node_sum.min())
-    tp_dev = float(np.abs(tp_acc - proj_b).max())
-    integral = float(weights @ np.log2(np.maximum(node_sum, 1e-300)))
-    rhs = -2.0 * integral
-    aux = {
-        "recovery_instrument_tp_dev": tp_dev,
-        "min_node_avg_sqrt_fid": min_node_sum,
-        "low_confidence": low_confidence,
-        "n_outcomes": instr.n_outcomes,
-        "efficient": instr.efficient,
-    }
-    if instr.efficient:
-        aux["uhlmann_vs_fidelity_max_dev"] = uhlmann_dev
-    return CheckReport("info-gain-qsi", lhs, rhs, dims=rho_ab.dims, aux=aux)
+    def group(idx, r_dim, vecs):
+        # purification factors (R, A, B); posts on (R, A', B), reductions on (R, B)
+        probs, seen, posts_rab, posts_rb = _instrument_state(vecs, kx[idx], r_dim, (d_b,))
+        omega_rb = _mixture(probs, posts_rb)
+        omega_b = ptrace(omega_rb, (r_dim, d_b), (1,))
+        omega_bx = ptrace(posts_rb, (r_dim, d_b), (1,))
+        lhs = (
+            entropy(omega_rb)
+            + entropy(_cq_assemble(probs, omega_bx))
+            - entropy(_cq_assemble(probs, posts_rb))
+            - entropy(omega_b)
+        )
+        # omega_B with every omega_B^x, omega_RB with every omega^x_RB
+        spec_bx = eig_hermitian(np.concatenate([omega_b[:, None], omega_bx], axis=1))
+        sqrt_rbx = eig_hermitian(np.concatenate([omega_rb[:, None], posts_rb], axis=1)).power(0.5)
+        m_in = _amplitudes(vecs, (r_dim, d_a, d_b))
+        if efficient:
+            m_post = _amplitudes(_pure_vectors(posts_rab), (r_dim, d_out, d_b))
+        reports = []
+        for i in range(len(idx)):
+            spec_b, sqrt_rb = spec_bx[i, 0], sqrt_rbx[i, 0]
+            support_b = spec_b.eigenvectors[:, spec_b.eigenvalues > spec_b.cutoff]
+            proj_b = support_b @ support_b.conj().T
+            node_sum = np.zeros(len(nodes))
+            tp_acc = np.zeros((len(nodes), d_b, d_b), dtype=complex)
+            low_confidence = False
+            uhlmann_dev = 0.0
+            for x in np.flatnonzero(seen[i]):
+                # g_t = (omega_B^x)^{(1-it)/2} omega_B^{(-1+it)/2} at every node, (T, d_B, d_B)
+                g = swiveled_kraus(spec_bx[i, x + 1], spec_b, np.eye(d_b)[None], nodes)
+                p = probs[i, x]
+                tp_acc += p * (g[:, 0].conj().swapaxes(1, 2) @ g[:, 0])
+                sqrt_f = stacked_root_fidelity(sqrt_rbx[i, x + 1], g, sqrt_rb, lead=r_dim)
+                f = sqrt_f**2
+                low_confidence = low_confidence or bool((f < 1e-14).any())
+                node_sum += p * sqrt_f
+                if efficient:
+                    achieved = _b_rotated_overlaps(m_in[i], g[:, 0], m_post[i, x])
+                    uhlmann_dev = max(uhlmann_dev, float(np.abs(achieved - f).max()))
+            aux = {
+                "recovery_instrument_tp_dev": float(np.abs(tp_acc - proj_b).max()),
+                "min_node_avg_sqrt_fid": float(node_sum.min()),
+                "low_confidence": low_confidence,
+                "n_outcomes": n,
+                "efficient": efficient,
+            }
+            if efficient:
+                aux["uhlmann_vs_fidelity_max_dev"] = uhlmann_dev
+            rhs = -2.0 * float(weights @ np.log2(np.maximum(node_sum, 1e-300)))
+            reports.append(CheckReport("info-gain-qsi", lhs[i], rhs, dims=dims, aux=aux))
+        return reports
+
+    return _by_rank(mat, group)
 
 
 def check_entropic_disturbance(ens: Ensemble, channel: Channel) -> CheckReport:
@@ -650,18 +799,23 @@ def check_entropic_disturbance(ens: Ensemble, channel: Channel) -> CheckReport:
     with R the integrated recovery map for the ensemble-average state (the
     block structure of the joint cq problem collapses onto the average).
     """
-    avg = ens.average()
-    out_systems = ((ens.states[0].labels[0] + "'", channel.out_dim),)
-    out = ens.through(channel, out_systems)
-    chi_in = holevo_chi(ens)
-    chi_out = holevo_chi(out)
-    lhs = chi_in - chi_out
-    rec = integrated_recovery(avg.matrix, channel)
-    recovered = rec.apply(np.stack([state.matrix for state in out.states]))
-    sqrt_fids = root_fidelity(np.stack([state.matrix for state in ens.states]), recovered)
-    avg_sqrt = float(np.sum(ens.probs * sqrt_fids))
-    rhs = -2.0 * math.log2(max(avg_sqrt, 1e-300))
-    aux = {"chi_in": chi_in, "chi_out": chi_out, "avg_sqrt_fid": avg_sqrt,
-           "min_sqrt_fid": float(sqrt_fids.min())}
-    dims = (ens.states[0].dim, channel.out_dim)
-    return CheckReport("entropic-disturbance", lhs, rhs, dims=dims, aux=aux)
+    mats = np.stack([state.matrix for state in ens.states])
+    return _entropic_disturbance_stack(ens.probs[None], mats[None], channel.stack[None])[0]
+
+
+def _entropic_disturbance_stack(probs: np.ndarray, states: np.ndarray, ks: np.ndarray) -> list:
+    """:func:`check_entropic_disturbance` for each ensemble of (N, m)
+    probabilities and (N, m, d, d) states with a (N, K, out, d) Kraus stack."""
+    outs = _apply_kraus(ks[:, None], states)
+    chi_in, chi_out = _holevo_chi(probs, states), _holevo_chi(probs, outs)
+    avg = _mixture(probs, states)
+    rec = _padded(_integrated_recovery_stack(avg, ks, _apply_kraus(ks, avg)))
+    sqrt_fids = root_fidelity(states, _apply_kraus(rec[:, None], outs))
+    avg_sqrt = (probs * sqrt_fids).sum(axis=-1)
+    dims = (states.shape[-1], ks.shape[-2])
+    return [
+        CheckReport("entropic-disturbance", c_in - c_out, -2.0 * math.log2(max(float(a), 1e-300)),
+                    dims=dims, aux={"chi_in": float(c_in), "chi_out": float(c_out),
+                                    "avg_sqrt_fid": float(a), "min_sqrt_fid": float(f.min())})
+        for c_in, c_out, a, f in zip(chi_in, chi_out, avg_sqrt, sqrt_fids)
+    ]

@@ -216,12 +216,12 @@ class TestConverseBound:
         config = random_config(rng)
         v = unitary_interaction(rng)
         calls = []
-        for name in ("_evolved", "integrated_recovery", "cmi_bound"):
+        for name in ("_evolved", "_integrated_recovery_stack", "_cmi_stack"):
             real = getattr(cpdp, name)
             monkeypatch.setattr(cpdp, name, lambda *a, _f=real, _n=name: calls.append(_n) or _f(*a))
         forward = reduced_dynamics(config, v)
         rep = converse_bound(forward, eps=1.0)
-        assert sorted(calls) == ["_evolved", "cmi_bound", "integrated_recovery"]
+        assert sorted(calls) == ["_cmi_stack", "_evolved", "_integrated_recovery_stack"]
         assert converse_bound(forward, eps=1.0, channel=forward.channel) == rep
 
     def test_eps_outside_unit_interval_rejected(self):

@@ -318,11 +318,11 @@ class TestIntegratedRecovery:
     @pytest.mark.parametrize("seed", range(10))
     def test_markov_chain_recovered_exactly(self, seed):
         # the campaign's cq Markov state has I(A;B|C) = 0, so
-        # theorems._recover_abc, the recovery of check_cmi_recovery, rebuilds
+        # theorems._recover_abc_stack, the recovery of check_cmi_recovery, rebuilds
         # it exactly from its (B, C) marginal
-        from qrecovery.campaigns import _markov_recovery_trial
+        from qrecovery.campaigns import _markov_rows, _markov_state
 
-        rep = _markov_recovery_trial(stream(32, 4, seed))
+        (rep,) = _markov_rows(_markov_state(stream(32, 4, seed))[0][None])
         assert abs(1.0 - rep.aux["fidelity"]) <= 1e-12
 
     def test_completion_routes_complement_to_tau(self):

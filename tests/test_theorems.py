@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import optimize
 
-from qrecovery import theorems
+from qrecovery import qcore, recovery, theorems
 from qrecovery.entropy import binary_entropy, entropy, fidelity
 from qrecovery.lbfgs import minimize_stack
 from qrecovery.matfun import eig_hermitian
@@ -52,6 +52,7 @@ from qrecovery.theorems import (
     minimal_entropy_gain,
 )
 
+import oracles
 from oracles import transfer_compose, transfer_map
 
 PLUS = np.full((2, 2), 0.5)
@@ -167,18 +168,21 @@ class TestEntropyGainRecovery:
 def test_each_check_takes_the_channel_output_once(monkeypatch):
     # check_entropy_gain: N^dag(I) for the TP test, N(rho), N^dag(N(rho));
     # check_entropy_gain_recovery adds N(I) for the recovery and R(N(rho));
-    # check_recovery_stronger takes N(rho) and N(sigma)
+    # check_recovery_stronger takes N(rho) and N(sigma).  Every Kraus
+    # application goes through qcore._apply_kraus, so it is counted there;
+    # a stack of instances takes the same calls, each on the whole stack
     calls = []
-    apply = KrausMap.apply
+    apply = qcore._apply_kraus
 
-    def counted(self, x):
-        calls.append(x)
-        return apply(self, x)
+    def counted(ks, x):
+        calls.append(np.asarray(x))
+        return apply(ks, x)
 
+    for module in (qcore, theorems, recovery):
+        monkeypatch.setattr(module, "_apply_kraus", counted)
     rng = stream(41, 3)
     ch = random_subunital_channel(2, 3, rng)
     rho = random_density(2, 2, rng)
-    monkeypatch.setattr(KrausMap, "apply", counted)
     check_entropy_gain(rho, ch)
     assert len(calls) == 3
     calls.clear()
@@ -187,6 +191,18 @@ def test_each_check_takes_the_channel_output_once(monkeypatch):
     calls.clear()
     check_recovery_stronger(rho, random_density(2, 2, rng), ch)
     assert len(calls) == 2
+
+    channels = [random_subunital_channel(2, 3, rng) for _ in range(3)]
+    states = np.stack([random_density(2, 2, rng).matrix for _ in range(3)])
+    ks = np.stack([c.stack for c in channels])
+    for stacked, n_calls in ((theorems._entropy_gain_stack, 3), (theorems._entropy_gain_recovery_stack, 5)):
+        calls.clear()
+        stacked(states, ks)
+        assert len(calls) == n_calls
+        assert sum(x.shape == states.shape and np.array_equal(x, states) for x in calls) == 1
+    calls.clear()
+    theorems._recovery_stronger_stack(states, states[::-1], ks, QuadratureSpec())
+    assert len(calls) == 2 and all(x.shape == states.shape for x in calls)
 
 
 class TestMinimalEntropyGain:
@@ -624,7 +640,7 @@ class TestInfoGainNoQsi:
 def test_cq_state_assembly():
     # classical factor last: sum_x w_x block_x (x) |x><x|
     blocks = (random_density(2, 2, stream(49, 0)).matrix, np.diag([1.0, 0.0]))
-    rho = theorems._cq_assemble((0.3, 0.7), blocks, 2)
+    rho = theorems._cq_assemble(np.array([[0.3, 0.7]]), np.stack(blocks)[None])[0]
     npt.assert_allclose(ptrace(rho, (2, 2), (1,)), np.diag([0.3, 0.7]), atol=1e-12)
     npt.assert_allclose(ptrace(rho, (2, 2), (0,)), 0.3 * blocks[0] + 0.7 * blocks[1], atol=1e-12)
 
@@ -641,9 +657,9 @@ def qsi_node_loop(instr, rho_ab, quad=QuadratureSpec()):
     a_label, b_label = rho_ab.labels
     d_b = rho_ab.system_dim(b_label)
     out_label = a_label + "'"
-    phi, probs, posts_rab, posts_rb = theorems._reference_instrument_state(instr, rho_ab)
+    phi, probs, posts_rab, posts_rb = oracles._reference_instrument_state(instr, rho_ab)
     r_dim = phi.reference_dim
-    omega_rb = theorems._avg(posts_rb, probs, r_dim * d_b)
+    omega_rb = sum(p * b for p, b in zip(probs, posts_rb) if b is not None)
     spec_b = eig_hermitian(ptrace(omega_rb, (r_dim, d_b), (1,)))
     support_b = spec_b.eigenvectors[:, spec_b.eigenvalues > spec_b.cutoff]
     proj_b = support_b @ support_b.conj().T
@@ -742,9 +758,9 @@ class TestInfoGainQsiBatched:
     def test_batched_uhlmann_overlaps_equal_isometry_achieved(self, seed):
         _, rho_ab = qsi_instance("full", seed)
         instr = random_instrument(2, 3, True, stream(48, 3, seed))
-        phi, probs, posts_rab, posts_rb = theorems._reference_instrument_state(instr, rho_ab)
+        phi, probs, posts_rab, posts_rb = oracles._reference_instrument_state(instr, rho_ab)
         r_dim = phi.reference_dim
-        omega_rb = theorems._avg(posts_rb, probs, r_dim * 2)
+        omega_rb = sum(p * b for p, b in zip(probs, posts_rb) if b is not None)
         spec_b = eig_hermitian(ptrace(omega_rb, (r_dim, 2), (1,)))
         nodes = quadrature(QuadratureSpec())[0][::10]
         for x in range(instr.n_outcomes):
@@ -754,7 +770,8 @@ class TestInfoGainQsiBatched:
                 "A'", (("R", r_dim), ("A'", 2), ("B", 2)),
                 theorems._pure_vectors([posts_rab[x]])[0],
             )
-            batched = theorems._b_rotated_overlaps(phi, "A", g, phi_post)
+            m_in = Purification("A", phi.systems, phi.vector).amplitude_matrix()
+            batched = theorems._b_rotated_overlaps(m_in, g, phi_post.amplitude_matrix())
             for g_t, value in zip(g, batched):
                 phi_rec = Purification("A", phi.systems, (phi.vector.reshape(-1, 2) @ g_t.T))
                 assert abs(value - uhlmann_isometry(phi_rec, phi_post).achieved) <= 1e-12

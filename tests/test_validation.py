@@ -6,7 +6,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qrecovery.cpdp import Interaction, TripartiteConfiguration, _evolved
+from qrecovery.cpdp import Interaction, TripartiteConfiguration, reduced_dynamics
 from qrecovery.entropy import rel_entropy, root_fidelity
 from qrecovery.matfun import NonFiniteError, NonHermitianError, eig_hermitian
 from qrecovery.qcore import (
@@ -17,6 +17,7 @@ from qrecovery.qcore import (
     Instrument,
     KrausMap,
     TransferMap,
+    _derived,
     adjoint,
     compose,
     instrument_channel,
@@ -31,7 +32,7 @@ from qrecovery.qcore import (
     random_mixed_unitary_channel,
     stream,
 )
-from qrecovery.theorems import _recover_abc
+from qrecovery.theorems import _recover_abc_stack
 
 NON_HERMITIAN = np.array([[0.5, 0.3], [0.0, 0.5]])
 
@@ -146,14 +147,18 @@ class TestDerivedSitesPassTheValidator:
         d_abc = d_a * d_b * d_b
         rank = int(rng.integers(1, d_abc + 1))  # a rank-deficient marginal exercises the completion
         rho_abc = DensityOperator(abc, random_density(d_abc, rank, rng).matrix)
+        forward = reduced_dynamics(config, v)
         for out in (
             rho_a,
             partial_trace(rho, "A"),
             partial_trace(rho, "B"),
             permute(rho, ("B", "A")),
             Ensemble(probs, members).average(),
-            _evolved(config, v),
-            _recover_abc(rho_abc),
+            forward.sigma_rqp,
+            forward.rho_rq,
+            forward.channel,
+            forward.recovery,
+            _derived(DensityOperator, abc, _recover_abc_stack(rho_abc.matrix[None], (d_a, d_b, d_b))[0]),
         ):
             _revalidate(out)
 
