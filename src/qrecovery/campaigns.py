@@ -6,16 +6,21 @@ rerun with the same config reproduces the report byte for byte.  ``_trials``
 is the one place the stream path is set, and ``run_suite`` the one place
 each row gets its seed and, when set, the tolerance override.
 
-Each check family is a draw and a rows step (``_family``).  The draw makes
-one trial's instance, as arrays, from that trial's own stream.  The rows
-step groups the family's instances by shape (``_stacked``) and computes each
+Each check family is a draw, a finish and a rows step (``_family``).  The
+draw takes one trial's raw numbers (integers, Dirichlet vectors and Ginibre
+blocks) from that trial's own stream, in the order a per-trial construction
+draws them.  The finish runs the linear algebra that turns them into the
+family's instances once per group of draws of equal shapes (``_each``),
+through the ``qcore`` helpers that each public ``random_*`` calls on its one
+draw, so a finished instance has the bits of the per-trial construction.
+The rows step groups the instances by shape (``_stacked``) and computes each
 group at once through the stacked core of its ``theorems`` or ``cpdp``
 check: every primitive takes the group's stack with a leading trial axis and
 gives each trial the bits its own ``check_*`` call would give it, so a row
 depends only on its own trial.  The cores split a group further where a
 spectrum fixes a shape (support sizes, ranks, Kraus counts); info-gain-qsi
-runs its quadrature per trial and outcome, so one trial's node stacks stay
-its memory peak.  The witness rows call their ``check_*`` directly.
+runs its quadrature once per group of (trial, outcome) pairs of equal
+support sizes.  The witness rows call their ``check_*`` directly.
 Deviation and witness rows are built here from check outputs, and every
 row's tolerance comes from ``reports.TOLERANCES``.
 """
@@ -41,15 +46,20 @@ from .matfun import eig_hermitian
 from .qcore import (
     Channel,
     DensityOperator,
-    Ensemble,
     _apply_kraus,
+    _channel_draw,
+    _channel_kraus,
+    _densities,
+    _derived,
+    _ginibre,
     _grouped,
-    random_channel,
+    _haar_isometries,
+    _instrument_draw,
+    _instrument_outcomes,
+    _subunital_draw,
+    _subunital_kraus,
     random_density,
     random_instrument,
-    random_isometry,
-    random_subunital_channel,
-    random_unitary,
     stream,
 )
 from .recovery import QuadratureSpec, _petz_stack
@@ -65,7 +75,6 @@ from .theorems import (
     _info_gain_no_qsi_stack,
     _info_gain_qsi_stack,
     _info_gain_upper_stack,
-    _outcome_stack,
     _recover_abc_stack,
     _recovery_fid_stack,
     _recovery_stronger_stack,
@@ -217,11 +226,6 @@ def _trials(cfg: CampaignConfig, suite: str, family: int, n: int):
         yield trial, stream(cfg.master_seed, suite_idx, family, trial)
 
 
-def _state(systems, rank, rng) -> DensityOperator:
-    raw = random_density(math.prod(d for _, d in systems), rank, rng)
-    return DensityOperator(tuple(systems), raw.matrix)
-
-
 def _deviation_report(name, deviation, dims, aux=None) -> CheckReport:
     return CheckReport(name=name, lhs=0.0, rhs=float(deviation), dims=dims, aux=aux or {})
 
@@ -235,14 +239,48 @@ def _renamed(rep: CheckReport, name: str) -> CheckReport:
 # suite runners: each yields (trial, CheckReport) pairs in row order
 
 
-def _family(cfg: CampaignConfig, suite: str, family: int, n: int, draw, rows):
+def _family(cfg: CampaignConfig, suite: str, family: int, n: int, draw, finish, rows):
     """(trial, report) pairs of one check family, in row order.
 
-    ``draw(rng)`` makes one trial's instance from that trial's own stream;
+    ``draw(rng)`` takes one trial's raw numbers (integers, Dirichlet vectors
+    and Ginibre blocks) from that trial's own stream; ``finish(draws)`` turns
+    them into instances with one stacked call per group of equal shapes;
     ``rows(instances)`` returns every instance's reports, one list each.
     """
-    instances = [draw(rng) for _, rng in _trials(cfg, suite, family, n)]
+    instances = finish([draw(rng) for _, rng in _trials(cfg, suite, family, n)])
     return [(trial, rep) for trial, reps in enumerate(rows(instances)) for rep in reps]
+
+
+def _each(fn, items) -> list:
+    """``fn`` once per group of items of equal shapes, on their stack; an
+    item is an array, or a tuple of arrays and ``fn`` takes one stack per
+    array.  ``fn`` returns one result per item of its group, and the results
+    come back in item order."""
+
+    def shape(item):
+        return tuple(map(np.shape, item)) if isinstance(item, tuple) else np.shape(item)
+
+    def group(idx):
+        picked = [items[i] for i in idx]
+        if isinstance(picked[0], tuple):
+            return fn(*(np.stack(part) for part in zip(*picked)))
+        return fn(np.stack(picked))
+
+    return _grouped([shape(item) for item in items], group)
+
+
+def _parts(*fns):
+    """The finish of draws whose part j is finished by ``fns[j]`` through
+    :func:`_each`, or kept as drawn where it is None.  An instance is its
+    finished parts in order, a part that finishes as a tuple giving each of
+    its arrays."""
+
+    def finish(draws):
+        cols = [col if fn is None else _each(fn, col) for fn, col in zip(fns, zip(*draws))]
+        return [tuple(a for part in inst for a in (part if isinstance(part, tuple) else (part,)))
+                for inst in zip(*cols)]
+
+    return finish
 
 
 def _stacked(core):
@@ -250,27 +288,36 @@ def _stacked(core):
     stacks of the arrays of each group of instances with equal shapes, which
     returns each instance's report, or its list of reports."""
 
-    def group(instances, idx):
-        out = core(*(np.stack(part) for part in zip(*(instances[i] for i in idx))))
-        return [reps if isinstance(reps, list) else [reps] for reps in out]
-
     def rows(instances):
-        shapes = [tuple(np.shape(part) for part in inst) for inst in instances]
-        return _grouped(shapes, lambda idx: group(instances, idx))
+        return [reps if isinstance(reps, list) else [reps] for reps in _each(core, instances)]
 
     return rows
+
+
+def _member_states(members) -> list:
+    """The (m, d, d) stack of states of each draw's tuple of m Ginibre
+    matrices, every member finished with those of its shape across the draws."""
+    states = iter(_each(_densities, [g for gs in members for g in gs]))
+    return [np.stack([next(states) for _ in gs]) for gs in members]
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of the last two axes of ``a`` and ``b``, leading axes broadcast."""
+    prod = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return prod.reshape(prod.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
 
 
 def _run_entropy_gain(cfg: CampaignConfig):
     lo, hi = cfg.dims[0], min(cfg.dims[1], 4)
     n = cfg.n_trials("entropy-gain")
+    states_and_channels = _parts(_densities, _channel_kraus)
 
-    def random_channel_instance(rng):
+    def random_channel_draw(rng):
         d = int(rng.integers(lo, hi + 1))
-        rho = random_density(d, int(rng.integers(1, d + 1)), rng)
-        return rho.matrix, random_channel(d, d, int(rng.integers(1, 5)), rng).stack
+        g_rho = _ginibre(rng, (d, int(rng.integers(1, d + 1))))
+        return g_rho, _channel_draw(rng, d, d, int(rng.integers(1, 5)))
 
-    yield from _family(cfg, "entropy-gain", 0, n, random_channel_instance,
+    yield from _family(cfg, "entropy-gain", 0, n, random_channel_draw, states_and_channels,
                        _stacked(_entropy_gain_stack))
 
     # dephasing equality witness: N self-adjoint idempotent, rho = |+><+|
@@ -279,38 +326,46 @@ def _run_entropy_gain(cfg: CampaignConfig):
     dephasing = Channel((np.eye(2) / math.sqrt(2), z / math.sqrt(2)))
     yield 0, _renamed(check_entropy_gain(plus, dephasing), "entropy-gain-equality")
 
-    def subunital_instance(rng):
+    def subunital_draw(rng):
         d = int(rng.integers(lo, min(hi, 3) + 1))
-        rho = random_density(d, int(rng.integers(1, d + 1)), rng)
-        return rho.matrix, random_subunital_channel(d, d + 1, rng).stack
+        g_rho = _ginibre(rng, (d, int(rng.integers(1, d + 1))))
+        return g_rho, _subunital_draw(rng, d, d + 1)
 
-    yield from _family(cfg, "entropy-gain", 2, min(n, 50), subunital_instance,
-                       _stacked(_entropy_gain_recovery_stack))
+    yield from _family(cfg, "entropy-gain", 2, min(n, 50), subunital_draw,
+                       _parts(_densities, _subunital_kraus), _stacked(_entropy_gain_recovery_stack))
 
-    def conditional_instance(rng):
-        rho_ab = random_density(4, int(rng.integers(1, 5)), rng)
-        return rho_ab.matrix, random_channel(2, 2, int(rng.integers(1, 5)), rng).stack
+    def conditional_draw(rng):
+        g_rho = _ginibre(rng, (4, int(rng.integers(1, 5))))
+        return g_rho, _channel_draw(rng, 2, 2, int(rng.integers(1, 5)))
 
-    yield from _family(cfg, "entropy-gain", 3, min(n, 50), conditional_instance,
+    yield from _family(cfg, "entropy-gain", 3, min(n, 50), conditional_draw, states_and_channels,
                        _stacked(lambda rho, ks: _cond_entropy_gain_stack(rho, ks, (2, 2))))
 
 
-def _recovery_instance(rng, lo, hi):
-    """(rho, sigma, Kraus stack of N) with supp(rho) inside supp(sigma)."""
+def _recovery_draw(rng, lo, hi):
+    """The raw numbers of one recovery instance: the Ginibre matrices of
+    sigma and of rho, and of N's Stinespring isometry.  A quarter of the
+    sigmas are rank-deficient, and then rho's matrix is drawn on the support
+    of sigma."""
     d = int(rng.integers(lo, hi + 1))
     rank_sigma = d if rng.integers(4) else max(1, d - 1)
-    sigma = random_density(d, rank_sigma, rng)
-    if rank_sigma == d:
-        rho = random_density(d, int(rng.integers(1, d + 1)), rng)
-    else:
-        small = random_density(rank_sigma, int(rng.integers(1, rank_sigma + 1)), rng)
-        spec = eig_hermitian(sigma.matrix)
-        support = spec.eigenvectors[:, spec.support_mask()]
-        rho = DensityOperator((("A", d),), support @ small.matrix @ support.conj().T)
+    g_sigma = _ginibre(rng, (d, rank_sigma))
+    g_rho = _ginibre(rng, (rank_sigma, int(rng.integers(1, rank_sigma + 1))))
     d_out = int(rng.integers(lo, hi + 1))
     env_min = -(-d // d_out)  # Stinespring needs out * env >= in
-    channel = random_channel(d, d_out, int(rng.integers(env_min, env_min + 4)), rng)
-    return rho.matrix, sigma.matrix, channel.stack
+    return (g_sigma, g_rho), _channel_draw(rng, d, d_out, int(rng.integers(env_min, env_min + 4)))
+
+
+def _recovery_states(g_sigma: np.ndarray, g_rho: np.ndarray) -> list:
+    """(rho, sigma) of each :func:`_recovery_draw` of a group: a rho drawn on
+    a rank-deficient sigma's support is carried there by sigma's support
+    eigenvectors, so supp(rho) lies inside supp(sigma)."""
+    sigma, rho = _densities(g_sigma), _densities(g_rho)
+    d, rank_sigma = g_sigma.shape[-2:]
+    if rank_sigma < d:
+        support = eig_hermitian(sigma).eigenvectors[..., d - rank_sigma :]
+        rho = support @ rho @ support.conj().swapaxes(-1, -2)
+    return list(zip(rho, sigma))
 
 
 def _petz_fixed_point_rows(rho, sigma, ks) -> list:
@@ -327,34 +382,43 @@ def _run_recovery(cfg: CampaignConfig):
     n = cfg.n_trials("recovery")
 
     def draw(rng):
-        return _recovery_instance(rng, lo, hi)
+        return _recovery_draw(rng, lo, hi)
 
-    yield from _family(cfg, "recovery", 0, n, draw, _stacked(_recovery_fid_stack))
+    finish = _parts(_recovery_states, _channel_kraus)
+    yield from _family(cfg, "recovery", 0, n, draw, finish, _stacked(_recovery_fid_stack))
     quad = cfg.quad()
-    yield from _family(cfg, "recovery", 1, min(n, 50), draw,
+    yield from _family(cfg, "recovery", 1, min(n, 50), draw, finish,
                        _stacked(lambda rho, sigma, ks: _recovery_stronger_stack(rho, sigma, ks, quad)))
-    yield from _family(cfg, "recovery", 2, n, draw, _stacked(_petz_fixed_point_rows))
+    yield from _family(cfg, "recovery", 2, n, draw, finish, _stacked(_petz_fixed_point_rows))
 
     def tripartite(rng):
-        return (random_density(8, int(rng.integers(2, 9)), rng).matrix,)
+        return (_ginibre(rng, (8, int(rng.integers(2, 9)))),)
 
-    yield from _family(cfg, "recovery", 3, n, tripartite,
+    yield from _family(cfg, "recovery", 3, n, tripartite, _parts(_densities),
                        _stacked(lambda rho: _cmi_recovery_stack(rho, (2, 2, 2))))
-    yield from _family(cfg, "recovery", 4, min(n, 20), _markov_state, _stacked(_markov_rows))
+    yield from _family(cfg, "recovery", 4, min(n, 20), _markov_draw, _markov_states,
+                       _stacked(_markov_rows))
 
 
-def _markov_state(rng):
-    """cq Markov chain: a classical channel on C of a B-C correlated cq state
-    writes the A factor, so I(A;B|C) = 0 and recovery from C is exact."""
+def _markov_draw(rng):
+    """Mixture weights of C, and per value of C the Ginibre matrices of its
+    A and B factors."""
     p = rng.dirichlet(np.ones(2))
-    mat = np.zeros((8, 8), dtype=complex)
+    return p, tuple(_ginibre(rng, (2, int(rng.integers(1, 3)))) for _ in range(4))
+
+
+def _markov_states(draws) -> list:
+    """cq Markov chains sum_c p_c rho_A^c (x) rho_B^c (x) |c><c|: a classical
+    channel on C of a B-C correlated cq state writes the A factor, so
+    I(A;B|C) = 0 and recovery from C is exact."""
+    probs, members = zip(*draws)
+    rho, p = np.stack(_member_states(members)), np.stack(probs)
+    mat = np.zeros((len(draws), 8, 8), dtype=complex)
     for c in range(2):
-        rho_a = random_density(2, int(rng.integers(1, 3)), rng).matrix
-        rho_b = random_density(2, int(rng.integers(1, 3)), rng).matrix
         block = np.zeros((2, 2))
         block[c, c] = 1.0
-        mat += p[c] * np.kron(np.kron(rho_a, rho_b), block)
-    return (DensityOperator((("A", 2), ("B", 2), ("C", 2)), mat).matrix,)
+        mat += p[:, c, None, None] * _kron(_kron(rho[:, 2 * c], rho[:, 2 * c + 1]), block)
+    return [(m,) for m in mat]
 
 
 def _markov_rows(rho) -> list:
@@ -369,14 +433,14 @@ def _markov_rows(rho) -> list:
 def _run_info_gain(cfg: CampaignConfig):
     lo, hi = cfg.dims[0], min(cfg.dims[1], 3)
     n = cfg.n_trials("info-gain")
+    finish = _parts(_densities, _instrument_outcomes)
 
-    def instance(rng, efficient=True):
+    def draw(rng, efficient=True):
         d = int(rng.integers(lo, hi + 1))
         if efficient is None:
             efficient = bool(rng.integers(2))
-        instr = random_instrument(d, int(rng.integers(2, 5)), efficient, rng)
-        rho = random_density(d, int(rng.integers(1, d + 1)), rng)
-        return rho.matrix, _outcome_stack(instr)
+        g_instr = _instrument_draw(rng, d, int(rng.integers(2, 5)), efficient)
+        return _ginibre(rng, (d, int(rng.integers(1, d + 1)))), g_instr
 
     def no_qsi_rows(rho, kx):
         gains = _groenewold_gains(rho, kx)
@@ -386,8 +450,8 @@ def _run_info_gain(cfg: CampaignConfig):
             for rep, gain in zip(_info_gain_no_qsi_stack(rho, kx), gains)
         ]
 
-    yield from _family(cfg, "info-gain", 0, n, instance, _stacked(no_qsi_rows))
-    yield from _family(cfg, "info-gain", 1, n, lambda rng: instance(rng, None),
+    yield from _family(cfg, "info-gain", 0, n, draw, finish, _stacked(no_qsi_rows))
+    yield from _family(cfg, "info-gain", 1, n, lambda rng: draw(rng, None), finish,
                        _stacked(_info_gain_upper_stack))
 
     # a pure input through a two-Kraus instrument yields mixed post states,
@@ -403,15 +467,15 @@ def _run_info_gain(cfg: CampaignConfig):
         aux={"groenewold_gain": gain},
     )
 
-    yield from _family(cfg, "info-gain", 2, n, instance, _stacked(_efficient_second_law_stack))
+    yield from _family(cfg, "info-gain", 2, n, draw, finish, _stacked(_efficient_second_law_stack))
 
 
 def _run_info_gain_qsi(cfg: CampaignConfig):
     quad = cfg.quad()
 
-    def instance(rng):
-        rho_ab = _state((("A", 2), ("B", 2)), int(rng.integers(2, 5)), rng)
-        return rho_ab.matrix, _outcome_stack(random_instrument(2, int(rng.integers(2, 4)), True, rng))
+    def draw(rng):
+        g_rho = _ginibre(rng, (4, int(rng.integers(2, 5))))
+        return g_rho, _instrument_draw(rng, 2, int(rng.integers(2, 4)), True)
 
     def rows(rho, kx):
         tp = "qsi-recovery-instrument-tp"
@@ -419,39 +483,48 @@ def _run_info_gain_qsi(cfg: CampaignConfig):
                 for rep in _info_gain_qsi_stack(rho, kx, (2, 2), quad)]
 
     n = cfg.n_trials("info-gain-qsi")
-    yield from _family(cfg, "info-gain-qsi", 0, n, instance, _stacked(rows))
+    yield from _family(cfg, "info-gain-qsi", 0, n, draw, _parts(_densities, _instrument_outcomes),
+                       _stacked(rows))
+
+
+def _ensembles(draws) -> list:
+    """(probs, member states, Kraus stack of N) of each random-ensemble draw."""
+    probs, members, g_channels = zip(*draws)
+    return list(zip(probs, _member_states(members), _each(_channel_kraus, g_channels)))
+
+
+def _commuting_ensembles(g_basis: np.ndarray, eigenvalues: np.ndarray) -> list:
+    """(member states, Kraus stack of the dephasing channel) of each
+    commuting-ensemble draw of a group: the members are diagonal in one Haar
+    basis, and the channel's Kraus operators are that basis' projectors."""
+    basis = _haar_isometries(g_basis)
+    diagonal = eigenvalues[..., :, None] * np.eye(eigenvalues.shape[-1])
+    states = basis[..., None, :, :] @ diagonal @ basis.conj().swapaxes(-1, -2)[..., None, :, :]
+    columns = basis.swapaxes(-1, -2)
+    projectors = columns[..., :, :, None] * columns.conj()[..., :, None, :]
+    return list(zip(states, projectors))
 
 
 def _run_disturbance(cfg: CampaignConfig):
     lo, hi = cfg.dims[0], min(cfg.dims[1], 3)
     n = cfg.n_trials("disturbance")
 
-    def random_ensemble(rng):
+    def random_ensemble_draw(rng):
         d = int(rng.integers(lo, hi + 1))
         m = int(rng.integers(2, 5))
         probs = rng.dirichlet(np.ones(m))
-        states = tuple(random_density(d, int(rng.integers(1, d + 1)), rng) for _ in range(m))
-        ens = Ensemble(probs, states)
-        channel = random_channel(d, d, int(rng.integers(1, 5)), rng)
-        return ens.probs, np.stack([s.matrix for s in ens.states]), channel.stack
+        members = tuple(_ginibre(rng, (d, int(rng.integers(1, d + 1)))) for _ in range(m))
+        return probs, members, _channel_draw(rng, d, d, int(rng.integers(1, 5)))
 
-    yield from _family(cfg, "disturbance", 0, n, random_ensemble,
+    yield from _family(cfg, "disturbance", 0, n, random_ensemble_draw, _ensembles,
                        _stacked(_entropic_disturbance_stack))
 
-    def commuting_ensemble(rng):
+    def commuting_draw(rng):
         d = int(rng.integers(lo, hi + 1))
-        basis = random_unitary(d, rng)
+        g_basis = _ginibre(rng, (d, d))
         m = int(rng.integers(2, 5))
         probs = rng.dirichlet(np.ones(m))
-        states = tuple(
-            DensityOperator(
-                (("A", d),), basis @ np.diag(rng.dirichlet(np.ones(d))) @ basis.conj().T
-            )
-            for _ in range(m)
-        )
-        ens = Ensemble(probs, states)
-        projs = [np.outer(basis[:, i], basis[:, i].conj()) for i in range(d)]
-        return ens.probs, np.stack([s.matrix for s in ens.states]), Channel(tuple(projs)).stack
+        return probs, (g_basis, np.stack([rng.dirichlet(np.ones(d)) for _ in range(m)]))
 
     def commuting_rows(probs, states, ks):
         d = (states.shape[-1],)
@@ -462,23 +535,39 @@ def _run_disturbance(cfg: CampaignConfig):
             for rep in _entropic_disturbance_stack(probs, states, ks)
         ]
 
-    yield from _family(cfg, "disturbance", 1, min(n, 20), commuting_ensemble,
-                       _stacked(commuting_rows))
+    yield from _family(cfg, "disturbance", 1, min(n, 20), commuting_draw,
+                       _parts(None, _commuting_ensembles), _stacked(commuting_rows))
 
 
-def _random_config(rng) -> TripartiteConfiguration:
-    state = _state((("R", 2), ("Q", 2), ("E", 2)), int(rng.integers(2, 9)), rng)
-    return TripartiteConfiguration(state)
+_RQE = (("R", 2), ("Q", 2), ("E", 2))
 
 
-def _draw_interaction(cfg: CampaignConfig, rng) -> Interaction:
-    if cfg.cpdp_isometric:
-        return Interaction(random_isometry(4, 8, rng), (2, 2), (2, 4))
-    return Interaction(random_unitary(4, rng), (2, 2), (2, 2))
+def _configurations(mats) -> list:
+    """The (R, Q, E) configurations of finished qubit-qubit-qubit states."""
+    return [TripartiteConfiguration(_derived(DensityOperator, _RQE, m)) for m in mats]
+
+
+def _interactions(cfg: CampaignConfig, g_vs) -> list:
+    """The interactions V: QE -> Q'E' of a sequence of Ginibre matrices, unitary
+    on QE, or isometric into a larger E' when ``cfg.cpdp_isometric``."""
+    out_dims = (2, 4) if cfg.cpdp_isometric else (2, 2)
+    return [_derived(Interaction, v, (2, 2), out_dims) for v in _each(_haar_isometries, g_vs)]
+
+
+def _interaction_draw(cfg: CampaignConfig, rng) -> np.ndarray:
+    """The Ginibre matrix of one interaction of :func:`_interactions`."""
+    return _ginibre(rng, (8, 4) if cfg.cpdp_isometric else (4, 4))
 
 
 def _run_cpdp(cfg: CampaignConfig):
     n = cfg.n_trials("cpdp")
+
+    def config_draw(rng):
+        return _ginibre(rng, (8, int(rng.integers(2, 9))))
+
+    def configured(draws):
+        g_states, g_vs = zip(*draws)
+        return list(zip(_configurations(_each(_densities, g_states)), _interactions(cfg, g_vs)))
 
     def forward_rows(insts):
         configs, interactions = zip(*insts)
@@ -486,23 +575,24 @@ def _run_cpdp(cfg: CampaignConfig):
         converse = _converse_stack(forwards, np.stack([f.candidate for f in forwards]), 1.0)
         return [[f.report, c] for f, c in zip(forwards, converse)]
 
-    yield from _family(cfg, "cpdp", 0, n, lambda rng: (_random_config(rng), _draw_interaction(cfg, rng)),
-                       forward_rows)
+    yield from _family(cfg, "cpdp", 0, n, lambda rng: (config_draw(rng), _interaction_draw(cfg, rng)),
+                       configured, forward_rows)
 
-    def product_instance(rng):
-        rho_rq = _state((("R", 2), ("Q", 2)), int(rng.integers(2, 5)), rng)
-        rho_e = random_density(2, int(rng.integers(1, 3)), rng)
-        mat = np.kron(rho_rq.matrix, rho_e.matrix)
-        config = TripartiteConfiguration(
-            DensityOperator((("R", 2), ("Q", 2), ("E", 2)), mat)
-        )
-        return config, _draw_interaction(cfg, rng)
+    def product_draw(rng):
+        g_rq = _ginibre(rng, (4, int(rng.integers(2, 5))))
+        g_e = _ginibre(rng, (2, int(rng.integers(1, 3))))
+        return g_rq, g_e, _interaction_draw(cfg, rng)
+
+    def product_configured(draws):
+        g_rq, g_e, g_vs = zip(*draws)
+        mats = [_kron(a, b) for a, b in zip(_each(_densities, g_rq), _each(_densities, g_e))]
+        return list(zip(_configurations(mats), _interactions(cfg, g_vs)))
 
     def product_rows(insts):
         return [[_deviation_report("cpdp-forward-product", 1.0 - f.report.aux["fidelity"], (2, 2, 2))]
                 for f in _reduced_dynamics_stack(*zip(*insts))]
 
-    yield from _family(cfg, "cpdp", 1, min(n, 10), product_instance, product_rows)
+    yield from _family(cfg, "cpdp", 1, min(n, 10), product_draw, product_configured, product_rows)
 
     def embedding_rows(configs):
         embed = identity_embedding(2, 2)
@@ -511,7 +601,8 @@ def _run_cpdp(cfg: CampaignConfig):
         return [[_deviation_report("cpdp-embedding-consistency", abs(float(s) - float(c)), (2, 2, 2))]
                 for s, c in zip(slack, cmi)]
 
-    yield from _family(cfg, "cpdp", 2, min(n, 20), _random_config, embedding_rows)
+    yield from _family(cfg, "cpdp", 2, min(n, 20), config_draw,
+                       lambda draws: _configurations(_each(_densities, draws)), embedding_rows)
 
 
 def _bosonic_reports(cfg: CampaignConfig):

@@ -81,12 +81,19 @@ class Interaction:
     out_dims: tuple  # (dim_Q', dim_E')
 
     def __post_init__(self):
-        mat = np.array(self.matrix, dtype=complex)
+        self._hold(self.matrix, self.in_dims, self.out_dims)
+        self._validate()
+
+    def _hold(self, matrix, in_dims, out_dims) -> None:
+        mat = np.array(matrix, dtype=complex)
         mat.setflags(write=False)
-        _require_finite(mat, "interaction")
         object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "in_dims", tuple(int(d) for d in self.in_dims))
-        object.__setattr__(self, "out_dims", tuple(int(d) for d in self.out_dims))
+        object.__setattr__(self, "in_dims", tuple(int(d) for d in in_dims))
+        object.__setattr__(self, "out_dims", tuple(int(d) for d in out_dims))
+
+    def _validate(self) -> None:
+        mat = self.matrix
+        _require_finite(mat, "interaction")
         d_in = self.in_dims[0] * self.in_dims[1]
         d_out = self.out_dims[0] * self.out_dims[1]
         if mat.shape != (d_out, d_in):

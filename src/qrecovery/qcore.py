@@ -268,12 +268,6 @@ class DensityOperator:
     def dims(self) -> tuple:
         return _dims(self.systems)
 
-    def system_dim(self, label: str) -> int:
-        for l, d in self.systems:
-            if l == label:
-                return d
-        raise LabelError(f"unknown system label {label!r}")
-
 
 @dataclass(frozen=True)
 class Purification:
@@ -450,9 +444,6 @@ class KrausMap:
         """sum_i K_i^dag K_i (the adjoint's action on the identity)."""
         ks = self.stack
         return _ordered_sum(ks.conj().swapaxes(1, 2) @ ks)
-
-    def on_identity(self) -> np.ndarray:
-        return self.apply(np.eye(self.in_dim))
 
 
 @dataclass(frozen=True)
@@ -719,33 +710,6 @@ class Instrument:
     def efficient(self) -> bool:
         return all(len(m.kraus) == 1 for m in self.maps)
 
-    def measure(self, x: np.ndarray, systems: Systems | None = None, on=None,
-                out_systems: Systems | None = None):
-        """Outcome probabilities and normalized post-measurement operators.
-
-        Without ``systems`` the outcome maps act on ``x`` itself; with them,
-        on the block ``on`` of ``x`` as in :func:`apply_on`.  Probabilities
-        are clipped at 0, and an outcome of probability at most
-        ``PROB_FLOOR`` gets ``None`` in place of its operator.
-        """
-        maps = self.maps
-        if systems is None:
-            x = np.asarray(x, dtype=complex)
-            if x.shape != (self.in_dim, self.in_dim):
-                raise DimensionMismatchError(
-                    f"input shape {x.shape} does not match channel input dimension {self.in_dim}"
-                )
-            outs = _apply_kraus(_padded([m.stack for m in maps]), x)
-        else:
-            systems, start, stop, _ = _factor_block(maps[0], systems, on, out_systems)
-            d_left, d_right = _total_dim(systems[:start]), _total_dim(systems[stop:])
-            x = np.asarray(x, dtype=complex)
-            # apply_on adds the Kraus terms by sum, so maps of one count go together
-            outs = np.stack(_grouped([len(m.kraus) for m in maps], lambda idx: _apply_block(
-                np.stack([maps[i].stack for i in idx]), x, d_left, d_right)))
-        probs, seen, posts = _outcomes(outs)
-        return probs, [post if s else None for post, s in zip(posts, seen)]
-
 
 def _mixture(probs: np.ndarray, mats: np.ndarray) -> np.ndarray:
     """sum_x p_x rho_x for each row of (N, m) weights and (N, m, d, d)
@@ -840,10 +804,7 @@ def random_density(dim: int, rank: int | None = None, seed=None) -> DensityOpera
     rank = dim if rank is None else int(rank)
     if not 1 <= rank <= dim:
         raise ValueError(f"rank must be in [1, {dim}], got {rank}")
-    g = _ginibre(rng, (dim, rank))
-    mat = g @ g.conj().T
-    mat /= np.real(np.trace(mat))
-    return _derived(DensityOperator, (("A", int(dim)),), mat)
+    return _derived(DensityOperator, (("A", int(dim)),), _densities(_ginibre(rng, (dim, rank))))
 
 
 def random_unitary(dim: int, seed=None) -> np.ndarray:
@@ -859,12 +820,25 @@ def random_isometry(in_dim: int, out_dim: int, seed=None) -> np.ndarray:
     return _haar_isometries(_ginibre(_rng(seed), (out_dim, in_dim)))
 
 
+# Every random_* draws its raw numbers (integers, Dirichlet vectors and
+# Ginibre blocks) and hands them to one of the finishing steps below, which
+# take stacks with any leading axes; the campaign draws the same numbers trial
+# by trial and finishes each group of equal shapes in one call.
+
+
 def _ginibre(rng: np.random.Generator, shape: tuple) -> np.ndarray:
     """A complex Gaussian (..., m, n) array.  Each matrix takes its real
     part, then its imaginary part, from one ``standard_normal`` call, which
     draws the numbers that a call per part would."""
     g = rng.standard_normal(shape[:-2] + (2,) + shape[-2:])
     return g[..., 0, :, :] + 1j * g[..., 1, :, :]
+
+
+def _densities(g: np.ndarray) -> np.ndarray:
+    """G G^dag / Tr(G G^dag) for each Ginibre matrix of a (..., dim, rank) stack."""
+    mat = g @ g.conj().swapaxes(-1, -2)
+    mat /= np.real(np.trace(mat, axis1=-2, axis2=-1))[..., None, None]
+    return mat
 
 
 def _haar_isometries(g: np.ndarray) -> np.ndarray:
@@ -874,26 +848,88 @@ def _haar_isometries(g: np.ndarray) -> np.ndarray:
     return q * (phases / np.abs(phases))[..., None, :]
 
 
+def _channel_draw(rng: np.random.Generator, in_dim: int, out_dim: int, env_dim: int) -> np.ndarray:
+    """The Ginibre matrix of :func:`random_channel`'s Stinespring isometry,
+    its out_dim * env_dim rows held as (out_dim, env_dim, in_dim)."""
+    return _ginibre(rng, (out_dim * env_dim, in_dim)).reshape(out_dim, env_dim, in_dim)
+
+
+def _channel_kraus(g: np.ndarray) -> np.ndarray:
+    """The (..., env, out, in) Kraus stack of the Stinespring isometry of each
+    (..., out, env, in) :func:`_channel_draw`."""
+    out_dim, env_dim, in_dim = g.shape[-3:]
+    v = _haar_isometries(g.reshape(g.shape[:-3] + (out_dim * env_dim, in_dim)))
+    return v.reshape(g.shape).swapaxes(-3, -2)
+
+
+def _povm_elements(g: np.ndarray) -> np.ndarray:
+    """S P_x S with P_x = G_x G_x^dag and S = (sum_x P_x)^{-1/2}, for each
+    (..., n, dim, dim) stack of Ginibre matrices, the parts added in order."""
+    parts = g @ g.conj().swapaxes(-1, -2)
+    s = complex_power(_ordered_sum(parts), -0.5)[..., None, :, :]
+    return s @ parts @ s
+
+
+def _instrument_draw(rng: np.random.Generator, dim: int, n_outcomes: int, efficient: bool) -> tuple:
+    """The Ginibre blocks of :func:`random_instrument`: the POVM's and the
+    unitaries' (n, dim, dim) stacks when efficient, else the (n, 2, dim, dim)
+    stack of unnormalized Kraus operators."""
+    if efficient:
+        return _ginibre(rng, (n_outcomes, dim, dim)), _ginibre(rng, (n_outcomes, dim, dim))
+    return (_ginibre(rng, (n_outcomes, 2, dim, dim)),)
+
+
+def _instrument_outcomes(*g: np.ndarray) -> np.ndarray:
+    """The (..., n, K, dim, dim) outcome Kraus stack of each
+    :func:`_instrument_draw`: V_x sqrt(Lambda_x) from the POVM and unitary
+    blocks, or the raw Kraus operators times (sum K^dag K)^{-1/2}."""
+    if len(g) == 2:
+        roots = complex_power(_povm_elements(g[0]), 0.5)
+        return (_haar_isometries(g[1]) @ roots)[..., None, :, :]
+    (raw,) = g
+    grams = raw.conj().swapaxes(-1, -2) @ raw
+    total = _ordered_sum(grams.reshape(grams.shape[:-4] + (-1,) + grams.shape[-2:]))
+    return raw @ complex_power(total, -0.5)[..., None, None, :, :]
+
+
+def _mixed_unitary_draw(rng: np.random.Generator, dim: int, n_unitaries: int) -> tuple:
+    """The raw numbers of :func:`random_mixed_unitary_channel`: the mixture
+    weights and the unitaries' (n, dim, dim) Ginibre matrices."""
+    probs = rng.dirichlet(np.ones(n_unitaries))
+    return probs, _ginibre(rng, (n_unitaries, dim, dim))
+
+
+def _mixed_unitary_kraus(probs: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """sqrt(p_k) U_k for (..., n) weights and the (..., n, dim, dim) Ginibre
+    matrices of the unitaries."""
+    return np.sqrt(probs)[..., None, None] * _haar_isometries(g)
+
+
+def _subunital_draw(rng: np.random.Generator, in_dim: int, out_dim: int) -> tuple:
+    """The raw numbers of :func:`random_subunital_channel`: three mixture
+    weights, the unitaries' (3, in, in) and the isometry's (out, in) Ginibre
+    matrices."""
+    return _mixed_unitary_draw(rng, in_dim, 3) + (_ginibre(rng, (out_dim, in_dim)),)
+
+
+def _subunital_kraus(probs: np.ndarray, g_u: np.ndarray, g_v: np.ndarray) -> np.ndarray:
+    """The (..., 3, out, in) Kraus stack V sqrt(p_k) U_k of each
+    :func:`_subunital_draw`, composed as :func:`compose` composes."""
+    return _haar_isometries(g_v)[..., None, :, :] @ _mixed_unitary_kraus(probs, g_u)
+
+
 def random_channel(in_dim: int, out_dim: int, env_dim: int, seed=None) -> Channel:
     """Random CPTP map from a Haar Stinespring isometry, env_dim Kraus operators."""
     if env_dim < 1:
         raise ValueError("env_dim must be at least 1")
     if out_dim * env_dim < in_dim:
         raise DimensionMismatchError("out_dim * env_dim must be at least in_dim")
-    v = random_isometry(in_dim, out_dim * env_dim, seed)
-    return _derived(Channel, v.reshape(out_dim, env_dim, in_dim).swapaxes(0, 1))
+    return _derived(Channel, _channel_kraus(_channel_draw(_rng(seed), in_dim, out_dim, env_dim)))
 
 
 def random_povm(dim: int, n_outcomes: int, seed=None) -> tuple:
     """Random POVM: Gaussian positive parts conjugated to sum to the identity."""
-    rng = _rng(seed)
-    parts = []
-    for _ in range(n_outcomes):
-        g = _ginibre(rng, (dim, dim))
-        parts.append(g @ g.conj().T)
-    total = sum(parts)
-    s = complex_power(total, -0.5)
-    return tuple(s @ p @ s for p in parts)
+    return tuple(_povm_elements(_ginibre(_rng(seed), (n_outcomes, dim, dim))))
 
 
 def random_instrument(dim: int, n_outcomes: int, efficient: bool, seed=None) -> Instrument:
@@ -903,25 +939,13 @@ def random_instrument(dim: int, n_outcomes: int, efficient: bool, seed=None) -> 
     ``{Lambda_x}`` and independent Haar unitaries ``V_x``.  Non-efficient:
     two-Kraus CP maps per outcome, jointly normalized to a channel.
     """
-    rng = _rng(seed)
-    if efficient:
-        roots = complex_power(np.stack(random_povm(dim, n_outcomes, rng)), 0.5)
-        unitaries = _haar_isometries(_ginibre(rng, (n_outcomes, dim, dim)))
-        return _derived(Instrument, [(u @ root,) for u, root in zip(unitaries, roots)])
-    raw = []
-    for _ in range(n_outcomes):
-        raw.append([_ginibre(rng, (dim, dim)) for _ in range(2)])
-    total = sum(k.conj().T @ k for ks in raw for k in ks)
-    s = complex_power(total, -0.5)
-    return _derived(Instrument, [[k @ s for k in ks] for ks in raw])
+    raw = _instrument_draw(_rng(seed), dim, n_outcomes, efficient)
+    return _derived(Instrument, list(_instrument_outcomes(*raw)))
 
 
 def random_mixed_unitary_channel(dim: int, n_unitaries: int, seed=None) -> Channel:
     """Random mixture of Haar unitaries (unital and trace-preserving)."""
-    rng = _rng(seed)
-    probs = rng.dirichlet(np.ones(n_unitaries))
-    ks = [np.sqrt(p) * random_unitary(dim, rng) for p in probs]
-    return _derived(Channel, ks)
+    return _derived(Channel, _mixed_unitary_kraus(*_mixed_unitary_draw(_rng(seed), dim, n_unitaries)))
 
 
 def random_subunital_channel(in_dim: int, out_dim: int, seed=None) -> Channel:
@@ -931,7 +955,6 @@ def random_subunital_channel(in_dim: int, out_dim: int, seed=None) -> Channel:
     With out_dim > in_dim the result is strictly subunital; with equal
     dimensions it is unital.
     """
-    rng = _rng(seed)
-    mixed = random_mixed_unitary_channel(in_dim, 3, rng)
-    v = random_isometry(in_dim, out_dim, rng)
-    return compose(Channel((v,)), mixed)
+    if out_dim < in_dim:
+        raise DimensionMismatchError("an isometry needs out_dim >= in_dim")
+    return _derived(Channel, _subunital_kraus(*_subunital_draw(_rng(seed), in_dim, out_dim)))

@@ -18,7 +18,8 @@ Integrands that are nonlinear in the rotation, such as ``log F(rho,
 R^{t/2}(N(rho)))``, are evaluated at every quadrature node at once: the
 swiveled Kraus operators differ between nodes only by diagonal phases in the
 support eigenbases (:func:`swiveled_kraus`), and the root fidelity of every
-node comes from one stacked SVD (:func:`stacked_root_fidelity`).
+node comes from one stacked SVD (:func:`stacked_root_fidelity`), on full
+square roots or on support factors of the two states.
 """
 
 from __future__ import annotations
@@ -214,24 +215,38 @@ def swiveled_kraus(spec_sig: Spectrum, spec_out: Spectrum, kraus: np.ndarray, t)
     return left[..., None, :, :] @ core[..., None, :, :, :] @ right[..., None, :, :]
 
 
-def stacked_root_fidelity(sqrt_rho: np.ndarray, kraus: np.ndarray, sqrt_x: np.ndarray,
+def stacked_root_fidelity(left: np.ndarray, kraus: np.ndarray, right: np.ndarray,
                           lead: int = 1) -> np.ndarray:
-    """sqrt F(rho, sum_k A_k X A_k^dag) for every node of a Kraus stack, by one stacked SVD.
+    """sqrt F(A, sum_k A_k X A_k^dag) for every node of a Kraus stack, by one stacked SVD.
 
-    ``kraus`` is (T, K, d_out, d_in); each A_k = I_lead (x) kraus[j, k] acts
-    on the last factor of X.  With W = sqrt(X) the root fidelity is the trace
-    norm ||sqrt(rho) [A_1 W ... A_K W]||_1, so no recovered state and no
-    square root of it is formed.  Leading axes of ``kraus`` (..., T, K,
-    d_out, d_in) go with those of ``sqrt_rho`` and ``sqrt_x``, and give
-    (..., T) root fidelities.
+    ``left`` is a factor L of A = L^dag L and ``right`` a factor W of
+    X = W W^dag: the roots sqrt(A) and sqrt(X) themselves, or support factors
+    (:func:`_root_factors` gives L, and W = L_X^dag), which shrink the SVD
+    to the support sizes.  ``kraus`` is (T, K, d_out, d_in); each
+    A_k = I_lead (x) kraus[j, k] acts on the last factor of X.  The root
+    fidelity is the trace norm ||L [A_1 W ... A_K W]||_1, so no recovered
+    state and no square root of it is formed.  Leading axes of ``kraus``
+    (..., T, K, d_out, d_in) go with those of ``left`` and ``right``, and
+    give (..., T) root fidelities.
     """
     n_nodes, n_kraus, d_out, d_in = kraus.shape[-4:]
-    sqrt_x = np.asarray(sqrt_x)
-    w = sqrt_x.reshape(sqrt_x.shape[:-2] + (1, 1, lead, d_in, -1))
-    cols = (kraus[..., None, :, :] @ w).reshape(kraus.shape[:-2] + (lead * d_out, -1))
-    m = (sqrt_rho[..., None, None, :, :] @ cols).swapaxes(-3, -2)
-    stack = m.reshape(m.shape[:-2] + (-1,))
+    right = np.asarray(right)
+    r = right.shape[-1]  # explicit, as a support factor may have no columns
+    w = right.reshape(right.shape[:-2] + (1, 1, lead, d_in, r))
+    cols = (kraus[..., None, :, :] @ w).reshape(kraus.shape[:-2] + (lead * d_out, r))
+    m = (left[..., None, None, :, :] @ cols).swapaxes(-3, -2)
+    stack = m.reshape(m.shape[:-2] + (n_kraus * r,))
     return np.linalg.svd(stack, compute_uv=False).sum(axis=-1)
+
+
+def _root_factors(spec: Spectrum) -> np.ndarray:
+    """L = diag(sqrt(lam_s)) U_s^dag for each matrix H of a spectrum stack,
+    (lam_s, U_s) its eigenpairs above the cutoff, so that L^dag L = H and
+    ||sqrt(H) Y||_1 = ||L Y||_1; every matrix of the stack must have the
+    same number r of them, and L is (..., r, d)."""
+    rank = int(np.count_nonzero(spec.eigenvalues > spec.cutoff, axis=-1).max(initial=0))
+    lam = spec.eigenvalues[..., spec.dim - rank :]
+    return np.sqrt(lam)[..., :, None] * spec.eigenvectors[..., spec.dim - rank :].conj().swapaxes(-1, -2)
 
 
 def swiveled_root_fidelities(rho, sigma, channel: KrausMap, t, n_rho, n_sigma) -> np.ndarray:

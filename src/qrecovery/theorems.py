@@ -58,6 +58,7 @@ from .recovery import (
     QuadratureSpec,
     _adjoint_recovery_stack,
     _integrated_recovery_stack,
+    _root_factors,
     _swiveled_root_fidelity_stack,
     quadrature,
     stacked_root_fidelity,
@@ -663,15 +664,24 @@ def _b_rotated_overlaps(m_in: np.ndarray, g: np.ndarray, m_post: np.ndarray):
     """Uhlmann overlaps of (I_RA (x) g_t)|phi> with a post-measurement
     purification for every g_t of a (T, d_B, d_B) stack, B the last factor of
     |phi>; ``m_in`` and ``m_post`` are the amplitude matrices of |phi> and of
-    the post with A and A' as references.
+    the post with A and A' as references.  Leading axes of ``m_in``,
+    ``m_post`` and of ``g`` (..., T, d_B, d_B) go together.
 
     The amplitude matrix of the rotated purification is M (I_R (x) g_t)^T,
-    M = ``m_in``; one batched SVD of the overlap matrices then gives every
+    M = ``m_in``, so its overlap with M_post is
+    sum_{b, c} g_t[b, c] C[c, b], C[c, b] = sum_r M[:, (r, c)] M_post[:, (r, b)]^dag;
+    with R summed once per pair, every node's overlap matrix is one row of
+    vec(g_t) against C, and one batched SVD of them gives every
     ``uhlmann_isometry(...).achieved``.
     """
-    d_a, d_b = m_in.shape[0], g.shape[-1]
-    m_rec = (m_in.reshape(d_a, -1, d_b) @ g.swapaxes(1, 2)[:, None]).reshape(len(g), d_a, -1)
-    overlap = m_rec @ m_post.conj().T
+    d_a, d_out, d_b = m_in.shape[-2], m_post.shape[-2], g.shape[-1]
+    lead = m_in.shape[:-2]
+    rows_in = m_in.reshape(lead + (d_a, -1, d_b)).swapaxes(-1, -2).reshape(lead + (d_a * d_b, -1))
+    rows_post = m_post.reshape(lead + (d_out, -1, d_b)).swapaxes(-1, -2).reshape(lead + (d_out * d_b, -1))
+    c = (rows_in @ rows_post.conj().swapaxes(-1, -2)).reshape(lead + (d_a, d_b, d_out, d_b))
+    c = np.moveaxis(c, -3, -1).reshape(lead + (d_a * d_out, d_b * d_b))  # ((a, a'), (b, c))
+    overlap = g.reshape(g.shape[:-2] + (d_b * d_b,)) @ c.swapaxes(-1, -2)
+    overlap = overlap.reshape(g.shape[:-2] + (d_a, d_out))
     return np.linalg.svd(overlap, compute_uv=False).sum(axis=-1) ** 2
 
 
@@ -703,16 +713,18 @@ def check_info_gain_qsi(
     Evaluation: for each outcome, :func:`swiveled_kraus` stacks g_t over all
     quadrature nodes (only diagonal phases change between nodes), and
     :func:`stacked_root_fidelity` gets every node's root fidelity as
-    ||sqrt(omega^x_RB) (I_R (x) g_t) sqrt(omega_RB)||_1 from one stacked SVD.
-    The same g_t stack gives the trace-preservation sums
-    sum_x p(x) g_t^dag g_t, whose largest deviation from the support
-    projector of omega_B is ``recovery_instrument_tp_dev``.  For efficient
-    instruments every (node, outcome) fidelity is cross-checked against the
-    Uhlmann overlap of the rotated input purification with the
-    post-measurement purification, computed apart from the fidelity SVD from
-    the purifications' amplitude matrices; the largest gap is
-    ``uhlmann_vs_fidelity_max_dev``.  ``low_confidence`` flags a node
-    fidelity below 1e-14.
+    ||L^x (I_R (x) g_t) L^dag||_1 from one stacked SVD, with
+    L^x = diag(sqrt(lam_s)) U_s^dag and L the support factors of
+    omega^x_RB and omega_RB taken from their spectra: each node's SVD is
+    rank(omega^x_RB) x rank(omega_RB).  The same g_t stack gives the
+    trace-preservation sums sum_x p(x) g_t^dag g_t, whose largest deviation
+    from the support projector of omega_B is ``recovery_instrument_tp_dev``.
+    For efficient instruments every (node, outcome) fidelity is
+    cross-checked against the Uhlmann overlap of the rotated input
+    purification with the post-measurement purification, computed apart
+    from the fidelity SVD from the purifications' amplitude matrices; the
+    largest gap is ``uhlmann_vs_fidelity_max_dev``.  ``low_confidence``
+    flags a node fidelity below 1e-14.
     """
     if len(rho_ab.systems) != 2:
         raise ValueError("check_info_gain_qsi expects a bipartite input state")
@@ -728,8 +740,11 @@ def _info_gain_qsi_stack(mat: np.ndarray, kx: np.ndarray, dims: tuple,
     of instruments on A.
 
     The states, entropies and spectra come from one stacked call per group
-    of equal purification rank; the quadrature runs per trial and outcome, so
-    a trial's (T, ...) node stacks stay the memory peak of the family.
+    of equal purification rank.  Within such a group the quadrature runs
+    once per group of (trial, outcome) pairs whose omega^x_B, omega_B,
+    omega^x_RB and omega_RB have equal support sizes, which fix the shapes
+    of the swiveled operators and of the support factors; each trial then
+    adds its outcomes' node terms in outcome order.
     """
     d_a, d_b = dims
     n, n_kraus, d_out = kx.shape[1:4]
@@ -750,45 +765,65 @@ def _info_gain_qsi_stack(mat: np.ndarray, kx: np.ndarray, dims: tuple,
         )
         # omega_B with every omega_B^x, omega_RB with every omega^x_RB
         spec_bx = eig_hermitian(np.concatenate([omega_b[:, None], omega_bx], axis=1))
-        sqrt_rbx = eig_hermitian(np.concatenate([omega_rb[:, None], posts_rb], axis=1)).power(0.5)
-        m_in = _amplitudes(vecs, (r_dim, d_a, d_b))
+        spec_rbx = eig_hermitian(np.concatenate([omega_rb[:, None], posts_rb], axis=1))
         if efficient:
+            m_in = _amplitudes(vecs, (r_dim, d_a, d_b))
             m_post = _amplitudes(_pure_vectors(posts_rab), (r_dim, d_out, d_b))
+        trial, outcome = np.nonzero(seen)
+        # (trial, slot, [B, RB]) support sizes, slot 0 the average and x + 1 the outcome
+        sizes = np.stack([np.count_nonzero(spec.eigenvalues > spec.cutoff, axis=-1)
+                          for spec in (spec_bx, spec_rbx)], axis=-1)
+
+        def pair_group(p):
+            t, x = trial[p], outcome[p]
+            # g_t = (omega_B^x)^{(1-it)/2} omega_B^{(-1+it)/2} at every node, (P, T, 1, d_B, d_B)
+            g = swiveled_kraus(spec_bx[t, x + 1], spec_bx[t, 0], np.eye(d_b)[None], nodes)
+            right = _root_factors(spec_rbx[t, 0]).conj().swapaxes(-1, -2)
+            sqrt_f = stacked_root_fidelity(_root_factors(spec_rbx[t, x + 1]), g, right, lead=r_dim)
+            g = g[:, :, 0]
+            dev = np.zeros(len(p))
+            if efficient:
+                dev = np.abs(_b_rotated_overlaps(m_in[t], g, m_post[t, x]) - sqrt_f**2).max(axis=-1)
+            return list(zip(sqrt_f, g.conj().swapaxes(-1, -2) @ g, dev))
+
+        keys = [tuple(sizes[t, [0, x + 1]].ravel().tolist()) for t, x in zip(trial, outcome)]
+        sqrt_f, gram, dev = (np.stack(part) for part in zip(*_grouped(keys, pair_group)))
+        node_sum = np.zeros((len(idx), len(nodes)))
+        tp_acc = np.zeros((len(idx), len(nodes), d_b, d_b), dtype=complex)
+        uhlmann_dev = np.zeros(len(idx))
+        low_confidence = np.zeros(len(idx), dtype=bool)
+        for x in range(n):  # each trial adds its outcomes in order
+            sel = outcome == x
+            t, p = trial[sel], probs[trial[sel], x]
+            tp_acc[t] += p[:, None, None, None] * gram[sel]
+            node_sum[t] += p[:, None] * sqrt_f[sel]
+            uhlmann_dev[t] = np.maximum(uhlmann_dev[t], dev[sel])
+            low_confidence[t] |= (sqrt_f[sel] ** 2 < 1e-14).any(axis=-1)
+        proj_b = _grouped(sizes[:, 0, 0].tolist(), lambda i: _support_projectors(spec_bx[i, 0]))
         reports = []
         for i in range(len(idx)):
-            spec_b, sqrt_rb = spec_bx[i, 0], sqrt_rbx[i, 0]
-            support_b = spec_b.eigenvectors[:, spec_b.eigenvalues > spec_b.cutoff]
-            proj_b = support_b @ support_b.conj().T
-            node_sum = np.zeros(len(nodes))
-            tp_acc = np.zeros((len(nodes), d_b, d_b), dtype=complex)
-            low_confidence = False
-            uhlmann_dev = 0.0
-            for x in np.flatnonzero(seen[i]):
-                # g_t = (omega_B^x)^{(1-it)/2} omega_B^{(-1+it)/2} at every node, (T, d_B, d_B)
-                g = swiveled_kraus(spec_bx[i, x + 1], spec_b, np.eye(d_b)[None], nodes)
-                p = probs[i, x]
-                tp_acc += p * (g[:, 0].conj().swapaxes(1, 2) @ g[:, 0])
-                sqrt_f = stacked_root_fidelity(sqrt_rbx[i, x + 1], g, sqrt_rb, lead=r_dim)
-                f = sqrt_f**2
-                low_confidence = low_confidence or bool((f < 1e-14).any())
-                node_sum += p * sqrt_f
-                if efficient:
-                    achieved = _b_rotated_overlaps(m_in[i], g[:, 0], m_post[i, x])
-                    uhlmann_dev = max(uhlmann_dev, float(np.abs(achieved - f).max()))
             aux = {
-                "recovery_instrument_tp_dev": float(np.abs(tp_acc - proj_b).max()),
-                "min_node_avg_sqrt_fid": float(node_sum.min()),
-                "low_confidence": low_confidence,
+                "recovery_instrument_tp_dev": float(np.abs(tp_acc[i] - proj_b[i]).max()),
+                "min_node_avg_sqrt_fid": float(node_sum[i].min()),
+                "low_confidence": bool(low_confidence[i]),
                 "n_outcomes": n,
                 "efficient": efficient,
             }
             if efficient:
-                aux["uhlmann_vs_fidelity_max_dev"] = uhlmann_dev
-            rhs = -2.0 * float(weights @ np.log2(np.maximum(node_sum, 1e-300)))
+                aux["uhlmann_vs_fidelity_max_dev"] = float(uhlmann_dev[i])
+            rhs = -2.0 * float(weights @ np.log2(np.maximum(node_sum[i], 1e-300)))
             reports.append(CheckReport("info-gain-qsi", lhs[i], rhs, dims=dims, aux=aux))
         return reports
 
     return _by_rank(mat, group)
+
+
+def _support_projectors(spec) -> np.ndarray:
+    """The projector onto the support of each matrix of a spectrum stack whose
+    supports share their size."""
+    rank = int(np.count_nonzero(spec.eigenvalues > spec.cutoff, axis=-1).max())
+    support = spec.eigenvectors[..., spec.dim - rank :]
+    return support @ support.conj().swapaxes(-1, -2)
 
 
 def check_entropic_disturbance(ens: Ensemble, channel: Channel) -> CheckReport:

@@ -32,9 +32,18 @@ from qrecovery.qcore import (
     Ensemble,
     Instrument,
     KrausMap,
+    LabelError,
     Purification,
     TransferMap,
+    _apply_block,
+    _apply_kraus,
     _derived,
+    _factor_block,
+    _ginibre,
+    _grouped,
+    _outcomes,
+    _padded,
+    _total_dim,
     adjoint,
     apply_on,
     as_matrix,
@@ -43,11 +52,14 @@ from qrecovery.qcore import (
     partial_trace_channel,
     permute,
     ptrace,
+    random_isometry,
+    random_unitary,
     tp_deviation,
     transfer_matrix,
 )
 from qrecovery.recovery import (
     NotCompletelyPositiveError,
+    _root_factors,
     QuadratureSpec,
     quadrature,
     stacked_root_fidelity,
@@ -56,6 +68,47 @@ from qrecovery.recovery import (
     uhlmann_isometry,
 )
 from qrecovery.reports import CheckReport
+from qrecovery.theorems import _outcome_stack
+
+
+def system_dim(rho: DensityOperator, label: str) -> int:
+    """The dimension of the factor ``label`` of ``rho``."""
+    for l, d in rho.systems:
+        if l == label:
+            return d
+    raise LabelError(f"unknown system label {label!r}")
+
+
+def on_identity(m: KrausMap) -> np.ndarray:
+    """N(I) for a map in Kraus form."""
+    return m.apply(np.eye(m.in_dim))
+
+
+def instrument_measure(instr: Instrument, x, systems=None, on=None, out_systems=None):
+    """Outcome probabilities and normalized post-measurement operators, all
+    outcomes at once through the stacked primitives.
+
+    Without ``systems`` the outcome maps act on ``x`` itself; with them, on
+    the block ``on`` of ``x`` as in :func:`~qrecovery.qcore.apply_on`.
+    Probabilities are clipped at 0, and an outcome of probability at most
+    ``PROB_FLOOR`` gets ``None`` in place of its operator.
+    """
+    maps = instr.maps
+    x = np.asarray(x, dtype=complex)
+    if systems is None:
+        if x.shape != (instr.in_dim, instr.in_dim):
+            raise DimensionMismatchError(
+                f"input shape {x.shape} does not match channel input dimension {instr.in_dim}"
+            )
+        outs = _apply_kraus(_padded([m.stack for m in maps]), x)
+    else:
+        systems, start, stop, _ = _factor_block(maps[0], systems, on, out_systems)
+        d_left, d_right = _total_dim(systems[:start]), _total_dim(systems[stop:])
+        # apply_on adds the Kraus terms by sum, so maps of one count go together
+        outs = np.stack(_grouped([len(m.kraus) for m in maps], lambda idx: _apply_block(
+            np.stack([maps[i].stack for i in idx]), x, d_left, d_right)))
+    probs, seen, posts = _outcomes(outs)
+    return probs, [post if s else None for post, s in zip(posts, seen)]
 
 
 def choi(channel) -> np.ndarray:
@@ -73,7 +126,7 @@ def is_cptp(channel, tol: float = 1e-9) -> bool:
 
 def is_subunital(channel, tol: float = 1e-9) -> bool:
     """N(I) <= I within tol."""
-    gap = np.eye(channel.out_dim) - channel.on_identity()
+    gap = np.eye(channel.out_dim) - on_identity(channel)
     return float(np.linalg.eigvalsh(gap)[0]) >= -tol
 
 
@@ -208,7 +261,7 @@ def dense_entropy_gain(spec, rho: np.ndarray):
 
 
 def measure_oracle(instr: Instrument, x, systems=None, on=None, out_systems=None):
-    """:meth:`Instrument.measure` one outcome map at a time: probabilities
+    """:func:`instrument_measure` one outcome map at a time: probabilities
     clipped at 0, and ``None`` for a post at or below ``PROB_FLOOR``."""
     probs, posts = [], []
     for m in instr.maps:
@@ -301,7 +354,7 @@ def integrated_recovery_oracle(sigma, channel: KrausMap) -> Channel:
 def adjoint_recovery_oracle(channel: KrausMap) -> Channel:
     """R(Y) = N^dag(Y) + Tr{(id - N^dag)(Y)} I/d for one map: the adjoint's
     Kraus operators, then one completion block per gap direction above 1e-12."""
-    gap = np.eye(channel.out_dim) - channel.on_identity()
+    gap = np.eye(channel.out_dim) - on_identity(channel)
     spec = eig_hermitian(gap)
     if spec.eigenvalues[0] < -1e-10:
         witness = np.outer(spec.eigenvectors[:, 0], spec.eigenvectors[:, 0].conj())
@@ -417,7 +470,7 @@ def recover_abc_oracle(rho: DensityOperator) -> DensityOperator:
     """
     rho_ac, rho_bc = partial_trace(rho, "B"), partial_trace(rho, "A")
     rec = integrated_recovery_oracle(rho_ac.matrix, partial_trace_channel(rho_ac.systems, "A"))
-    out = (("A", rho.system_dim("A")), ("C", rho.system_dim("C")))
+    out = (("A", system_dim(rho, "A")), ("C", system_dim(rho, "C")))
     mat, out_systems = apply_on(rec, rho_bc.matrix, rho_bc.systems, "C", out_systems=out)
     return permute(_derived(DensityOperator, out_systems, mat), ("A", "B", "C"))
 
@@ -446,7 +499,7 @@ def groenewold_gain_oracle(instr: Instrument, rho) -> float:
 
 
 def _entropy_reduction(mat: np.ndarray, probs, posts) -> float:
-    """H(rho) - sum_x p(x) H(rho^x) from :meth:`Instrument.measure`'s outcomes,
+    """H(rho) - sum_x p(x) H(rho^x) from :func:`measure_oracle`'s outcomes,
     whose post is ``None`` at or below ``PROB_FLOOR``."""
     reduction = entropy(mat)
     for p, post in zip(probs, posts):
@@ -598,11 +651,18 @@ def _pure_vectors(densities) -> np.ndarray:
 def b_rotated_overlaps_oracle(phi: Purification, a_label: str, g: np.ndarray, phi_post: Purification):
     """Uhlmann overlaps of (I_RA (x) g_t)|phi> with ``phi_post`` for every g_t
     of a (T, d_B, d_B) stack, from the purifications' amplitude matrices with
-    A and A' as references."""
+    A and A' as references: the overlap at node t is
+    sum_{b, c} g_t[b, c] C[c, b], C[c, b] = sum_r M_in[:, (r, c)] M_post[:, (r, b)]^dag."""
     m_in = Purification(a_label, phi.systems, phi.vector).amplitude_matrix()
-    d_a, d_b = m_in.shape[0], g.shape[-1]
-    m_rec = (m_in.reshape(d_a, -1, d_b) @ g.swapaxes(1, 2)[:, None]).reshape(len(g), d_a, -1)
-    overlap = m_rec @ phi_post.amplitude_matrix().conj().T
+    m_post = phi_post.amplitude_matrix()
+    d_a, d_out, d_b = m_in.shape[0], m_post.shape[0], g.shape[-1]
+    blocks_in = m_in.reshape(d_a, -1, d_b)  # (a, r, c)
+    blocks_post = m_post.reshape(d_out, -1, d_b)  # (a', r, b)
+    rows_in = blocks_in.transpose(0, 2, 1).reshape(d_a * d_b, -1)  # rows (a, c)
+    rows_post = blocks_post.transpose(0, 2, 1).reshape(d_out * d_b, -1)  # rows (a', b)
+    c = (rows_in @ rows_post.conj().T).reshape(d_a, d_b, d_out, d_b)  # (a, c, a', b)
+    c = c.transpose(0, 2, 3, 1).reshape(d_a * d_out, d_b * d_b)  # ((a, a'), (b, c))
+    overlap = (g.reshape(len(g), -1) @ c.T).reshape(len(g), d_a, d_out)
     return np.linalg.svd(overlap, compute_uv=False).sum(axis=-1) ** 2
 
 
@@ -611,9 +671,10 @@ def info_gain_qsi_oracle(
 ) -> CheckReport:
     """Information gain with quantum side information versus B-side recovery,
     I(R;X|B) >= -2 sum_t w_t log[sum_x p(x) sqrtF(omega^x_RB, R_B^{x,t/2}(omega_RB))],
-    for one instance, outcome by outcome."""
+    for one instance, outcome by outcome, each node's root fidelity taken on
+    the support factors of omega^x_RB and omega_RB."""
     a_label, b_label = rho_ab.labels
-    d_b = rho_ab.system_dim(b_label)
+    d_b = system_dim(rho_ab, b_label)
     out_label = a_label + "'"
     # purification factors (R, A, B); posts on (R, A', B), reductions on (R, B)
     phi, probs, posts_rab, posts_rb = _reference_instrument_state(instr, rho_ab)
@@ -635,8 +696,10 @@ def info_gain_qsi_oracle(
     nodes, weights = quadrature(quad)
     seen = _seen_outcomes(posts_rb)
     spec_bx = eig_hermitian(np.stack([omega_b] + [omega_bx[x] for x in seen]))
-    sqrt_rbx = eig_hermitian(np.stack([omega_rb] + [posts_rb[x] for x in seen])).power(0.5)
-    spec_b, sqrt_rb = spec_bx[0], sqrt_rbx[0]
+    spec_rbx = eig_hermitian(np.stack([omega_rb] + [posts_rb[x] for x in seen]))
+    # support factors L = diag(sqrt(lam_s)) U_s^dag of omega_RB and of each omega^x_RB
+    factors = [_root_factors(spec_rbx[j]) for j in range(len(seen) + 1)]
+    spec_b, right = spec_bx[0], factors[0].conj().T
     support_b = spec_b.eigenvectors[:, spec_b.eigenvalues > spec_b.cutoff]
     proj_b = support_b @ support_b.conj().T
     if instr.efficient:
@@ -649,7 +712,7 @@ def info_gain_qsi_oracle(
     for j, x in enumerate(seen):
         g = swiveled_kraus(spec_bx[j + 1], spec_b, (np.eye(d_b),), nodes)
         tp_acc += probs[x] * (g[:, 0].conj().swapaxes(1, 2) @ g[:, 0])
-        sqrt_f = stacked_root_fidelity(sqrt_rbx[j + 1], g, sqrt_rb, lead=r_dim)
+        sqrt_f = stacked_root_fidelity(factors[j + 1], g, right, lead=r_dim)
         f = sqrt_f**2
         low_confidence = low_confidence or bool((f < 1e-14).any())
         node_sum += probs[x] * sqrt_f
@@ -817,3 +880,199 @@ def converse_bound_oracle(forward: ForwardResult, eps: float, channel=None) -> C
             "cmi_budget": cmi_budget,
         },
     )
+
+
+# ---------------------------------------------------------------------------
+# per-trial draws: the random constructions one object at a time, and each
+# campaign family's instance built from them trial by trial, as the library
+# drew them before its draws were finished per shape group
+
+
+def random_density_oracle(dim: int, rank: int, rng) -> DensityOperator:
+    """Normalized G G^dag for one dim x rank Ginibre matrix G."""
+    g = _ginibre(rng, (dim, rank))
+    mat = g @ g.conj().T
+    mat /= np.real(np.trace(mat))
+    return _derived(DensityOperator, (("A", dim),), mat)
+
+
+def random_channel_oracle(in_dim: int, out_dim: int, env_dim: int, rng) -> Channel:
+    """The Kraus operators of one Haar Stinespring isometry."""
+    v = random_isometry(in_dim, out_dim * env_dim, rng)
+    return _derived(Channel, v.reshape(out_dim, env_dim, in_dim).swapaxes(0, 1))
+
+
+def random_povm_oracle(dim: int, n_outcomes: int, rng) -> tuple:
+    """S G_x G_x^dag S, S = (sum_x G_x G_x^dag)^{-1/2}, one Ginibre draw per outcome."""
+    parts = []
+    for _ in range(n_outcomes):
+        g = _ginibre(rng, (dim, dim))
+        parts.append(g @ g.conj().T)
+    s = complex_power(sum(parts), -0.5)
+    return tuple(s @ p @ s for p in parts)
+
+
+def random_instrument_oracle(dim: int, n_outcomes: int, efficient: bool, rng) -> Instrument:
+    """V_x sqrt(Lambda_x) with one Haar unitary per outcome, or two Ginibre
+    Kraus operators per outcome normalized by (sum K^dag K)^{-1/2}."""
+    if efficient:
+        roots = complex_power(np.stack(random_povm_oracle(dim, n_outcomes, rng)), 0.5)
+        unitaries = [random_unitary(dim, rng) for _ in range(n_outcomes)]
+        return _derived(Instrument, [(u @ root,) for u, root in zip(unitaries, roots)])
+    raw = [[_ginibre(rng, (dim, dim)) for _ in range(2)] for _ in range(n_outcomes)]
+    s = complex_power(sum(k.conj().T @ k for ks in raw for k in ks), -0.5)
+    return _derived(Instrument, [[k @ s for k in ks] for ks in raw])
+
+
+def random_mixed_unitary_channel_oracle(dim: int, n_unitaries: int, rng) -> Channel:
+    """sqrt(p_k) U_k, one Haar unitary at a time."""
+    probs = rng.dirichlet(np.ones(n_unitaries))
+    return _derived(Channel, [np.sqrt(p) * random_unitary(dim, rng) for p in probs])
+
+
+def random_subunital_channel_oracle(in_dim: int, out_dim: int, rng) -> Channel:
+    """A mixture of three Haar unitaries followed by a Haar isometry."""
+    mixed = random_mixed_unitary_channel_oracle(in_dim, 3, rng)
+    return compose(Channel((random_isometry(in_dim, out_dim, rng),)), mixed)
+
+
+def _state_oracle(systems, rank: int, rng) -> DensityOperator:
+    raw = random_density_oracle(math.prod(d for _, d in systems), rank, rng)
+    return DensityOperator(tuple(systems), raw.matrix)
+
+
+def entropy_gain_draw_oracle(cfg, rng):
+    lo, hi = cfg.dims[0], min(cfg.dims[1], 4)
+    d = int(rng.integers(lo, hi + 1))
+    rho = random_density_oracle(d, int(rng.integers(1, d + 1)), rng)
+    return rho.matrix, random_channel_oracle(d, d, int(rng.integers(1, 5)), rng).stack
+
+
+def subunital_draw_oracle(cfg, rng):
+    lo, hi = cfg.dims[0], min(cfg.dims[1], 4)
+    d = int(rng.integers(lo, min(hi, 3) + 1))
+    rho = random_density_oracle(d, int(rng.integers(1, d + 1)), rng)
+    return rho.matrix, random_subunital_channel_oracle(d, d + 1, rng).stack
+
+
+def conditional_draw_oracle(cfg, rng):
+    rho_ab = random_density_oracle(4, int(rng.integers(1, 5)), rng)
+    return rho_ab.matrix, random_channel_oracle(2, 2, int(rng.integers(1, 5)), rng).stack
+
+
+def recovery_instance_oracle(rng, lo: int, hi: int):
+    """(rho, sigma, Kraus stack of N) with supp(rho) inside supp(sigma)."""
+    d = int(rng.integers(lo, hi + 1))
+    rank_sigma = d if rng.integers(4) else max(1, d - 1)
+    sigma = random_density_oracle(d, rank_sigma, rng)
+    if rank_sigma == d:
+        rho = random_density_oracle(d, int(rng.integers(1, d + 1)), rng)
+    else:
+        small = random_density_oracle(rank_sigma, int(rng.integers(1, rank_sigma + 1)), rng)
+        spec = eig_hermitian(sigma.matrix)
+        support = spec.eigenvectors[:, spec.support_mask()]
+        rho = DensityOperator((("A", d),), support @ small.matrix @ support.conj().T)
+    d_out = int(rng.integers(lo, hi + 1))
+    env_min = -(-d // d_out)
+    channel = random_channel_oracle(d, d_out, int(rng.integers(env_min, env_min + 4)), rng)
+    return rho.matrix, sigma.matrix, channel.stack
+
+
+def markov_state_oracle(rng):
+    """cq Markov chain: a classical channel on C of a B-C correlated cq state
+    writes the A factor, so I(A;B|C) = 0."""
+    p = rng.dirichlet(np.ones(2))
+    mat = np.zeros((8, 8), dtype=complex)
+    for c in range(2):
+        rho_a = random_density_oracle(2, int(rng.integers(1, 3)), rng).matrix
+        rho_b = random_density_oracle(2, int(rng.integers(1, 3)), rng).matrix
+        block = np.zeros((2, 2))
+        block[c, c] = 1.0
+        mat += p[c] * np.kron(np.kron(rho_a, rho_b), block)
+    return (DensityOperator((("A", 2), ("B", 2), ("C", 2)), mat).matrix,)
+
+
+def info_gain_draw_oracle(cfg, rng, efficient=True):
+    lo, hi = cfg.dims[0], min(cfg.dims[1], 3)
+    d = int(rng.integers(lo, hi + 1))
+    if efficient is None:
+        efficient = bool(rng.integers(2))
+    instr = random_instrument_oracle(d, int(rng.integers(2, 5)), efficient, rng)
+    rho = random_density_oracle(d, int(rng.integers(1, d + 1)), rng)
+    return rho.matrix, _outcome_stack(instr)
+
+
+def qsi_draw_oracle(cfg, rng):
+    rho_ab = _state_oracle((("A", 2), ("B", 2)), int(rng.integers(2, 5)), rng)
+    instr = random_instrument_oracle(2, int(rng.integers(2, 4)), True, rng)
+    return rho_ab.matrix, _outcome_stack(instr)
+
+
+def ensemble_draw_oracle(cfg, rng):
+    lo, hi = cfg.dims[0], min(cfg.dims[1], 3)
+    d = int(rng.integers(lo, hi + 1))
+    m = int(rng.integers(2, 5))
+    probs = rng.dirichlet(np.ones(m))
+    states = tuple(random_density_oracle(d, int(rng.integers(1, d + 1)), rng) for _ in range(m))
+    ens = Ensemble(probs, states)
+    channel = random_channel_oracle(d, d, int(rng.integers(1, 5)), rng)
+    return ens.probs, np.stack([s.matrix for s in ens.states]), channel.stack
+
+
+def commuting_draw_oracle(cfg, rng):
+    lo, hi = cfg.dims[0], min(cfg.dims[1], 3)
+    d = int(rng.integers(lo, hi + 1))
+    basis = random_unitary(d, rng)
+    m = int(rng.integers(2, 5))
+    probs = rng.dirichlet(np.ones(m))
+    states = tuple(
+        DensityOperator((("A", d),), basis @ np.diag(rng.dirichlet(np.ones(d))) @ basis.conj().T)
+        for _ in range(m)
+    )
+    ens = Ensemble(probs, states)
+    projs = [np.outer(basis[:, i], basis[:, i].conj()) for i in range(d)]
+    return ens.probs, np.stack([s.matrix for s in ens.states]), Channel(tuple(projs)).stack
+
+
+def random_config_oracle(rng) -> TripartiteConfiguration:
+    return TripartiteConfiguration(_state_oracle((("R", 2), ("Q", 2), ("E", 2)), int(rng.integers(2, 9)), rng))
+
+
+def draw_interaction_oracle(cfg, rng) -> Interaction:
+    if cfg.cpdp_isometric:
+        return Interaction(random_isometry(4, 8, rng), (2, 2), (2, 4))
+    return Interaction(random_unitary(4, rng), (2, 2), (2, 2))
+
+
+def product_instance_oracle(cfg, rng):
+    rho_rq = _state_oracle((("R", 2), ("Q", 2)), int(rng.integers(2, 5)), rng)
+    rho_e = random_density_oracle(2, int(rng.integers(1, 3)), rng)
+    mat = np.kron(rho_rq.matrix, rho_e.matrix)
+    config = TripartiteConfiguration(DensityOperator((("R", 2), ("Q", 2), ("E", 2)), mat))
+    return config, draw_interaction_oracle(cfg, rng)
+
+
+def _recovery_draw_oracle(cfg, rng):
+    return recovery_instance_oracle(rng, cfg.dims[0], min(cfg.dims[1], 3))
+
+
+# (suite, family) -> the per-trial draw oracle(cfg, rng) of that campaign family
+FAMILY_DRAW_ORACLES = {
+    ("entropy-gain", 0): entropy_gain_draw_oracle,
+    ("entropy-gain", 2): subunital_draw_oracle,
+    ("entropy-gain", 3): conditional_draw_oracle,
+    ("recovery", 0): _recovery_draw_oracle,
+    ("recovery", 1): _recovery_draw_oracle,
+    ("recovery", 2): _recovery_draw_oracle,
+    ("recovery", 3): lambda cfg, rng: (random_density_oracle(8, int(rng.integers(2, 9)), rng).matrix,),
+    ("recovery", 4): lambda cfg, rng: markov_state_oracle(rng),
+    ("info-gain", 0): info_gain_draw_oracle,
+    ("info-gain", 1): lambda cfg, rng: info_gain_draw_oracle(cfg, rng, None),
+    ("info-gain", 2): info_gain_draw_oracle,
+    ("info-gain-qsi", 0): qsi_draw_oracle,
+    ("disturbance", 0): ensemble_draw_oracle,
+    ("disturbance", 1): commuting_draw_oracle,
+    ("cpdp", 0): lambda cfg, rng: (random_config_oracle(rng), draw_interaction_oracle(cfg, rng)),
+    ("cpdp", 1): product_instance_oracle,
+    ("cpdp", 2): lambda cfg, rng: random_config_oracle(rng),
+}

@@ -45,6 +45,7 @@ from oracles import (
     ladder_apply,
     ladder_from_kraus,
     ladder_kraus,
+    on_identity,
 )
 
 TRUNC = FockTruncation(40)
@@ -73,7 +74,7 @@ class TestChannelConstruction:
     def test_amplifier_subunital_not_unital(self):
         ch = amp_channel(1.2, SMALL)
         assert is_subunital(ch)
-        assert np.abs(ch.on_identity() - np.eye(SMALL.dim)).max() > 1e-9
+        assert np.abs(on_identity(ch) - np.eye(SMALL.dim)).max() > 1e-9
 
     def test_amplifier_trace_non_increasing_only(self):
         ch = amp_channel(1.25, SMALL)

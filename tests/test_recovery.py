@@ -29,6 +29,7 @@ from qrecovery.qcore import (
 from qrecovery.recovery import (
     NotCompletelyPositiveError,
     QuadratureSpec,
+    _root_factors,
     adjoint_recovery,
     integrated_recovery,
     p_weight,
@@ -42,7 +43,7 @@ from qrecovery.recovery import (
 )
 from qrecovery.theorems import check_cmi_recovery, check_recovery_fid, check_recovery_stronger
 
-from oracles import choi, is_cptp, mat_inv, mat_sqrt
+from oracles import choi, is_cptp, markov_state_oracle, mat_inv, mat_sqrt
 
 NODES, WEIGHTS = quadrature(QuadratureSpec())
 
@@ -239,6 +240,34 @@ class TestSwiveledStack:
         assert stacked.shape == (1,)
         assert abs(stacked[0] - root_fidelity(p, q)) <= 1e-14
 
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 3), st.integers(2, 3), st.integers(0, 2**32 - 1))
+    def test_support_factors_match_full_roots(self, d_out, d_in, lead, seed):
+        # A on (lead, d_out) and X on (lead, d_in) of every rank on both sides,
+        # two of each in one stack; rank 0 is the zero post that an outcome at
+        # or below PROB_FLOOR leaves
+        rng = stream(39, 11, seed)
+        g = rng.standard_normal((2, 2, 7, 2, d_out, d_in))
+        kraus = g[0] + 1j * g[1]  # (N, T, K, d_out, d_in)
+        dims = (lead * d_out, lead * d_in)
+
+        def states(dim, rank):
+            if rank == 0:
+                return np.zeros((2, dim, dim), dtype=complex)
+            return np.stack([random_density(dim, rank, rng).matrix for _ in range(2)])
+
+        for r_a in range(dims[0] + 1):
+            spec_a = eig_hermitian(states(dims[0], r_a))
+            left = _root_factors(spec_a)
+            assert left.shape == (2, r_a, dims[0])
+            for r_x in range(dims[1] + 1):
+                spec_x = eig_hermitian(states(dims[1], r_x))
+                right = _root_factors(spec_x).conj().swapaxes(-1, -2)
+                factored = stacked_root_fidelity(left, kraus, right, lead=lead)
+                full = stacked_root_fidelity(spec_a.power(0.5), kraus, spec_x.power(0.5), lead=lead)
+                assert factored.shape == full.shape == (2, 7)
+                assert np.abs(factored - full).max() <= 1e-13, (r_a, r_x)
+
     @pytest.mark.parametrize("kind", ["full", "sigma_rank_deficient", "n_sigma_kernel"])
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -320,9 +349,9 @@ class TestIntegratedRecovery:
         # the campaign's cq Markov state has I(A;B|C) = 0, so
         # theorems._recover_abc_stack, the recovery of check_cmi_recovery, rebuilds
         # it exactly from its (B, C) marginal
-        from qrecovery.campaigns import _markov_rows, _markov_state
+        from qrecovery.campaigns import _markov_rows
 
-        (rep,) = _markov_rows(_markov_state(stream(32, 4, seed))[0][None])
+        (rep,) = _markov_rows(markov_state_oracle(stream(32, 4, seed))[0][None])
         assert abs(1.0 - rep.aux["fidelity"]) <= 1e-12
 
     def test_completion_routes_complement_to_tau(self):

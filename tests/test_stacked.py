@@ -1,19 +1,21 @@
 """Stacked check cores against the per-instance check bodies in ``oracles``.
 
-Each family's rows are computed once per shape group on stacks of instances
-(see ``campaigns``); every row must carry the bits that the per-instance body
-gives its instance alone.  The instances mix shapes and the numerical edge
-cases that change a core's internal shapes: rank-deficient sigma, N(sigma)
-with a kernel, recoveries of different Kraus counts in one stack, and an
-outcome below ``PROB_FLOOR``.
+Each family's instances are finished from raw draws, and its rows computed,
+once per shape group on stacks (see ``campaigns``); every finished instance
+must carry the bits of the per-trial draw in ``oracles``, and every row the
+bits that the per-instance body gives its instance alone.  The instances mix
+shapes and the numerical edge cases that change a core's internal shapes:
+rank-deficient sigma, N(sigma) with a kernel, recoveries of different Kraus
+counts in one stack, and an outcome below ``PROB_FLOOR``.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qrecovery import campaigns, cpdp, recovery, theorems
+from qrecovery import campaigns, cpdp, qcore, recovery, theorems
 from qrecovery.campaigns import CampaignConfig, SUITES, run_suite
+from qrecovery.cpdp import Interaction, TripartiteConfiguration
 from qrecovery.entropy import entropy, rel_entropy, root_fidelity
 from qrecovery.qcore import (
     Channel,
@@ -27,6 +29,9 @@ from qrecovery.qcore import (
     random_channel,
     random_density,
     random_instrument,
+    random_isometry,
+    random_mixed_unitary_channel,
+    random_povm,
     random_subunital_channel,
     random_unitary,
     stream,
@@ -71,6 +76,94 @@ def same_arrays(arrays, expected) -> bool:
     )
 
 
+def stack_of(instr) -> np.ndarray:
+    return _padded([m.stack for m in instr.maps])
+
+
+# kind -> (raw draw, finishing step, public constructor, per-object oracle),
+# each a function of (rng, d, n, k, r, efficient)
+RANDOM_KINDS = {
+    "density": (lambda rng, d, n, k, r, e: qcore._ginibre(rng, (d, r)), qcore._densities,
+                lambda rng, d, n, k, r, e: random_density(d, r, rng).matrix,
+                lambda rng, d, n, k, r, e: oracles.random_density_oracle(d, r, rng).matrix),
+    "isometry": (lambda rng, d, n, k, r, e: qcore._ginibre(rng, (d + k - 1, d)), qcore._haar_isometries,
+                 lambda rng, d, n, k, r, e: random_isometry(d, d + k - 1, rng), None),
+    "channel": (lambda rng, d, n, k, r, e: qcore._channel_draw(rng, d, n, k), qcore._channel_kraus,
+                lambda rng, d, n, k, r, e: random_channel(d, n, k, rng).stack,
+                lambda rng, d, n, k, r, e: oracles.random_channel_oracle(d, n, k, rng).stack),
+    "povm": (lambda rng, d, n, k, r, e: qcore._ginibre(rng, (n, d, d)), qcore._povm_elements,
+             lambda rng, d, n, k, r, e: np.stack(random_povm(d, n, rng)),
+             lambda rng, d, n, k, r, e: np.stack(oracles.random_povm_oracle(d, n, rng))),
+    "instrument": (lambda rng, d, n, k, r, e: qcore._instrument_draw(rng, d, n, e), qcore._instrument_outcomes,
+                   lambda rng, d, n, k, r, e: stack_of(random_instrument(d, n, e, rng)),
+                   lambda rng, d, n, k, r, e: stack_of(oracles.random_instrument_oracle(d, n, e, rng))),
+    "mixed-unitary": (lambda rng, d, n, k, r, e: qcore._mixed_unitary_draw(rng, d, n), qcore._mixed_unitary_kraus,
+                      lambda rng, d, n, k, r, e: random_mixed_unitary_channel(d, n, rng).stack,
+                      lambda rng, d, n, k, r, e: oracles.random_mixed_unitary_channel_oracle(d, n, rng).stack),
+    "subunital": (lambda rng, d, n, k, r, e: qcore._subunital_draw(rng, d, d + k - 1), qcore._subunital_kraus,
+                  lambda rng, d, n, k, r, e: random_subunital_channel(d, d + k - 1, rng).stack,
+                  lambda rng, d, n, k, r, e: oracles.random_subunital_channel_oracle(d, d + k - 1, rng).stack),
+}
+
+
+class TestRandomFinish:
+    @pytest.mark.parametrize("kind", list(RANDOM_KINDS))
+    @settings(max_examples=10, deadline=None)
+    @given(seed=SEEDS)
+    def test_public_random_is_its_stacked_finish(self, kind, seed):
+        # raw draws of mixed shapes finished per shape group, as the campaign
+        # finishes them, against the public constructor's one object and the
+        # per-object oracle; the three take fresh streams of one path, so all
+        # see the same numbers.  d cycles through 1..3, so every kind mixes
+        # shapes, and instruments alternate efficient and not
+        draw, finish, public, oracle = RANDOM_KINDS[kind]
+        rng = stream(74, seed)
+        params = []
+        for i in range(12):
+            d, k = 1 + i % 3, int(rng.integers(1, 4))
+            n = max(int(rng.integers(1, 4)), -(-d // k))  # the channel's output needs n k >= d
+            params.append((i, (d, n, k, int(rng.integers(1, d + 1)), bool(i % 2))))
+        finished = campaigns._each(finish, [draw(stream(75, seed, i), *p) for i, p in params])
+        assert same_arrays(finished, [public(stream(75, seed, i), *p) for i, p in params])
+        if oracle is not None:
+            assert same_arrays(finished, [oracle(stream(75, seed, i), *p) for i, p in params])
+
+
+def instance_bits(inst) -> list:
+    """The arrays and dimensions of a family instance, as bytes."""
+    out = []
+    for part in inst if isinstance(inst, tuple) else (inst,):
+        if isinstance(part, TripartiteConfiguration):
+            out += [part.state.labels, part.state.dims, part.state.matrix.tobytes()]
+        elif isinstance(part, Interaction):
+            out += [part.in_dims, part.out_dims, part.matrix.shape, part.matrix.tobytes()]
+        else:
+            out += [np.shape(part), np.asarray(part).tobytes()]
+    return out
+
+
+@pytest.mark.parametrize("suite", [s for s in SUITES if s != "bosonic"])
+@pytest.mark.parametrize("seed, dims, isometric", [(3, (2, 4), False), (29, (2, 2), True), (41, (3, 3), False)])
+def test_family_instances_equal_per_trial_draws(monkeypatch, suite, seed, dims, isometric):
+    # every family's instances, drawn raw trial by trial and finished per
+    # shape group, equal the per-trial draws of oracles.FAMILY_DRAW_ORACLES
+    cfg = CampaignConfig(master_seed=seed, dims=dims, trials={suite: 24}, cpdp_isometric=isometric)
+    seen = []
+
+    def checked(cfg_, suite_, family, n, draw, finish, rows):
+        streams = list(campaigns._trials(cfg_, suite_, family, n))
+        got = finish([draw(rng) for _, rng in streams])
+        oracle = oracles.FAMILY_DRAW_ORACLES[(suite_, family)]
+        want = [oracle(cfg_, rng) for _, rng in campaigns._trials(cfg_, suite_, family, n)]
+        assert [instance_bits(i) for i in got] == [instance_bits(i) for i in want], (suite_, family)
+        seen.append(family)
+        return []
+
+    monkeypatch.setattr(campaigns, "_family", checked)
+    list(campaigns._RUNNERS[suite](cfg))
+    assert seen == sorted(k[1] for k in oracles.FAMILY_DRAW_ORACLES if k[0] == suite)
+
+
 class TestPrimitives:
     @settings(max_examples=15, deadline=None)
     @given(SEEDS, st.sampled_from([2, 9, 70]))
@@ -93,7 +186,7 @@ class TestPrimitives:
     @given(SEEDS)
     def test_measure_and_instrument_channel(self, seed):
         for rho, instr in instrument_instances(seed):
-            probs, posts = instr.measure(rho.matrix)
+            probs, posts = oracles.instrument_measure(instr, rho.matrix)
             want_probs, want_posts = oracles.measure_oracle(instr, rho.matrix)
             assert probs.tobytes() == want_probs.tobytes()
             assert [p is None for p in posts] == [p is None for p in want_posts]
@@ -107,7 +200,7 @@ class TestPrimitives:
             phi = purify(rho)
             assert phi.vector.tobytes() == oracles.purify_oracle(rho).vector.tobytes()
             args = (phi.projector(), phi.systems, "A", (("A'", instr.out_dim),))
-            probs, posts = instr.measure(*args)
+            probs, posts = oracles.instrument_measure(instr, *args)
             want_probs, want_posts = oracles.measure_oracle(instr, *args)
             assert probs.tobytes() == want_probs.tobytes()
             assert same_arrays([p for p in posts if p is not None], [p for p in want_posts if p is not None])
@@ -198,7 +291,7 @@ def recovery_instances(seed):
     """Campaign recovery draws (a quarter with rank-deficient sigma), plus
     isometric 2 -> 3 channels, whose N(sigma) has a kernel."""
     rng = stream(63, seed)
-    instances = [campaigns._recovery_instance(rng, 2, 3) for _ in range(10)]
+    instances = [oracles.recovery_instance_oracle(rng, 2, 3) for _ in range(10)]
     for _ in range(3):
         sigma = random_density(2, int(rng.integers(1, 3)), rng)
         rho = sigma if sigma.eigenvalues[0] < 1e-12 else random_density(2, 2, rng)
@@ -242,7 +335,7 @@ class TestRecoveryFamilies:
     def test_cmi_rows(self, seed):
         rng = stream(64, seed)
         mats = [random_density(8, int(rng.integers(1, 9)), rng).matrix for _ in range(6)]
-        mats += [campaigns._markov_state(rng)[0] for _ in range(3)]
+        mats += [oracles.markov_state_oracle(rng)[0] for _ in range(3)]
         states = [DensityOperator((("A", 2), ("B", 2), ("C", 2)), m) for m in mats]
         rows = run(lambda rho: theorems._cmi_recovery_stack(rho, (2, 2, 2)), [(m,) for m in mats])
         assert_same(rows, [oracles.cmi_recovery_oracle(s) for s in states])
@@ -298,7 +391,7 @@ class TestInfoGainFamilies:
 
     def test_below_floor_outcome_is_dropped(self):
         rho, instr = instrument_instances(0)[-1]
-        probs, posts = instr.measure(rho.matrix)
+        probs, posts = oracles.instrument_measure(instr, rho.matrix)
         assert probs[1] <= theorems.PROB_FLOOR and posts[1] is None
 
 
@@ -365,8 +458,8 @@ class TestCpdpFamily:
     def test_forward_and_converse_rows(self, seed, isometric):
         cfg = CampaignConfig(cpdp_isometric=isometric)
         rng = stream(67, seed)
-        configs = [campaigns._random_config(rng) for _ in range(6)]
-        interactions = [campaigns._draw_interaction(cfg, rng) for _ in configs]
+        configs = [oracles.random_config_oracle(rng) for _ in range(6)]
+        interactions = [oracles.draw_interaction_oracle(cfg, rng) for _ in configs]
         forwards = cpdp._reduced_dynamics_stack(configs, interactions)
         converse = cpdp._converse_stack(forwards, np.stack([f.candidate for f in forwards]), 1.0)
         expected = [oracles.reduced_dynamics_oracle(c, v) for c, v in zip(configs, interactions)]
@@ -378,9 +471,9 @@ class TestCpdpFamily:
     def test_embedding_slacks(self, seed):
         # a stack of the campaign's identity embeddings, and one of random interactions
         rng = stream(72, seed)
-        configs = [campaigns._random_config(rng) for _ in range(6)]
+        configs = [oracles.random_config_oracle(rng) for _ in range(6)]
         for interactions in ([cpdp.identity_embedding(2, 2)] * 6,
-                             [campaigns._draw_interaction(CampaignConfig(), rng) for _ in configs]):
+                             [oracles.draw_interaction_oracle(CampaignConfig(), rng) for _ in configs]):
             slacks = cpdp._dp_slacks(configs, interactions)
             expected = [oracles.dp_slack_oracle(c, v) for c, v in zip(configs, interactions)]
             assert [float(x).hex() for x in slacks] == [x.hex() for x in expected]
@@ -388,8 +481,8 @@ class TestCpdpFamily:
     def test_mixed_dimensions_rejected(self):
         # the stacked forms read every pair's dimensions from the first pair
         rng = stream(73, 0)
-        configs = [campaigns._random_config(rng) for _ in range(2)]
-        interactions = [cpdp.identity_embedding(2, 2), campaigns._draw_interaction(CampaignConfig(), rng)]
+        configs = [oracles.random_config_oracle(rng) for _ in range(2)]
+        interactions = [cpdp.identity_embedding(2, 2), oracles.draw_interaction_oracle(CampaignConfig(), rng)]
         with pytest.raises(DimensionMismatchError):
             cpdp._dp_slacks(configs, interactions)
         with pytest.raises(DimensionMismatchError):

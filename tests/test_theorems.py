@@ -158,7 +158,7 @@ class TestEntropyGainRecovery:
         with pytest.raises(NotCompletelyPositiveError, match="superunital") as err:
             check_entropy_gain_recovery(bos.vacuum_state(trunc), loss)
         w = err.value.witness
-        gap = np.eye(trunc.dim) - loss.on_identity()
+        gap = np.eye(trunc.dim) - oracles.on_identity(loss)
         # the witness is a pure state on which I - N(I) takes its least eigenvalue
         assert np.trace(w).real == pytest.approx(1.0, abs=1e-12)
         assert np.trace(w @ gap).real == pytest.approx(np.linalg.eigvalsh(gap)[0], abs=1e-10)
@@ -655,7 +655,7 @@ def qsi_node_loop(instr, rho_ab, quad=QuadratureSpec()):
     low-confidence flag.
     """
     a_label, b_label = rho_ab.labels
-    d_b = rho_ab.system_dim(b_label)
+    d_b = oracles.system_dim(rho_ab, b_label)
     out_label = a_label + "'"
     phi, probs, posts_rab, posts_rb = oracles._reference_instrument_state(instr, rho_ab)
     r_dim = phi.reference_dim

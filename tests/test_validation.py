@@ -6,6 +6,8 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qrecovery import campaigns
+from qrecovery.campaigns import CampaignConfig
 from qrecovery.cpdp import Interaction, TripartiteConfiguration, reduced_dynamics
 from qrecovery.entropy import rel_entropy, root_fidelity
 from qrecovery.matfun import NonFiniteError, NonHermitianError, eig_hermitian
@@ -17,7 +19,9 @@ from qrecovery.qcore import (
     Instrument,
     KrausMap,
     TransferMap,
+    _densities,
     _derived,
+    _ginibre,
     adjoint,
     compose,
     instrument_channel,
@@ -30,6 +34,7 @@ from qrecovery.qcore import (
     random_instrument,
     random_isometry,
     random_mixed_unitary_channel,
+    random_subunital_channel,
     stream,
 )
 from qrecovery.theorems import _recover_abc_stack
@@ -117,6 +122,8 @@ def _revalidate(obj):
         Instrument([m.kraus for m in obj.maps])
     elif isinstance(obj, Channel):
         Channel(obj.kraus)
+    elif isinstance(obj, Interaction):
+        Interaction(obj.matrix, obj.in_dims, obj.out_dims)
     else:
         KrausMap(obj.kraus)
 
@@ -180,6 +187,7 @@ class TestDerivedSitesPassTheValidator:
         for out in (
             first,
             random_mixed_unitary_channel(d_in, n, rng),
+            random_subunital_channel(d_in, d_in + n - 1, rng),
             partial_trace_channel(systems, ("L", "R")),
             partial_trace_channel(systems, "A"),
             instrument_channel(instr),
@@ -191,6 +199,19 @@ class TestDerivedSitesPassTheValidator:
             instr.maps[0],
         ):
             _revalidate(out)
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), isometric=st.booleans())
+    def test_campaign_configurations_and_interactions(self, seed, isometric):
+        # the cpdp families finish their draws into states and interactions
+        # without the constructors' checks
+        rng = stream(seed, 2)
+        cfg = CampaignConfig(cpdp_isometric=isometric)
+        mats = campaigns._each(_densities, [_ginibre(rng, (8, int(rng.integers(1, 9)))) for _ in range(4)])
+        for config in campaigns._configurations(mats):
+            _revalidate(config.state)
+        for v in campaigns._interactions(cfg, [campaigns._interaction_draw(cfg, rng) for _ in range(4)]):
+            _revalidate(v)
 
 
 def _loop_apply(ks, x):
