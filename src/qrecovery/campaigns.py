@@ -6,21 +6,22 @@ rerun with the same config reproduces the report byte for byte.  ``_trials``
 is the one place the stream path is set, and ``run_suite`` the one place
 each row gets its seed and, when set, the tolerance override.
 
-Each check family is a draw, a finish and a rows step (``_family``).  The
-draw takes one trial's raw numbers (integers, Dirichlet vectors and Ginibre
+Each check family is a draw, a finish and a core (``_family``).  The draw
+takes one trial's raw numbers (integers, Dirichlet vectors and Ginibre
 blocks) from that trial's own stream, in the order a per-trial construction
 draws them.  The finish runs the linear algebra that turns them into the
-family's instances once per group of draws of equal shapes (``_each``),
-through the ``qcore`` helpers that each public ``random_*`` calls on its one
-draw, so a finished instance has the bits of the per-trial construction.
-The rows step groups the instances by shape (``_stacked``) and computes each
-group at once through the stacked core of its ``theorems`` or ``cpdp``
-check: every primitive takes the group's stack with a leading trial axis and
-gives each trial the bits its own ``check_*`` call would give it, so a row
-depends only on its own trial.  The cores split a group further where a
-spectrum fixes a shape (support sizes, ranks, Kraus counts); info-gain-qsi
-runs its quadrature once per group of (trial, outcome) pairs of equal
-support sizes.  The witness rows call their ``check_*`` directly.
+family's instances, tuples of arrays, once per group of draws of equal
+shapes (``_each``), through the ``qcore`` helpers that each public
+``random_*`` calls on its one draw, so a finished instance has the bits of
+the per-trial construction.  No library object is built on the way.  The
+instances are then grouped by shape, and each group's stacks go to the
+stacked core of its ``theorems`` or ``cpdp`` check: every primitive takes
+the group's stack with a leading trial axis and gives each trial the bits
+its own ``check_*`` call would give it, so a row depends only on its own
+trial.  The cores split a group further where a spectrum fixes a shape
+(support sizes, ranks, Kraus counts); info-gain-qsi runs its quadrature
+once per group of (trial, outcome) pairs of equal support sizes.  The
+witness rows call their ``check_*`` directly.
 Deviation and witness rows are built here from check outputs, and every
 row's tolerance comes from ``reports.TOLERANCES``.
 """
@@ -33,24 +34,15 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import bosonic as bos
-from .cpdp import (
-    Interaction,
-    TripartiteConfiguration,
-    _converse_stack,
-    _dp_slacks,
-    _reduced_dynamics_stack,
-    identity_embedding,
-)
+from .cpdp import _converse_stack, _dp_slacks, _reduced_dynamics_stack
 from .entropy import _cmi_stack, root_fidelity, trace_norm
 from .matfun import eig_hermitian
 from .qcore import (
     Channel,
-    DensityOperator,
     _apply_kraus,
     _channel_draw,
     _channel_kraus,
     _densities,
-    _derived,
     _ginibre,
     _grouped,
     _haar_isometries,
@@ -239,16 +231,19 @@ def _renamed(rep: CheckReport, name: str) -> CheckReport:
 # suite runners: each yields (trial, CheckReport) pairs in row order
 
 
-def _family(cfg: CampaignConfig, suite: str, family: int, n: int, draw, finish, rows):
+def _family(cfg: CampaignConfig, suite: str, family: int, n: int, draw, finish, core):
     """(trial, report) pairs of one check family, in row order.
 
     ``draw(rng)`` takes one trial's raw numbers (integers, Dirichlet vectors
     and Ginibre blocks) from that trial's own stream; ``finish(draws)`` turns
-    them into instances with one stacked call per group of equal shapes;
-    ``rows(instances)`` returns every instance's reports, one list each.
+    them into instances, tuples of arrays, with one stacked call per group of
+    equal shapes; ``core`` takes the stacks of the arrays of each group of
+    instances of equal shapes and returns each instance's report, or its
+    list of reports.
     """
     instances = finish([draw(rng) for _, rng in _trials(cfg, suite, family, n)])
-    return [(trial, rep) for trial, reps in enumerate(rows(instances)) for rep in reps]
+    return [(trial, rep) for trial, reps in enumerate(_each(core, instances))
+            for rep in (reps if isinstance(reps, list) else [reps])]
 
 
 def _each(fn, items) -> list:
@@ -283,17 +278,6 @@ def _parts(*fns):
     return finish
 
 
-def _stacked(core):
-    """Rows of a family whose instances are tuples of arrays: ``core`` on the
-    stacks of the arrays of each group of instances with equal shapes, which
-    returns each instance's report, or its list of reports."""
-
-    def rows(instances):
-        return [reps if isinstance(reps, list) else [reps] for reps in _each(core, instances)]
-
-    return rows
-
-
 def _member_states(members) -> list:
     """The (m, d, d) stack of states of each draw's tuple of m Ginibre
     matrices, every member finished with those of its shape across the draws."""
@@ -318,7 +302,7 @@ def _run_entropy_gain(cfg: CampaignConfig):
         return g_rho, _channel_draw(rng, d, d, int(rng.integers(1, 5)))
 
     yield from _family(cfg, "entropy-gain", 0, n, random_channel_draw, states_and_channels,
-                       _stacked(_entropy_gain_stack))
+                       _entropy_gain_stack)
 
     # dephasing equality witness: N self-adjoint idempotent, rho = |+><+|
     plus = np.full((2, 2), 0.5, dtype=complex)
@@ -332,14 +316,14 @@ def _run_entropy_gain(cfg: CampaignConfig):
         return g_rho, _subunital_draw(rng, d, d + 1)
 
     yield from _family(cfg, "entropy-gain", 2, min(n, 50), subunital_draw,
-                       _parts(_densities, _subunital_kraus), _stacked(_entropy_gain_recovery_stack))
+                       _parts(_densities, _subunital_kraus), _entropy_gain_recovery_stack)
 
     def conditional_draw(rng):
         g_rho = _ginibre(rng, (4, int(rng.integers(1, 5))))
         return g_rho, _channel_draw(rng, 2, 2, int(rng.integers(1, 5)))
 
     yield from _family(cfg, "entropy-gain", 3, min(n, 50), conditional_draw, states_and_channels,
-                       _stacked(lambda rho, ks: _cond_entropy_gain_stack(rho, ks, (2, 2))))
+                       lambda rho, ks: _cond_entropy_gain_stack(rho, ks, (2, 2)))
 
 
 def _recovery_draw(rng, lo, hi):
@@ -385,19 +369,18 @@ def _run_recovery(cfg: CampaignConfig):
         return _recovery_draw(rng, lo, hi)
 
     finish = _parts(_recovery_states, _channel_kraus)
-    yield from _family(cfg, "recovery", 0, n, draw, finish, _stacked(_recovery_fid_stack))
+    yield from _family(cfg, "recovery", 0, n, draw, finish, _recovery_fid_stack)
     quad = cfg.quad()
     yield from _family(cfg, "recovery", 1, min(n, 50), draw, finish,
-                       _stacked(lambda rho, sigma, ks: _recovery_stronger_stack(rho, sigma, ks, quad)))
-    yield from _family(cfg, "recovery", 2, n, draw, finish, _stacked(_petz_fixed_point_rows))
+                       lambda rho, sigma, ks: _recovery_stronger_stack(rho, sigma, ks, quad))
+    yield from _family(cfg, "recovery", 2, n, draw, finish, _petz_fixed_point_rows)
 
     def tripartite(rng):
         return (_ginibre(rng, (8, int(rng.integers(2, 9)))),)
 
     yield from _family(cfg, "recovery", 3, n, tripartite, _parts(_densities),
-                       _stacked(lambda rho: _cmi_recovery_stack(rho, (2, 2, 2))))
-    yield from _family(cfg, "recovery", 4, min(n, 20), _markov_draw, _markov_states,
-                       _stacked(_markov_rows))
+                       lambda rho: _cmi_recovery_stack(rho, (2, 2, 2)))
+    yield from _family(cfg, "recovery", 4, min(n, 20), _markov_draw, _markov_states, _markov_rows)
 
 
 def _markov_draw(rng):
@@ -450,9 +433,9 @@ def _run_info_gain(cfg: CampaignConfig):
             for rep, gain in zip(_info_gain_no_qsi_stack(rho, kx), gains)
         ]
 
-    yield from _family(cfg, "info-gain", 0, n, draw, finish, _stacked(no_qsi_rows))
+    yield from _family(cfg, "info-gain", 0, n, draw, finish, no_qsi_rows)
     yield from _family(cfg, "info-gain", 1, n, lambda rng: draw(rng, None), finish,
-                       _stacked(_info_gain_upper_stack))
+                       _info_gain_upper_stack)
 
     # a pure input through a two-Kraus instrument yields mixed post states,
     # so the entropy reduction is strictly negative while the bound still holds
@@ -467,7 +450,7 @@ def _run_info_gain(cfg: CampaignConfig):
         aux={"groenewold_gain": gain},
     )
 
-    yield from _family(cfg, "info-gain", 2, n, draw, finish, _stacked(_efficient_second_law_stack))
+    yield from _family(cfg, "info-gain", 2, n, draw, finish, _efficient_second_law_stack)
 
 
 def _run_info_gain_qsi(cfg: CampaignConfig):
@@ -483,8 +466,7 @@ def _run_info_gain_qsi(cfg: CampaignConfig):
                 for rep in _info_gain_qsi_stack(rho, kx, (2, 2), quad)]
 
     n = cfg.n_trials("info-gain-qsi")
-    yield from _family(cfg, "info-gain-qsi", 0, n, draw, _parts(_densities, _instrument_outcomes),
-                       _stacked(rows))
+    yield from _family(cfg, "info-gain-qsi", 0, n, draw, _parts(_densities, _instrument_outcomes), rows)
 
 
 def _ensembles(draws) -> list:
@@ -517,7 +499,7 @@ def _run_disturbance(cfg: CampaignConfig):
         return probs, members, _channel_draw(rng, d, d, int(rng.integers(1, 5)))
 
     yield from _family(cfg, "disturbance", 0, n, random_ensemble_draw, _ensembles,
-                       _stacked(_entropic_disturbance_stack))
+                       _entropic_disturbance_stack)
 
     def commuting_draw(rng):
         d = int(rng.integers(lo, hi + 1))
@@ -536,73 +518,52 @@ def _run_disturbance(cfg: CampaignConfig):
         ]
 
     yield from _family(cfg, "disturbance", 1, min(n, 20), commuting_draw,
-                       _parts(None, _commuting_ensembles), _stacked(commuting_rows))
-
-
-_RQE = (("R", 2), ("Q", 2), ("E", 2))
-
-
-def _configurations(mats) -> list:
-    """The (R, Q, E) configurations of finished qubit-qubit-qubit states."""
-    return [TripartiteConfiguration(_derived(DensityOperator, _RQE, m)) for m in mats]
-
-
-def _interactions(cfg: CampaignConfig, g_vs) -> list:
-    """The interactions V: QE -> Q'E' of a sequence of Ginibre matrices, unitary
-    on QE, or isometric into a larger E' when ``cfg.cpdp_isometric``."""
-    out_dims = (2, 4) if cfg.cpdp_isometric else (2, 2)
-    return [_derived(Interaction, v, (2, 2), out_dims) for v in _each(_haar_isometries, g_vs)]
-
-
-def _interaction_draw(cfg: CampaignConfig, rng) -> np.ndarray:
-    """The Ginibre matrix of one interaction of :func:`_interactions`."""
-    return _ginibre(rng, (8, 4) if cfg.cpdp_isometric else (4, 4))
+                       _parts(None, _commuting_ensembles), commuting_rows)
 
 
 def _run_cpdp(cfg: CampaignConfig):
     n = cfg.n_trials("cpdp")
+    dims = (2, 2, 2)  # (R, Q, E)
+    # V: QE -> Q'E', unitary on QE, or isometric into a larger E'
+    out_dims = (2, 4) if cfg.cpdp_isometric else (2, 2)
+    configured = _parts(_densities, _haar_isometries)
 
     def config_draw(rng):
         return _ginibre(rng, (8, int(rng.integers(2, 9))))
 
-    def configured(draws):
-        g_states, g_vs = zip(*draws)
-        return list(zip(_configurations(_each(_densities, g_states)), _interactions(cfg, g_vs)))
+    def interaction_draw(rng):
+        return _ginibre(rng, (math.prod(out_dims), 4))
 
-    def forward_rows(insts):
-        configs, interactions = zip(*insts)
-        forwards = _reduced_dynamics_stack(configs, interactions)
-        converse = _converse_stack(forwards, np.stack([f.candidate for f in forwards]), 1.0)
-        return [[f.report, c] for f, c in zip(forwards, converse)]
+    def forward_rows(state, vs):
+        _, reports, *forward = _reduced_dynamics_stack(state, vs, dims, out_dims)
+        return [[f, c] for f, c in zip(reports, _converse_stack(state, dims, reports, *forward, 1.0))]
 
-    yield from _family(cfg, "cpdp", 0, n, lambda rng: (config_draw(rng), _interaction_draw(cfg, rng)),
+    yield from _family(cfg, "cpdp", 0, n, lambda rng: (config_draw(rng), interaction_draw(rng)),
                        configured, forward_rows)
 
     def product_draw(rng):
         g_rq = _ginibre(rng, (4, int(rng.integers(2, 5))))
         g_e = _ginibre(rng, (2, int(rng.integers(1, 3))))
-        return g_rq, g_e, _interaction_draw(cfg, rng)
+        return g_rq, g_e, interaction_draw(rng)
 
     def product_configured(draws):
-        g_rq, g_e, g_vs = zip(*draws)
-        mats = [_kron(a, b) for a, b in zip(_each(_densities, g_rq), _each(_densities, g_e))]
-        return list(zip(_configurations(mats), _interactions(cfg, g_vs)))
+        return [(_kron(rq, e), v) for rq, e, v in _parts(_densities, _densities, _haar_isometries)(draws)]
 
-    def product_rows(insts):
-        return [[_deviation_report("cpdp-forward-product", 1.0 - f.report.aux["fidelity"], (2, 2, 2))]
-                for f in _reduced_dynamics_stack(*zip(*insts))]
+    def product_rows(state, vs):
+        return [_deviation_report("cpdp-forward-product", 1.0 - rep.aux["fidelity"], dims)
+                for rep in _reduced_dynamics_stack(state, vs, dims, out_dims)[1]]
 
     yield from _family(cfg, "cpdp", 1, min(n, 10), product_draw, product_configured, product_rows)
 
-    def embedding_rows(configs):
-        embed = identity_embedding(2, 2)
-        slack = _dp_slacks(configs, [embed] * len(configs))
-        cmi = _cmi_stack(np.stack([c.state.matrix for c in configs]), (2, 2, 2), (0,), (2,), (1,))
-        return [[_deviation_report("cpdp-embedding-consistency", abs(float(s) - float(c)), (2, 2, 2))]
+    def embedding_rows(state):
+        # the embedding Q' = QE, with a trivial output environment
+        slack = _dp_slacks(state, np.broadcast_to(np.eye(4), (len(state), 4, 4)), dims, (4, 1))
+        cmi = _cmi_stack(state, dims, (0,), (2,), (1,))
+        return [_deviation_report("cpdp-embedding-consistency", abs(float(s) - float(c)), dims)
                 for s, c in zip(slack, cmi)]
 
-    yield from _family(cfg, "cpdp", 2, min(n, 20), config_draw,
-                       lambda draws: _configurations(_each(_densities, draws)), embedding_rows)
+    yield from _family(cfg, "cpdp", 2, min(n, 20), lambda rng: (config_draw(rng),), _parts(_densities),
+                       embedding_rows)
 
 
 def _bosonic_reports(cfg: CampaignConfig):

@@ -27,6 +27,7 @@ from .qcore import (
     KrausMap,
     _apply_block,
     _apply_kraus,
+    _apply_ragged,
     _derived,
     _grouped,
     apply_on,
@@ -81,18 +82,11 @@ class Interaction:
     out_dims: tuple  # (dim_Q', dim_E')
 
     def __post_init__(self):
-        self._hold(self.matrix, self.in_dims, self.out_dims)
-        self._validate()
-
-    def _hold(self, matrix, in_dims, out_dims) -> None:
-        mat = np.array(matrix, dtype=complex)
+        mat = np.array(self.matrix, dtype=complex)
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "in_dims", tuple(int(d) for d in in_dims))
-        object.__setattr__(self, "out_dims", tuple(int(d) for d in out_dims))
-
-    def _validate(self) -> None:
-        mat = self.matrix
+        object.__setattr__(self, "in_dims", tuple(int(d) for d in self.in_dims))
+        object.__setattr__(self, "out_dims", tuple(int(d) for d in self.out_dims))
         _require_finite(mat, "interaction")
         d_in = self.in_dims[0] * self.in_dims[1]
         d_out = self.out_dims[0] * self.out_dims[1]
@@ -117,31 +111,26 @@ def _evolved(state: np.ndarray, vs: np.ndarray, d_r: int) -> np.ndarray:
     return _apply_block(vs[:, None], state, d_r, 1)
 
 
-def _check_dims(configs, interactions) -> None:
-    """Each V must take its configuration's (Q, E), and every pair must have
-    the first pair's dimensions, which the stacked forms read from it."""
-    dims, out_dims = configs[0].dims, interactions[0].out_dims
-    for config, v in zip(configs, interactions):
-        if v.in_dims != config.dims[1:]:
-            raise DimensionMismatchError("interaction input dims do not match the configuration")
-        if config.dims != dims or v.out_dims != out_dims:
-            raise DimensionMismatchError("a stack of configurations and interactions must share dimensions")
+def _check_dims(config: TripartiteConfiguration, v: Interaction) -> None:
+    if v.in_dims != config.dims[1:]:
+        raise DimensionMismatchError("interaction input dims do not match the configuration")
 
 
 def dp_slack(config: TripartiteConfiguration, v: Interaction) -> float:
     """I(R;Q')_sigma - I(R;Q)_rho; may take either sign for correlated environments."""
-    return float(_dp_slacks([config], [v])[0])
+    _check_dims(config, v)
+    return float(_dp_slacks(config.state.matrix[None], v.matrix[None], config.dims, v.out_dims)[0])
 
 
-def _dp_slacks(configs, interactions) -> np.ndarray:
-    """:func:`dp_slack` of each (configuration, V) of two lists of one shape."""
-    _check_dims(configs, interactions)
-    state = np.stack([c.state.matrix for c in configs])
-    d_r, d_q, d_e = configs[0].dims
-    q_out, e_out = interactions[0].out_dims
-    sigma = _evolved(state, np.stack([v.matrix for v in interactions]), d_r)
+def _dp_slacks(state: np.ndarray, vs: np.ndarray, dims: tuple, out_dims: tuple) -> np.ndarray:
+    """:func:`dp_slack` for each state of a (N, D, D) stack on factors R, Q, E
+    of sizes ``dims`` and each V: QE -> Q'E' of a (N, d_out, d_in) stack,
+    Q'E' of sizes ``out_dims``."""
+    d_r, d_q, d_e = dims
+    q_out, e_out = out_dims
+    sigma = _evolved(state, vs, d_r)
     i_out = _mutual_info(ptrace(sigma, (d_r, q_out, e_out), (0, 1)), (d_r, q_out), (0,), (1,))
-    return i_out - _mutual_info(ptrace(state, (d_r, d_q, d_e), (0, 1)), (d_r, d_q), (0,), (1,))
+    return i_out - _mutual_info(ptrace(state, dims, (0, 1)), (d_r, d_q), (0,), (1,))
 
 
 def cmi_bound(config: TripartiteConfiguration) -> float:
@@ -171,20 +160,30 @@ def reduced_dynamics(config: TripartiteConfiguration, v: Interaction) -> Forward
 
         I(R;E|Q)_rho >= -log F(sigma_RQ', E(rho_RQ)).
     """
-    return _reduced_dynamics_stack([config], [v])[0]
+    _check_dims(config, v)
+    kraus, reports, candidates, sigma_rqp, rho_rq, recs = _reduced_dynamics_stack(
+        config.state.matrix[None], v.matrix[None], config.dims, v.out_dims)
+    return ForwardResult(
+        _derived(Channel, kraus[0]), reports[0], config,
+        _derived(DensityOperator, (("R", config.dims[0]), ("Q'", v.out_dims[0])), sigma_rqp[0]),
+        _derived(DensityOperator, config.state.systems[:2], rho_rq[0]),
+        candidates[0], _derived(Channel, recs[0]),
+    )
 
 
-def _reduced_dynamics_stack(configs, interactions) -> list:
-    """:func:`reduced_dynamics` for each (configuration, V) of two lists of
-    one shape.  The recoveries differ in Kraus count, and the candidate acts
-    on Q through :func:`~qrecovery.qcore.apply_on`'s product, which adds
-    the Kraus terms by ``sum``; so it is built per group of equal counts."""
-    _check_dims(configs, interactions)
-    state = np.stack([c.state.matrix for c in configs])
-    vs = np.stack([v.matrix for v in interactions])
-    dims = configs[0].dims
+def _reduced_dynamics_stack(state: np.ndarray, vs: np.ndarray, dims: tuple, out_dims: tuple):
+    """:func:`reduced_dynamics` for each state of a (N, D, D) stack on factors
+    R, Q, E of sizes ``dims`` and each V: QE -> Q'E' of a (N, d_out, d_in)
+    stack, Q'E' of sizes ``out_dims``.
+
+    Returns the list of each candidate's (K_i, q_out, d_q) Kraus operators,
+    the list of reports, the (N, ., .) stacks of candidate outputs E(rho_RQ),
+    of sigma_RQ' and of rho_RQ, and the list of each Q -> QE recovery's
+    Kraus operators.  The recoveries differ in Kraus count, so the
+    candidates are composed per group of equal counts.
+    """
     d_r, d_q, d_e = dims
-    q_out, e_out = interactions[0].out_dims
+    q_out, e_out = out_dims
     # integrated recovery Q -> QE of each (Q, E) marginal
     rho_qe = ptrace(state, dims, (1, 2))
     trace_e = partial_trace_channel((("Q", d_q), ("E", d_e)), "E").stack
@@ -195,29 +194,22 @@ def _reduced_dynamics_stack(configs, interactions) -> list:
     sigma_rqp = ptrace(_evolved(state, vs, d_r), (d_r, q_out, e_out), (0, 1))
     rho_rq = ptrace(state, dims, (0, 1))
 
-    def group(idx):
+    def composed(idx):
         # compose(trace_E', compose(V, R)), as compose orders the Kraus products
         inner = vs[idx, None, None] @ np.stack([recs[i] for i in idx])[:, None]
-        ks = (trace_eprime[None, :, None] @ inner).reshape(len(idx), -1, q_out, d_q)
-        return list(zip(ks, _apply_block(ks, rho_rq[idx], d_r, 1)))
+        return list((trace_eprime[None, :, None] @ inner).reshape(len(idx), -1, q_out, d_q))
 
-    built = _grouped([len(k) for k in recs], group)
-    candidates = np.stack([c for _, c in built])
+    kraus = _grouped([len(k) for k in recs], composed)
+    candidates = _apply_ragged(kraus, rho_rq, d_r, 1)
     sqrt_fids = root_fidelity(sigma_rqp, candidates)
     lhs = _cmi_stack(state, dims, (0,), (2,), (1,))  # I(R;E|Q)
-    results = []
-    for i, config in enumerate(configs):
+    reports = []
+    for i, ks in enumerate(kraus):
         fid = float(sqrt_fids[i]) ** 2
-        channel = _derived(Channel, built[i][0])
-        aux = {"fidelity": fid, "channel_kraus": len(channel.kraus)}
-        report = CheckReport("cpdp-forward", lhs[i], -math.log2(max(fid, 1e-300)), dims=dims, aux=aux)
-        results.append(ForwardResult(
-            channel, report, config,
-            _derived(DensityOperator, (("R", d_r), ("Q'", q_out)), sigma_rqp[i]),
-            _derived(DensityOperator, config.state.systems[:2], rho_rq[i]),
-            built[i][1], _derived(Channel, recs[i]),
-        ))
-    return results
+        aux = {"fidelity": fid, "channel_kraus": len(ks)}
+        rhs = -math.log2(max(fid, 1e-300))
+        reports.append(CheckReport("cpdp-forward", lhs[i], rhs, dims=dims, aux=aux))
+    return kraus, reports, candidates, sigma_rqp, rho_rq, recs
 
 
 def afw_bound(eps: float, dim_r: int) -> float:
@@ -251,40 +243,39 @@ def converse_bound(forward: ForwardResult, eps: float, channel=None) -> CheckRep
         )
     else:
         raise TypeError("converse_bound requires a Kraus-form channel")
-    return _converse_stack([forward], candidate[None], eps)[0]
+    config = forward.config
+    return _converse_stack(
+        config.state.matrix[None], config.dims, [forward.report], candidate[None],
+        forward.sigma_rqp.matrix[None], forward.rho_rq.matrix[None], [forward.recovery.stack], eps,
+    )[0]
 
 
-def _converse_stack(forwards, candidates: np.ndarray, eps: float) -> list:
-    """:func:`converse_bound` for each forward result of a list of one shape
-    with its candidate output from a (N, D, D) stack."""
+def _converse_stack(state: np.ndarray, dims: tuple, reports, candidates: np.ndarray,
+                    sigma_rqp: np.ndarray, rho_rq: np.ndarray, recs, eps: float) -> list:
+    """:func:`converse_bound` for each state of a (N, D, D) stack on factors
+    R, Q, E of sizes ``dims``, given what :func:`_reduced_dynamics_stack`
+    returns for the stack (the forward reports, sigma_RQ', rho_RQ and the
+    Q -> QE recoveries) and each state's candidate output E(rho_RQ) from a
+    (N, ., .) stack."""
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"eps must lie in [0, 1], got {eps!r}")
-    d_r, d_q, d_e = forwards[0].config.dims
-    sigma_rqp = np.stack([f.sigma_rqp.matrix for f in forwards])
-    rho_rq = np.stack([f.rho_rq.matrix for f in forwards])
-    state = np.stack([f.config.state.matrix for f in forwards])
+    d_r, d_q, d_e = dims
     eps_measured = 0.5 * trace_norm(sigma_rqp - candidates)
     i_out = _mutual_info(sigma_rqp, (d_r, sigma_rqp.shape[-1] // d_r), (0,), (1,))
     i_in = _mutual_info(rho_rq, (d_r, d_q), (0,), (1,))
-    # embedding evolution: its recovery candidate controls I(R;E|Q); the
-    # recoveries differ in Kraus count, which apply_on's product adds by sum
-    recovered = np.stack(_grouped(
-        [len(f.recovery.kraus) for f in forwards],
-        lambda idx: _apply_block(
-            np.stack([forwards[i].recovery.stack for i in idx]), rho_rq[idx], d_r, 1),
-    ))
-    eps_embed = 0.5 * trace_norm(state - recovered)
-    reports = []
-    for i, forward in enumerate(forwards):
+    # embedding evolution: its recovery candidate controls I(R;E|Q)
+    eps_embed = 0.5 * trace_norm(state - _apply_ragged(recs, rho_rq, d_r, 1))
+    out = []
+    for i, rep in enumerate(reports):
         measured, embed = float(eps_measured[i]), float(eps_embed[i])
         lhs_dp = float(i_in[i]) + afw_bound(measured, d_r)
-        cmi_val = forward.report.lhs
+        cmi_val = rep.lhs
         cmi_budget = afw_bound(embed, d_r)
-        reports.append(CheckReport(
+        out.append(CheckReport(
             name="cpdp-converse",
             lhs=min(lhs_dp - float(i_out[i]), cmi_budget - cmi_val),
             rhs=0.0,
-            dims=forward.config.dims,
+            dims=dims,
             aux={
                 "eps_given": eps,
                 "eps_measured": measured,
@@ -296,4 +287,4 @@ def _converse_stack(forwards, candidates: np.ndarray, eps: float) -> list:
                 "cmi_budget": cmi_budget,
             },
         ))
-    return reports
+    return out

@@ -80,6 +80,19 @@ class Spectrum:
         """The spectrum of one matrix (or of a sub-stack) of a stack."""
         return Spectrum(self.eigenvalues[index], self.eigenvectors[index])
 
+    @cached_property
+    def ranks(self) -> np.ndarray:
+        """Number of eigenvalues above the cutoff, the support size, of each
+        matrix."""
+        return np.count_nonzero(self.eigenvalues > self.cutoff, axis=-1)
+
+    def support(self):
+        """The support eigenpairs for the stack's largest rank r: the last r
+        eigenvalues (..., r) and eigenvectors (..., d, r) of each matrix, as
+        a support is a suffix of the ascending spectrum."""
+        first = self.dim - int(self.ranks.max(initial=0))
+        return self.eigenvalues[..., first:], self.eigenvectors[..., first:]
+
     def support_mask(self) -> np.ndarray:
         """Boolean mask of eigenvalues counted as nonzero."""
         return np.abs(self.eigenvalues) > self.cutoff

@@ -370,27 +370,25 @@ def permute(rho: DensityOperator, order: Sequence[str]) -> DensityOperator:
 def purify(rho: DensityOperator) -> Purification:
     """Purification with the reference factor R first, of dimension the
     numerical rank of ``rho`` (the smallest valid choice)."""
+    _check_reference_label(rho)
+    spec = eig_hermitian(rho.matrix)
+    systems = (("R", int(spec.ranks)),) + rho.systems
+    return Purification("R", systems, _purification_vectors(spec[None])[0])
+
+
+def _check_reference_label(rho: DensityOperator) -> None:
+    """Raise :class:`LabelError` if ``rho`` has a factor labeled R, the label
+    of :func:`purify`'s reference."""
     if "R" in rho.labels:
         raise LabelError(f"reference label 'R' collides with {rho.labels!r}")
-    spec = eig_hermitian(rho.matrix)
-    rank = int(_ranks(spec))
-    systems = (("R", rank),) + rho.systems
-    return Purification("R", systems, _purification_vectors(spec[None], rank)[0])
 
 
-def _ranks(spec) -> np.ndarray:
-    """Numerical rank of each matrix of a spectrum: the reference dimension
-    of its :func:`purify`."""
-    return np.count_nonzero(np.clip(spec.eigenvalues, 0.0, None) > spec.cutoff, axis=-1)
-
-
-def _purification_vectors(spec, rank: int) -> np.ndarray:
+def _purification_vectors(spec) -> np.ndarray:
     """The :func:`purify` vectors sum_k sqrt(lam_k) |k>_ref |v_k> of a (N, d)
-    stack of spectra of rank ``rank``, as (N, rank * d); the support is the
-    last ``rank`` eigenpairs."""
-    lam = np.clip(spec.eigenvalues[:, spec.dim - rank :], 0.0, None)
-    vecs = spec.eigenvectors[:, :, spec.dim - rank :]
-    amp = np.sqrt(lam)[:, :, None] * vecs.swapaxes(1, 2)
+    stack of spectra of one rank r, over their support eigenpairs, as
+    (N, r * d)."""
+    lam, vecs = spec.support()
+    amp = np.sqrt(np.clip(lam, 0.0, None))[:, :, None] * vecs.swapaxes(1, 2)
     return amp.reshape(len(amp), -1)
 
 
@@ -619,6 +617,17 @@ def _apply_block(ks: np.ndarray, x: np.ndarray, d_left: int, d_right: int) -> np
         term = op @ y.reshape(lead + (d_left, m_in, d_right * d_out))
         out = term if out is None else out + term
     return out.reshape(lead + (d_out, d_out)).conj().swapaxes(-1, -2)
+
+
+def _apply_ragged(kraus, x: np.ndarray, d_left: int, d_right: int) -> np.ndarray:
+    """:func:`_apply_block` of each map of a list of (K_i, out, in) Kraus
+    arrays on its operator of a (N, D, D) stack.  The maps differ in Kraus
+    count, and :func:`_apply_block` takes no padded stack, so they are
+    applied per group of equal counts."""
+    return np.stack(_grouped(
+        [len(k) for k in kraus],
+        lambda idx: _apply_block(np.stack([kraus[i] for i in idx]), x[idx], d_left, d_right),
+    ))
 
 
 def lift(m: KrausMap, systems: Systems, on, out_systems: Systems | None = None):

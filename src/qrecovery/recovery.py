@@ -180,15 +180,13 @@ def _petz_core(spec_sig: Spectrum, spec_out: Spectrum, ks: np.ndarray):
 
     ``ks`` is the (K, out, in) Kraus stack.  Spectra of (N, d) stacks with a
     (N, K, out, in) Kraus stack give every array a leading N axis; their
-    supports must share their sizes.  A support is a suffix of the ascending
-    spectrum, so it is sliced, then copied to the layout a mask gives.
+    supports must share their sizes.  The support eigenvectors are a slice
+    (:meth:`~qrecovery.matfun.Spectrum.support`), copied to the layout a
+    mask gives.
     """
-    r_in = int(np.count_nonzero(spec_sig.eigenvalues > spec_sig.cutoff, axis=-1).max())
-    r_out = int(np.count_nonzero(spec_out.eigenvalues > spec_out.cutoff, axis=-1).max())
-    u = np.ascontiguousarray(spec_sig.eigenvectors[..., spec_sig.dim - r_in :])
-    v = np.ascontiguousarray(spec_out.eigenvectors[..., spec_out.dim - r_out :])
-    lam = spec_sig.eigenvalues[..., spec_sig.dim - r_in :]
-    mu = spec_out.eigenvalues[..., spec_out.dim - r_out :]
+    lam, u = spec_sig.support()
+    mu, v = spec_out.support()
+    u, v = np.ascontiguousarray(u), np.ascontiguousarray(v)
     scale = np.sqrt(lam)[..., :, None] / np.sqrt(mu)[..., None, :]
     adj = u.conj().swapaxes(-1, -2)[..., None, :, :] @ ks.conj().swapaxes(-1, -2)
     core = scale[..., None, :, :] * (adj @ v[..., None, :, :])
@@ -244,9 +242,8 @@ def _root_factors(spec: Spectrum) -> np.ndarray:
     (lam_s, U_s) its eigenpairs above the cutoff, so that L^dag L = H and
     ||sqrt(H) Y||_1 = ||L Y||_1; every matrix of the stack must have the
     same number r of them, and L is (..., r, d)."""
-    rank = int(np.count_nonzero(spec.eigenvalues > spec.cutoff, axis=-1).max(initial=0))
-    lam = spec.eigenvalues[..., spec.dim - rank :]
-    return np.sqrt(lam)[..., :, None] * spec.eigenvectors[..., spec.dim - rank :].conj().swapaxes(-1, -2)
+    lam, support = spec.support()
+    return np.sqrt(lam)[..., :, None] * support.conj().swapaxes(-1, -2)
 
 
 def swiveled_root_fidelities(rho, sigma, channel: KrausMap, t, n_rho, n_sigma) -> np.ndarray:
@@ -264,10 +261,7 @@ def _swiveled_root_fidelity_stack(rho, sigma, n_rho, n_sigma, ks: np.ndarray, t)
     sizes of sigma and N(sigma), so it is built per group of maps sharing them."""
     spec_in = eig_hermitian(np.stack([sigma, rho], axis=1))
     spec_out = eig_hermitian(np.stack([n_sigma, n_rho], axis=1))
-    sizes = [
-        np.count_nonzero(spec.eigenvalues > spec.cutoff, axis=1).tolist()
-        for spec in (spec_in[:, 0], spec_out[:, 0])
-    ]
+    sizes = [spec_in[:, 0].ranks.tolist(), spec_out[:, 0].ranks.tolist()]
 
     def group(idx):
         kraus = swiveled_kraus(spec_in[idx, 0], spec_out[idx, 0], ks[idx], t)
@@ -303,10 +297,7 @@ def _integrated_recovery_stack(sig: np.ndarray, ks: np.ndarray, n_sig: np.ndarra
         spec_sig, spec_out = pair[:, 0], pair[:, 1]
     else:
         spec_sig, spec_out = eig_hermitian(sig), eig_hermitian(n_sig)
-    sizes = zip(
-        np.count_nonzero(spec_sig.eigenvalues > spec_sig.cutoff, axis=1).tolist(),
-        np.count_nonzero(spec_out.eigenvalues > spec_out.cutoff, axis=1).tolist(),
-    )
+    sizes = zip(spec_sig.ranks.tolist(), spec_out.ranks.tolist())
     return _grouped(list(sizes), lambda idx: _integrated_group(spec_sig[idx], spec_out[idx], ks[idx]))
 
 

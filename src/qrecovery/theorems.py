@@ -37,6 +37,8 @@ from .qcore import (
     _adjoint_stack,
     _apply_block,
     _apply_kraus,
+    _apply_ragged,
+    _check_reference_label,
     _factor_block,
     _grouped,
     _instrument_kraus,
@@ -44,14 +46,12 @@ from .qcore import (
     _outcomes,
     _padded,
     _purification_vectors,
-    _ranks,
     _rng,
     _tp_deviations,
     adjoint,
     as_matrix,
     partial_trace_channel,
     ptrace,
-    purify,
     tp_deviation,
 )
 from .recovery import (
@@ -413,18 +413,14 @@ def _recover_abc_stack(rho: np.ndarray, dims: tuple) -> np.ndarray:
     C of sizes ``dims``, as a (N, D, D) stack in the factor order A, B, C.
 
     Each recovery's Kraus count is its own, and they act on C through
-    :func:`~qrecovery.qcore.apply_on`'s product, which adds them by ``sum``;
-    so they are applied per group of equal counts, unpadded.
+    :func:`~qrecovery.qcore.apply_on`'s product.
     """
     d_a, d_b, d_c = dims
     rho_ac, rho_bc = ptrace(rho, dims, (0, 2)), ptrace(rho, dims, (1, 2))
     trace_a = partial_trace_channel((("A", d_a), ("C", d_c)), "A").stack
     ks = np.broadcast_to(trace_a, (len(rho),) + trace_a.shape)
     recs = _integrated_recovery_stack(rho_ac, ks, _apply_kraus(ks, rho_ac))
-    recovered = np.stack(_grouped(
-        [len(k) for k in recs],
-        lambda idx: _apply_block(np.stack([recs[i] for i in idx]), rho_bc[idx], d_b, 1),
-    ))
+    recovered = _apply_ragged(recs, rho_bc, d_b, 1)
     # factors (B, A, C) -> (A, B, C)
     t = recovered.reshape((len(rho), d_b, d_a, d_c, d_b, d_a, d_c))
     return t.transpose(0, 2, 1, 3, 5, 4, 6).reshape(rho.shape)
@@ -496,11 +492,10 @@ def _by_rank(mat: np.ndarray, group) -> list:
     numerical rank, ``vectors`` their (n_idx, rank * D) purification vectors,
     with the items in state order."""
     spec = eig_hermitian(mat)
-    ranks = _ranks(spec).tolist()
+    ranks = spec.ranks.tolist()
 
     def ranked(idx):
-        rank = ranks[idx[0]]
-        return group(idx, rank, _purification_vectors(spec[idx], rank))
+        return group(idx, ranks[idx[0]], _purification_vectors(spec[idx]))
 
     return _grouped(ranks, ranked)
 
@@ -565,7 +560,7 @@ def check_efficient_second_law(instr: Instrument, rho: DensityOperator) -> Check
     """
     if not instr.efficient:
         raise ValueError("check_efficient_second_law requires an efficient instrument")
-    purify(rho)  # checks the labels
+    _check_reference_label(rho)
     return _efficient_second_law_stack(rho.matrix[None], _outcome_stack(instr)[None])[0]
 
 
@@ -596,7 +591,7 @@ def check_info_gain_no_qsi(instr: Instrument, rho: DensityOperator) -> CheckRepo
     isometries carrying the post-measurement purifications back to the input
     space, and the per-outcome root fidelities are reported.
     """
-    purify(rho)  # checks the labels
+    _check_reference_label(rho)
     return _info_gain_no_qsi_stack(rho.matrix[None], _outcome_stack(instr)[None])[0]
 
 
@@ -728,7 +723,7 @@ def check_info_gain_qsi(
     """
     if len(rho_ab.systems) != 2:
         raise ValueError("check_info_gain_qsi expects a bipartite input state")
-    purify(rho_ab)  # checks the labels
+    _check_reference_label(rho_ab)
     kx = _outcome_stack(instr)[None]
     return _info_gain_qsi_stack(rho_ab.matrix[None], kx, rho_ab.dims, quad)[0]
 
@@ -771,8 +766,7 @@ def _info_gain_qsi_stack(mat: np.ndarray, kx: np.ndarray, dims: tuple,
             m_post = _amplitudes(_pure_vectors(posts_rab), (r_dim, d_out, d_b))
         trial, outcome = np.nonzero(seen)
         # (trial, slot, [B, RB]) support sizes, slot 0 the average and x + 1 the outcome
-        sizes = np.stack([np.count_nonzero(spec.eigenvalues > spec.cutoff, axis=-1)
-                          for spec in (spec_bx, spec_rbx)], axis=-1)
+        sizes = np.stack([spec_bx.ranks, spec_rbx.ranks], axis=-1)
 
         def pair_group(p):
             t, x = trial[p], outcome[p]
@@ -821,8 +815,7 @@ def _info_gain_qsi_stack(mat: np.ndarray, kx: np.ndarray, dims: tuple,
 def _support_projectors(spec) -> np.ndarray:
     """The projector onto the support of each matrix of a spectrum stack whose
     supports share their size."""
-    rank = int(np.count_nonzero(spec.eigenvalues > spec.cutoff, axis=-1).max())
-    support = spec.eigenvectors[..., spec.dim - rank :]
+    _, support = spec.support()
     return support @ support.conj().swapaxes(-1, -2)
 
 

@@ -1049,7 +1049,7 @@ def product_instance_oracle(cfg, rng):
     rho_e = random_density_oracle(2, int(rng.integers(1, 3)), rng)
     mat = np.kron(rho_rq.matrix, rho_e.matrix)
     config = TripartiteConfiguration(DensityOperator((("R", 2), ("Q", 2), ("E", 2)), mat))
-    return config, draw_interaction_oracle(cfg, rng)
+    return config.state.matrix, draw_interaction_oracle(cfg, rng).matrix
 
 
 def _recovery_draw_oracle(cfg, rng):
@@ -1072,7 +1072,8 @@ FAMILY_DRAW_ORACLES = {
     ("info-gain-qsi", 0): qsi_draw_oracle,
     ("disturbance", 0): ensemble_draw_oracle,
     ("disturbance", 1): commuting_draw_oracle,
-    ("cpdp", 0): lambda cfg, rng: (random_config_oracle(rng), draw_interaction_oracle(cfg, rng)),
+    ("cpdp", 0): lambda cfg, rng: (random_config_oracle(rng).state.matrix,
+                                   draw_interaction_oracle(cfg, rng).matrix),
     ("cpdp", 1): product_instance_oracle,
-    ("cpdp", 2): lambda cfg, rng: random_config_oracle(rng),
+    ("cpdp", 2): lambda cfg, rng: (random_config_oracle(rng).state.matrix,),
 }

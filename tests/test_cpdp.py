@@ -19,6 +19,7 @@ from qrecovery.entropy import fidelity
 from qrecovery.qcore import (
     Channel,
     DensityOperator,
+    DimensionMismatchError,
     random_density,
     random_unitary,
     stream,
@@ -70,6 +71,19 @@ class TestInteraction:
         g = stream(50, 0).standard_normal((8, 4)) + 1j * stream(50, 1).standard_normal((8, 4))
         q, r = np.linalg.qr(g)
         Interaction(q, (2, 2), (4, 2))
+
+
+@pytest.mark.parametrize("in_dims", [(4, 1), (1, 4), (2, 3)])
+def test_mismatched_interaction_rejected(in_dims):
+    # V must take the configuration's (Q, E) = (2, 2), also where only the
+    # total dimension agrees
+    config = random_config(stream(50, 2))
+    d = in_dims[0] * in_dims[1]
+    v = Interaction(np.eye(d), in_dims, in_dims)
+    with pytest.raises(DimensionMismatchError, match="interaction input dims"):
+        dp_slack(config, v)
+    with pytest.raises(DimensionMismatchError, match="interaction input dims"):
+        reduced_dynamics(config, v)
 
 
 class TestDpSlack:

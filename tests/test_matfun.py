@@ -93,6 +93,17 @@ def test_support_mask_excludes_kernel():
     npt.assert_array_equal(eig_hermitian(np.diag([2.0, 0.0])).support_mask(), [False, True])
 
 
+def test_ranks_and_support_of_a_stack():
+    # a negative eigenvalue below the cutoff and a numerical zero are outside
+    # the support; the support eigenpairs end the ascending spectrum
+    spec = eig_hermitian(np.stack([np.diag([3.0, 0.0, -1e-20]), np.diag([1.0, 2.0, -0.5])]))
+    npt.assert_array_equal(spec.ranks, [1, 2])
+    assert int(spec[0].ranks) == 1
+    lam, vecs = spec.support()
+    npt.assert_array_equal(lam, spec.eigenvalues[:, 1:])
+    npt.assert_array_equal(vecs, spec.eigenvectors[:, :, 1:])
+
+
 _POWERS = st.sampled_from([0.5, -0.5, 2.0, 1j * 0.7, 0.5 - 1j * 1.3, -0.5 + 1j * 2.1])
 
 

@@ -15,12 +15,10 @@ from hypothesis import given, settings, strategies as st
 
 from qrecovery import campaigns, cpdp, qcore, recovery, theorems
 from qrecovery.campaigns import CampaignConfig, SUITES, run_suite
-from qrecovery.cpdp import Interaction, TripartiteConfiguration
 from qrecovery.entropy import entropy, rel_entropy, root_fidelity
 from qrecovery.qcore import (
     Channel,
     DensityOperator,
-    DimensionMismatchError,
     Ensemble,
     Instrument,
     _padded,
@@ -50,8 +48,8 @@ def bits(rep) -> str:
 
 
 def run(core, instances):
-    """A core's rows for every instance, through the campaign's grouping."""
-    return [reps[0] for reps in campaigns._stacked(core)(instances)]
+    """A core's first row for every instance, through the campaign's grouping."""
+    return [reps[0] if isinstance(reps, list) else reps for reps in campaigns._each(core, instances)]
 
 
 def assert_same(rows, expected):
@@ -130,16 +128,8 @@ class TestRandomFinish:
 
 
 def instance_bits(inst) -> list:
-    """The arrays and dimensions of a family instance, as bytes."""
-    out = []
-    for part in inst if isinstance(inst, tuple) else (inst,):
-        if isinstance(part, TripartiteConfiguration):
-            out += [part.state.labels, part.state.dims, part.state.matrix.tobytes()]
-        elif isinstance(part, Interaction):
-            out += [part.in_dims, part.out_dims, part.matrix.shape, part.matrix.tobytes()]
-        else:
-            out += [np.shape(part), np.asarray(part).tobytes()]
-    return out
+    """The shapes and bytes of the arrays of a family instance."""
+    return [(np.shape(part), np.asarray(part).tobytes()) for part in inst]
 
 
 @pytest.mark.parametrize("suite", [s for s in SUITES if s != "bosonic"])
@@ -452,6 +442,14 @@ def test_row_depends_only_on_its_own_trial(suite):
     assert short and all(full[k] == v for k, v in short.items())
 
 
+def cpdp_arrays(configs, interactions):
+    """The stacks of states and of isometries of lists of configurations and
+    interactions, and the dimensions the stacked cores take."""
+    state = np.stack([c.state.matrix for c in configs])
+    vs = np.stack([v.matrix for v in interactions])
+    return state, vs, configs[0].dims, interactions[0].out_dims
+
+
 class TestCpdpFamily:
     @settings(max_examples=10, deadline=None)
     @given(SEEDS, st.booleans())
@@ -460,10 +458,12 @@ class TestCpdpFamily:
         rng = stream(67, seed)
         configs = [oracles.random_config_oracle(rng) for _ in range(6)]
         interactions = [oracles.draw_interaction_oracle(cfg, rng) for _ in configs]
-        forwards = cpdp._reduced_dynamics_stack(configs, interactions)
-        converse = cpdp._converse_stack(forwards, np.stack([f.candidate for f in forwards]), 1.0)
+        state, vs, dims, out_dims = cpdp_arrays(configs, interactions)
+        kraus, reports, *forward = cpdp._reduced_dynamics_stack(state, vs, dims, out_dims)
+        converse = cpdp._converse_stack(state, dims, reports, *forward, 1.0)
         expected = [oracles.reduced_dynamics_oracle(c, v) for c, v in zip(configs, interactions)]
-        assert_same([f.report for f in forwards], [f.report for f in expected])
+        assert_same(reports, [f.report for f in expected])
+        assert same_arrays(kraus, [f.channel.stack for f in expected])
         assert_same(converse, [oracles.converse_bound_oracle(f, eps=1.0) for f in expected])
 
     @settings(max_examples=10, deadline=None)
@@ -474,16 +474,6 @@ class TestCpdpFamily:
         configs = [oracles.random_config_oracle(rng) for _ in range(6)]
         for interactions in ([cpdp.identity_embedding(2, 2)] * 6,
                              [oracles.draw_interaction_oracle(CampaignConfig(), rng) for _ in configs]):
-            slacks = cpdp._dp_slacks(configs, interactions)
+            slacks = cpdp._dp_slacks(*cpdp_arrays(configs, interactions))
             expected = [oracles.dp_slack_oracle(c, v) for c, v in zip(configs, interactions)]
             assert [float(x).hex() for x in slacks] == [x.hex() for x in expected]
-
-    def test_mixed_dimensions_rejected(self):
-        # the stacked forms read every pair's dimensions from the first pair
-        rng = stream(73, 0)
-        configs = [oracles.random_config_oracle(rng) for _ in range(2)]
-        interactions = [cpdp.identity_embedding(2, 2), oracles.draw_interaction_oracle(CampaignConfig(), rng)]
-        with pytest.raises(DimensionMismatchError):
-            cpdp._dp_slacks(configs, interactions)
-        with pytest.raises(DimensionMismatchError):
-            cpdp._reduced_dynamics_stack(configs, interactions)

@@ -591,6 +591,19 @@ class TestEfficientSecondLaw:
             check_efficient_second_law(instr, random_density(2, 2, stream(46, 2)))
 
 
+@pytest.mark.parametrize("check, systems", [
+    (check_efficient_second_law, (("R", 2),)),
+    (check_info_gain_no_qsi, (("R", 2),)),
+    (check_info_gain_qsi, (("R", 2), ("B", 2))),
+])
+def test_reference_label_collision_rejected(check, systems):
+    # the purifying reference is labeled R, as in purify, so an input factor R is rejected
+    dim = math.prod(d for _, d in systems)
+    rho = DensityOperator(systems, np.eye(dim) / dim)
+    with pytest.raises(qcore.LabelError, match="reference label 'R' collides"):
+        check(Z_MEASUREMENT, rho)
+
+
 class TestInfoGainNoQsi:
     def test_trivial_instrument_no_information(self):
         u = random_unitary(2, stream(47, 0))

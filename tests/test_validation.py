@@ -19,9 +19,7 @@ from qrecovery.qcore import (
     Instrument,
     KrausMap,
     TransferMap,
-    _densities,
     _derived,
-    _ginibre,
     adjoint,
     compose,
     instrument_channel,
@@ -203,15 +201,24 @@ class TestDerivedSitesPassTheValidator:
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), isometric=st.booleans())
     def test_campaign_configurations_and_interactions(self, seed, isometric):
-        # the cpdp families finish their draws into states and interactions
-        # without the constructors' checks
-        rng = stream(seed, 2)
-        cfg = CampaignConfig(cpdp_isometric=isometric)
-        mats = campaigns._each(_densities, [_ginibre(rng, (8, int(rng.integers(1, 9)))) for _ in range(4)])
-        for config in campaigns._configurations(mats):
-            _revalidate(config.state)
-        for v in campaigns._interactions(cfg, [campaigns._interaction_draw(cfg, rng) for _ in range(4)]):
-            _revalidate(v)
+        # the cpdp families finish their draws into arrays that the public
+        # constructors accept as states on (R, Q, E) and interactions V: QE -> Q'E'
+        cfg = CampaignConfig(master_seed=seed, trials={"cpdp": 4}, cpdp_isometric=isometric)
+        out_dims = (2, 4) if isometric else (2, 2)
+        finished = []
+
+        def capture(cfg_, suite, family, n, draw, finish, core):
+            finished.extend(finish([draw(rng) for _, rng in campaigns._trials(cfg_, suite, family, n)]))
+            return []
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(campaigns, "_family", capture)
+            list(campaigns._RUNNERS["cpdp"](cfg))
+        assert len(finished) == 12
+        for state, *v in finished:
+            DensityOperator((("R", 2), ("Q", 2), ("E", 2)), state)
+            for mat in v:
+                Interaction(mat, (2, 2), out_dims)
 
 
 def _loop_apply(ks, x):
