@@ -9,6 +9,8 @@ the same reports with ``qrecovery verify``:
 
 - ``verify all`` at seeds 13, 7 and 1;
 - ``verify all`` at seed 13 with ``--tol 0.5``;
+- ``verify all`` at seed 13 with ``--trials 15``, where a family's cap of
+  10 trials binds and its caps of 20 and 50 do not;
 - ``verify cpdp`` with ``{"cpdp_isometric": true, "master_seed": 5}``.
 
 Each pair of reports is compared with ``cmp``; for a pair that differs, the
@@ -33,6 +35,7 @@ REPORTS = {
     "all-seed7": ["all", "--seed", "7"],
     "all-seed1": ["all", "--seed", "1"],
     "all-seed13-tol0.5": ["all", "--seed", "13", "--tol", "0.5"],
+    "all-seed13-trials15": ["all", "--seed", "13", "--trials", "15"],
     "cpdp-isometric": ["cpdp", "--config", "{config}"],
 }
 ISOMETRIC_CONFIG = {"cpdp_isometric": True, "master_seed": 5}

@@ -1,34 +1,28 @@
 """Deterministic check campaigns for the CLI runner.
 
-Every row is a pure function of the campaign config: trial instances are
-drawn from ``stream(master_seed, suite_index, check_index, trial)``, so a
-rerun with the same config reproduces the report byte for byte.  ``_trials``
-is the one place the stream path is set, and ``run_suite`` the one place
-each row gets its seed and, when set, the tolerance override.
-
-Each check family is a draw, a finish and a core (``_family``).  The draw
-takes one trial's raw numbers (integers, Dirichlet vectors and Ginibre
-blocks) from that trial's own stream, in the order a per-trial construction
-draws them.  The finish runs the linear algebra that turns them into the
-family's instances, tuples of arrays, once per group of draws of equal
-shapes (``_each``), through the ``qcore`` helpers that each public
-``random_*`` calls on its one draw, so a finished instance has the bits of
-the per-trial construction.  No library object is built on the way.  The
-instances are then grouped by shape, and each group's stacks go to the
-stacked core of its ``theorems`` or ``cpdp`` check: every primitive takes
-the group's stack with a leading trial axis and gives each trial the bits
-its own ``check_*`` call would give it, so a row depends only on its own
-trial.  The cores split a group further where a spectrum fixes a shape
-(support sizes, ranks, Kraus counts); info-gain-qsi runs its quadrature
-once per group of (trial, outcome) pairs of equal support sizes.  The
-witness rows call their ``check_*`` directly.
-Deviation and witness rows are built here from check outputs, and every
-row's tolerance comes from ``reports.TOLERANCES``.
+Every row is a pure function of the campaign config.  ``FAMILIES`` is the
+ordered table of the finite suites' check families, each a draw, a finish
+and a core on arrays (:class:`Family`), and ``run_suite`` runs a suite's
+entries in table order; it is the one place a row gets its seed, its trial
+number and, when set, the tolerance override.  Trial t of a family draws
+its raw numbers (integers, Dirichlet vectors and Ginibre blocks) from its
+own ``stream(master_seed, suite_index, family_index, t)``, in the order a
+per-trial construction draws them.  The finish turns all trials' draws
+into instances, tuples of arrays, once per group of equal shapes
+(``_each``), through the ``qcore`` helpers each public ``random_*`` calls
+on its one draw, so an instance has the bits of the per-trial
+construction; no library object is built.  The core takes each shape
+group's stacks, with a leading trial axis, and gives each trial the bits
+its own ``check_*`` call would give it: a stacked core of ``theorems`` or
+``cpdp``, or one here that builds deviation and witness rows from their
+outputs.  A row therefore depends only on its own trial.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -38,7 +32,6 @@ from .cpdp import _converse_stack, _dp_slacks, _reduced_dynamics_stack
 from .entropy import _cmi_stack, root_fidelity, trace_norm
 from .matfun import eig_hermitian
 from .qcore import (
-    Channel,
     _apply_kraus,
     _channel_draw,
     _channel_kraus,
@@ -50,8 +43,6 @@ from .qcore import (
     _instrument_outcomes,
     _subunital_draw,
     _subunital_kraus,
-    random_density,
-    random_instrument,
     stream,
 )
 from .recovery import QuadratureSpec, _petz_stack
@@ -70,8 +61,6 @@ from .theorems import (
     _recover_abc_stack,
     _recovery_fid_stack,
     _recovery_stronger_stack,
-    check_entropy_gain,
-    check_info_gain_upper,
 )
 
 __all__ = ["SUITES", "CampaignConfig", "ConfigError", "run_suite", "run_campaign"]
@@ -174,6 +163,10 @@ class CampaignConfig:
             raise ConfigError(f"dims range must satisfy 2 <= lo <= hi, got {self.dims!r}")
         if hi > MAX_TOTAL_DIM:
             raise ConfigError(f"dims exceed the supported total dimension {MAX_TOTAL_DIM}")
+        cap = min((f.dims for f in FAMILIES if f.suite in self.suites and f.dims), default=hi)
+        if lo > cap:
+            raise ConfigError(f"dims lo must be at most {cap}, the largest dimension some family of the "
+                              f"selected suites draws, got {self.dims!r}")
         object.__setattr__(self, "dims", (lo, hi))
         if self.tol_override is not None and self.tol_override <= 0:
             raise ConfigError(f"tol must be positive, got {self.tol_override!r}")
@@ -207,17 +200,6 @@ class CampaignConfig:
         }
 
 
-def _trials(cfg: CampaignConfig, suite: str, family: int, n: int):
-    """(trial, rng) for trials 0..n-1 of one check family of a suite.
-
-    The only place a stream path is set: trial instances come from
-    ``stream(master_seed, suite_index, family, trial)``.
-    """
-    suite_idx = SUITES.index(suite)
-    for trial in range(n):
-        yield trial, stream(cfg.master_seed, suite_idx, family, trial)
-
-
 def _deviation_report(name, deviation, dims, aux=None) -> CheckReport:
     return CheckReport(name=name, lhs=0.0, rhs=float(deviation), dims=dims, aux=aux or {})
 
@@ -225,25 +207,6 @@ def _deviation_report(name, deviation, dims, aux=None) -> CheckReport:
 def _renamed(rep: CheckReport, name: str) -> CheckReport:
     """``rep`` as a row of another name, with that name's tolerance."""
     return replace(rep, name=name, tol=TOLERANCES[name])
-
-
-# ---------------------------------------------------------------------------
-# suite runners: each yields (trial, CheckReport) pairs in row order
-
-
-def _family(cfg: CampaignConfig, suite: str, family: int, n: int, draw, finish, core):
-    """(trial, report) pairs of one check family, in row order.
-
-    ``draw(rng)`` takes one trial's raw numbers (integers, Dirichlet vectors
-    and Ginibre blocks) from that trial's own stream; ``finish(draws)`` turns
-    them into instances, tuples of arrays, with one stacked call per group of
-    equal shapes; ``core`` takes the stacks of the arrays of each group of
-    instances of equal shapes and returns each instance's report, or its
-    list of reports.
-    """
-    instances = finish([draw(rng) for _, rng in _trials(cfg, suite, family, n)])
-    return [(trial, rep) for trial, reps in enumerate(_each(core, instances))
-            for rep in (reps if isinstance(reps, list) else [reps])]
 
 
 def _each(fn, items) -> list:
@@ -291,55 +254,6 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return prod.reshape(prod.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
 
 
-def _run_entropy_gain(cfg: CampaignConfig):
-    lo, hi = cfg.dims[0], min(cfg.dims[1], 4)
-    n = cfg.n_trials("entropy-gain")
-    states_and_channels = _parts(_densities, _channel_kraus)
-
-    def random_channel_draw(rng):
-        d = int(rng.integers(lo, hi + 1))
-        g_rho = _ginibre(rng, (d, int(rng.integers(1, d + 1))))
-        return g_rho, _channel_draw(rng, d, d, int(rng.integers(1, 5)))
-
-    yield from _family(cfg, "entropy-gain", 0, n, random_channel_draw, states_and_channels,
-                       _entropy_gain_stack)
-
-    # dephasing equality witness: N self-adjoint idempotent, rho = |+><+|
-    plus = np.full((2, 2), 0.5, dtype=complex)
-    z = np.diag([1.0, -1.0])
-    dephasing = Channel((np.eye(2) / math.sqrt(2), z / math.sqrt(2)))
-    yield 0, _renamed(check_entropy_gain(plus, dephasing), "entropy-gain-equality")
-
-    def subunital_draw(rng):
-        d = int(rng.integers(lo, min(hi, 3) + 1))
-        g_rho = _ginibre(rng, (d, int(rng.integers(1, d + 1))))
-        return g_rho, _subunital_draw(rng, d, d + 1)
-
-    yield from _family(cfg, "entropy-gain", 2, min(n, 50), subunital_draw,
-                       _parts(_densities, _subunital_kraus), _entropy_gain_recovery_stack)
-
-    def conditional_draw(rng):
-        g_rho = _ginibre(rng, (4, int(rng.integers(1, 5))))
-        return g_rho, _channel_draw(rng, 2, 2, int(rng.integers(1, 5)))
-
-    yield from _family(cfg, "entropy-gain", 3, min(n, 50), conditional_draw, states_and_channels,
-                       lambda rho, ks: _cond_entropy_gain_stack(rho, ks, (2, 2)))
-
-
-def _recovery_draw(rng, lo, hi):
-    """The raw numbers of one recovery instance: the Ginibre matrices of
-    sigma and of rho, and of N's Stinespring isometry.  A quarter of the
-    sigmas are rank-deficient, and then rho's matrix is drawn on the support
-    of sigma."""
-    d = int(rng.integers(lo, hi + 1))
-    rank_sigma = d if rng.integers(4) else max(1, d - 1)
-    g_sigma = _ginibre(rng, (d, rank_sigma))
-    g_rho = _ginibre(rng, (rank_sigma, int(rng.integers(1, rank_sigma + 1))))
-    d_out = int(rng.integers(lo, hi + 1))
-    env_min = -(-d // d_out)  # Stinespring needs out * env >= in
-    return (g_sigma, g_rho), _channel_draw(rng, d, d_out, int(rng.integers(env_min, env_min + 4)))
-
-
 def _recovery_states(g_sigma: np.ndarray, g_rho: np.ndarray) -> list:
     """(rho, sigma) of each :func:`_recovery_draw` of a group: a rho drawn on
     a rank-deficient sigma's support is carried there by sigma's support
@@ -350,44 +264,6 @@ def _recovery_states(g_sigma: np.ndarray, g_rho: np.ndarray) -> list:
         support = eig_hermitian(sigma).eigenvectors[..., d - rank_sigma :]
         rho = support @ rho @ support.conj().swapaxes(-1, -2)
     return list(zip(rho, sigma))
-
-
-def _petz_fixed_point_rows(rho, sigma, ks) -> list:
-    """||(P o N)(sigma) - sigma||_1 of the Petz map P of (sigma, N) for each
-    map of a (N, K, out, in) Kraus stack."""
-    n_sigma = _apply_kraus(ks, sigma)
-    dev = trace_norm(_apply_kraus(_petz_stack(sigma, ks, n_sigma), n_sigma) - sigma)
-    dims = (sigma.shape[-1], ks.shape[-2])
-    return [_deviation_report("petz-fixed-point", x, dims) for x in dev]
-
-
-def _run_recovery(cfg: CampaignConfig):
-    lo, hi = cfg.dims[0], min(cfg.dims[1], 3)
-    n = cfg.n_trials("recovery")
-
-    def draw(rng):
-        return _recovery_draw(rng, lo, hi)
-
-    finish = _parts(_recovery_states, _channel_kraus)
-    yield from _family(cfg, "recovery", 0, n, draw, finish, _recovery_fid_stack)
-    quad = cfg.quad()
-    yield from _family(cfg, "recovery", 1, min(n, 50), draw, finish,
-                       lambda rho, sigma, ks: _recovery_stronger_stack(rho, sigma, ks, quad))
-    yield from _family(cfg, "recovery", 2, n, draw, finish, _petz_fixed_point_rows)
-
-    def tripartite(rng):
-        return (_ginibre(rng, (8, int(rng.integers(2, 9)))),)
-
-    yield from _family(cfg, "recovery", 3, n, tripartite, _parts(_densities),
-                       lambda rho: _cmi_recovery_stack(rho, (2, 2, 2)))
-    yield from _family(cfg, "recovery", 4, min(n, 20), _markov_draw, _markov_states, _markov_rows)
-
-
-def _markov_draw(rng):
-    """Mixture weights of C, and per value of C the Ginibre matrices of its
-    A and B factors."""
-    p = rng.dirichlet(np.ones(2))
-    return p, tuple(_ginibre(rng, (2, int(rng.integers(1, 3)))) for _ in range(4))
 
 
 def _markov_states(draws) -> list:
@@ -402,71 +278,6 @@ def _markov_states(draws) -> list:
         block[c, c] = 1.0
         mat += p[:, c, None, None] * _kron(_kron(rho[:, 2 * c], rho[:, 2 * c + 1]), block)
     return [(m,) for m in mat]
-
-
-def _markov_rows(rho) -> list:
-    fids = root_fidelity(rho, _recover_abc_stack(rho, (2, 2, 2)))
-    rows = []
-    for f in fids:
-        fid = float(f) ** 2
-        rows.append(_deviation_report("cmi-recovery-markov", 1.0 - fid, (2, 2, 2), {"fidelity": fid}))
-    return rows
-
-
-def _run_info_gain(cfg: CampaignConfig):
-    lo, hi = cfg.dims[0], min(cfg.dims[1], 3)
-    n = cfg.n_trials("info-gain")
-    finish = _parts(_densities, _instrument_outcomes)
-
-    def draw(rng, efficient=True):
-        d = int(rng.integers(lo, hi + 1))
-        if efficient is None:
-            efficient = bool(rng.integers(2))
-        g_instr = _instrument_draw(rng, d, int(rng.integers(2, 5)), efficient)
-        return _ginibre(rng, (d, int(rng.integers(1, d + 1)))), g_instr
-
-    def no_qsi_rows(rho, kx):
-        gains = _groenewold_gains(rho, kx)
-        return [
-            [rep, _deviation_report("groenewold-vs-mutual-info", abs(float(gain) - rep.lhs),
-                                    (rho.shape[-1],), {"groenewold_gain": float(gain)})]
-            for rep, gain in zip(_info_gain_no_qsi_stack(rho, kx), gains)
-        ]
-
-    yield from _family(cfg, "info-gain", 0, n, draw, finish, no_qsi_rows)
-    yield from _family(cfg, "info-gain", 1, n, lambda rng: draw(rng, None), finish,
-                       _info_gain_upper_stack)
-
-    # a pure input through a two-Kraus instrument yields mixed post states,
-    # so the entropy reduction is strictly negative while the bound still holds
-    _, rng = next(_trials(cfg, "info-gain", 4, 1))
-    instr = random_instrument(2, 2, False, rng)
-    rho = random_density(2, 1, rng)
-    rep = check_info_gain_upper(instr, rho)
-    yield n, rep
-    gain = rep.aux["groenewold_gain"]
-    yield 0, CheckReport(
-        "negative-groenewold-witness", lhs=-gain, rhs=0.0, dims=(2,),
-        aux={"groenewold_gain": gain},
-    )
-
-    yield from _family(cfg, "info-gain", 2, n, draw, finish, _efficient_second_law_stack)
-
-
-def _run_info_gain_qsi(cfg: CampaignConfig):
-    quad = cfg.quad()
-
-    def draw(rng):
-        g_rho = _ginibre(rng, (4, int(rng.integers(2, 5))))
-        return g_rho, _instrument_draw(rng, 2, int(rng.integers(2, 4)), True)
-
-    def rows(rho, kx):
-        tp = "qsi-recovery-instrument-tp"
-        return [[rep, _deviation_report(tp, rep.aux["recovery_instrument_tp_dev"], (2, 2))]
-                for rep in _info_gain_qsi_stack(rho, kx, (2, 2), quad)]
-
-    n = cfg.n_trials("info-gain-qsi")
-    yield from _family(cfg, "info-gain-qsi", 0, n, draw, _parts(_densities, _instrument_outcomes), rows)
 
 
 def _ensembles(draws) -> list:
@@ -487,83 +298,257 @@ def _commuting_ensembles(g_basis: np.ndarray, eigenvalues: np.ndarray) -> list:
     return list(zip(states, projectors))
 
 
-def _run_disturbance(cfg: CampaignConfig):
-    lo, hi = cfg.dims[0], min(cfg.dims[1], 3)
-    n = cfg.n_trials("disturbance")
-
-    def random_ensemble_draw(rng):
-        d = int(rng.integers(lo, hi + 1))
-        m = int(rng.integers(2, 5))
-        probs = rng.dirichlet(np.ones(m))
-        members = tuple(_ginibre(rng, (d, int(rng.integers(1, d + 1)))) for _ in range(m))
-        return probs, members, _channel_draw(rng, d, d, int(rng.integers(1, 5)))
-
-    yield from _family(cfg, "disturbance", 0, n, random_ensemble_draw, _ensembles,
-                       _entropic_disturbance_stack)
-
-    def commuting_draw(rng):
-        d = int(rng.integers(lo, hi + 1))
-        g_basis = _ginibre(rng, (d, d))
-        m = int(rng.integers(2, 5))
-        probs = rng.dirichlet(np.ones(m))
-        return probs, (g_basis, np.stack([rng.dirichlet(np.ones(d)) for _ in range(m)]))
-
-    def commuting_rows(probs, states, ks):
-        d = (states.shape[-1],)
-        return [
-            [_renamed(rep, "disturbance-commuting"),
-             _deviation_report("disturbance-commuting-chi", abs(rep.lhs), d),
-             _deviation_report("disturbance-commuting-fidelity", 1.0 - rep.aux["avg_sqrt_fid"], d)]
-            for rep in _entropic_disturbance_stack(probs, states, ks)
-        ]
-
-    yield from _family(cfg, "disturbance", 1, min(n, 20), commuting_draw,
-                       _parts(None, _commuting_ensembles), commuting_rows)
+def _product_states(draws) -> list:
+    """(rho_RQ (x) rho_E, V) of each draw of the G_RQ, G_E and V Ginibre blocks."""
+    return [(_kron(rq, e), v) for rq, e, v in _parts(_densities, _densities, _haar_isometries)(draws)]
 
 
-def _run_cpdp(cfg: CampaignConfig):
-    n = cfg.n_trials("cpdp")
-    dims = (2, 2, 2)  # (R, Q, E)
-    # V: QE -> Q'E', unitary on QE, or isometric into a larger E'
-    out_dims = (2, 4) if cfg.cpdp_isometric else (2, 2)
-    configured = _parts(_densities, _haar_isometries)
+def _dim(rng, cfg) -> int:
+    lo, hi = cfg.dims
+    return int(rng.integers(lo, hi + 1))
 
-    def config_draw(rng):
-        return _ginibre(rng, (8, int(rng.integers(2, 9))))
 
-    def interaction_draw(rng):
-        return _ginibre(rng, (math.prod(out_dims), 4))
+def _state_draw(rng, d: int) -> np.ndarray:
+    """The Ginibre matrix of a d-dimensional state of uniformly drawn rank."""
+    return _ginibre(rng, (d, int(rng.integers(1, d + 1))))
 
-    def forward_rows(state, vs):
-        _, reports, *forward = _reduced_dynamics_stack(state, vs, dims, out_dims)
-        return [[f, c] for f, c in zip(reports, _converse_stack(state, dims, reports, *forward, 1.0))]
 
-    yield from _family(cfg, "cpdp", 0, n, lambda rng: (config_draw(rng), interaction_draw(rng)),
-                       configured, forward_rows)
+def _channel_on(rng, d: int) -> np.ndarray:
+    """The Ginibre blocks of a d -> d channel of 1 to 4 Kraus operators."""
+    return _channel_draw(rng, d, d, int(rng.integers(1, 5)))
 
-    def product_draw(rng):
-        g_rq = _ginibre(rng, (4, int(rng.integers(2, 5))))
-        g_e = _ginibre(rng, (2, int(rng.integers(1, 3))))
-        return g_rq, g_e, interaction_draw(rng)
 
-    def product_configured(draws):
-        return [(_kron(rq, e), v) for rq, e, v in _parts(_densities, _densities, _haar_isometries)(draws)]
+def _tripartite_draw(rng) -> np.ndarray:
+    """The Ginibre matrix of a three-qubit state of rank 2 to 8."""
+    return _ginibre(rng, (8, int(rng.integers(2, 9))))
 
-    def product_rows(state, vs):
-        return [_deviation_report("cpdp-forward-product", 1.0 - rep.aux["fidelity"], dims)
-                for rep in _reduced_dynamics_stack(state, vs, dims, out_dims)[1]]
 
-    yield from _family(cfg, "cpdp", 1, min(n, 10), product_draw, product_configured, product_rows)
+def _entropy_gain_draw(rng, cfg):
+    d = _dim(rng, cfg)
+    return _state_draw(rng, d), _channel_on(rng, d)
 
-    def embedding_rows(state):
-        # the embedding Q' = QE, with a trivial output environment
-        slack = _dp_slacks(state, np.broadcast_to(np.eye(4), (len(state), 4, 4)), dims, (4, 1))
-        cmi = _cmi_stack(state, dims, (0,), (2,), (1,))
-        return [_deviation_report("cpdp-embedding-consistency", abs(float(s) - float(c)), dims)
-                for s, c in zip(slack, cmi)]
 
-    yield from _family(cfg, "cpdp", 2, min(n, 20), lambda rng: (config_draw(rng),), _parts(_densities),
-                       embedding_rows)
+def _subunital_pair_draw(rng, cfg):
+    d = _dim(rng, cfg)
+    return _state_draw(rng, d), _subunital_draw(rng, d, d + 1)
+
+
+def _recovery_draw(rng, cfg):
+    """The raw numbers of one recovery instance: the Ginibre matrices of
+    sigma and of rho, and of N's Stinespring isometry.  A quarter of the
+    sigmas are rank-deficient, and then rho's matrix is drawn on the support
+    of sigma."""
+    d = _dim(rng, cfg)
+    rank_sigma = d if rng.integers(4) else max(1, d - 1)
+    g_sigma = _ginibre(rng, (d, rank_sigma))
+    g_rho = _state_draw(rng, rank_sigma)
+    d_out = _dim(rng, cfg)
+    env_min = -(-d // d_out)  # Stinespring needs out * env >= in
+    return (g_sigma, g_rho), _channel_draw(rng, d, d_out, int(rng.integers(env_min, env_min + 4)))
+
+
+def _markov_draw(rng, cfg):
+    """Mixture weights of C, and per value of C the Ginibre matrices of its
+    A and B factors."""
+    return rng.dirichlet(np.ones(2)), tuple(_state_draw(rng, 2) for _ in range(4))
+
+
+def _instrument_pair_draw(rng, cfg, efficient=True):
+    """A state and an instrument on it; ``efficient=None`` draws whether the
+    instrument is efficient."""
+    d = _dim(rng, cfg)
+    if efficient is None:
+        efficient = bool(rng.integers(2))
+    g_instr = _instrument_draw(rng, d, int(rng.integers(2, 5)), efficient)
+    return _state_draw(rng, d), g_instr
+
+
+def _pure_input_draw(rng, cfg):
+    """A two-outcome instrument of two Kraus operators per outcome, then a
+    pure qubit input: the post states are mixed, so the entropy reduction is
+    strictly negative while the information-gain bound still holds."""
+    g_instr = _instrument_draw(rng, 2, 2, False)
+    return _ginibre(rng, (2, 1)), g_instr
+
+
+def _ensemble_draw(rng, cfg):
+    d, m = _dim(rng, cfg), int(rng.integers(2, 5))
+    probs = rng.dirichlet(np.ones(m))
+    members = tuple(_state_draw(rng, d) for _ in range(m))
+    return probs, members, _channel_on(rng, d)
+
+
+def _commuting_draw(rng, cfg):
+    d = _dim(rng, cfg)
+    g_basis = _ginibre(rng, (d, d))
+    m = int(rng.integers(2, 5))
+    probs = rng.dirichlet(np.ones(m))
+    return probs, (g_basis, np.stack([rng.dirichlet(np.ones(d)) for _ in range(m)]))
+
+
+def _interaction_draw(rng, cfg):
+    """V: QE -> Q'E', unitary on QE, or isometric into a larger E'."""
+    return _ginibre(rng, (8 if cfg.cpdp_isometric else 4, 4))
+
+
+def _petz_fixed_point_rows(rho, sigma, ks) -> list:
+    """||(P o N)(sigma) - sigma||_1 of the Petz map P of (sigma, N) for each
+    map of a (N, K, out, in) Kraus stack."""
+    n_sigma = _apply_kraus(ks, sigma)
+    dev = trace_norm(_apply_kraus(_petz_stack(sigma, ks, n_sigma), n_sigma) - sigma)
+    dims = (sigma.shape[-1], ks.shape[-2])
+    return [_deviation_report("petz-fixed-point", x, dims) for x in dev]
+
+
+def _markov_rows(rho) -> list:
+    fids = root_fidelity(rho, _recover_abc_stack(rho, (2, 2, 2)))
+    rows = []
+    for f in fids:
+        fid = float(f) ** 2
+        rows.append(_deviation_report("cmi-recovery-markov", 1.0 - fid, (2, 2, 2), {"fidelity": fid}))
+    return rows
+
+
+def _no_qsi_rows(rho, kx) -> list:
+    gains = _groenewold_gains(rho, kx)
+    return [
+        [rep, _deviation_report("groenewold-vs-mutual-info", abs(float(gain) - rep.lhs),
+                                (rho.shape[-1],), {"groenewold_gain": float(gain)})]
+        for rep, gain in zip(_info_gain_no_qsi_stack(rho, kx), gains)
+    ]
+
+
+def _pure_input_rows(rho, kx) -> list:
+    rows = []
+    for rep in _info_gain_upper_stack(rho, kx):
+        gain = rep.aux["groenewold_gain"]
+        rows.append([rep, CheckReport("negative-groenewold-witness", lhs=-gain, rhs=0.0, dims=(2,),
+                                      aux={"groenewold_gain": gain})])
+    return rows
+
+
+def _qsi_rows(rho, kx, quad) -> list:
+    tp = "qsi-recovery-instrument-tp"
+    return [[rep, _deviation_report(tp, rep.aux["recovery_instrument_tp_dev"], (2, 2))]
+            for rep in _info_gain_qsi_stack(rho, kx, (2, 2), quad)]
+
+
+def _commuting_rows(probs, states, ks) -> list:
+    d = (states.shape[-1],)
+    return [
+        [_renamed(rep, "disturbance-commuting"),
+         _deviation_report("disturbance-commuting-chi", abs(rep.lhs), d),
+         _deviation_report("disturbance-commuting-fidelity", 1.0 - rep.aux["avg_sqrt_fid"], d)]
+        for rep in _entropic_disturbance_stack(probs, states, ks)
+    ]
+
+
+_RQE = (2, 2, 2)  # (R, Q, E); V: QE -> Q'E' with Q' a qubit, and E' what is left of V's output
+
+
+def _forward_rows(state, vs) -> list:
+    _, reports, *forward = _reduced_dynamics_stack(state, vs, _RQE, (2, vs.shape[-2] // 2))
+    return [[f, c] for f, c in zip(reports, _converse_stack(state, _RQE, reports, *forward, 1.0))]
+
+
+def _product_rows(state, vs) -> list:
+    return [_deviation_report("cpdp-forward-product", 1.0 - rep.aux["fidelity"], _RQE)
+            for rep in _reduced_dynamics_stack(state, vs, _RQE, (2, vs.shape[-2] // 2))[1]]
+
+
+def _embedding_rows(state) -> list:
+    # the embedding Q' = QE, with a trivial output environment
+    slack = _dp_slacks(state, np.broadcast_to(np.eye(4), (len(state), 4, 4)), _RQE, (4, 1))
+    cmi = _cmi_stack(state, _RQE, (0,), (2,), (1,))
+    return [_deviation_report("cpdp-embedding-consistency", abs(float(s) - float(c)), _RQE)
+            for s, c in zip(slack, cmi)]
+
+
+@dataclass(frozen=True)
+class Family:
+    """One check family: trial t draws ``draw(rng, cfg)`` from ``stream(
+    master_seed, SUITES.index(suite), index, t)``, ``finish`` turns the list
+    of all trials' draws into instances, and ``core`` takes the stacks of
+    each group of instances of equal shapes and returns each instance's
+    report, or its list of reports.  ``trials`` caps the suite's trial
+    count.  ``dims`` caps the dimensions drawn: the draw sees ``cfg.dims``
+    cut to ``(lo, min(hi, dims))``, and a family of fixed dimensions has
+    None.  With ``quad`` set the core takes the quadrature rule last."""
+
+    name: str
+    suite: str
+    index: int
+    draw: Callable
+    finish: Callable
+    core: Callable
+    trials: int | None = None
+    dims: int | None = None
+    quad: bool = False
+
+
+_PLUS = np.full((2, 2), 0.5, dtype=complex)
+# the dephasing channel, self-adjoint and idempotent: equality at |+><+|
+_DEPHASING = (np.array([np.eye(2), np.diag([1.0, -1.0])]) / math.sqrt(2)).astype(complex)
+_STATE_CHANNEL = _parts(_densities, _channel_kraus)
+_RECOVERY = _parts(_recovery_states, _channel_kraus)
+_STATE_INSTRUMENT = _parts(_densities, _instrument_outcomes)
+_STATE = _parts(_densities)
+
+FAMILIES = (
+    Family("entropy-gain", "entropy-gain", 0, _entropy_gain_draw, _STATE_CHANNEL,
+           _entropy_gain_stack, dims=4),
+    Family("entropy-gain-equality", "entropy-gain", 1, lambda rng, cfg: (_PLUS, _DEPHASING), list,
+           lambda rho, ks: [_renamed(r, "entropy-gain-equality") for r in _entropy_gain_stack(rho, ks)],
+           trials=1),
+    Family("entropy-gain-recovery", "entropy-gain", 2, _subunital_pair_draw,
+           _parts(_densities, _subunital_kraus), _entropy_gain_recovery_stack, trials=50, dims=3),
+    Family("cond-entropy-gain", "entropy-gain", 3,
+           lambda rng, cfg: (_state_draw(rng, 4), _channel_on(rng, 2)), _STATE_CHANNEL,
+           lambda rho, ks: _cond_entropy_gain_stack(rho, ks, (2, 2)), trials=50),
+    Family("recovery-fid", "recovery", 0, _recovery_draw, _RECOVERY, _recovery_fid_stack, dims=3),
+    Family("recovery-stronger", "recovery", 1, _recovery_draw, _RECOVERY, _recovery_stronger_stack,
+           trials=50, dims=3, quad=True),
+    Family("petz-fixed-point", "recovery", 2, _recovery_draw, _RECOVERY, _petz_fixed_point_rows, dims=3),
+    Family("cmi-recovery", "recovery", 3, lambda rng, cfg: (_tripartite_draw(rng),), _STATE,
+           lambda rho: _cmi_recovery_stack(rho, (2, 2, 2))),
+    Family("cmi-recovery-markov", "recovery", 4, _markov_draw, _markov_states, _markov_rows, trials=20),
+    Family("info-gain-no-qsi", "info-gain", 0, _instrument_pair_draw, _STATE_INSTRUMENT, _no_qsi_rows,
+           dims=3),
+    Family("info-gain-upper", "info-gain", 1, lambda rng, cfg: _instrument_pair_draw(rng, cfg, None),
+           _STATE_INSTRUMENT, _info_gain_upper_stack, dims=3),
+    Family("negative-groenewold-witness", "info-gain", 4, _pure_input_draw, _STATE_INSTRUMENT,
+           _pure_input_rows, trials=1),
+    Family("efficient-second-law", "info-gain", 2, _instrument_pair_draw, _STATE_INSTRUMENT,
+           _efficient_second_law_stack, dims=3),
+    Family("info-gain-qsi", "info-gain-qsi", 0,
+           lambda rng, cfg: (_ginibre(rng, (4, int(rng.integers(2, 5)))),
+                             _instrument_draw(rng, 2, int(rng.integers(2, 4)), True)),
+           _STATE_INSTRUMENT, _qsi_rows, quad=True),
+    Family("entropic-disturbance", "disturbance", 0, _ensemble_draw, _ensembles,
+           _entropic_disturbance_stack, dims=3),
+    Family("disturbance-commuting", "disturbance", 1, _commuting_draw, _parts(None, _commuting_ensembles),
+           _commuting_rows, trials=20, dims=3),
+    Family("cpdp-forward", "cpdp", 0, lambda rng, cfg: (_tripartite_draw(rng), _interaction_draw(rng, cfg)),
+           _parts(_densities, _haar_isometries), _forward_rows),
+    Family("cpdp-forward-product", "cpdp", 1,
+           lambda rng, cfg: (_ginibre(rng, (4, int(rng.integers(2, 5)))), _state_draw(rng, 2),
+                             _interaction_draw(rng, cfg)),
+           _product_states, _product_rows, trials=10),
+    Family("cpdp-embedding-consistency", "cpdp", 2, lambda rng, cfg: (_tripartite_draw(rng),), _STATE,
+           _embedding_rows, trials=20),
+)
+
+
+def _family_reports(cfg: CampaignConfig, fam: Family) -> list:
+    """Each trial's list of reports of one family, in trial order."""
+    n = cfg.n_trials(fam.suite) if fam.trials is None else min(cfg.n_trials(fam.suite), fam.trials)
+    if fam.dims is not None:
+        cfg = replace(cfg, dims=(cfg.dims[0], min(cfg.dims[1], fam.dims)))
+    suite = SUITES.index(fam.suite)
+    instances = fam.finish([fam.draw(stream(cfg.master_seed, suite, fam.index, t), cfg) for t in range(n)])
+    extra = (cfg.quad(),) if fam.quad else ()
+    return [reps if isinstance(reps, list) else [reps]
+            for reps in _each(lambda *stacks: fam.core(*stacks, *extra), instances)]
 
 
 def _bosonic_reports(cfg: CampaignConfig):
@@ -579,11 +564,6 @@ def _bosonic_reports(cfg: CampaignConfig):
 
     yield bos.check_loss_semigroup(0.9, 0.8, trunc)
     yield bos.check_loss_semigroup(0.7, 0.99, trunc)
-
-
-def _run_bosonic(cfg: CampaignConfig):
-    """No randomness: the rows are numbered in order."""
-    return enumerate(_bosonic_reports(cfg))
 
 
 def bosonic_states(trunc: bos.FockTruncation, guard: int):
@@ -607,30 +587,30 @@ def bosonic_specs(trunc: bos.FockTruncation, etas, gains, pairs=None):
     return specs + [bos.GaussianChannelSpec("compose", trunc, eta=e, gain=g) for e, g in pairs]
 
 
-_RUNNERS = {
-    "entropy-gain": _run_entropy_gain,
-    "recovery": _run_recovery,
-    "info-gain": _run_info_gain,
-    "info-gain-qsi": _run_info_gain_qsi,
-    "disturbance": _run_disturbance,
-    "cpdp": _run_cpdp,
-    "bosonic": _run_bosonic,
-}
-
-
 def run_suite(cfg: CampaignConfig, suite: str):
-    """Report rows of one suite.
+    """Report rows of one suite, family by family in ``FAMILIES`` order.
 
-    The only place a row gets its seed and its trial number: every report a
-    runner yields is stamped with ``cfg.master_seed`` and, when set,
-    ``cfg.tol_override`` in place of its table tolerance.
+    The only place a row gets its seed and its trial number: every report is
+    stamped with ``cfg.master_seed`` and, when set, ``cfg.tol_override`` in
+    place of its table tolerance.  A row's trial is its stream's, except
+    that a check's trials run on from the rows earlier families of the suite
+    gave it, so (suite, check, trial) names one row.
     """
     if suite not in SUITES:
         raise ConfigError(f"unknown suite {suite!r}")
     stamp = {"seed": cfg.master_seed}
     if cfg.tol_override is not None:
         stamp["tol"] = cfg.tol_override
-    return [report_row(replace(rep, **stamp), suite, trial) for trial, rep in _RUNNERS[suite](cfg)]
+    if suite == "bosonic":  # no randomness: the rows are numbered in order
+        pairs = enumerate(_bosonic_reports(cfg))
+    else:
+        pairs, done = [], Counter()
+        for fam in FAMILIES:
+            if fam.suite == suite:
+                reports = _family_reports(cfg, fam)
+                pairs += [(t + done[rep.name], rep) for t, reps in enumerate(reports) for rep in reps]
+                done.update(rep.name for reps in reports for rep in reps)
+    return [report_row(replace(rep, **stamp), suite, trial) for trial, rep in pairs]
 
 
 def run_campaign(cfg: CampaignConfig):

@@ -93,10 +93,6 @@ class Spectrum:
         first = self.dim - int(self.ranks.max(initial=0))
         return self.eigenvalues[..., first:], self.eigenvectors[..., first:]
 
-    def support_mask(self) -> np.ndarray:
-        """Boolean mask of eigenvalues counted as nonzero."""
-        return np.abs(self.eigenvalues) > self.cutoff
-
     def power(self, z: complex) -> np.ndarray:
         """H^z on the support: eigenvalues above the cutoff map to lambda^z,
         all others (negative ones included) to 0."""

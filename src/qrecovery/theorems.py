@@ -252,8 +252,7 @@ def _gain_objective(channel: Channel):
 def _stationarity(rho: np.ndarray, grad: np.ndarray) -> float:
     """Spread (max - min) in bits of the eigenvalues of the gradient
     compressed to the support of rho; 0 at a stationary point of the face."""
-    spec = eig_hermitian(rho)
-    support = spec.eigenvectors[:, spec.support_mask()]
+    support = np.ascontiguousarray(eig_hermitian(rho).support()[1])
     mu = np.linalg.eigvalsh(support.conj().T @ grad @ support)
     return float(mu[-1] - mu[0]) * NAT_TO_BITS
 

@@ -5,10 +5,12 @@ a property that tests assert about channels and matrix functions.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from qrecovery.bosonic import _block, _checked_ladder, amp_channel, loss_channel
+from qrecovery.campaigns import SUITES
 from qrecovery.cpdp import ForwardResult, Interaction, TripartiteConfiguration, afw_bound
 from qrecovery.entropy import (
     cmi,
@@ -54,6 +56,7 @@ from qrecovery.qcore import (
     ptrace,
     random_isometry,
     random_unitary,
+    stream,
     tp_deviation,
     transfer_matrix,
 )
@@ -969,8 +972,7 @@ def recovery_instance_oracle(rng, lo: int, hi: int):
         rho = random_density_oracle(d, int(rng.integers(1, d + 1)), rng)
     else:
         small = random_density_oracle(rank_sigma, int(rng.integers(1, rank_sigma + 1)), rng)
-        spec = eig_hermitian(sigma.matrix)
-        support = spec.eigenvectors[:, spec.support_mask()]
+        support = eig_hermitian(sigma.matrix).support()[1]
         rho = DensityOperator((("A", d),), support @ small.matrix @ support.conj().T)
     d_out = int(rng.integers(lo, hi + 1))
     env_min = -(-d // d_out)
@@ -1056,24 +1058,52 @@ def _recovery_draw_oracle(cfg, rng):
     return recovery_instance_oracle(rng, cfg.dims[0], min(cfg.dims[1], 3))
 
 
-# (suite, family) -> the per-trial draw oracle(cfg, rng) of that campaign family
+def dephasing_witness_oracle(cfg, rng):
+    """|+><+| and the dephasing channel, a witness of entropy-gain equality."""
+    z = np.diag([1.0, -1.0])
+    return np.full((2, 2), 0.5, dtype=complex), Channel((np.eye(2) / math.sqrt(2), z / math.sqrt(2))).stack
+
+
+def pure_input_witness_oracle(cfg, rng):
+    instr = random_instrument_oracle(2, 2, False, rng)
+    return random_density_oracle(2, 1, rng).matrix, _outcome_stack(instr)
+
+
+# family name -> the per-trial draw oracle(cfg, rng) of that campaign family
 FAMILY_DRAW_ORACLES = {
-    ("entropy-gain", 0): entropy_gain_draw_oracle,
-    ("entropy-gain", 2): subunital_draw_oracle,
-    ("entropy-gain", 3): conditional_draw_oracle,
-    ("recovery", 0): _recovery_draw_oracle,
-    ("recovery", 1): _recovery_draw_oracle,
-    ("recovery", 2): _recovery_draw_oracle,
-    ("recovery", 3): lambda cfg, rng: (random_density_oracle(8, int(rng.integers(2, 9)), rng).matrix,),
-    ("recovery", 4): lambda cfg, rng: markov_state_oracle(rng),
-    ("info-gain", 0): info_gain_draw_oracle,
-    ("info-gain", 1): lambda cfg, rng: info_gain_draw_oracle(cfg, rng, None),
-    ("info-gain", 2): info_gain_draw_oracle,
-    ("info-gain-qsi", 0): qsi_draw_oracle,
-    ("disturbance", 0): ensemble_draw_oracle,
-    ("disturbance", 1): commuting_draw_oracle,
-    ("cpdp", 0): lambda cfg, rng: (random_config_oracle(rng).state.matrix,
-                                   draw_interaction_oracle(cfg, rng).matrix),
-    ("cpdp", 1): product_instance_oracle,
-    ("cpdp", 2): lambda cfg, rng: (random_config_oracle(rng).state.matrix,),
+    "entropy-gain": entropy_gain_draw_oracle,
+    "entropy-gain-equality": dephasing_witness_oracle,
+    "entropy-gain-recovery": subunital_draw_oracle,
+    "cond-entropy-gain": conditional_draw_oracle,
+    "recovery-fid": _recovery_draw_oracle,
+    "recovery-stronger": _recovery_draw_oracle,
+    "petz-fixed-point": _recovery_draw_oracle,
+    "cmi-recovery": lambda cfg, rng: (random_density_oracle(8, int(rng.integers(2, 9)), rng).matrix,),
+    "cmi-recovery-markov": lambda cfg, rng: markov_state_oracle(rng),
+    "info-gain-no-qsi": info_gain_draw_oracle,
+    "info-gain-upper": lambda cfg, rng: info_gain_draw_oracle(cfg, rng, None),
+    "negative-groenewold-witness": pure_input_witness_oracle,
+    "efficient-second-law": info_gain_draw_oracle,
+    "info-gain-qsi": qsi_draw_oracle,
+    "entropic-disturbance": ensemble_draw_oracle,
+    "disturbance-commuting": commuting_draw_oracle,
+    "cpdp-forward": lambda cfg, rng: (random_config_oracle(rng).state.matrix,
+                                      draw_interaction_oracle(cfg, rng).matrix),
+    "cpdp-forward-product": product_instance_oracle,
+    "cpdp-embedding-consistency": lambda cfg, rng: (random_config_oracle(rng).state.matrix,),
 }
+
+
+def family_trials(cfg, fam) -> int:
+    """The number of trials a campaign family runs: the suite's, capped by the family's."""
+    n = cfg.n_trials(fam.suite)
+    return n if fam.trials is None else min(n, fam.trials)
+
+
+def family_draw(cfg, fam, trial):
+    """Trial ``trial``'s raw draw of a campaign family, from its stream path
+    (master seed, suite index, family index, trial) and with ``cfg.dims``
+    cut to the family's range."""
+    if fam.dims is not None:
+        cfg = replace(cfg, dims=(cfg.dims[0], min(cfg.dims[1], fam.dims)))
+    return fam.draw(stream(cfg.master_seed, SUITES.index(fam.suite), fam.index, trial), cfg)

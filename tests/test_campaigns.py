@@ -1,12 +1,18 @@
-"""Row provenance: run_suite alone stamps each campaign row's seed and tolerance."""
+"""Row provenance: run_suite alone stamps each campaign row's seed and
+tolerance, and every row regenerates from its family's stream path."""
+
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from qrecovery import bosonic as bos
-from qrecovery.campaigns import SUITES, CampaignConfig, run_suite
+from qrecovery.campaigns import FAMILIES, SUITES, CampaignConfig, run_suite
 from qrecovery.qcore import random_channel, random_density, stream
-from qrecovery.reports import TOLERANCES
+from qrecovery.reports import TOLERANCES, dumps_json, report_row
 from qrecovery.theorems import check_entropy_gain
+
+import oracles
 
 STAMPED = CampaignConfig(master_seed=7, tol_override=0.5, trials=dict.fromkeys(SUITES, 1))
 
@@ -51,3 +57,25 @@ def test_row_regenerates_from_its_stream_path():
     rep = check_entropy_gain(rho, channel)
     assert (row["lhs_bits"], row["rhs_bits"], row["dims"]) == (rep.lhs, rep.rhs, [d])
 
+
+def test_every_family_row_regenerates_from_its_stream_path():
+    # trial 0 and the last trial of every family, drawn alone from its stream
+    # path, finished and run through the core on its own, give the campaign's
+    # rows byte for byte
+    cfg = CampaignConfig(master_seed=13)
+    rows = {}
+    for suite in {fam.suite for fam in FAMILIES}:
+        for row in run_suite(cfg, suite):
+            rows[(suite, row["check"], row["trial"])] = dumps_json(row)
+    offset = Counter()  # a check's trials run on from those of earlier families
+    for fam in FAMILIES:
+        n = oracles.family_trials(cfg, fam)
+        for trial in sorted({0, n - 1}):
+            (instance,) = fam.finish([oracles.family_draw(cfg, fam, trial)])
+            (reps,) = fam.core(*(a[None] for a in instance), *((cfg.quad(),) if fam.quad else ()))
+            reps = reps if isinstance(reps, list) else [reps]
+            for rep in reps:
+                key = (fam.suite, rep.name, trial + offset[(fam.suite, rep.name)])
+                row = report_row(replace(rep, seed=13), fam.suite, key[2])
+                assert rows.pop(key) == dumps_json(row), key
+        offset.update({(fam.suite, rep.name): n for rep in reps})

@@ -74,6 +74,16 @@ def test_non_finite_number_exits_two(capsys, flag, value):
     assert "invalid config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("suite", ["recovery", "all"])
+def test_dims_above_a_family_cap_exits_two(capsys, tmp_path, suite):
+    # the recovery families draw dimensions up to 3: a range from 4 is one
+    # they cannot honour, and a range from 3 is cut to (3, 3)
+    assert run(["verify", suite, "--dims", "4,6"]) == 2
+    err = capsys.readouterr().err
+    assert "invalid config" in err and "Traceback" not in err
+    assert run(["verify", suite, "--dims", "3,6", "--trials", "1", "--out", str(tmp_path / "r.json")]) == 0
+
+
 def test_unknown_suite_exits_two(capsys):
     assert run(["verify", "does-not-exist"]) == 2
     assert "invalid config" in capsys.readouterr().err

@@ -88,9 +88,11 @@ def test_unit_power_returns_input():
     npt.assert_allclose(complex_power(h, 1.0), h, atol=1e-12)
 
 
-def test_support_mask_excludes_kernel():
+def test_support_excludes_kernel():
     # eigenvalues ascend: 0, 2
-    npt.assert_array_equal(eig_hermitian(np.diag([2.0, 0.0])).support_mask(), [False, True])
+    lam, vecs = eig_hermitian(np.diag([2.0, 0.0])).support()
+    npt.assert_array_equal(lam, [2.0])
+    npt.assert_array_equal(np.abs(vecs), [[1.0], [0.0]])
 
 
 def test_ranks_and_support_of_a_stack():

@@ -132,26 +132,22 @@ def instance_bits(inst) -> list:
     return [(np.shape(part), np.asarray(part).tobytes()) for part in inst]
 
 
-@pytest.mark.parametrize("suite", [s for s in SUITES if s != "bosonic"])
+@pytest.mark.parametrize("fam", campaigns.FAMILIES, ids=lambda f: f.name)
 @pytest.mark.parametrize("seed, dims, isometric", [(3, (2, 4), False), (29, (2, 2), True), (41, (3, 3), False)])
-def test_family_instances_equal_per_trial_draws(monkeypatch, suite, seed, dims, isometric):
+def test_family_instances_equal_per_trial_draws(fam, seed, dims, isometric):
     # every family's instances, drawn raw trial by trial and finished per
     # shape group, equal the per-trial draws of oracles.FAMILY_DRAW_ORACLES
-    cfg = CampaignConfig(master_seed=seed, dims=dims, trials={suite: 24}, cpdp_isometric=isometric)
-    seen = []
+    cfg = CampaignConfig(master_seed=seed, dims=dims, trials={fam.suite: 24}, cpdp_isometric=isometric)
+    trials = range(oracles.family_trials(cfg, fam))
+    got = fam.finish([oracles.family_draw(cfg, fam, t) for t in trials])
+    oracle = oracles.FAMILY_DRAW_ORACLES[fam.name]
+    suite = SUITES.index(fam.suite)
+    want = [oracle(cfg, stream(seed, suite, fam.index, t)) for t in trials]
+    assert [instance_bits(i) for i in got] == [instance_bits(i) for i in want]
 
-    def checked(cfg_, suite_, family, n, draw, finish, rows):
-        streams = list(campaigns._trials(cfg_, suite_, family, n))
-        got = finish([draw(rng) for _, rng in streams])
-        oracle = oracles.FAMILY_DRAW_ORACLES[(suite_, family)]
-        want = [oracle(cfg_, rng) for _, rng in campaigns._trials(cfg_, suite_, family, n)]
-        assert [instance_bits(i) for i in got] == [instance_bits(i) for i in want], (suite_, family)
-        seen.append(family)
-        return []
 
-    monkeypatch.setattr(campaigns, "_family", checked)
-    list(campaigns._RUNNERS[suite](cfg))
-    assert seen == sorted(k[1] for k in oracles.FAMILY_DRAW_ORACLES if k[0] == suite)
+def test_every_family_has_a_draw_oracle():
+    assert [f.name for f in campaigns.FAMILIES] == list(oracles.FAMILY_DRAW_ORACLES)
 
 
 class TestPrimitives:

@@ -37,6 +37,8 @@ from qrecovery.qcore import (
 )
 from qrecovery.theorems import _recover_abc_stack
 
+import oracles
+
 NON_HERMITIAN = np.array([[0.5, 0.3], [0.0, 0.5]])
 
 
@@ -206,14 +208,10 @@ class TestDerivedSitesPassTheValidator:
         cfg = CampaignConfig(master_seed=seed, trials={"cpdp": 4}, cpdp_isometric=isometric)
         out_dims = (2, 4) if isometric else (2, 2)
         finished = []
-
-        def capture(cfg_, suite, family, n, draw, finish, core):
-            finished.extend(finish([draw(rng) for _, rng in campaigns._trials(cfg_, suite, family, n)]))
-            return []
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(campaigns, "_family", capture)
-            list(campaigns._RUNNERS["cpdp"](cfg))
+        for fam in campaigns.FAMILIES:
+            if fam.suite == "cpdp":
+                trials = range(oracles.family_trials(cfg, fam))
+                finished += fam.finish([oracles.family_draw(cfg, fam, t) for t in trials])
         assert len(finished) == 12
         for state, *v in finished:
             DensityOperator((("R", 2), ("Q", 2), ("E", 2)), state)
